@@ -26,7 +26,6 @@ from .gate import (
     VERDICT_DEGENERATE_KRAUS_RANK_ONE,
     VERDICT_FIRST_MOVE_CANDIDATES,
     VERDICT_NOT_LOCC,
-    build_q,
     gate_channel,
     gate_party,
     identity_vector,
@@ -34,14 +33,10 @@ from .gate import (
 )
 from .linalg import (
     IndependentSubset,
-    OperatorBasis,
     hermitian_eigenvalues,
     nullspace_dimension,
-    operator_basis,
     permute_party_to_front,
-    represent_in_span,
     select_independent_subset,
-    tensor_product,
 )
 from .protocols import (
     ProtocolNode,
@@ -85,20 +80,15 @@ __all__ = [
     "VERDICT_DEGENERATE_KRAUS_RANK_ONE",
     "VERDICT_FIRST_MOVE_CANDIDATES",
     "VERDICT_NOT_LOCC",
-    "build_q",
     "gate_channel",
     "gate_party",
     "identity_vector",
     "pair_products",
     "IndependentSubset",
-    "OperatorBasis",
     "hermitian_eigenvalues",
     "nullspace_dimension",
-    "operator_basis",
     "permute_party_to_front",
-    "represent_in_span",
     "select_independent_subset",
-    "tensor_product",
     "ProtocolNode",
     "ProtocolTree",
     "communication_rounds",

@@ -145,8 +145,13 @@ def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = 1e-9) -> tuple
 
 
 def kraus_rank(channel: KrausChannel, rel_tol: float = 1e-9) -> int:
-    """Rank of the Choi matrix: the minimal number of Kraus operators."""
-    evals = hermitian_eigenvalues(choi_matrix(channel))
+    """Rank of the Choi matrix: the minimal number of Kraus operators.
+
+    Solved on the N x N Gram tr(K_i^dag K_j), which has the same nonzero
+    eigenvalues as the (D d_out)^2 Choi matrix.
+    """
+    vecs = np.stack(channel.kraus).reshape(channel.n_kraus, -1)
+    evals = hermitian_eigenvalues(vecs.conj() @ vecs.T)
     top = float(evals[-1])
     if top <= 0.0:
         return 0
@@ -179,7 +184,7 @@ def operator_schmidt_rank(m: np.ndarray, dims, party: int, rel_tol: float = 1e-9
     d_rest = total // d_party
     tens = mp.reshape(d_party, d_rest, d_party, d_rest)
     realigned = tens.transpose(0, 2, 1, 3).reshape(d_party * d_party, d_rest * d_rest)
-    nullity, _, eig_max = nullspace_dimension(realigned, rel_tol)
+    nullity, _, eig_max = nullspace_dimension(realigned.conj().T @ realigned, rel_tol)
     if eig_max <= 0.0:
         return 0
     return realigned.shape[1] - nullity

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .gate import gate_channel
+from .gate import COMPLETENESS_TOL, DEFAULT_NULLSPACE_RTOL, gate_channel
 from .channels import check_completeness
 from .serialize import (
     DimensionError,
@@ -89,9 +89,12 @@ def cmd_check(args) -> int:
     except SchemaError as exc:
         _err(f"parse failure: {exc}")
         return EXIT_PARSE
+    if channel.n_parties < 2:
+        _err(f"dimension inconsistency: the gate needs at least 2 parties, got {channel.n_parties}")
+        return EXIT_DIMENSION
     residual = check_completeness(channel)
-    if residual > 1e-6:
-        _err(f"completeness failure: residual {residual:.3e} exceeds 1e-6")
+    if residual > COMPLETENESS_TOL:
+        _err(f"completeness failure: residual {residual:.3e} exceeds {COMPLETENESS_TOL:g}")
         return EXIT_COMPLETENESS
     if residual > 1e-9:
         print(
@@ -183,7 +186,11 @@ def cmd_sweep(args) -> int:
     except SchemaError as exc:
         _err(f"parse failure: {exc}")
         return EXIT_PARSE
-    header, rows = run_sweep(cfg)
+    try:
+        header, rows = run_sweep(cfg)
+    except ValueError as exc:  # a sampler that finds no valid instance
+        _err(f"parse failure: sweep config admits no samples: {exc}")
+        return EXIT_PARSE
     write_csv_atomic(args.out, header, rows)
     return EXIT_OK
 
@@ -224,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--tol",
         type=float,
-        default=1e-13,
-        help="relative eigenvalue threshold for an empty nullspace (default 1e-13)",
+        default=DEFAULT_NULLSPACE_RTOL,
+        help="relative eigenvalue threshold for an empty nullspace (default %(default)g)",
     )
     p_check.set_defaults(func=cmd_check)
 

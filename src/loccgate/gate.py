@@ -3,20 +3,31 @@
 Any local measurement a party could make to open an LOCC protocol for a
 channel must, at the level of POVM elements, be a linear combination of the
 Kraus pair products K_i^dag K_j whose partial expectation against every
-traceless operator on the other parties vanishes.  Stacking those trace
-constraints into a matrix Q (one row per basis pair with a traceless factor
-on the rest, one column per linearly independent pair product) and adding a
-single row that removes the always-present identity solution makes the test
-linear: the party can measure first only if the augmented Q has a nontrivial
-nullspace.  If the nullspace is empty for every party, no LOCC protocol of
-any number of rounds implements the channel.
+traceless operator on the other parties vanishes.  Over a maximal linearly
+independent subset P_a of the pair products, those trace constraints form a
+matrix Q; one more row, the conjugated identity coefficients c^dag,
+removes the always-present identity solution.  The party can measure first
+only if the augmented Q has a nontrivial nullspace.  If the nullspace is
+empty for every party, no LOCC protocol of any number of rounds implements
+the channel.
 
-The eigenvalue ratio min/max of Q^dag Q per party ("ratio"), minimized over
+Only the Gram of the augmented Q is ever needed, and it has a closed form.
+The constraint rows span every operator except those of the form
+X tensor I_rest, so
+
+    Q_aug^dag Q_aug = <P_a, P_b> - <Tr_rest P_a, Tr_rest P_b> / d_rest + c c^dag
+
+with <X, Y> = tr(X^dag Y).  Moving a party's factor to the front only
+permutes matrix entries, so the subset, c and the first and last terms are
+computed once per channel; each party adds only its partial-trace term.
+
+The eigenvalue ratio min/max of that Gram per party ("ratio"), minimized over
 parties ("lambda_hat"), doubles as a closeness-to-singular diagnostic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +42,11 @@ from .channels import (
 from .linalg import (
     DEFAULT_INDEPENDENCE_TOL,
     IndependentSubset,
-    OperatorBasis,
     nullspace_dimension,
-    operator_basis,
-    permute_party_to_front,
-    represent_in_span,
     select_independent_subset,
 )
 
-# Eigenvalues of Q^dag Q below DEFAULT_NULLSPACE_RTOL times the largest count
+# Eigenvalues of Q_aug^dag Q_aug below DEFAULT_NULLSPACE_RTOL times the largest count
 # as zero.  Sits between solver noise (~1e-16) and the smallest genuinely
 # nonzero ratios seen in the example families (~1e-9), with margin.
 DEFAULT_NULLSPACE_RTOL = 1e-13
@@ -54,7 +61,7 @@ VERDICT_DEGENERATE_KRAUS_RANK_ONE = "DEGENERATE_KRAUS_RANK_ONE"
 
 @dataclass(frozen=True)
 class PartyGateReport:
-    """Per-party diagnostics of the augmented constraint matrix Q."""
+    """Per-party diagnostics of the augmented constraint matrix Q_aug."""
 
     party: int
     pair_count: int
@@ -116,80 +123,31 @@ def _require_complete(channel: KrausChannel) -> None:
         )
 
 
-def pair_products(channel: KrausChannel, party: int) -> list[np.ndarray]:
-    """All N^2 products K_i^dag K_j on the input space, party's factor first.
+def pair_products(channel: KrausChannel) -> np.ndarray:
+    """All N^2 products K_i^dag K_j on the input space, shape (N^2, D, D).
 
     Ordered row-major in (i, j).  The adjoint of product (i, j) is product
     (j, i) exactly.
     """
-    dims = channel.input_dims
-    if not 0 <= party < len(dims):
-        raise ValueError(f"party index {party} out of range for {len(dims)} parties")
-    out = []
-    for ki in channel.kraus:
-        left = ki.conj().T
-        for kj in channel.kraus:
-            out.append(permute_party_to_front(left @ kj, dims, party))
-    return out
-
-
-def q_matrix_for_products(
-    products,
-    subset: IndependentSubset,
-    d_party: int,
-    d_rest: int,
-    bases: tuple[OperatorBasis, OperatorBasis] | None = None,
-) -> np.ndarray:
-    """Unaugmented Q for an explicit product list and independent subset.
-
-    Rows run over basis pairs (mu, nu) with mu over the full party basis and
-    nu over the traceless rest basis only, mu outer / nu inner; columns follow
-    ``subset.indices``.  Entry = trace[(L_mu tensor G_nu)^dag P_(i,j)].
-    """
-    if bases is None:
-        bases = (operator_basis(d_party), operator_basis(d_rest))
-    basis_party, basis_rest = bases
-    rows = []
-    for mu in range(d_party * d_party):
-        lam = basis_party.elements[mu]
-        for nu in range(1, d_rest * d_rest):
-            rows.append(np.kron(lam, basis_rest.elements[nu]).conj().reshape(-1))
-    n_cols = len(subset.indices)
-    if not rows:
-        return np.zeros((0, n_cols), dtype=complex)
-    row_stack = np.stack(rows, axis=0)
-    col_stack = np.stack([products[i].reshape(-1) for i in subset.indices], axis=0)
-    return row_stack @ col_stack.T
-
-
-def build_q(
-    channel: KrausChannel,
-    party: int,
-    *,
-    subset_tol: float = DEFAULT_INDEPENDENCE_TOL,
-    bases: tuple[OperatorBasis, OperatorBasis] | None = None,
-) -> tuple[np.ndarray, IndependentSubset]:
-    """Unaugmented constraint matrix for one party, plus the selected subset."""
-    products = pair_products(channel, party)
-    subset = select_independent_subset([p.reshape(-1) for p in products], subset_tol)
-    d_party = channel.input_dims[party]
-    d_rest = channel.dim // d_party
-    return q_matrix_for_products(products, subset, d_party, d_rest, bases), subset
+    ks = np.stack(channel.kraus)
+    n = len(ks)
+    return np.einsum("iab,jac->ijbc", ks.conj(), ks).reshape(n * n, channel.dim, channel.dim)
 
 
 def identity_vector(subset: IndependentSubset, products) -> np.ndarray:
     """Unit-norm coefficients over S reproducing the identity operator.
 
     Completeness guarantees the identity lies in the span of the pair
-    products; a residual above 1e-9 signals a broken channel or a subset
-    tolerance that discarded too much.
+    products; a least-squares residual above 1e-9 signals a broken channel or
+    a subset tolerance that discarded too much.
     """
     if not subset.indices:
         raise ValueError("independent subset is empty; cannot represent the identity")
     total = products[0].shape[0]
-    selected = [products[i].reshape(-1) for i in subset.indices]
+    cols = np.stack([products[i].reshape(-1) for i in subset.indices], axis=1)
     target = np.eye(total, dtype=complex).reshape(-1)
-    coeffs, residual = represent_in_span(selected, target)
+    coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    residual = float(np.linalg.norm(cols @ coeffs - target))
     if residual > 1e-9:
         raise ValueError(
             f"identity not in the span of selected pair products (residual {residual:.3e}); "
@@ -198,28 +156,43 @@ def identity_vector(subset: IndependentSubset, products) -> np.ndarray:
     return coeffs / np.linalg.norm(coeffs)
 
 
-def _gate_party_from_products(
-    products,
-    d_party: int,
-    d_rest: int,
-    party: int,
-    rel_tol: float,
-    subset_tol: float,
-    bases: tuple[OperatorBasis, OperatorBasis] | None,
-) -> PartyGateReport:
-    subset = select_independent_subset([p.reshape(-1) for p in products], subset_tol)
-    q = q_matrix_for_products(products, subset, d_party, d_rest, bases)
-    c_identity = identity_vector(subset, products)
-    q_aug = np.vstack([q, c_identity.conj()[None, :]])
-    nullity, eig_min, eig_max = nullspace_dimension(q_aug, rel_tol)
-    ratio = eig_min / eig_max if eig_max > 0.0 else 0.0
+def channel_gram(channel: KrausChannel, subset_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The party-independent half of the gate, computed once per channel.
+
+    Returns the selected pair products P_a, shape (|S|, D, D), and their
+    Gram <P_a, P_b> plus c c^dag, where c holds the identity coefficients.
+    """
+    products = pair_products(channel)
+    subset = select_independent_subset(products.reshape(len(products), -1), subset_tol)
+    c = identity_vector(subset, products)
+    selected = products[subset.indices]
+    flat = selected.reshape(len(selected), -1)
+    return selected, flat.conj() @ flat.T + np.outer(c, c.conj())
+
+
+def party_gram(selected: np.ndarray, gram: np.ndarray, dims, party: int) -> np.ndarray:
+    """Q_aug^dag Q_aug for one party: ``gram`` minus the party's rest-identity part."""
+    before = math.prod(dims[:party])
+    after = math.prod(dims[party + 1 :])
+    d_party = dims[party]
+    tens = selected.reshape(len(selected), before, d_party, after, before, d_party, after)
+    reduced = np.einsum("kxayxby->kab", tens).reshape(len(selected), -1)
+    return gram - reduced.conj() @ reduced.T / (before * after)
+
+
+def _party_report(selected, gram, dims, party: int, rel_tol: float) -> PartyGateReport:
+    nullity, eig_min, eig_max = nullspace_dimension(
+        party_gram(selected, gram, dims, party), rel_tol
+    )
+    d_party = dims[party]
+    d_rest = math.prod(dims) // d_party
     return PartyGateReport(
         party=party,
-        pair_count=len(subset.indices),
-        q_rows=q_aug.shape[0],
+        pair_count=len(selected),
+        q_rows=d_party * d_party * (d_rest * d_rest - 1) + 1,
         eig_min=eig_min,
         eig_max=eig_max,
-        ratio=ratio,
+        ratio=eig_min / eig_max if eig_max > 0.0 else 0.0,
         nullspace_dim=nullity,
         can_measure_first=nullity >= 1,
     )
@@ -231,16 +204,13 @@ def gate_party(
     rel_tol: float = DEFAULT_NULLSPACE_RTOL,
     *,
     subset_tol: float = DEFAULT_INDEPENDENCE_TOL,
-    bases: tuple[OperatorBasis, OperatorBasis] | None = None,
 ) -> PartyGateReport:
     """Augmented-Q diagnostics for one party: can it measure first at all?"""
+    if not 0 <= party < channel.n_parties:
+        raise ValueError(f"party index {party} out of range for {channel.n_parties} parties")
     _require_complete(channel)
-    products = pair_products(channel, party)
-    d_party = channel.input_dims[party]
-    d_rest = channel.dim // d_party
-    return _gate_party_from_products(
-        products, d_party, d_rest, party, rel_tol, subset_tol, bases
-    )
+    selected, gram = channel_gram(channel, subset_tol)
+    return _party_report(selected, gram, channel.input_dims, party, rel_tol)
 
 
 def gate_channel(
@@ -260,8 +230,9 @@ def gate_channel(
     if channel.n_parties < 2:
         raise ValueError("channel must have at least 2 parties")
     _require_complete(channel)
+    selected, gram = channel_gram(channel, subset_tol)
     reports = tuple(
-        gate_party(channel, p, rel_tol, subset_tol=subset_tol, bases=None)
+        _party_report(selected, gram, channel.input_dims, p, rel_tol)
         for p in range(channel.n_parties)
     )
     lambda_hat = min(r.ratio for r in reports)

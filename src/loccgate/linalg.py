@@ -19,11 +19,6 @@ import numpy as np
 DEFAULT_INDEPENDENCE_TOL = 1e-9
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with entry [i*p+k, j*q+l] = a[i,j] * b[k,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def permute_party_to_front(m: np.ndarray, dims, party: int) -> np.ndarray:
     """Re-express a square operator so the chosen party's factor comes first.
 
@@ -45,44 +40,6 @@ def permute_party_to_front(m: np.ndarray, dims, party: int) -> np.ndarray:
     tens = m.reshape(dims + dims)
     tens = tens.transpose(perm + [n + p for p in perm])
     return tens.reshape(total, total)
-
-
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Hilbert-Schmidt orthonormal basis of d x d operators, identity first."""
-
-    dim: int
-    elements: tuple[np.ndarray, ...]
-
-
-def operator_basis(d: int) -> OperatorBasis:
-    """Deterministic orthonormal operator basis on dimension ``d``.
-
-    The first element is I/sqrt(d); the remaining d^2 - 1 elements are
-    traceless, built from the generalized Gell-Mann families in a fixed order:
-    symmetric off-diagonal, antisymmetric off-diagonal, then diagonal.  Every
-    element has unit Hilbert-Schmidt norm.
-    """
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    elements = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2)
-            elements.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2)
-            m[k, j] = 1j / np.sqrt(2)
-            elements.append(m)
-    for level in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(level), np.arange(level)] = 1.0
-        m[level, level] = -float(level)
-        elements.append(m / np.sqrt(level * (level + 1)))
-    return OperatorBasis(dim=d, elements=tuple(elements))
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -118,11 +75,13 @@ class IndependentSubset:
 def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) -> IndependentSubset:
     """Greedy maximal linearly independent subset, scanned in input order.
 
-    Uses modified Gram-Schmidt with one reorthogonalization pass.  A vector
-    joins S iff its residual after projecting onto span(S) exceeds ``tol``
-    times its own norm.  Vectors whose norm is below ``tol`` times the largest
-    input norm count as zero (they would otherwise enter S on pure rounding
-    noise); all-zero inputs therefore yield an empty S.
+    Classical Gram-Schmidt with one reorthogonalization pass (CGS2): with the
+    orthonormal directions found so far as the columns of Q, each candidate's
+    residual is ``r -= Q (Q^dag r)``, applied twice.  A vector joins S iff
+    that residual exceeds ``tol`` times its own norm.  Vectors whose norm is
+    below ``tol`` times the largest input norm count as zero (they would
+    otherwise enter S on pure rounding noise); all-zero inputs therefore
+    yield an empty S.
     """
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vecs:
@@ -136,19 +95,18 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     norms = [float(np.linalg.norm(v)) for v in vecs]
     scale = max(norms)
     selected: list[int] = []
-    onb: list[np.ndarray] = []
+    onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
     for idx, v in enumerate(vecs):
-        norm_v = norms[idx]
-        if norm_v <= tol * scale:
+        if norms[idx] <= tol * scale:
             continue
+        q = onb[: len(selected)]
         r = v.copy()
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for q in onb:
-                r = r - (q.conj() @ r) * q
+        for _ in range(2):
+            r -= np.conj(q @ r.conj()) @ q  # conj(Q^T conj r) = Q^dag r, Q never conjugated
         rnorm = float(np.linalg.norm(r))
-        if rnorm > tol * norm_v:
+        if rnorm > tol * norms[idx]:
+            onb[len(selected)] = r / rnorm
             selected.append(idx)
-            onb.append(r / rnorm)
 
     expansion: dict[int, np.ndarray] = {}
     rejected = [i for i in range(len(vecs)) if i not in set(selected)]
@@ -164,33 +122,19 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     return IndependentSubset(indices=selected, expansion=expansion)
 
 
-def represent_in_span(basis, target) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients expressing ``target`` over ``basis`` vectors.
+def nullspace_dimension(gram: np.ndarray, rel_tol: float) -> tuple[int, float, float]:
+    """Numerical nullspace dimension of a matrix ``m`` from its Gram m^dag m.
 
-    Returns ``(coefficients, residual_norm)``; whether the residual is
-    acceptable is the caller's check.
+    Returns the count of Gram eigenvalues below ``rel_tol`` times the largest
+    plus the extreme eigenvalues; a zero Gram has nullity equal to its size.
     """
-    cols = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in basis], axis=1)
-    t = np.asarray(target, dtype=complex).reshape(-1)
-    coeffs, *_ = np.linalg.lstsq(cols, t, rcond=None)
-    residual = float(np.linalg.norm(cols @ coeffs - t))
-    return coeffs, residual
-
-
-def nullspace_dimension(m: np.ndarray, rel_tol: float) -> tuple[int, float, float]:
-    """Numerical nullspace dimension of ``m`` plus the extreme eigenvalues of m^dag m.
-
-    Counts eigenvalues of m^dag m below ``rel_tol`` times the largest; a zero
-    matrix has nullity equal to its column count.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError("matrix must be a nonempty 2-d array")
-    gram = m.conj().T @ m
-    evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+    gram = np.asarray(gram, dtype=complex)
+    if gram.size == 0:
+        raise ValueError("Gram matrix must be nonempty")
+    evals = hermitian_eigenvalues(gram)
     eig_min = float(evals[0])
     eig_max = float(evals[-1])
     if eig_max <= 0.0:
-        return m.shape[1], eig_min, eig_max
+        return gram.shape[0], eig_min, eig_max
     dim = int(np.count_nonzero(evals < rel_tol * eig_max))
     return dim, eig_min, eig_max

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel, channels_equal
-
-QUARTER_PI = math.pi / 4.0
+from .zoo import QUARTER_PI, _ket, _proj
 
 
 @dataclass
@@ -170,16 +169,6 @@ def verify_protocol(
             tuple(iso @ k for k in compiled.kraus),
         )
     return channels_equal(compiled, target, tol)
-
-
-def _ket(index: int, dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
-def _proj(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
 
 
 def domino_three_round_protocol(theta2: float, theta3: float, theta4: float) -> ProtocolTree:

@@ -114,6 +114,8 @@ def _load_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"JSON in {path} is nested too deeply") from exc
 
 
 def load_channel(path) -> KrausChannel:

@@ -1,8 +1,7 @@
 """Seeded parameter sweeps over the example families, emitted as CSV rows.
 
 Every sample draws its own generator from (seed, sample index), so rows are
-reproducible independently of evaluation order and identical across serial
-and parallel runs.
+reproducible independently of evaluation order.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gate import gate_channel
+from .gate import DEFAULT_NULLSPACE_RTOL, gate_channel
 from .serialize import SchemaError
 from .zoo import (
     RotatedDominoParams,
@@ -40,7 +39,7 @@ class SweepConfig:
     family: str
     samples: int
     seed: int
-    rel_tol: float = 1e-13
+    rel_tol: float = DEFAULT_NULLSPACE_RTOL
     dims: tuple[int, ...] = (2, 2)
     nu_values: tuple[int, ...] = ()
     theta_high: float = math.pi / 4.0
@@ -61,6 +60,10 @@ class SweepConfig:
                 raise SchemaError("nu_values must be positive")
             if len(self.dims) < 2 or any(d < 1 for d in self.dims):
                 raise SchemaError("dims must list at least two positive party dimensions")
+        if self.family == "usd" and not (
+            self.eta1 > 0 and self.eta3 > 0 and 2 * self.eta1 + self.eta3 < 1
+        ):
+            raise SchemaError("usd priors must satisfy eta1 > 0, eta3 > 0 and 2*eta1 + eta3 < 1")
 
     @staticmethod
     def from_dict(doc: dict) -> "SweepConfig":

@@ -1,0 +1,142 @@
+"""Explicit-basis reference for the gate's constraint matrix Q.
+
+The gate never builds Q: it uses the closed form of Q_aug^dag Q_aug.  This
+module builds Q row by row from a Hilbert-Schmidt orthonormal operator basis
+(generalized Gell-Mann, identity first), the textbook construction, so tests
+can check the gate against an independent computation and against any
+recombination of the basis.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from loccgate import haar_unitary, permute_party_to_front, select_independent_subset
+from loccgate.gate import identity_vector
+
+
+@dataclass(frozen=True)
+class OperatorBasis:
+    """Hilbert-Schmidt orthonormal basis of d x d operators, identity first."""
+
+    dim: int
+    elements: tuple[np.ndarray, ...]
+
+
+def operator_basis(d: int) -> OperatorBasis:
+    """Deterministic orthonormal operator basis on dimension ``d``.
+
+    The first element is I/sqrt(d); the remaining d^2 - 1 elements are
+    traceless, built from the generalized Gell-Mann families in a fixed order:
+    symmetric off-diagonal, antisymmetric off-diagonal, then diagonal.  Every
+    element has unit Hilbert-Schmidt norm.
+    """
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    elements = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = 1.0 / np.sqrt(2)
+            elements.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j / np.sqrt(2)
+            m[k, j] = 1j / np.sqrt(2)
+            elements.append(m)
+    for level in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(level), np.arange(level)] = 1.0
+        m[level, level] = -float(level)
+        elements.append(m / np.sqrt(level * (level + 1)))
+    return OperatorBasis(dim=d, elements=tuple(elements))
+
+
+def recombined_basis(basis: OperatorBasis, rng) -> OperatorBasis:
+    """Randomly remix the traceless part of a basis; the identity element stays."""
+    k = len(basis.elements) - 1
+    w = haar_unitary(k, rng)
+    tail = [sum(w[a, b] * basis.elements[1 + b] for b in range(k)) for a in range(k)]
+    return OperatorBasis(basis.dim, (basis.elements[0], *tail))
+
+
+def mgs_subset_indices(vectors, tol: float) -> list[int]:
+    """Greedy independent subset by per-vector modified Gram-Schmidt, twice over.
+
+    The loop form of ``select_independent_subset``, kept as its reference.
+    """
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    norms = [float(np.linalg.norm(v)) for v in vecs]
+    scale = max(norms)
+    selected, onb = [], []
+    for idx, v in enumerate(vecs):
+        if norms[idx] <= tol * scale:
+            continue
+        r = v.copy()
+        for _ in range(2):
+            for q in onb:
+                r = r - (q.conj() @ r) * q
+        rnorm = float(np.linalg.norm(r))
+        if rnorm > tol * norms[idx]:
+            selected.append(idx)
+            onb.append(r / rnorm)
+    return selected
+
+
+def party_products(channel, party: int) -> list[np.ndarray]:
+    """All N^2 products K_i^dag K_j, row-major in (i, j), party's factor first."""
+    return [
+        permute_party_to_front(ki.conj().T @ kj, channel.input_dims, party)
+        for ki in channel.kraus
+        for kj in channel.kraus
+    ]
+
+
+def q_matrix(products, indices, d_party: int, d_rest: int, bases=None) -> np.ndarray:
+    """Unaugmented Q for party-first products and the selected column indices.
+
+    Rows run over basis pairs (mu, nu) with mu over the full party basis and
+    nu over the traceless rest basis only, mu outer / nu inner.  Entry =
+    trace[(L_mu tensor G_nu)^dag P_(i,j)].
+    """
+    if bases is None:
+        bases = (operator_basis(d_party), operator_basis(d_rest))
+    basis_party, basis_rest = bases
+    rows = [
+        np.kron(lam, basis_rest.elements[nu]).conj().reshape(-1)
+        for lam in basis_party.elements
+        for nu in range(1, d_rest * d_rest)
+    ]
+    if not rows:
+        return np.zeros((0, len(indices)), dtype=complex)
+    cols = np.stack([products[i].reshape(-1) for i in indices], axis=1)
+    return np.stack(rows) @ cols
+
+
+def build_q(channel, party: int, bases=None, products=None):
+    """Unaugmented Q for one party, plus the independent subset it was built on."""
+    if products is None:
+        products = party_products(channel, party)
+    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
+    d_party = channel.input_dims[party]
+    q = q_matrix(products, subset.indices, d_party, channel.dim // d_party, bases)
+    return q, subset
+
+
+def augmented_q(channel, party: int, bases=None, products=None):
+    """Q with the identity-coefficient row c^dag appended, plus the subset."""
+    if products is None:
+        products = party_products(channel, party)
+    q, subset = build_q(channel, party, bases, products)
+    c_i = identity_vector(subset, products)
+    return np.vstack([q, c_i.conj()[None, :]]), subset
+
+
+def augmented_spectrum(channel, party: int, bases=None) -> np.ndarray:
+    """Ascending eigenvalues of Q_aug^dag Q_aug built from explicit bases."""
+    q_aug, _ = augmented_q(channel, party, bases)
+    gram = q_aug.conj().T @ q_aug
+    return np.linalg.eigvalsh((gram + gram.conj().T) / 2)

@@ -25,7 +25,7 @@ from loccgate import (
     gate_party,
     gate_channel,
     haar_unitary,
-    operator_basis,
+    hermitian_eigenvalues,
     random_unitary_channel,
     remix_kraus,
     rotated_domino_channel,
@@ -36,9 +36,9 @@ from loccgate import (
     usd_states,
     verify_protocol,
 )
-from loccgate.gate import q_matrix_for_products, identity_vector, pair_products
-from loccgate.linalg import OperatorBasis, select_independent_subset
+from loccgate.gate import channel_gram, party_gram
 from loccgate.sweeps import SweepConfig, sample_rng
+from oracle import augmented_spectrum, operator_basis, recombined_basis
 
 QUARTER_PI = math.pi / 4
 
@@ -241,24 +241,6 @@ def test_criterion_08_usd_oneway_protocol():
     crit.finish()
 
 
-def _recombined(basis, rng):
-    k = len(basis.elements) - 1
-    w = haar_unitary(k, rng)
-    tail = [sum(w[a, b] * basis.elements[1 + b] for b in range(k)) for a in range(k)]
-    return OperatorBasis(basis.dim, (basis.elements[0], *tail))
-
-
-def _augmented_spectrum(channel, party, bases):
-    products = pair_products(channel, party)
-    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    d_party = channel.input_dims[party]
-    q = q_matrix_for_products(products, subset, d_party, channel.dim // d_party, bases)
-    c_i = identity_vector(subset, products)
-    q_aug = np.vstack([q, c_i.conj()[None, :]])
-    gram = q_aug.conj().T @ q_aug
-    return np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-
-
 def test_criterion_09_invariance_suite():
     crit = Criterion(
         9,
@@ -283,15 +265,17 @@ def test_criterion_09_invariance_suite():
                 dims == baseline,
                 f"{channel.name}: remix {i} changed nullspace dims {baseline} -> {dims}",
             )
+        selected, gram = channel_gram(channel, 1e-9)
         for p in range(channel.n_parties):
             d_party = channel.input_dims[p]
             d_rest = channel.dim // d_party
             plain = (operator_basis(d_party), operator_basis(d_rest))
-            reference = _augmented_spectrum(channel, p, plain)
+            # the gate's closed-form Gram against Q built from explicit bases
+            reference = hermitian_eigenvalues(party_gram(selected, gram, channel.input_dims, p))
             scale = max(reference[-1], 1e-30)
             for _ in range(5):
-                bases = (_recombined(plain[0], rng), _recombined(plain[1], rng))
-                spectrum = _augmented_spectrum(channel, p, bases)
+                bases = (recombined_basis(plain[0], rng), recombined_basis(plain[1], rng))
+                spectrum = augmented_spectrum(channel, p, bases)
                 drift = float(np.max(np.abs(spectrum - reference)))
                 crit.check(
                     drift < 1e-9 * scale,

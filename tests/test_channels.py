@@ -178,6 +178,21 @@ def test_kraus_rank_values(bell, zoo_channels):
     assert kraus_rank(bell) == 4
 
 
+def test_kraus_rank_matches_choi_rank_on_padded_remixes(bell, zoo_channels):
+    # duplicated Kraus operators make the list longer than the rank
+    doubled = KrausChannel(
+        "doubled-bell", bell.input_dims, bell.output_dim,
+        tuple(k / np.sqrt(2) for k in bell.kraus * 2),
+    )
+    rng = np.random.default_rng(12)
+    for channel in [*zoo_channels, doubled]:
+        remixed = remix_kraus(channel, haar_unitary(channel.n_kraus + 2, rng))
+        evals = hermitian_eigenvalues(choi_matrix(remixed))
+        choi_rank = int(np.count_nonzero(evals > 1e-9 * evals[-1]))
+        assert kraus_rank(remixed) == choi_rank
+    assert kraus_rank(doubled) == 4
+
+
 def test_lone_kraus_operator_recovers_unitary():
     rng = np.random.default_rng(5)
     u = haar_unitary(4, rng)

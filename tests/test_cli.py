@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loccgate
 from loccgate import bell_channel
 from loccgate.cli import main
 from loccgate.serialize import channel_to_dict, save_channel
@@ -223,3 +228,50 @@ def test_verify_protocol_distinct_channels(capsys, tmp_path, bell_file):
     doc = json.loads(out)
     assert doc["ok"] is False
     assert doc["choi_distance"] > 0.1
+
+
+# ---------------------------------------------------------------------------
+# inputs that used to end in a traceback
+
+
+def _one_party_channel(tmp_path):
+    from loccgate import KrausChannel
+
+    path = tmp_path / "single.json"
+    save_channel(KrausChannel("single", (4,), 4, (np.eye(4),)), path)
+    return ["check", "--channel", str(path)]
+
+
+def _sweep(tmp_path, **priors):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"family": "usd", "samples": 1, "seed": 1, **priors}))
+    return ["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+
+
+def _deep_protocol(tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 3000
+    path.write_text('{"parties": 2, "initial_dims": [2, 2], "root": ' + "[" * depth + "]" * depth + "}")
+    return ["verify-protocol", "--protocol", str(path), "--channel", str(path)]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (_one_party_channel, 3),
+        (lambda tmp_path: _sweep(tmp_path, eta1=0.6), 2),  # infeasible priors
+        (lambda tmp_path: _sweep(tmp_path, eta1=1e-6, eta3=0.999), 2),  # sampler gives up
+        (_deep_protocol, 2),
+    ],
+    ids=["one-party-check", "usd-infeasible-priors", "usd-sampler-gives-up", "deep-protocol"],
+)
+def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
+    src = Path(loccgate.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "loccgate.cli", *argv(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -6,18 +6,27 @@ from loccgate import (
     VERDICT_DEGENERATE_KRAUS_RANK_ONE,
     VERDICT_FIRST_MOVE_CANDIDATES,
     VERDICT_NOT_LOCC,
-    build_q,
     gate_channel,
     gate_party,
     haar_unitary,
+    hermitian_eigenvalues,
     identity_vector,
-    operator_basis,
     pair_products,
+    random_unitary_channel,
     remix_kraus,
     select_independent_subset,
 )
-from loccgate.gate import q_matrix_for_products
-from loccgate.linalg import OperatorBasis
+from loccgate.gate import channel_gram, party_gram
+from loccgate.linalg import nullspace_dimension
+from oracle import (
+    augmented_q,
+    augmented_spectrum,
+    build_q,
+    operator_basis,
+    party_products,
+    q_matrix,
+    recombined_basis,
+)
 
 
 def identity_channel(dims=(2, 2)) -> KrausChannel:
@@ -25,31 +34,17 @@ def identity_channel(dims=(2, 2)) -> KrausChannel:
     return KrausChannel("identity", tuple(dims), total, (np.eye(total, dtype=complex),))
 
 
-def recombined_basis(basis, rng) -> OperatorBasis:
-    """Randomly remix the traceless part of a basis; the identity element stays."""
-    k = len(basis.elements) - 1
-    w = haar_unitary(k, rng)
-    tail = [
-        sum(w[a, b] * basis.elements[1 + b] for b in range(k))
-        for a in range(k)
-    ]
-    return OperatorBasis(basis.dim, (basis.elements[0], *tail))
-
-
 def gate_internals(channel, party, products=None, bases=None, rel_tol=1e-13):
-    """Augmented Q and its nullspace data for an explicit product ordering."""
-    from loccgate.linalg import nullspace_dimension
-
-    if products is None:
-        products = pair_products(channel, party)
-    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    d_party = channel.input_dims[party]
-    d_rest = channel.dim // d_party
-    q = q_matrix_for_products(products, subset, d_party, d_rest, bases)
-    c_i = identity_vector(subset, products)
-    q_aug = np.vstack([q, c_i.conj()[None, :]])
-    nullity, eig_min, eig_max = nullspace_dimension(q_aug, rel_tol)
+    """Explicit augmented Q and its nullspace data for a product ordering."""
+    q_aug, subset = augmented_q(channel, party, bases, products)
+    nullity, eig_min, eig_max = nullspace_dimension(q_aug.conj().T @ q_aug, rel_tol)
     return q_aug, subset, nullity, eig_min, eig_max
+
+
+def gate_spectrum(channel, party):
+    """Ascending eigenvalues of the Gram the gate solves for one party."""
+    selected, gram = channel_gram(channel, 1e-9)
+    return hermitian_eigenvalues(party_gram(selected, gram, channel.input_dims, party))
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +52,7 @@ def gate_internals(channel, party, products=None, bases=None, rel_tol=1e-13):
 
 
 def test_pair_products_bell_orthogonality(bell):
-    products = pair_products(bell, 0)
+    products = pair_products(bell)
     assert len(products) == 16
     zero_count = sum(1 for p in products if np.max(np.abs(p)) < 1e-12)
     assert zero_count == 12
@@ -66,14 +61,14 @@ def test_pair_products_bell_orthogonality(bell):
 
 
 def test_pair_products_identity_channel():
-    products = pair_products(identity_channel(), 0)
+    products = pair_products(identity_channel())
     assert len(products) == 1
     assert np.allclose(products[0], np.eye(4), atol=1e-14)
 
 
 def test_pair_products_adjoint_symmetry(usd_instance):
     n = usd_instance.n_kraus
-    products = pair_products(usd_instance, 1)
+    products = pair_products(usd_instance)
     for i in range(n):
         for j in range(n):
             assert np.array_equal(products[i * n + j].conj().T, products[j * n + i])
@@ -123,25 +118,46 @@ def test_build_q_dephasing_zero_for_alice_nonzero_for_bob(dephasing):
 
 
 def test_identity_vector_bell(bell):
-    products = pair_products(bell, 0)
+    products = pair_products(bell)
     subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
     c = identity_vector(subset, products)
     assert np.allclose(c, [0.5, 0.5, 0.5, 0.5], atol=1e-10)
 
 
 def test_identity_vector_dephasing(dephasing):
-    products = pair_products(dephasing, 0)
+    products = pair_products(dephasing)
     subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
     c = identity_vector(subset, products)
     assert np.allclose(c, np.array([1, 1]) / np.sqrt(2), atol=1e-12)
 
 
 def test_identity_vector_usd_uniform(usd_instance):
-    products = pair_products(usd_instance, 0)
+    products = pair_products(usd_instance)
     subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
     assert subset.indices == [0, 6, 12, 18, 24]  # five diagonal pairs
     c = identity_vector(subset, products)
     assert np.allclose(c, np.full(5, 1 / np.sqrt(5)), atol=1e-10)
+
+
+def test_identity_vector_rejects_identity_outside_span():
+    e0 = np.diag([1.0, 0.0]).astype(complex)
+    products = [e0, 2 * e0]
+    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
+    with pytest.raises(ValueError, match="not in the span"):
+        identity_vector(subset, products)
+
+
+def test_identity_vector_matches_normal_equations():
+    rng = np.random.default_rng(9)
+    products = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
+    products.append(np.eye(3) + 0.5 * products[0] - 2j * products[2])
+    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
+    assert subset.indices == [0, 1, 2, 3, 4]
+    # independent oracle: solve the normal equations directly, then normalize
+    b = np.stack([p.reshape(-1) for p in products], axis=1)
+    target = np.eye(3, dtype=complex).reshape(-1)
+    oracle = np.linalg.solve(b.conj().T @ b, b.conj().T @ target)
+    assert np.allclose(identity_vector(subset, products), oracle / np.linalg.norm(oracle), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +291,7 @@ def test_subset_order_invariance(bell, usd_instance, rotated_domino):
     rng = np.random.default_rng(21)
     for channel in (bell, usd_instance, rotated_domino):
         for party in range(2):
-            products = pair_products(channel, party)
+            products = party_products(channel, party)
             _, subset0, nullity0, *_ = gate_internals(channel, party, products)
             for _ in range(3):
                 order = rng.permutation(len(products))
@@ -292,7 +308,9 @@ def test_basis_recombination_invariance(bell, usd_instance):
             d_party = channel.input_dims[party]
             d_rest = channel.dim // d_party
             base = (operator_basis(d_party), operator_basis(d_rest))
-            _, _, nullity0, eig_min0, eig_max0 = gate_internals(channel, party, bases=base)
+            report = gate_party(channel, party)
+            reference = gate_spectrum(channel, party)
+            scale = max(report.eig_max, 1e-30)
             for _ in range(5):
                 bases = (
                     recombined_basis(base[0], rng),
@@ -301,10 +319,32 @@ def test_basis_recombination_invariance(bell, usd_instance):
                 _, _, nullity1, eig_min1, eig_max1 = gate_internals(
                     channel, party, bases=bases
                 )
-                assert nullity1 == nullity0
-                scale = max(eig_max0, 1e-30)
-                assert abs(eig_min1 - eig_min0) < 1e-9 * scale
-                assert abs(eig_max1 - eig_max0) < 1e-9 * scale
+                assert nullity1 == report.nullspace_dim
+                assert abs(eig_min1 - report.eig_min) < 1e-9 * scale
+                assert abs(eig_max1 - report.eig_max) < 1e-9 * scale
+                spectrum = augmented_spectrum(channel, party, bases)
+                assert np.max(np.abs(spectrum - reference)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize(
+    "dims, nu",
+    [((2, 2, 2), 5), ((2, 3), 4)],
+    ids=["random-unitary-2x2x2", "random-unitary-2x3"],
+)
+def test_gate_matches_explicit_q_for_every_party(dims, nu):
+    # three parties put a party in the middle, whose partial trace is over
+    # factors on both sides; unequal dims make d_party != d_rest
+    channel = random_unitary_channel(dims, nu, np.random.default_rng(23))
+    for party in range(len(dims)):
+        report = gate_party(channel, party)
+        _, subset, nullity, eig_min, eig_max = gate_internals(channel, party)
+        scale = max(eig_max, 1e-30)
+        assert report.pair_count == len(subset.indices)
+        assert report.nullspace_dim == nullity
+        assert abs(report.eig_min - eig_min) < 1e-9 * scale
+        assert abs(report.eig_max - eig_max) < 1e-9 * scale
+        spectrum = augmented_spectrum(channel, party)
+        assert np.max(np.abs(gate_spectrum(channel, party) - spectrum)) < 1e-9 * scale
 
 
 def test_conjugate_swap_maps_nullspace_to_nullspace(bell, domino, dephasing):
@@ -320,7 +360,7 @@ def test_conjugate_swap_maps_nullspace_to_nullspace(bell, domino, dephasing):
     for channel in (bell, domino, dephasing, mixed):
         n = channel.n_kraus
         for party in range(2):
-            products = pair_products(channel, party)
+            products = party_products(channel, party)
             subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
             pair_of = [divmod(i, n) for i in subset.indices]
             swapped_index = {}
@@ -329,7 +369,7 @@ def test_conjugate_swap_maps_nullspace_to_nullspace(bell, domino, dephasing):
                 assert target in subset.indices  # S closed under the pair swap here
                 swapped_index[col] = subset.indices.index(target)
             d_party = channel.input_dims[party]
-            q = q_matrix_for_products(products, subset, d_party, channel.dim // d_party)
+            q = q_matrix(products, subset.indices, d_party, channel.dim // d_party)
             gram = q.conj().T @ q
             evals, vecs = np.linalg.eigh(gram)
             null_vectors = [vecs[:, k] for k in range(len(evals)) if evals[k] < 1e-12 * max(evals[-1], 1e-30)]

@@ -3,68 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loccgate import pair_products, random_unitary_channel
 from loccgate.linalg import (
     hermitian_eigenvalues,
     nullspace_dimension,
-    operator_basis,
     permute_party_to_front,
-    represent_in_span,
     select_independent_subset,
-    tensor_product,
 )
+from oracle import mgs_subset_indices, operator_basis
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def small_int_matrix(rows, cols):
-    return st.lists(
-        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
-        min_size=rows,
-        max_size=rows,
-    ).map(lambda m: np.array(m, dtype=complex))
-
-
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-# ---------------------------------------------------------------------------
-# tensor_product
-
-
-def test_tensor_identity():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_pauli_block_pattern():
-    out = tensor_product(SX, SZ)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0:2, 2:4] = SZ
-    expected[2:4, 0:2] = SZ
-    assert np.array_equal(out, expected)
-
-
-def test_tensor_entry_formula():
-    rng = np.random.default_rng(0)
-    a = random_complex(rng, 2, 3)
-    b = random_complex(rng, 3, 2)
-    out = tensor_product(a, b)
-    for i in range(2):
-        for j in range(3):
-            for k in range(3):
-                for l in range(2):
-                    # kron may fuse multiplies (FMA), so compare to one ulp-ish
-                    assert abs(out[i * 3 + k, j * 2 + l] - a[i, j] * b[k, l]) < 1e-14
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_int_matrix(2, 2), small_int_matrix(2, 3), small_int_matrix(3, 2))
-def test_tensor_associative_on_integers(a, b, c):
-    left = tensor_product(tensor_product(a, b), c)
-    right = tensor_product(a, tensor_product(b, c))
-    assert np.array_equal(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +209,16 @@ def test_subset_size_matches_rank(length, n_independent, n_dependent, seed):
     vecs = base + extras
     subset = select_independent_subset(vecs, 1e-9)
     stacked = np.stack(vecs, axis=1)
-    nullity, _, _ = nullspace_dimension(stacked, 1e-12)
+    nullity, _, _ = nullspace_dimension(stacked.conj().T @ stacked, 1e-12)
     assert len(subset.indices) == stacked.shape[1] - nullity
+
+
+def test_subset_matches_mgs_reference(zoo_channels):
+    rng = np.random.default_rng(13)
+    extra = [random_unitary_channel(dims, nu, rng) for dims, nu in (((2, 2, 2), 8), ((3, 3), 11))]
+    for channel in [*zoo_channels, *extra]:
+        vecs = pair_products(channel).reshape(channel.n_kraus**2, -1)
+        assert select_independent_subset(vecs, 1e-9).indices == mgs_subset_indices(vecs, 1e-9)
 
 
 def test_subset_rejects_bad_args():
@@ -269,41 +231,12 @@ def test_subset_rejects_bad_args():
 
 
 # ---------------------------------------------------------------------------
-# represent_in_span
-
-
-def test_represent_exact_combination():
-    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    coeffs, residual = represent_in_span([e1, e2], e1 + e2)
-    assert np.allclose(coeffs, [1, 1], atol=1e-12)
-    assert residual < 1e-12
-
-
-def test_represent_reports_residual_outside_span():
-    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    coeffs, residual = represent_in_span([e1], e2)
-    assert np.allclose(coeffs, [0.0], atol=1e-12)
-    assert abs(residual - 1.0) < 1e-12
-
-
-def test_represent_matches_normal_equations():
-    rng = np.random.default_rng(9)
-    basis = [random_complex(rng, 5) for _ in range(5)]
-    target = random_complex(rng, 5)
-    coeffs, residual = represent_in_span(basis, target)
-    # independent oracle: solve the normal equations directly
-    b = np.stack(basis, axis=1)
-    oracle = np.linalg.solve(b.conj().T @ b, b.conj().T @ target)
-    assert np.allclose(coeffs, oracle, atol=1e-9)
-    assert residual < 1e-9
-
-
-# ---------------------------------------------------------------------------
 # nullspace_dimension
 
 
 def test_nullspace_zero_matrix():
-    dim, eig_min, eig_max = nullspace_dimension(np.zeros((3, 2)), 1e-13)
+    m = np.zeros((3, 2))
+    dim, eig_min, eig_max = nullspace_dimension(m.T @ m, 1e-13)
     assert dim == 2
     assert eig_max == 0.0
 
@@ -318,10 +251,11 @@ def test_nullspace_rank_one_outer_product():
     rng = np.random.default_rng(10)
     u = random_complex(rng, 4)
     v = random_complex(rng, 3)
-    dim, _, _ = nullspace_dimension(np.outer(u, v.conj()), 1e-9)
+    m = np.outer(u, v.conj())
+    dim, _, _ = nullspace_dimension(m.conj().T @ m, 1e-9)
     assert dim == 2
 
 
 def test_nullspace_rejects_empty():
     with pytest.raises(ValueError):
-        nullspace_dimension(np.zeros((0, 2)), 1e-9)
+        nullspace_dimension(np.zeros((0, 0)), 1e-9)

@@ -24,6 +24,8 @@ def test_config_from_dict_and_validation():
         SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, "bogus": 2})
     with pytest.raises(SchemaError):
         SweepConfig.from_dict({"family": "random_unitary", "samples": 1, "seed": 0})
+    with pytest.raises(SchemaError):
+        SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, "eta1": 0.6})
 
 
 def test_rotated_domino_sweep_rows_and_determinism():
