@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .gate import COMPLETENESS_TOL, DEFAULT_NULLSPACE_RTOL, gate_channel
+from .gate import COMPLETENESS_TOL, COMPLETENESS_WARN_TOL, DEFAULT_NULLSPACE_RTOL, gate_channel
 from .channels import check_completeness
 from .serialize import (
     DimensionError,
@@ -96,9 +96,9 @@ def cmd_check(args) -> int:
     if residual > COMPLETENESS_TOL:
         _err(f"completeness failure: residual {residual:.3e} exceeds {COMPLETENESS_TOL:g}")
         return EXIT_COMPLETENESS
-    if residual > 1e-9:
+    if residual > COMPLETENESS_WARN_TOL:
         print(
-            f"warning: completeness residual {residual:.3e} above 1e-9",
+            f"warning: completeness residual {residual:.3e} above {COMPLETENESS_WARN_TOL:g}",
             file=sys.stderr,
         )
     verdict = gate_channel(channel, rel_tol=args.tol)

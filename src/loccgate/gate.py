@@ -20,6 +20,8 @@ X tensor I_rest, so
 with <X, Y> = tr(X^dag Y).  Moving a party's factor to the front only
 permutes matrix entries, so the subset, c and the first and last terms are
 computed once per channel; each party adds only its partial-trace term.
+Subset selection factors the selected products as r^T times orthonormal rows,
+so <P_a, P_b> = (r^dag r)_ab and c comes from one triangular solve with r.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio"), minimized over
 parties ("lambda_hat"), doubles as a closeness-to-singular diagnostic.
@@ -28,7 +30,7 @@ parties ("lambda_hat"), doubles as a closeness-to-singular diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,8 +53,13 @@ from .linalg import (
 # nonzero ratios seen in the example families (~1e-9), with margin.
 DEFAULT_NULLSPACE_RTOL = 1e-13
 
-# Hard ceiling on the completeness residual before gating is meaningless.
+# Hard ceiling on the completeness residual before gating is meaningless, and
+# the residual above which the CLI warns but still gates.
 COMPLETENESS_TOL = 1e-6
+COMPLETENESS_WARN_TOL = 1e-9
+
+# Largest norm of the identity's part outside the span of the selected products.
+IDENTITY_RESIDUAL_TOL = 1e-9
 
 VERDICT_NOT_LOCC = "NOT_LOCC"
 VERDICT_FIRST_MOVE_CANDIDATES = "FIRST_MOVE_CANDIDATES"
@@ -73,16 +80,7 @@ class PartyGateReport:
     can_measure_first: bool
 
     def to_dict(self) -> dict:
-        return {
-            "party": self.party,
-            "pair_count": self.pair_count,
-            "q_rows": self.q_rows,
-            "eig_min": self.eig_min,
-            "eig_max": self.eig_max,
-            "ratio": self.ratio,
-            "nullspace_dim": self.nullspace_dim,
-            "can_measure_first": self.can_measure_first,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -134,25 +132,24 @@ def pair_products(channel: KrausChannel) -> np.ndarray:
     return np.einsum("iab,jac->ijbc", ks.conj(), ks).reshape(n * n, channel.dim, channel.dim)
 
 
-def identity_vector(subset: IndependentSubset, products) -> np.ndarray:
-    """Unit-norm coefficients over S reproducing the identity operator.
+def identity_vector(subset: IndependentSubset) -> np.ndarray:
+    """Unit-norm coefficients c over S with sum_a c_a P_a = I.
 
-    Completeness guarantees the identity lies in the span of the pair
-    products; a least-squares residual above 1e-9 signals a broken channel or
-    a subset tolerance that discarded too much.
+    With the selected products P = r^T basis, c solves r c = h for the
+    identity's coordinates h = conj(basis) vec(I).  Completeness puts the
+    identity in their span; a residual above IDENTITY_RESIDUAL_TOL (always
+    so for an empty S) signals a broken channel or a subset tolerance that
+    discarded too much.
     """
-    if not subset.indices:
-        raise ValueError("independent subset is empty; cannot represent the identity")
-    total = products[0].shape[0]
-    cols = np.stack([products[i].reshape(-1) for i in subset.indices], axis=1)
-    target = np.eye(total, dtype=complex).reshape(-1)
-    coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    residual = float(np.linalg.norm(cols @ coeffs - target))
-    if residual > 1e-9:
+    target = np.eye(math.isqrt(subset.basis.shape[1]), dtype=complex).reshape(-1)
+    h = np.conj(subset.basis @ target)  # target is real
+    residual = float(np.linalg.norm(subset.basis.T @ h - target))
+    if residual > IDENTITY_RESIDUAL_TOL:
         raise ValueError(
             f"identity not in the span of selected pair products (residual {residual:.3e}); "
             "completeness or the subset tolerance is broken"
         )
+    coeffs = np.linalg.solve(subset.r, h)
     return coeffs / np.linalg.norm(coeffs)
 
 
@@ -160,14 +157,13 @@ def channel_gram(channel: KrausChannel, subset_tol: float) -> tuple[np.ndarray, 
     """The party-independent half of the gate, computed once per channel.
 
     Returns the selected pair products P_a, shape (|S|, D, D), and their
-    Gram <P_a, P_b> plus c c^dag, where c holds the identity coefficients.
+    Gram <P_a, P_b> = r^dag r plus c c^dag, where c holds the identity
+    coefficients.
     """
     products = pair_products(channel)
     subset = select_independent_subset(products.reshape(len(products), -1), subset_tol)
-    c = identity_vector(subset, products)
-    selected = products[subset.indices]
-    flat = selected.reshape(len(selected), -1)
-    return selected, flat.conj() @ flat.T + np.outer(c, c.conj())
+    c = identity_vector(subset)
+    return products[subset.indices], subset.r.conj().T @ subset.r + np.outer(c, c.conj())
 
 
 def party_gram(selected: np.ndarray, gram: np.ndarray, dims, party: int) -> np.ndarray:

@@ -62,14 +62,16 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
 
 @dataclass
 class IndependentSubset:
-    """Selected indices S plus expansion coefficients for rejected vectors.
+    """Selected indices S and the Gram-Schmidt factor of the selected vectors.
 
-    ``expansion[j]`` holds least-squares coefficients over the selected
-    vectors (in ``indices`` order) reproducing rejected vector ``j``.
+    ``basis`` has orthonormal rows and ``r`` is upper triangular with a
+    positive diagonal; the selected vectors as rows, in ``indices`` order,
+    equal ``r.T @ basis``, so their Gram matrix is ``r^dag r``.
     """
 
     indices: list[int]
-    expansion: dict[int, np.ndarray]
+    basis: np.ndarray
+    r: np.ndarray
 
 
 def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) -> IndependentSubset:
@@ -77,11 +79,12 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
 
     Classical Gram-Schmidt with one reorthogonalization pass (CGS2): with the
     orthonormal directions found so far as the columns of Q, each candidate's
-    residual is ``r -= Q (Q^dag r)``, applied twice.  A vector joins S iff
-    that residual exceeds ``tol`` times its own norm.  Vectors whose norm is
-    below ``tol`` times the largest input norm count as zero (they would
-    otherwise enter S on pure rounding noise); all-zero inputs therefore
-    yield an empty S.
+    residual is ``r -= Q h`` with ``h = Q^dag r``, applied twice.  A vector
+    joins S iff that residual exceeds ``tol`` times its own norm; its column
+    of the factor is then the summed ``h`` above the residual norm.  Vectors
+    whose norm is below ``tol`` times the largest input norm count as zero
+    (they would otherwise enter S on pure rounding noise); all-zero inputs
+    therefore yield an empty S.
     """
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vecs:
@@ -96,30 +99,23 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     scale = max(norms)
     selected: list[int] = []
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
+    factor = np.zeros((len(onb), len(onb)), dtype=complex)
     for idx, v in enumerate(vecs):
         if norms[idx] <= tol * scale:
             continue
-        q = onb[: len(selected)]
-        r = v.copy()
-        for _ in range(2):
-            r -= np.conj(q @ r.conj()) @ q  # conj(Q^T conj r) = Q^dag r, Q never conjugated
+        k = len(selected)
+        q = onb[:k]
+        h1 = np.conj(q @ v.conj())  # conj(Q^T conj v) = Q^dag v, Q never conjugated
+        r = v - h1 @ q
+        h2 = np.conj(q @ r.conj())
+        r -= h2 @ q
         rnorm = float(np.linalg.norm(r))
         if rnorm > tol * norms[idx]:
-            onb[len(selected)] = r / rnorm
+            onb[k] = r / rnorm
+            factor[: k + 1, k] = np.append(h1 + h2, rnorm)
             selected.append(idx)
-
-    expansion: dict[int, np.ndarray] = {}
-    rejected = [i for i in range(len(vecs)) if i not in set(selected)]
-    if rejected and selected:
-        basis = np.stack([vecs[i] for i in selected], axis=1)
-        targets = np.stack([vecs[j] for j in rejected], axis=1)
-        coeffs, *_ = np.linalg.lstsq(basis, targets, rcond=None)
-        for col, j in enumerate(rejected):
-            expansion[j] = coeffs[:, col]
-    else:
-        for j in rejected:
-            expansion[j] = np.zeros(0, dtype=complex)
-    return IndependentSubset(indices=selected, expansion=expansion)
+    k = len(selected)
+    return IndependentSubset(indices=selected, basis=onb[:k], r=factor[:k, :k])
 
 
 def nullspace_dimension(gram: np.ndarray, rel_tol: float) -> tuple[int, float, float]:

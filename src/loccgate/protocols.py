@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel, channels_equal
-from .zoo import QUARTER_PI, _ket, _proj
+from .zoo import AMPLITUDE_NORM_TOL, QUARTER_PI, _ket, _proj
 
 
 @dataclass
@@ -253,7 +253,7 @@ def usd_oneway_protocol(alpha1: complex, beta1: complex) -> ProtocolTree:
     qubit with Bob's flag into the target's single flag register.
     """
     a1, b1 = complex(alpha1), complex(beta1)
-    if abs(abs(a1) ** 2 + abs(b1) ** 2 - 1.0) > 1e-12:
+    if abs(abs(a1) ** 2 + abs(b1) ** 2 - 1.0) > AMPLITUDE_NORM_TOL:
         raise ValueError("amplitudes must be normalized")
     if not 0.0 < abs(a1) < abs(b1):
         raise ValueError("requires 0 < |alpha1| < |beta1|")

@@ -10,7 +10,7 @@ import csv
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,6 @@ from .zoo import (
     sample_usd_params,
     usd_channel,
 )
-
-FAMILIES = ("rotated_domino", "random_unitary", "usd")
 
 
 @dataclass(frozen=True)
@@ -72,29 +70,26 @@ class SweepConfig:
         for key in ("family", "samples", "seed"):
             if key not in doc:
                 raise SchemaError(f"sweep config missing field '{key}'")
-        known = {
-            "family",
-            "samples",
-            "seed",
-            "rel_tol",
-            "dims",
-            "nu_values",
-            "theta_high",
-            "eta1",
-            "eta3",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(SweepConfig)}
         if unknown:
             raise SchemaError(f"unknown sweep config fields: {sorted(unknown)}")
         kwargs = dict(doc)
-        if "dims" in kwargs:
-            kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
-        if "nu_values" in kwargs:
-            kwargs["nu_values"] = tuple(int(n) for n in kwargs["nu_values"])
-        try:
-            return SweepConfig(**kwargs)
-        except TypeError as exc:
-            raise SchemaError(f"bad sweep config: {exc}") from exc
+        for key in ("samples", "seed"):
+            if not _is_int(kwargs[key]):
+                raise SchemaError(f"sweep config field '{key}' must be an integer")
+        for key in ("dims", "nu_values"):
+            if key in kwargs:
+                if not isinstance(kwargs[key], (list, tuple)) or not all(map(_is_int, kwargs[key])):
+                    raise SchemaError(f"sweep config field '{key}' must be a list of integers")
+                kwargs[key] = tuple(kwargs[key])
+        for key in ("rel_tol", "theta_high", "eta1", "eta3"):
+            if key in kwargs and not (_is_int(kwargs[key]) or isinstance(kwargs[key], float)):
+                raise SchemaError(f"sweep config field '{key}' must be a real number")
+        return SweepConfig(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -102,105 +97,58 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(index)))
 
 
-def _ratio_columns(n_parties: int) -> list[str]:
-    return [f"ratio_party{p}" for p in range(n_parties)]
-
-
-def _sweep_rotated_domino(cfg: SweepConfig) -> tuple[list[str], list[list]]:
-    header = [
-        "sample",
-        "theta1",
-        "theta2",
-        "theta3",
-        "theta4",
-        "theta_min",
-        *_ratio_columns(2),
-        "lambda_hat",
-        "verdict",
-    ]
-    rows = []
+def _rotated_domino_samples(cfg: SweepConfig):
     for s in range(cfg.samples):
         rng = sample_rng(cfg.seed, s)
         # theta_high - U[0, theta_high) lands in (0, theta_high]
         theta = tuple(cfg.theta_high - rng.uniform(0.0, cfg.theta_high) for _ in range(4))
-        channel = rotated_domino_channel(RotatedDominoParams(theta))
-        verdict = gate_channel(channel, rel_tol=cfg.rel_tol)
-        rows.append(
-            [
-                s,
-                *theta,
-                min(theta),
-                *[r.ratio for r in verdict.reports],
-                verdict.lambda_hat,
-                verdict.verdict,
-            ]
-        )
-    return header, rows
+        yield (*theta, min(theta)), rotated_domino_channel(RotatedDominoParams(theta))
 
 
-def _sweep_random_unitary(cfg: SweepConfig) -> tuple[list[str], list[list]]:
-    n_parties = len(cfg.dims)
-    header = ["sample", "nu", *_ratio_columns(n_parties), "lambda_hat", "verdict"]
-    rows = []
-    flat = 0
-    for nu in cfg.nu_values:
-        for _ in range(cfg.samples):
-            rng = sample_rng(cfg.seed, flat)
-            channel = random_unitary_channel(cfg.dims, nu, rng)
-            verdict = gate_channel(channel, rel_tol=cfg.rel_tol)
-            rows.append(
-                [flat, nu, *[r.ratio for r in verdict.reports], verdict.lambda_hat, verdict.verdict]
-            )
-            flat += 1
-    return header, rows
+def _random_unitary_samples(cfg: SweepConfig):
+    nus = (nu for nu in cfg.nu_values for _ in range(cfg.samples))
+    for flat, nu in enumerate(nus):
+        yield (nu,), random_unitary_channel(cfg.dims, nu, sample_rng(cfg.seed, flat))
 
 
-def _sweep_usd(cfg: SweepConfig) -> tuple[list[str], list[list]]:
-    header = [
-        "sample",
-        "alpha1_abs",
-        "beta1_abs",
-        "alpha3_abs",
-        "beta3_abs",
-        "eta1",
-        "eta3",
-        *_ratio_columns(2),
-        "lambda_hat",
-        "verdict",
-    ]
-    rows = []
+def _usd_samples(cfg: SweepConfig):
     for s in range(cfg.samples):
-        rng = sample_rng(cfg.seed, s)
-        params = sample_usd_params(rng, cfg.eta1, cfg.eta3)
-        channel = usd_channel(params)
-        verdict = gate_channel(channel, rel_tol=cfg.rel_tol)
-        rows.append(
-            [
-                s,
-                abs(params.alpha1),
-                abs(params.beta1),
-                abs(params.alpha3),
-                abs(params.beta3),
-                params.eta1,
-                params.eta3,
-                *[r.ratio for r in verdict.reports],
-                verdict.lambda_hat,
-                verdict.verdict,
-            ]
-        )
-    return header, rows
+        p = sample_usd_params(sample_rng(cfg.seed, s), cfg.eta1, cfg.eta3)
+        values = (abs(p.alpha1), abs(p.beta1), abs(p.alpha3), abs(p.beta3), p.eta1, p.eta3)
+        yield values, usd_channel(p)
 
 
-_RUNNERS = {
-    "rotated_domino": _sweep_rotated_domino,
-    "random_unitary": _sweep_random_unitary,
-    "usd": _sweep_usd,
+# Family -> (parameter columns, sampler yielding (parameter values, channel)).
+_FAMILY_TABLE = {
+    "rotated_domino": (
+        ("theta1", "theta2", "theta3", "theta4", "theta_min"),
+        _rotated_domino_samples,
+    ),
+    "random_unitary": (("nu",), _random_unitary_samples),
+    "usd": (
+        ("alpha1_abs", "beta1_abs", "alpha3_abs", "beta3_abs", "eta1", "eta3"),
+        _usd_samples,
+    ),
 }
+
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list]]:
-    """Evaluate a sweep; returns (header, rows) in deterministic order."""
-    return _RUNNERS[cfg.family](cfg)
+    """Evaluate a sweep; returns (header, rows) in deterministic order.
+
+    Each row is the sample index, the family's parameter values, one ratio
+    per party, ``lambda_hat`` and the verdict.
+    """
+    columns, samples = _FAMILY_TABLE[cfg.family]
+    rows = []
+    for index, (values, channel) in enumerate(samples(cfg)):
+        verdict = gate_channel(channel, rel_tol=cfg.rel_tol)
+        ratios = [r.ratio for r in verdict.reports]
+        rows.append([index, *values, *ratios, verdict.lambda_hat, verdict.verdict])
+    # SweepConfig guarantees at least one sample, so ``ratios`` is bound
+    ratio_columns = [f"ratio_party{p}" for p in range(len(ratios))]
+    return ["sample", *columns, *ratio_columns, "lambda_hat", "verdict"], rows
 
 
 def write_csv_atomic(path, header: list[str], rows: list[list]) -> None:

@@ -16,6 +16,9 @@ from .channels import KrausChannel
 
 QUARTER_PI = math.pi / 4.0
 
+# Largest deviation of |a|^2 + |b|^2 from 1 accepted for an amplitude pair.
+AMPLITUDE_NORM_TOL = 1e-12
+
 
 def _ket(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
@@ -156,7 +159,7 @@ class UsdParams:
 def validate_usd_params(p: UsdParams, *, allow_alpha3_zero: bool = False) -> None:
     """Reject parameter sets outside the valid region, one named error each."""
     for label, a, b in (("1", p.alpha1, p.beta1), ("3", p.alpha3, p.beta3)):
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
+        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > AMPLITUDE_NORM_TOL:
             raise ValueError(f"amplitude pair {label} is not normalized")
         if b == 0:
             raise ValueError(f"beta{label} must be nonzero")

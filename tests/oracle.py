@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from loccgate import haar_unitary, permute_party_to_front, select_independent_subset
-from loccgate.gate import identity_vector
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,16 @@ def augmented_q(channel, party: int, bases=None, products=None):
     if products is None:
         products = party_products(channel, party)
     q, subset = build_q(channel, party, bases, products)
-    c_i = identity_vector(subset, products)
-    return np.vstack([q, c_i.conj()[None, :]]), subset
+    c = identity_coefficients(products, subset.indices)
+    return np.vstack([q, c.conj()[None, :]]), subset
+
+
+def identity_coefficients(products, indices) -> np.ndarray:
+    """Unit-norm least-squares coefficients of the identity over the explicit columns."""
+    cols = np.stack([products[i].reshape(-1) for i in indices], axis=1)
+    target = np.eye(products[0].shape[0], dtype=complex).reshape(-1)
+    coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    return coeffs / np.linalg.norm(coeffs)
 
 
 def augmented_spectrum(channel, party: int, bases=None) -> np.ndarray:

@@ -261,9 +261,18 @@ def _deep_protocol(tmp_path):
         (_one_party_channel, 3),
         (lambda tmp_path: _sweep(tmp_path, eta1=0.6), 2),  # infeasible priors
         (lambda tmp_path: _sweep(tmp_path, eta1=1e-6, eta3=0.999), 2),  # sampler gives up
+        (lambda tmp_path: _sweep(tmp_path, dims=["a"]), 2),
+        (lambda tmp_path: _sweep(tmp_path, rel_tol="x"), 2),
         (_deep_protocol, 2),
     ],
-    ids=["one-party-check", "usd-infeasible-priors", "usd-sampler-gives-up", "deep-protocol"],
+    ids=[
+        "one-party-check",
+        "usd-infeasible-priors",
+        "usd-sampler-gives-up",
+        "sweep-non-integer-dims",
+        "sweep-non-real-rel-tol",
+        "deep-protocol",
+    ],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     src = Path(loccgate.__file__).resolve().parents[1]

@@ -22,6 +22,7 @@ from oracle import (
     augmented_q,
     augmented_spectrum,
     build_q,
+    identity_coefficients,
     operator_basis,
     party_products,
     q_matrix,
@@ -120,14 +121,14 @@ def test_build_q_dephasing_zero_for_alice_nonzero_for_bob(dephasing):
 def test_identity_vector_bell(bell):
     products = pair_products(bell)
     subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    c = identity_vector(subset, products)
+    c = identity_vector(subset)
     assert np.allclose(c, [0.5, 0.5, 0.5, 0.5], atol=1e-10)
 
 
 def test_identity_vector_dephasing(dephasing):
     products = pair_products(dephasing)
     subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    c = identity_vector(subset, products)
+    c = identity_vector(subset)
     assert np.allclose(c, np.array([1, 1]) / np.sqrt(2), atol=1e-12)
 
 
@@ -135,7 +136,7 @@ def test_identity_vector_usd_uniform(usd_instance):
     products = pair_products(usd_instance)
     subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
     assert subset.indices == [0, 6, 12, 18, 24]  # five diagonal pairs
-    c = identity_vector(subset, products)
+    c = identity_vector(subset)
     assert np.allclose(c, np.full(5, 1 / np.sqrt(5)), atol=1e-10)
 
 
@@ -144,7 +145,7 @@ def test_identity_vector_rejects_identity_outside_span():
     products = [e0, 2 * e0]
     subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
     with pytest.raises(ValueError, match="not in the span"):
-        identity_vector(subset, products)
+        identity_vector(subset)
 
 
 def test_identity_vector_matches_normal_equations():
@@ -157,7 +158,7 @@ def test_identity_vector_matches_normal_equations():
     b = np.stack([p.reshape(-1) for p in products], axis=1)
     target = np.eye(3, dtype=complex).reshape(-1)
     oracle = np.linalg.solve(b.conj().T @ b, b.conj().T @ target)
-    assert np.allclose(identity_vector(subset, products), oracle / np.linalg.norm(oracle), atol=1e-9)
+    assert np.allclose(identity_vector(subset), oracle / np.linalg.norm(oracle), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +346,16 @@ def test_gate_matches_explicit_q_for_every_party(dims, nu):
         assert abs(report.eig_max - eig_max) < 1e-9 * scale
         spectrum = augmented_spectrum(channel, party)
         assert np.max(np.abs(gate_spectrum(channel, party) - spectrum)) < 1e-9 * scale
+
+
+def test_channel_gram_matches_direct_inner_products(bell, domino, usd_instance):
+    extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
+    for channel in (bell, domino, usd_instance, extra):
+        selected, gram = channel_gram(channel, 1e-9)
+        flat = selected.reshape(len(selected), -1)
+        c = identity_coefficients(selected, range(len(selected)))
+        direct = flat.conj() @ flat.T + np.outer(c, c.conj())
+        assert np.max(np.abs(gram - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
 def test_conjugate_swap_maps_nullspace_to_nullspace(bell, domino, dephasing):

@@ -170,23 +170,43 @@ def test_subset_rejects_duplicate_direction():
     w = np.array([0.0, 0.0, 5.0])
     subset = select_independent_subset([v, 2 * v, w], 1e-9)
     assert subset.indices == [0, 2]
-    assert np.allclose(subset.expansion[1], [2.0, 0.0], atol=1e-12)
+    assert np.allclose(subset.r, [[np.sqrt(2), 0.0], [0.0, 5.0]], atol=1e-12)
+    assert_factor([v, 2 * v, w], subset)
 
 
 def test_subset_all_zero_input_is_empty():
     subset = select_independent_subset([np.zeros(4), np.zeros(4)], 1e-9)
     assert subset.indices == []
+    assert subset.basis.shape == (0, 4) and subset.r.shape == (0, 0)
 
 
-def test_subset_expansion_reproduces_rejected():
+def assert_factor(vecs, subset, tol=1e-9):
+    """S = r^T basis, orthonormal basis, triangular r, rejected vectors in the span."""
+    vecs = [np.asarray(v, dtype=complex) for v in vecs]
+    basis, r = subset.basis, subset.r
+    selected = np.stack([vecs[i] for i in subset.indices])
+    assert np.linalg.norm(r.T @ basis - selected) <= 1e-12 * np.linalg.norm(selected)
+    assert np.allclose(basis.conj() @ basis.T, np.eye(len(basis)), atol=1e-12)
+    assert np.all(np.tril(r, -1) == 0)
+    assert np.all(r.diagonal().real > 0) and np.all(r.diagonal().imag == 0)
+    for j in set(range(len(vecs))) - set(subset.indices):
+        outside = vecs[j] - basis.T @ (basis.conj() @ vecs[j])
+        assert np.linalg.norm(outside) <= tol * np.linalg.norm(vecs[j])
+
+
+def test_subset_factor_reproduces_selected_and_spans_rejected():
     rng = np.random.default_rng(8)
     base = [random_complex(rng, 6) for _ in range(3)]
     vecs = base + [base[0] + 2j * base[2], 0.5 * base[1]]
     subset = select_independent_subset(vecs, 1e-9)
     assert subset.indices == [0, 1, 2]
-    for j, coeffs in subset.expansion.items():
-        rebuilt = sum(c * vecs[i] for c, i in zip(coeffs, subset.indices))
-        assert np.linalg.norm(rebuilt - vecs[j]) <= 1e-9 * np.linalg.norm(vecs[j])
+    assert_factor(vecs, subset)
+
+
+def test_subset_factor_on_pair_products(zoo_channels):
+    for channel in zoo_channels:
+        vecs = pair_products(channel).reshape(channel.n_kraus**2, -1)
+        assert_factor(vecs, select_independent_subset(vecs, 1e-9))
 
 
 @settings(max_examples=25, deadline=None)

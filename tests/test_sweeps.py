@@ -26,6 +26,17 @@ def test_config_from_dict_and_validation():
         SweepConfig.from_dict({"family": "random_unitary", "samples": 1, "seed": 0})
     with pytest.raises(SchemaError):
         SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, "eta1": 0.6})
+    for field, value in (
+        ("samples", 1.0), ("seed", True), ("dims", ["a"]), ("dims", 2), ("nu_values", [False]),
+        ("rel_tol", "x"), ("theta_high", None), ("eta1", True), ("eta3", [0.1]),
+    ):
+        with pytest.raises(SchemaError, match=field):
+            SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, field: value})
+    cfg = SweepConfig.from_dict(
+        {"family": "random_unitary", "samples": 1, "seed": 0, "dims": [2, 3], "nu_values": [4],
+         "rel_tol": 1e-12, "theta_high": 0.5, "eta1": 0.1, "eta3": 0}
+    )
+    assert cfg.dims == (2, 3) and cfg.nu_values == (4,) and cfg.rel_tol == 1e-12
 
 
 def test_rotated_domino_sweep_rows_and_determinism():
