@@ -15,6 +15,17 @@ import numpy as np
 
 from .linalg import hermitian_eigenvalues, nullspace_dimension, permute_party_to_front
 
+# Eigenvalues below KRAUS_RANK_RTOL times the largest do not count towards a
+# Kraus or operator Schmidt rank.
+KRAUS_RANK_RTOL = 1e-9
+
+# Largest Choi-matrix entry distance at which two channels count as equal.
+CHOI_DISTANCE_TOL = 1e-9
+
+# Rounding allowance when checking that an input is a state, an isometry or a
+# complete measurement.
+VALIDATION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -73,7 +84,7 @@ def check_completeness(channel: KrausChannel) -> float:
     return float(np.max(np.abs(acc - np.eye(channel.dim))))
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
+def validate_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> None:
     """Reject non-states: requires Hermitian, unit trace, eigenvalues >= -tol."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -124,7 +135,7 @@ def remix_kraus(channel: KrausChannel, v: np.ndarray) -> KrausChannel:
             f"{channel.n_kraus} Kraus operators"
         )
     gram_residual = float(np.max(np.abs(v.conj().T @ v - np.eye(n_hat))))
-    if gram_residual > 1e-10:
+    if gram_residual > VALIDATION_TOL:
         raise ValueError(f"mixing matrix columns are not isometric (residual {gram_residual:.3e})")
     padded = list(channel.kraus) + [
         np.zeros_like(channel.kraus[0]) for _ in range(n_hat - channel.n_kraus)
@@ -134,7 +145,9 @@ def remix_kraus(channel: KrausChannel, v: np.ndarray) -> KrausChannel:
     return KrausChannel(channel.name, channel.input_dims, channel.output_dim, tuple(remixed))
 
 
-def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = 1e-9) -> tuple[bool, float]:
+def channels_equal(
+    a: KrausChannel, b: KrausChannel, tol: float = CHOI_DISTANCE_TOL
+) -> tuple[bool, float]:
     """Choi-matrix comparison: (equal within tol, max-abs entry distance)."""
     if a.dim != b.dim or a.output_dim != b.output_dim:
         raise ValueError(
@@ -144,7 +157,7 @@ def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = 1e-9) -> tuple
     return distance <= tol, distance
 
 
-def kraus_rank(channel: KrausChannel, rel_tol: float = 1e-9) -> int:
+def kraus_rank(channel: KrausChannel, rel_tol: float = KRAUS_RANK_RTOL) -> int:
     """Rank of the Choi matrix: the minimal number of Kraus operators.
 
     Solved on the N x N Gram tr(K_i^dag K_j), which has the same nonzero
@@ -169,7 +182,9 @@ def lone_kraus_operator(channel: KrausChannel) -> np.ndarray:
     return top.reshape((channel.output_dim, channel.dim), order="F")
 
 
-def operator_schmidt_rank(m: np.ndarray, dims, party: int, rel_tol: float = 1e-9) -> int:
+def operator_schmidt_rank(
+    m: np.ndarray, dims, party: int, rel_tol: float = KRAUS_RANK_RTOL
+) -> int:
     """Rank of the realignment of a square operator across the (party | rest) cut.
 
     Rank 1 means the operator factors as A tensor B across that cut.

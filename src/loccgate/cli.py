@@ -16,8 +16,14 @@ import sys
 
 import numpy as np
 
-from .gate import COMPLETENESS_TOL, COMPLETENESS_WARN_TOL, DEFAULT_NULLSPACE_RTOL, gate_channel
-from .channels import check_completeness
+from .gate import (
+    COMPLETENESS_TOL,
+    COMPLETENESS_WARN_TOL,
+    DEFAULT_NULLSPACE_RTOL,
+    IdentityOutsideSpanError,
+    gate_channel,
+)
+from .channels import CHOI_DISTANCE_TOL, check_completeness
 from .serialize import (
     DimensionError,
     SchemaError,
@@ -96,12 +102,16 @@ def cmd_check(args) -> int:
     if residual > COMPLETENESS_TOL:
         _err(f"completeness failure: residual {residual:.3e} exceeds {COMPLETENESS_TOL:g}")
         return EXIT_COMPLETENESS
+    try:
+        verdict = gate_channel(channel, rel_tol=args.tol)
+    except IdentityOutsideSpanError as exc:  # a defect below the ceiling, off the span
+        _err(f"completeness failure: residual {residual:.3e}, {exc}")
+        return EXIT_COMPLETENESS
     if residual > COMPLETENESS_WARN_TOL:
         print(
             f"warning: completeness residual {residual:.3e} above {COMPLETENESS_WARN_TOL:g}",
             file=sys.stderr,
         )
-    verdict = gate_channel(channel, rel_tol=args.tol)
     print(json.dumps(verdict.to_dict(), indent=2))
     return EXIT_OK
 
@@ -274,7 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--protocol", required=True, help="protocol JSON file")
     p_verify.add_argument("--channel", required=True, help="target channel JSON file")
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="Choi distance tolerance")
+    p_verify.add_argument(
+        "--tol",
+        type=float,
+        default=CHOI_DISTANCE_TOL,
+        help="Choi distance tolerance (default %(default)g)",
+    )
     p_verify.set_defaults(func=cmd_verify_protocol)
 
     return parser

@@ -23,8 +23,9 @@ computed once per channel; each party adds only its partial-trace term.
 Subset selection factors the selected products as r^T times orthonormal rows,
 so <P_a, P_b> = (r^dag r)_ab and c comes from one triangular solve with r.
 
-The eigenvalue ratio min/max of that Gram per party ("ratio"), minimized over
-parties ("lambda_hat"), doubles as a closeness-to-singular diagnostic.
+The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
+rounding never makes it negative), minimized over parties ("lambda_hat"),
+doubles as a closeness-to-singular diagnostic.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channels import (
+    KRAUS_RANK_RTOL,
     KrausChannel,
     check_completeness,
     kraus_rank,
@@ -60,6 +62,11 @@ COMPLETENESS_WARN_TOL = 1e-9
 
 # Largest norm of the identity's part outside the span of the selected products.
 IDENTITY_RESIDUAL_TOL = 1e-9
+
+
+class IdentityOutsideSpanError(ValueError):
+    """The identity is not a combination of the selected pair products."""
+
 
 VERDICT_NOT_LOCC = "NOT_LOCC"
 VERDICT_FIRST_MOVE_CANDIDATES = "FIRST_MOVE_CANDIDATES"
@@ -145,7 +152,7 @@ def identity_vector(subset: IndependentSubset) -> np.ndarray:
     h = np.conj(subset.basis @ target)  # target is real
     residual = float(np.linalg.norm(subset.basis.T @ h - target))
     if residual > IDENTITY_RESIDUAL_TOL:
-        raise ValueError(
+        raise IdentityOutsideSpanError(
             f"identity not in the span of selected pair products (residual {residual:.3e}); "
             "completeness or the subset tolerance is broken"
         )
@@ -188,7 +195,7 @@ def _party_report(selected, gram, dims, party: int, rel_tol: float) -> PartyGate
         q_rows=d_party * d_party * (d_rest * d_rest - 1) + 1,
         eig_min=eig_min,
         eig_max=eig_max,
-        ratio=eig_min / eig_max if eig_max > 0.0 else 0.0,
+        ratio=max(eig_min / eig_max, 0.0) if eig_max > 0.0 else 0.0,
         nullspace_dim=nullity,
         can_measure_first=nullity >= 1,
     )
@@ -214,7 +221,7 @@ def gate_channel(
     rel_tol: float = DEFAULT_NULLSPACE_RTOL,
     *,
     subset_tol: float = DEFAULT_INDEPENDENCE_TOL,
-    rank_rel_tol: float = 1e-9,
+    rank_rel_tol: float = KRAUS_RANK_RTOL,
 ) -> GateVerdict:
     """Run the gate for every party and classify the channel.
 

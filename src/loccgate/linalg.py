@@ -51,13 +51,14 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
+    adjoint = h.conj().T
     scale = float(np.max(np.abs(h))) if h.size else 0.0
-    residual = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+    residual = float(np.max(np.abs(h - adjoint))) if h.size else 0.0
     if scale > 0.0 and residual > 1e-6 * scale:
         raise ValueError(
             f"matrix is not Hermitian (residual {residual:.3e} at scale {scale:.3e})"
         )
-    return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+    return np.linalg.eigvalsh((h + adjoint) / 2.0)
 
 
 @dataclass
@@ -82,38 +83,42 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     residual is ``r -= Q h`` with ``h = Q^dag r``, applied twice.  A vector
     joins S iff that residual exceeds ``tol`` times its own norm; its column
     of the factor is then the summed ``h`` above the residual norm.  Vectors
-    whose norm is below ``tol`` times the largest input norm count as zero
-    (they would otherwise enter S on pure rounding noise); all-zero inputs
-    therefore yield an empty S.
+    whose norm is below ``tol`` times the largest input norm, all taken in one
+    array pass, count as zero, or they would enter S on rounding noise.  The
+    scan stops once S spans the whole space: each later vector lies in it.
     """
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if not vecs:
+    try:
+        vecs = np.asarray(vectors, dtype=complex)
+    except ValueError as exc:  # ragged input
+        raise ValueError("vectors must all have equal length") from exc
+    if len(vecs) == 0:
         raise ValueError("vectors must be nonempty")
-    length = vecs[0].size
-    if any(v.size != length for v in vecs):
-        raise ValueError("vectors must all have equal length")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-
-    norms = [float(np.linalg.norm(v)) for v in vecs]
-    scale = max(norms)
+    vecs = vecs.reshape(len(vecs), -1)
+    length = vecs.shape[1]
+    norms = np.linalg.norm(vecs, axis=1)
+    keep = np.flatnonzero(norms > tol * norms.max())
     selected: list[int] = []
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
+    onb_c = np.empty_like(onb)  # conj(onb), so Q^dag v is a plain product
     factor = np.zeros((len(onb), len(onb)), dtype=complex)
-    for idx, v in enumerate(vecs):
-        if norms[idx] <= tol * scale:
-            continue
+    for idx, floor in zip(keep.tolist(), (tol * norms[keep]).tolist()):
         k = len(selected)
-        q = onb[:k]
-        h1 = np.conj(q @ v.conj())  # conj(Q^T conj v) = Q^dag v, Q never conjugated
-        r = v - h1 @ q
-        h2 = np.conj(q @ r.conj())
-        r -= h2 @ q
-        rnorm = float(np.linalg.norm(r))
-        if rnorm > tol * norms[idx]:
+        v = vecs[idx]
+        h1 = onb_c[:k] @ v
+        r = v - h1 @ onb[:k]
+        h2 = onb_c[:k] @ r
+        r -= h2 @ onb[:k]
+        rnorm = math.sqrt(np.vdot(r, r).real)
+        if rnorm > floor:
             onb[k] = r / rnorm
-            factor[: k + 1, k] = np.append(h1 + h2, rnorm)
+            onb_c[k] = onb[k].conj()
+            factor[:k, k] = h1 + h2
+            factor[k, k] = rnorm
             selected.append(idx)
+            if k + 1 == length:
+                break
     k = len(selected)
     return IndependentSubset(indices=selected, basis=onb[:k], r=factor[:k, :k])
 

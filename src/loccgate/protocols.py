@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, channels_equal
+from .channels import CHOI_DISTANCE_TOL, VALIDATION_TOL, KrausChannel, channels_equal
 from .zoo import AMPLITUDE_NORM_TOL, QUARTER_PI, _ket, _proj
+
+# Frobenius norm below which a compiled leaf operator is an unreachable branch.
+ZERO_LEAF_TOL = 1e-12
 
 
 @dataclass
@@ -85,8 +88,8 @@ def protocol_to_channel(
     tree: ProtocolTree,
     *,
     name: str = "protocol",
-    validation_tol: float = 1e-10,
-    zero_leaf_tol: float = 1e-12,
+    validation_tol: float = VALIDATION_TOL,
+    zero_leaf_tol: float = ZERO_LEAF_TOL,
 ) -> KrausChannel:
     """Compile the tree into a channel with one Kraus operator per live leaf.
 
@@ -145,7 +148,7 @@ def verify_protocol(
     tree: ProtocolTree,
     target: KrausChannel,
     output_isometry: np.ndarray | None = None,
-    tol: float = 1e-9,
+    tol: float = CHOI_DISTANCE_TOL,
 ) -> tuple[bool, float]:
     """Compile the tree and compare Choi matrices against the target.
 

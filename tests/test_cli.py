@@ -248,6 +248,18 @@ def _sweep(tmp_path, **priors):
     return ["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]
 
 
+def _near_complete_channel(tmp_path):
+    # completeness residual 1e-7, between the warning level and the ceiling, in a
+    # direction outside the pair products' span
+    from loccgate import KrausChannel
+
+    k0 = np.sqrt(0.5) * np.diag([1, 1, 1, np.sqrt(1 + 1e-7)]).astype(complex)
+    k1 = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)) @ k0
+    path = tmp_path / "near-complete.json"
+    save_channel(KrausChannel("near-complete", (2, 2), 4, (k0, k1)), path)
+    return ["check", "--channel", str(path)]
+
+
 def _deep_protocol(tmp_path):
     path = tmp_path / "deep.json"
     depth = 3000
@@ -264,6 +276,7 @@ def _deep_protocol(tmp_path):
         (lambda tmp_path: _sweep(tmp_path, dims=["a"]), 2),
         (lambda tmp_path: _sweep(tmp_path, rel_tol="x"), 2),
         (_deep_protocol, 2),
+        (_near_complete_channel, 4),
     ],
     ids=[
         "one-party-check",
@@ -272,6 +285,7 @@ def _deep_protocol(tmp_path):
         "sweep-non-integer-dims",
         "sweep-non-real-rel-tol",
         "deep-protocol",
+        "near-complete-identity-outside-span",
     ],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):

@@ -16,7 +16,7 @@ from loccgate import (
     remix_kraus,
     select_independent_subset,
 )
-from loccgate.gate import channel_gram, party_gram
+from loccgate.gate import IdentityOutsideSpanError, channel_gram, party_gram
 from loccgate.linalg import nullspace_dimension
 from oracle import (
     augmented_q,
@@ -144,7 +144,7 @@ def test_identity_vector_rejects_identity_outside_span():
     e0 = np.diag([1.0, 0.0]).astype(complex)
     products = [e0, 2 * e0]
     subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    with pytest.raises(ValueError, match="not in the span"):
+    with pytest.raises(IdentityOutsideSpanError, match="not in the span"):
         identity_vector(subset)
 
 
@@ -216,7 +216,7 @@ def test_ratio_within_unit_interval(zoo_channels):
     for channel in zoo_channels:
         for party in range(channel.n_parties):
             report = gate_party(channel, party)
-            assert -1e-12 <= report.ratio <= 1.0 + 1e-12
+            assert 0.0 <= report.ratio <= 1.0 + 1e-12
             assert report.nullspace_dim <= report.pair_count
             d_party = channel.input_dims[party]
             d_rest = channel.dim // d_party

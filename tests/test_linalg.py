@@ -235,10 +235,25 @@ def test_subset_size_matches_rank(length, n_independent, n_dependent, seed):
 
 def test_subset_matches_mgs_reference(zoo_channels):
     rng = np.random.default_rng(13)
-    extra = [random_unitary_channel(dims, nu, rng) for dims, nu in (((2, 2, 2), 8), ((3, 3), 11))]
+    # 2x2x2/12 fills the 64-dim span partway through its 144 products, so the
+    # early stop at a full span is compared too
+    extra = [
+        random_unitary_channel(dims, nu, rng)
+        for dims, nu in (((2, 2, 2), 8), ((3, 3), 11), ((2, 2, 2), 12))
+    ]
     for channel in [*zoo_channels, *extra]:
         vecs = pair_products(channel).reshape(channel.n_kraus**2, -1)
         assert select_independent_subset(vecs, 1e-9).indices == mgs_subset_indices(vecs, 1e-9)
+
+
+def test_subset_array_and_list_inputs_agree():
+    channel = random_unitary_channel((2, 2), 5, np.random.default_rng(3))
+    vecs = pair_products(channel).reshape(25, -1)  # 25 products span the 16 dims early
+    from_array = select_independent_subset(vecs, 1e-9)
+    from_list = select_independent_subset(list(vecs), 1e-9)
+    assert from_array.indices == from_list.indices
+    assert np.array_equal(from_array.basis, from_list.basis)
+    assert np.array_equal(from_array.r, from_list.r)
 
 
 def test_subset_rejects_bad_args():
