@@ -60,8 +60,9 @@ class KrausChannel:
                     f"Kraus operator {idx} has shape {k.shape}, "
                     f"expected {(self.output_dim, total)}"
                 )
-            if not np.all(np.isfinite(k)):
-                raise ValueError(f"Kraus operator {idx} has non-finite entries")
+        finite = np.isfinite(np.stack(ops)).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"Kraus operator {int(np.argmin(finite))} has non-finite entries")
 
     @property
     def dim(self) -> int:

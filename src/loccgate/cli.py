@@ -3,8 +3,8 @@ and verify protocol trees against target channels.
 
 All commands are deterministic given their arguments; random families take an
 explicit --seed.  Exit codes: 0 success (for verify-protocol: channels match),
-1 verification mismatch, 2 parse failure, 3 dimension inconsistency,
-4 completeness failure.
+1 verification mismatch, 2 parse failure or an output that cannot be written,
+3 dimension inconsistency, 4 completeness failure.
 """
 
 from __future__ import annotations
@@ -74,7 +74,10 @@ def _floats(text: str) -> list[float]:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in _floats(text)]
+    values = _floats(text)
+    if not all(x.is_integer() for x in values):  # also rejects inf and nan
+        raise SchemaError(f"expected comma-separated integers, got {text!r}")
+    return [int(x) for x in values]
 
 
 def _complex_arg(text: str) -> complex:
@@ -84,6 +87,16 @@ def _complex_arg(text: str) -> complex:
     if len(parts) == 2:
         return complex(parts[0], parts[1])
     raise SchemaError(f"expected 're' or 're,im', got {text!r}")
+
+
+def _write_output(path, write) -> int:
+    """Run ``write(path)``; an unwritable path exits 2, like an unreadable input."""
+    try:
+        write(path)
+    except OSError as exc:
+        _err(f"cannot write {path}: {exc.strerror or exc}")
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def cmd_check(args) -> int:
@@ -158,8 +171,7 @@ def cmd_zoo(args) -> int:
     except (SchemaError, ValueError) as exc:
         _err(str(exc))
         return EXIT_PARSE
-    save_channel(channel, args.out)
-    return EXIT_OK
+    return _write_output(args.out, lambda path: save_channel(channel, path))
 
 
 def cmd_protocol(args) -> int:
@@ -177,8 +189,7 @@ def cmd_protocol(args) -> int:
     except (SchemaError, ValueError) as exc:
         _err(str(exc))
         return EXIT_PARSE
-    save_protocol(tree, args.out)
-    return EXIT_OK
+    return _write_output(args.out, lambda path: save_protocol(tree, path))
 
 
 def cmd_sweep(args) -> int:
@@ -201,8 +212,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:  # a sampler that finds no valid instance
         _err(f"parse failure: sweep config admits no samples: {exc}")
         return EXIT_PARSE
-    write_csv_atomic(args.out, header, rows)
-    return EXIT_OK
+    return _write_output(args.out, lambda path: write_csv_atomic(path, header, rows))
 
 
 def cmd_verify_protocol(args) -> int:

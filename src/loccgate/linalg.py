@@ -18,6 +18,10 @@ import numpy as np
 # below genuine independence scales.
 DEFAULT_INDEPENDENCE_TOL = 1e-9
 
+# Largest |h - h^dag| entry, relative to the largest |h| entry, that
+# ``hermitian_eigenvalues`` accepts as rounding in a Hermitian matrix.
+HERMITIAN_RESIDUAL_TOL = 1e-6
+
 
 def permute_party_to_front(m: np.ndarray, dims, party: int) -> np.ndarray:
     """Re-express a square operator so the chosen party's factor comes first.
@@ -45,8 +49,9 @@ def permute_party_to_front(m: np.ndarray, dims, party: int) -> np.ndarray:
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
-    The input is symmetrized before solving; grossly non-Hermitian input
-    (residual above 1e-6 relative to the largest entry) is rejected.
+    For input of unknown provenance: grossly non-Hermitian input (residual
+    above ``HERMITIAN_RESIDUAL_TOL`` relative to the largest entry) is
+    rejected, and the rest is symmetrized before solving.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -54,7 +59,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     adjoint = h.conj().T
     scale = float(np.max(np.abs(h))) if h.size else 0.0
     residual = float(np.max(np.abs(h - adjoint))) if h.size else 0.0
-    if scale > 0.0 and residual > 1e-6 * scale:
+    if scale > 0.0 and residual > HERMITIAN_RESIDUAL_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian (residual {residual:.3e} at scale {scale:.3e})"
         )
@@ -128,11 +133,13 @@ def nullspace_dimension(gram: np.ndarray, rel_tol: float) -> tuple[int, float, f
 
     Returns the count of Gram eigenvalues below ``rel_tol`` times the largest
     plus the extreme eigenvalues; a zero Gram has nullity equal to its size.
+    The input must be such a Gram, Hermitian by construction: it is neither
+    checked nor symmetrized, and the eigensolver reads its lower triangle.
     """
     gram = np.asarray(gram, dtype=complex)
     if gram.size == 0:
         raise ValueError("Gram matrix must be nonempty")
-    evals = hermitian_eigenvalues(gram)
+    evals = np.linalg.eigvalsh(gram)
     eig_min = float(evals[0])
     eig_max = float(evals[-1])
     if eig_max <= 0.0:

@@ -30,15 +30,20 @@ def _proj(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron of two kets, without its per-call reshaping of general operands
+    return np.multiply.outer(a, b).reshape(-1)
+
+
 def bell_channel() -> KrausChannel:
     """Two-qubit channel whose Kraus operators project onto the four Bell states."""
     e0, e1 = _ket(0, 2), _ket(1, 2)
     s = 1.0 / np.sqrt(2)
     states = [
-        s * (np.kron(e0, e0) + np.kron(e1, e1)),
-        s * (np.kron(e0, e0) - np.kron(e1, e1)),
-        s * (np.kron(e0, e1) + np.kron(e1, e0)),
-        s * (np.kron(e0, e1) - np.kron(e1, e0)),
+        s * (_kron(e0, e0) + _kron(e1, e1)),
+        s * (_kron(e0, e0) - _kron(e1, e1)),
+        s * (_kron(e0, e1) + _kron(e1, e0)),
+        s * (_kron(e0, e1) - _kron(e1, e0)),
     ]
     return KrausChannel("bell", (2, 2), 4, tuple(_proj(v) for v in states))
 
@@ -79,15 +84,15 @@ def rotated_domino_states(params: RotatedDominoParams) -> list[np.ndarray]:
         return math.sin(t) * a - math.cos(t) * b
 
     return [
-        np.kron(e1, e1),
-        np.kron(e0, rot_plus(e0, e1, t1)),
-        np.kron(e0, rot_minus(e0, e1, t1)),
-        np.kron(e2, rot_plus(e1, e2, t2)),
-        np.kron(e2, rot_minus(e1, e2, t2)),
-        np.kron(rot_plus(e1, e2, t3), e0),
-        np.kron(rot_minus(e1, e2, t3), e0),
-        np.kron(rot_plus(e0, e1, t4), e2),
-        np.kron(rot_minus(e0, e1, t4), e2),
+        _kron(e1, e1),
+        _kron(e0, rot_plus(e0, e1, t1)),
+        _kron(e0, rot_minus(e0, e1, t1)),
+        _kron(e2, rot_plus(e1, e2, t2)),
+        _kron(e2, rot_minus(e1, e2, t2)),
+        _kron(rot_plus(e1, e2, t3), e0),
+        _kron(rot_minus(e1, e2, t3), e0),
+        _kron(rot_plus(e0, e1, t4), e2),
+        _kron(rot_minus(e0, e1, t4), e2),
     ]
 
 
@@ -103,28 +108,39 @@ def domino_channel() -> KrausChannel:
     return KrausChannel("domino", channel.input_dims, channel.output_dim, channel.kraus)
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary.
+def _haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` independent Haar-distributed d x d unitaries, stacked.
 
-    QR-factor a complex Ginibre matrix, then rescale each Q column by the
+    QR-factor complex Ginibre matrices, then rescale each Q column by the
     phase of the matching R diagonal entry so the distribution is uniform.
+    One draw takes each matrix's real part, then its imaginary part, matrix
+    by matrix, and one QR call factors the whole stack.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    g = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed d x d unitary: a phase-fixed QR of one Ginibre draw."""
+    return _haar_unitaries(d, 1, rng)[0]
 
 
 def random_unitary_channel(dims, n_u: int, rng: np.random.Generator) -> KrausChannel:
-    """Uniform mixture of ``n_u`` independent Haar unitaries on prod(dims)."""
+    """Uniform mixture of ``n_u`` independent Haar unitaries on prod(dims).
+
+    The Kraus operators are ``n_u`` successive ``haar_unitary`` draws from
+    ``rng``, scaled by 1/sqrt(n_u), made with one draw and one QR call.
+    """
     dims = tuple(int(d) for d in dims)
     if n_u < 1:
         raise ValueError("need at least one unitary")
     total = math.prod(dims)
     scale = 1.0 / np.sqrt(n_u)
-    kraus = tuple(scale * haar_unitary(total, rng) for _ in range(n_u))
+    kraus = tuple(scale * _haar_unitaries(total, n_u, rng))
     return KrausChannel("random-unitary", dims, total, kraus)
 
 
@@ -191,17 +207,17 @@ def usd_states(p: UsdParams, *, allow_alpha3_zero: bool = False) -> list[np.ndar
     a1, b1, a3, b3 = p.alpha1, p.beta1, p.alpha3, p.beta3
     norm = np.sqrt(abs(b3) ** 2 + abs(a3 * b1) ** 2)
     phi1 = (
-        np.conj(b3) * np.conj(b1) * np.kron(e0, e0)
-        + np.conj(b3) * np.conj(a1) * np.kron(e0, e1)
-        - np.conj(a3) * np.conj(b1) * np.kron(e1, e0)
+        np.conj(b3) * np.conj(b1) * _kron(e0, e0)
+        + np.conj(b3) * np.conj(a1) * _kron(e0, e1)
+        - np.conj(a3) * np.conj(b1) * _kron(e1, e0)
     ) / norm
     phi2 = (
-        np.conj(b3) * np.conj(b1) * np.kron(e0, e0)
-        - np.conj(b3) * np.conj(a1) * np.kron(e0, e1)
-        - np.conj(a3) * np.conj(b1) * np.kron(e1, e0)
+        np.conj(b3) * np.conj(b1) * _kron(e0, e0)
+        - np.conj(b3) * np.conj(a1) * _kron(e0, e1)
+        - np.conj(a3) * np.conj(b1) * _kron(e1, e0)
     ) / norm
-    phi3 = np.kron(e1, e0)
-    phi4 = np.kron(e1, e1)
+    phi3 = _kron(e1, e0)
+    phi4 = _kron(e1, e1)
     return [phi1, phi2, phi3, phi4]
 
 
@@ -231,11 +247,11 @@ def usd_channel(p: UsdParams, *, allow_alpha3_zero: bool = False) -> KrausChanne
     nu5 = -np.exp(1j * phase) * np.sqrt(max(1.0 - p3, 0.0))
 
     psi = [
-        q * np.kron(e0, a1 * e0 + b1 * e1),
-        q * np.kron(e0, a1 * e0 - b1 * e1),
-        np.kron((a3 / b3) * e0 + e1, e0),
-        np.kron(e1, e1),
-        np.kron(mu5 * e0 + nu5 * e1, e0),
+        q * _kron(e0, a1 * e0 + b1 * e1),
+        q * _kron(e0, a1 * e0 - b1 * e1),
+        _kron((a3 / b3) * e0 + e1, e0),
+        _kron(e1, e1),
+        _kron(mu5 * e0 + nu5 * e1, e0),
     ]
     weights = [p1, p1, p3, 1.0, 1.0]
     kraus = tuple(

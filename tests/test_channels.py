@@ -37,6 +37,14 @@ def test_channel_construction_validates_shapes():
         KrausChannel("bad", (2, 2), 4, ())
     with pytest.raises(ValueError):
         KrausChannel("bad", (2, 2), 4, (np.full((4, 4), np.nan),))
+    # the error names the first operator with a non-finite entry
+    ops = [np.eye(4, dtype=complex) / 2 for _ in range(4)]
+    ops[2][1, 3] = np.nan
+    with pytest.raises(ValueError, match="^Kraus operator 2 has non-finite entries$"):
+        KrausChannel("bad", (2, 2), 4, tuple(ops))
+    ops[1][0, 0] = np.inf
+    with pytest.raises(ValueError, match="^Kraus operator 1 has non-finite entries$"):
+        KrausChannel("bad", (2, 2), 4, tuple(ops))
 
 
 def test_completeness_identity_and_bell(bell):

@@ -242,10 +242,14 @@ def _one_party_channel(tmp_path):
     return ["check", "--channel", str(path)]
 
 
-def _sweep(tmp_path, **priors):
+def _sweep(tmp_path, out="o.csv", **priors):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"family": "usd", "samples": 1, "seed": 1, **priors}))
-    return ["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+    return ["sweep", "--config", str(config), "--out", str(tmp_path / out)]
+
+
+def _random_unitary_zoo(tmp_path, dims):
+    return ["zoo", "random-unitary", "--dims", dims, "--nu", "2", "--out", str(tmp_path / "ru.json")]
 
 
 def _near_complete_channel(tmp_path):
@@ -277,6 +281,11 @@ def _deep_protocol(tmp_path):
         (lambda tmp_path: _sweep(tmp_path, rel_tol="x"), 2),
         (_deep_protocol, 2),
         (_near_complete_channel, 4),
+        (lambda tmp_path: ["zoo", "bell", "--out", str(tmp_path / "missing" / "bell.json")], 2),
+        (lambda tmp_path: ["protocol", "usd-oneway", "--out", str(tmp_path / "missing" / "p.json")], 2),
+        (lambda tmp_path: _sweep(tmp_path, out="missing/o.csv"), 2),
+        (lambda tmp_path: _random_unitary_zoo(tmp_path, "inf,2"), 2),
+        (lambda tmp_path: _random_unitary_zoo(tmp_path, "2.7,2"), 2),
     ],
     ids=[
         "one-party-check",
@@ -286,6 +295,11 @@ def _deep_protocol(tmp_path):
         "sweep-non-real-rel-tol",
         "deep-protocol",
         "near-complete-identity-outside-span",
+        "zoo-out-in-missing-dir",
+        "protocol-out-in-missing-dir",
+        "sweep-out-in-missing-dir",
+        "zoo-infinite-dims",
+        "zoo-fractional-dims",
     ],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):

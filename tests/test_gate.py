@@ -358,6 +358,21 @@ def test_channel_gram_matches_direct_inner_products(bell, domino, usd_instance):
         assert np.max(np.abs(gram - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
+def test_party_gram_nullity_matches_checked_eigensolve(zoo_channels, dephasing):
+    # the gate's Grams, fed unchecked to nullspace_dimension, against the
+    # checked and symmetrized hermitian_eigenvalues on the same matrices
+    extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
+    for channel in (*zoo_channels, dephasing, extra):
+        selected, gram = channel_gram(channel, 1e-9)
+        for party in range(channel.n_parties):
+            pgram = party_gram(selected, gram, channel.input_dims, party)
+            evals = hermitian_eigenvalues(pgram)
+            dim, eig_min, eig_max = nullspace_dimension(pgram, 1e-13)
+            assert dim == np.count_nonzero(evals < 1e-13 * evals[-1])
+            assert abs(eig_min - evals[0]) <= 1e-14 * evals[-1]
+            assert abs(eig_max - evals[-1]) <= 1e-14 * evals[-1]
+
+
 def test_conjugate_swap_maps_nullspace_to_nullspace(bell, domino, dephasing):
     # real product-rotation channel gives a non-diagonal independent subset
     c, s = np.cos(0.4), np.sin(0.4)

@@ -291,6 +291,19 @@ def test_nullspace_rank_one_outer_product():
     assert dim == 2
 
 
+def test_nullspace_matches_hermitian_eigenvalue_count():
+    # reference: the checked and symmetrized eigensolve on the same Gram
+    rng = np.random.default_rng(12)
+    for rows, cols, rank in ((6, 4, 2), (9, 9, 5), (3, 5, 3), (16, 16, 16), (40, 30, 12)):
+        m = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+        gram = m.conj().T @ m
+        evals = hermitian_eigenvalues(gram)
+        dim, eig_min, eig_max = nullspace_dimension(gram, 1e-9)
+        assert dim == np.count_nonzero(evals < 1e-9 * evals[-1]) == cols - rank
+        assert abs(eig_min - evals[0]) <= 1e-12 * evals[-1]
+        assert abs(eig_max - evals[-1]) <= 1e-12 * evals[-1]
+
+
 def test_nullspace_rejects_empty():
     with pytest.raises(ValueError):
         nullspace_dimension(np.zeros((0, 0)), 1e-9)

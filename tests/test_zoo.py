@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from loccgate import (
     UsdParams,
     bell_channel,
     check_completeness,
+    domino_channel,
     gate_channel,
     haar_unitary,
     random_unitary_channel,
@@ -18,6 +21,7 @@ from loccgate import (
     usd_states,
     validate_usd_params,
 )
+from loccgate import zoo
 
 QUARTER_PI = np.pi / 4
 
@@ -108,6 +112,47 @@ def test_haar_column_uniformity():
     rng = np.random.default_rng(32)
     samples = [abs(haar_unitary(4, rng)[0, 0]) ** 2 for _ in range(10000)]
     assert abs(np.mean(samples) - 0.25) < 0.01
+
+
+def _haar_reference(d, rng):
+    # one Ginibre draw and one unbatched QR per unitary
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3), (4, 4), (2, 2, 2, 2), (5, 6)])
+def test_random_unitary_channel_matches_successive_haar_draws(dims):
+    total = math.prod(dims)
+    for nu in (1, 2, 5, 8, 20):
+        channel = random_unitary_channel(dims, nu, np.random.default_rng(nu))
+        rng, ref_rng = np.random.default_rng(nu), np.random.default_rng(nu)
+        scale = 1.0 / np.sqrt(nu)
+        assert channel.n_kraus == nu
+        for k in channel.kraus:
+            u = haar_unitary(total, rng)
+            assert np.array_equal(k, scale * u)
+            assert np.array_equal(u, _haar_reference(total, ref_rng))
+
+
+def test_zoo_kets_match_np_kron(monkeypatch):
+    rotations = [RotatedDominoParams((0.0, 0.2, 0.3, 0.4)), RotatedDominoParams((0.3, 0.5, 0.2, 0.7))]
+    usd = [valid_params(), sample_usd_params(np.random.default_rng(5))]
+
+    def build():
+        arrays = [*bell_channel().kraus, *domino_channel().kraus]
+        for p in rotations:
+            arrays += [*rotated_domino_states(p), *rotated_domino_channel(p).kraus]
+        for p in usd:
+            arrays += [*usd_states(p), *usd_channel(p).kraus]
+        return arrays
+
+    built = build()
+    monkeypatch.setattr(zoo, "_kron", np.kron)
+    reference = build()
+    assert len(built) == len(reference) == 67
+    assert all(np.array_equal(a, b) for a, b in zip(built, reference))
 
 
 def test_random_unitary_channel_complete():
