@@ -33,9 +33,7 @@ from .gate import (
 )
 from .linalg import (
     IndependentSubset,
-    hermitian_eigenvalues,
     nullspace_dimension,
-    permute_party_to_front,
     select_independent_subset,
 )
 from .protocols import (
@@ -85,9 +83,7 @@ __all__ = [
     "identity_vector",
     "pair_products",
     "IndependentSubset",
-    "hermitian_eigenvalues",
     "nullspace_dimension",
-    "permute_party_to_front",
     "select_independent_subset",
     "ProtocolNode",
     "ProtocolTree",

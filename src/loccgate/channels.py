@@ -1,5 +1,8 @@
 """Quantum channels in Kraus form: completeness, action, Choi fingerprints.
 
+Kraus rank and the lone operator of a Kraus-rank-1 channel come from the
+N x N Kraus Gram tr(K_i^dag K_j), not from the (D d_out)^2 Choi matrix.
+
 Channels are immutable after construction and all operations are pure, so
 concurrent use is safe.  Kraus operators may be rectangular (output dimension
 different from the input dimension); density matrices and operators are plain
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, nullspace_dimension, permute_party_to_front
+from .linalg import nullspace_dimension
 
 # Eigenvalues below KRAUS_RANK_RTOL times the largest do not count towards a
 # Kraus or operator Schmidt rank.
@@ -85,16 +88,16 @@ def check_completeness(channel: KrausChannel) -> float:
     return float(np.max(np.abs(acc - np.eye(channel.dim))))
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = VALIDATION_TOL) -> None:
-    """Reject non-states: requires Hermitian, unit trace, eigenvalues >= -tol."""
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Reject non-states: requires Hermitian, unit trace, eigenvalues >= -VALIDATION_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state must be square, got shape {rho.shape}")
-    if float(np.max(np.abs(rho - rho.conj().T))) > tol:
+    if float(np.max(np.abs(rho - rho.conj().T))) > VALIDATION_TOL:
         raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > VALIDATION_TOL:
         raise ValueError(f"state trace is {np.trace(rho)}, expected 1")
-    if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0]) < -tol:
+    if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0]) < -VALIDATION_TOL:
         raise ValueError("state has a negative eigenvalue")
 
 
@@ -109,14 +112,12 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return np.einsum("iab,bc,idc->ad", ks, rho, ks.conj())
 
 
-def _vec(k: np.ndarray) -> np.ndarray:
-    # column-stacking convention
-    return np.asarray(k, dtype=complex).reshape(-1, order="F")
-
-
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
-    """Unnormalized Choi matrix sum_i vec(K_i) vec(K_i)^dag (trace D when complete)."""
-    vecs = np.stack([_vec(k) for k in channel.kraus], axis=0)
+    """Unnormalized Choi matrix sum_i vec(K_i) vec(K_i)^dag (trace D when complete).
+
+    vec stacks columns, so vec(K) is K^T read row by row.
+    """
+    vecs = np.stack(channel.kraus).transpose(0, 2, 1).reshape(channel.n_kraus, -1)
     return vecs.T @ vecs.conj()
 
 
@@ -146,10 +147,17 @@ def remix_kraus(channel: KrausChannel, v: np.ndarray) -> KrausChannel:
     return KrausChannel(channel.name, channel.input_dims, channel.output_dim, tuple(remixed))
 
 
+def valid_choi_tol(tol) -> bool:
+    """A Choi distance tolerance must be finite and nonnegative."""
+    return 0.0 <= tol < math.inf  # false for nan
+
+
 def channels_equal(
     a: KrausChannel, b: KrausChannel, tol: float = CHOI_DISTANCE_TOL
 ) -> tuple[bool, float]:
     """Choi-matrix comparison: (equal within tol, max-abs entry distance)."""
+    if not valid_choi_tol(tol):
+        raise ValueError(f"Choi distance tolerance must be finite and >= 0, got {tol!r}")
     if a.dim != b.dim or a.output_dim != b.output_dim:
         raise ValueError(
             f"dimension mismatch: {a.dim}->{a.output_dim} vs {b.dim}->{b.output_dim}"
@@ -158,34 +166,36 @@ def channels_equal(
     return distance <= tol, distance
 
 
-def kraus_rank(channel: KrausChannel, rel_tol: float = KRAUS_RANK_RTOL) -> int:
-    """Rank of the Choi matrix: the minimal number of Kraus operators.
+def _kraus_gram(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked Kraus operators and their Gram tr(K_i^dag K_j), Hermitian by construction.
 
-    Solved on the N x N Gram tr(K_i^dag K_j), which has the same nonzero
-    eigenvalues as the (D d_out)^2 Choi matrix.
+    If the Gram maps u to lambda u, the Choi matrix maps vec(sum_i u_i K_i) to
+    lambda times it, so the two share their nonzero eigenvalues.
     """
-    vecs = np.stack(channel.kraus).reshape(channel.n_kraus, -1)
-    evals = hermitian_eigenvalues(vecs.conj() @ vecs.T)
-    top = float(evals[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(evals > rel_tol * top))
+    ks = np.stack(channel.kraus)
+    vecs = ks.reshape(len(ks), -1)
+    return ks, vecs.conj() @ vecs.T
+
+
+def kraus_rank(channel: KrausChannel) -> int:
+    """Rank of the Choi matrix: the minimal number of Kraus operators."""
+    gram = _kraus_gram(channel)[1]
+    return len(gram) - nullspace_dimension(gram, KRAUS_RANK_RTOL)[0]
 
 
 def lone_kraus_operator(channel: KrausChannel) -> np.ndarray:
     """The single effective Kraus operator of a Kraus-rank-1 channel.
 
-    Extracted from the dominant Choi eigenvector; defined up to a global phase.
+    ``sum_i u_i K_i`` for the top unit eigenvector u of the Kraus Gram; it is
+    the dominant Choi eigenvector scaled by the square root of its eigenvalue,
+    defined up to a global phase.
     """
-    j = choi_matrix(channel)
-    evals, vecs = np.linalg.eigh((j + j.conj().T) / 2.0)
-    top = vecs[:, -1] * np.sqrt(max(float(evals[-1]), 0.0))
-    return top.reshape((channel.output_dim, channel.dim), order="F")
+    ks, gram = _kraus_gram(channel)
+    u = np.linalg.eigh(gram)[1][:, -1]
+    return np.tensordot(u, ks, axes=1)
 
 
-def operator_schmidt_rank(
-    m: np.ndarray, dims, party: int, rel_tol: float = KRAUS_RANK_RTOL
-) -> int:
+def operator_schmidt_rank(m: np.ndarray, dims, party: int) -> int:
     """Rank of the realignment of a square operator across the (party | rest) cut.
 
     Rank 1 means the operator factors as A tensor B across that cut.
@@ -195,12 +205,13 @@ def operator_schmidt_rank(
     m = np.asarray(m, dtype=complex)
     if m.shape != (total, total):
         raise ValueError(f"operator has shape {m.shape}, expected {(total, total)}")
-    mp = permute_party_to_front(m, dims, party)
+    if not 0 <= party < len(dims):
+        raise ValueError(f"party index {party} out of range for {len(dims)} parties")
+    before = math.prod(dims[:party])
+    after = math.prod(dims[party + 1 :])
     d_party = dims[party]
-    d_rest = total // d_party
-    tens = mp.reshape(d_party, d_rest, d_party, d_rest)
-    realigned = tens.transpose(0, 2, 1, 3).reshape(d_party * d_party, d_rest * d_rest)
-    nullity, _, eig_max = nullspace_dimension(realigned.conj().T @ realigned, rel_tol)
-    if eig_max <= 0.0:
-        return 0
-    return realigned.shape[1] - nullity
+    tens = m.reshape(before, d_party, after, before, d_party, after)
+    # rows (a, b) on the party, columns (x, y, x', y') on the rest in original order
+    realigned = tens.transpose(1, 4, 0, 2, 3, 5).reshape(d_party * d_party, -1)
+    gram = realigned.conj().T @ realigned  # zero for a zero operator: full nullity, rank 0
+    return realigned.shape[1] - nullspace_dimension(gram, KRAUS_RANK_RTOL)[0]

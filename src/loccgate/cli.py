@@ -3,8 +3,9 @@ and verify protocol trees against target channels.
 
 All commands are deterministic given their arguments; random families take an
 explicit --seed.  Exit codes: 0 success (for verify-protocol: channels match),
-1 verification mismatch, 2 parse failure or an output that cannot be written,
-3 dimension inconsistency, 4 completeness failure.
+1 verification mismatch, 2 parse failure (an out-of-range --tol included) or
+an output that cannot be written, 3 dimension inconsistency, 4 completeness
+failure.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from .gate import (
     DEFAULT_NULLSPACE_RTOL,
     IdentityOutsideSpanError,
     gate_channel,
+    valid_rel_tol,
 )
-from .channels import CHOI_DISTANCE_TOL, check_completeness
+from .channels import CHOI_DISTANCE_TOL, check_completeness, valid_choi_tol
 from .serialize import (
     DimensionError,
     SchemaError,
+    _load_json,
     load_channel,
     load_protocol,
     save_channel,
@@ -78,6 +81,17 @@ def _ints(text: str) -> list[int]:
     if not all(x.is_integer() for x in values):  # also rejects inf and nan
         raise SchemaError(f"expected comma-separated integers, got {text!r}")
     return [int(x) for x in values]
+
+
+def _tol_type(valid, rule: str):
+    """An argparse ``type=`` for a tolerance: a bad value exits 2 with a usage error."""
+
+    def tolerance(text: str) -> float:  # argparse names it in "invalid tolerance value"
+        if not valid(value := float(text)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    return tolerance
 
 
 def _complex_arg(text: str) -> complex:
@@ -194,16 +208,7 @@ def cmd_protocol(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        _err(f"parse failure: cannot read {args.config}: {exc}")
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        _err(f"parse failure: invalid JSON in {args.config}: {exc}")
-        return EXIT_PARSE
-    try:
-        cfg = SweepConfig.from_dict(doc)
+        cfg = SweepConfig.from_dict(_load_json(args.config))
     except SchemaError as exc:
         _err(f"parse failure: {exc}")
         return EXIT_PARSE
@@ -250,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--channel", required=True, help="channel JSON file")
     p_check.add_argument(
         "--tol",
-        type=float,
+        type=_tol_type(valid_rel_tol, "a finite number in (0, 1)"),
         default=DEFAULT_NULLSPACE_RTOL,
         help="relative eigenvalue threshold for an empty nullspace (default %(default)g)",
     )
@@ -296,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--channel", required=True, help="target channel JSON file")
     p_verify.add_argument(
         "--tol",
-        type=float,
+        type=_tol_type(valid_choi_tol, "a finite number >= 0"),
         default=CHOI_DISTANCE_TOL,
         help="Choi distance tolerance (default %(default)g)",
     )

@@ -26,6 +26,11 @@ so <P_a, P_b> = (r^dag r)_ab and c comes from one triangular solve with r.
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),
 doubles as a closeness-to-singular diagnostic.
+
+The nullspace threshold ``rel_tol`` is the gate's only knob, and it must be a
+finite number in (0, 1): with a NaN or nonpositive one no eigenvalue counts
+as zero (a fake NOT_LOCC), with one of 1 or more nearly all do.  The subset
+tolerance, the identity residual and the Kraus-rank threshold are constants.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channels import (
-    KRAUS_RANK_RTOL,
     KrausChannel,
     check_completeness,
     kraus_rank,
@@ -62,6 +66,11 @@ COMPLETENESS_WARN_TOL = 1e-9
 
 # Largest norm of the identity's part outside the span of the selected products.
 IDENTITY_RESIDUAL_TOL = 1e-9
+
+
+def valid_rel_tol(rel_tol) -> bool:
+    """A relative threshold must be finite and strictly between 0 and 1."""
+    return 0.0 < rel_tol < 1.0  # false for nan and +-inf
 
 
 class IdentityOutsideSpanError(ValueError):
@@ -119,15 +128,6 @@ class GateVerdict:
         return out
 
 
-def _require_complete(channel: KrausChannel) -> None:
-    residual = check_completeness(channel)
-    if residual > COMPLETENESS_TOL:
-        raise ValueError(
-            f"channel '{channel.name}' is not trace-preserving "
-            f"(completeness residual {residual:.3e})"
-        )
-
-
 def pair_products(channel: KrausChannel) -> np.ndarray:
     """All N^2 products K_i^dag K_j on the input space, shape (N^2, D, D).
 
@@ -160,7 +160,7 @@ def identity_vector(subset: IndependentSubset) -> np.ndarray:
     return coeffs / np.linalg.norm(coeffs)
 
 
-def channel_gram(channel: KrausChannel, subset_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def channel_gram(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     """The party-independent half of the gate, computed once per channel.
 
     Returns the selected pair products P_a, shape (|S|, D, D), and their
@@ -168,7 +168,9 @@ def channel_gram(channel: KrausChannel, subset_tol: float) -> tuple[np.ndarray, 
     coefficients.
     """
     products = pair_products(channel)
-    subset = select_independent_subset(products.reshape(len(products), -1), subset_tol)
+    subset = select_independent_subset(
+        products.reshape(len(products), -1), DEFAULT_INDEPENDENCE_TOL
+    )
     c = identity_vector(subset)
     return products[subset.indices], subset.r.conj().T @ subset.r + np.outer(c, c.conj())
 
@@ -181,6 +183,19 @@ def party_gram(selected: np.ndarray, gram: np.ndarray, dims, party: int) -> np.n
     tens = selected.reshape(len(selected), before, d_party, after, before, d_party, after)
     reduced = np.einsum("kxayxby->kab", tens).reshape(len(selected), -1)
     return gram - reduced.conj() @ reduced.T / (before * after)
+
+
+def _checked_gram(channel: KrausChannel, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``channel_gram`` once the threshold and the channel's completeness pass."""
+    if not valid_rel_tol(rel_tol):
+        raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
+    residual = check_completeness(channel)
+    if residual > COMPLETENESS_TOL:
+        raise ValueError(
+            f"channel '{channel.name}' is not trace-preserving "
+            f"(completeness residual {residual:.3e})"
+        )
+    return channel_gram(channel)
 
 
 def _party_report(selected, gram, dims, party: int, rel_tol: float) -> PartyGateReport:
@@ -202,27 +217,16 @@ def _party_report(selected, gram, dims, party: int, rel_tol: float) -> PartyGate
 
 
 def gate_party(
-    channel: KrausChannel,
-    party: int,
-    rel_tol: float = DEFAULT_NULLSPACE_RTOL,
-    *,
-    subset_tol: float = DEFAULT_INDEPENDENCE_TOL,
+    channel: KrausChannel, party: int, rel_tol: float = DEFAULT_NULLSPACE_RTOL
 ) -> PartyGateReport:
     """Augmented-Q diagnostics for one party: can it measure first at all?"""
     if not 0 <= party < channel.n_parties:
         raise ValueError(f"party index {party} out of range for {channel.n_parties} parties")
-    _require_complete(channel)
-    selected, gram = channel_gram(channel, subset_tol)
+    selected, gram = _checked_gram(channel, rel_tol)
     return _party_report(selected, gram, channel.input_dims, party, rel_tol)
 
 
-def gate_channel(
-    channel: KrausChannel,
-    rel_tol: float = DEFAULT_NULLSPACE_RTOL,
-    *,
-    subset_tol: float = DEFAULT_INDEPENDENCE_TOL,
-    rank_rel_tol: float = KRAUS_RANK_RTOL,
-) -> GateVerdict:
+def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> GateVerdict:
     """Run the gate for every party and classify the channel.
 
     A Kraus-rank-1 channel needs no measurement, so it is never certified
@@ -232,19 +236,18 @@ def gate_channel(
     """
     if channel.n_parties < 2:
         raise ValueError("channel must have at least 2 parties")
-    _require_complete(channel)
-    selected, gram = channel_gram(channel, subset_tol)
+    selected, gram = _checked_gram(channel, rel_tol)
     reports = tuple(
         _party_report(selected, gram, channel.input_dims, p, rel_tol)
         for p in range(channel.n_parties)
     )
     lambda_hat = min(r.ratio for r in reports)
-    if kraus_rank(channel, rank_rel_tol) == 1:
+    if kraus_rank(channel) == 1:
         local = False
         if channel.output_dim == channel.dim:
             lone = lone_kraus_operator(channel)
             local = all(
-                operator_schmidt_rank(lone, channel.input_dims, p, rank_rel_tol) == 1
+                operator_schmidt_rank(lone, channel.input_dims, p) == 1
                 for p in range(channel.n_parties)
             )
         return GateVerdict(

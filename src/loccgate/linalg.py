@@ -18,53 +18,6 @@ import numpy as np
 # below genuine independence scales.
 DEFAULT_INDEPENDENCE_TOL = 1e-9
 
-# Largest |h - h^dag| entry, relative to the largest |h| entry, that
-# ``hermitian_eigenvalues`` accepts as rounding in a Hermitian matrix.
-HERMITIAN_RESIDUAL_TOL = 1e-6
-
-
-def permute_party_to_front(m: np.ndarray, dims, party: int) -> np.ndarray:
-    """Re-express a square operator so the chosen party's factor comes first.
-
-    ``m`` acts on a tensor product of subsystems with dimensions ``dims``; the
-    result acts on H_party tensor H_rest with the remaining factors kept in
-    their original relative order.  ``party = 0`` returns the input unchanged.
-    """
-    dims = [int(d) for d in dims]
-    total = math.prod(dims)
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (total, total):
-        raise ValueError(
-            f"operator has shape {m.shape}, expected {(total, total)} for dims {dims}"
-        )
-    if not 0 <= party < len(dims):
-        raise ValueError(f"party index {party} out of range for {len(dims)} parties")
-    n = len(dims)
-    perm = [party] + [p for p in range(n) if p != party]
-    tens = m.reshape(dims + dims)
-    tens = tens.transpose(perm + [n + p for p in perm])
-    return tens.reshape(total, total)
-
-
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
-
-    For input of unknown provenance: grossly non-Hermitian input (residual
-    above ``HERMITIAN_RESIDUAL_TOL`` relative to the largest entry) is
-    rejected, and the rest is symmetrized before solving.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {h.shape}")
-    adjoint = h.conj().T
-    scale = float(np.max(np.abs(h))) if h.size else 0.0
-    residual = float(np.max(np.abs(h - adjoint))) if h.size else 0.0
-    if scale > 0.0 and residual > HERMITIAN_RESIDUAL_TOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian (residual {residual:.3e} at scale {scale:.3e})"
-        )
-    return np.linalg.eigvalsh((h + adjoint) / 2.0)
-
 
 @dataclass
 class IndependentSubset:
@@ -91,6 +44,7 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     whose norm is below ``tol`` times the largest input norm, all taken in one
     array pass, count as zero, or they would enter S on rounding noise.  The
     scan stops once S spans the whole space: each later vector lies in it.
+    ``tol`` must lie in (0, 1).
     """
     try:
         vecs = np.asarray(vectors, dtype=complex)
@@ -98,8 +52,8 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
         raise ValueError("vectors must all have equal length") from exc
     if len(vecs) == 0:
         raise ValueError("vectors must be nonempty")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < 1.0:  # also rejects nan and +-inf
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
     vecs = vecs.reshape(len(vecs), -1)
     length = vecs.shape[1]
     norms = np.linalg.norm(vecs, axis=1)

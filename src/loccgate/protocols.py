@@ -84,23 +84,17 @@ def validate_protocol(tree: ProtocolTree) -> list[float]:
     return residuals
 
 
-def protocol_to_channel(
-    tree: ProtocolTree,
-    *,
-    name: str = "protocol",
-    validation_tol: float = VALIDATION_TOL,
-    zero_leaf_tol: float = ZERO_LEAF_TOL,
-) -> KrausChannel:
-    """Compile the tree into a channel with one Kraus operator per live leaf.
+def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
+    """Compile the tree into a channel named "protocol", one Kraus operator per live leaf.
 
     All leaves must end on the same per-party output dimensions.  Leaves whose
-    accumulated operator has Frobenius norm below ``zero_leaf_tol`` are
+    accumulated operator has Frobenius norm below ``ZERO_LEAF_TOL`` are
     unreachable (zero-probability branches kept only for node completeness)
     and are dropped from the Kraus list.
     """
     residuals = validate_protocol(tree)
     worst = max(residuals)
-    if worst > validation_tol:
+    if worst > VALIDATION_TOL:
         raise ValueError(
             f"protocol nodes are not complete measurements (max residual {worst:.3e})"
         )
@@ -110,8 +104,8 @@ def protocol_to_channel(
     def walk(node: ProtocolNode, dims: list[int], acc: np.ndarray) -> None:
         for op, child in node.branches:
             op = np.asarray(op, dtype=complex)
-            before = math.prod(dims[: node.party]) if node.party else 1
-            after = math.prod(dims[node.party + 1 :]) if node.party + 1 < len(dims) else 1
+            before = math.prod(dims[: node.party])
+            after = math.prod(dims[node.party + 1 :])
             embedded = np.kron(np.eye(before), np.kron(op, np.eye(after)))
             new_acc = embedded @ acc
             new_dims = list(dims)
@@ -125,10 +119,10 @@ def protocol_to_channel(
     out_dims = {d for d, _ in leaves}
     if len(out_dims) != 1:
         raise ValueError(f"inconsistent leaf output dimensions: {sorted(out_dims)}")
-    kraus = [acc for _, acc in leaves if float(np.linalg.norm(acc)) > zero_leaf_tol]
+    kraus = [acc for _, acc in leaves if float(np.linalg.norm(acc)) > ZERO_LEAF_TOL]
     if not kraus:
         raise ValueError("every leaf compiled to a zero operator")
-    return KrausChannel(name, tree.initial_dims, math.prod(out_dims.pop()), tuple(kraus))
+    return KrausChannel("protocol", tree.initial_dims, math.prod(out_dims.pop()), tuple(kraus))
 
 
 def communication_rounds(tree: ProtocolTree) -> int:
@@ -145,32 +139,24 @@ def communication_rounds(tree: ProtocolTree) -> int:
 
 
 def verify_protocol(
-    tree: ProtocolTree,
-    target: KrausChannel,
-    output_isometry: np.ndarray | None = None,
-    tol: float = CHOI_DISTANCE_TOL,
+    tree: ProtocolTree, target: KrausChannel, tol: float = CHOI_DISTANCE_TOL
 ) -> tuple[bool, float]:
     """Compile the tree and compare Choi matrices against the target.
 
-    ``output_isometry`` (explicit argument wins over the tree's own) is
-    applied to every compiled Kraus operator first; it must be isometric on
-    the protocol's reachable output subspace for the comparison to be fair.
+    The tree's ``output_isometry``, if any, is applied to every compiled Kraus
+    operator first; it must be isometric on the protocol's reachable output
+    subspace for the comparison to be fair.
     """
     compiled = protocol_to_channel(tree)
-    iso = output_isometry if output_isometry is not None else tree.output_isometry
-    if iso is not None:
-        iso = np.asarray(iso, dtype=complex)
+    if tree.output_isometry is not None:
+        iso = np.asarray(tree.output_isometry, dtype=complex)
         if iso.ndim != 2 or iso.shape[1] != compiled.output_dim:
             raise ValueError(
                 f"dimension mismatch after isometry: isometry acts on {iso.shape[1] if iso.ndim == 2 else '?'}, "
                 f"protocol outputs {compiled.output_dim}"
             )
-        compiled = KrausChannel(
-            compiled.name,
-            compiled.input_dims,
-            iso.shape[0],
-            tuple(iso @ k for k in compiled.kraus),
-        )
+        kraus = tuple(iso @ k for k in compiled.kraus)
+        compiled = KrausChannel(compiled.name, compiled.input_dims, iso.shape[0], kraus)
     return channels_equal(compiled, target, tol)
 
 

@@ -51,7 +51,10 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise SchemaError(f"{where}: entry ({i},{j}) is not a [re, im] pair")
-            re, im = float(entry[0]), float(entry[1])
+            try:
+                re, im = float(entry[0]), float(entry[1])
+            except OverflowError:  # a JSON integer beyond the float range
+                re = im = math.inf
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise SchemaError(f"{where}: entry ({i},{j}) is not finite")
             parsed.append(complex(re, im))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gate import DEFAULT_NULLSPACE_RTOL, gate_channel
+from .gate import DEFAULT_NULLSPACE_RTOL, gate_channel, valid_rel_tol
 from .serialize import SchemaError
 from .zoo import (
     RotatedDominoParams,
@@ -49,6 +49,8 @@ class SweepConfig:
             raise SchemaError(f"unknown sweep family {self.family!r}; expected one of {FAMILIES}")
         if self.samples < 1:
             raise SchemaError("samples must be at least 1")
+        if not valid_rel_tol(self.rel_tol):
+            raise SchemaError(f"rel_tol must be a finite number in (0, 1), got {self.rel_tol!r}")
         if not 0.0 < self.theta_high <= math.pi / 4.0:
             raise SchemaError("theta_high must lie in (0, pi/4]")
         if self.family == "random_unitary":

@@ -4,16 +4,86 @@ The gate never builds Q: it uses the closed form of Q_aug^dag Q_aug.  This
 module builds Q row by row from a Hilbert-Schmidt orthonormal operator basis
 (generalized Gell-Mann, identity first), the textbook construction, so tests
 can check the gate against an independent computation and against any
-recombination of the basis.
+recombination of the basis.  It also keeps the textbook forms of what the
+library computes more directly: moving a party's factor to the front, a
+checked Hermitian eigensolve, the permute-then-realign operator Schmidt rank
+and the lone Kraus operator from the dominant Choi eigenvector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from loccgate import haar_unitary, permute_party_to_front, select_independent_subset
+from loccgate import choi_matrix, haar_unitary, select_independent_subset
+
+# Largest |h - h^dag| entry, relative to the largest |h| entry, that
+# ``hermitian_eigenvalues`` accepts as rounding in a Hermitian matrix.
+HERMITIAN_RESIDUAL_TOL = 1e-6
+
+
+def permute_party_to_front(m: np.ndarray, dims, party: int) -> np.ndarray:
+    """Re-express a square operator so the chosen party's factor comes first.
+
+    ``m`` acts on a tensor product of subsystems with dimensions ``dims``; the
+    result acts on H_party tensor H_rest with the remaining factors kept in
+    their original relative order.  ``party = 0`` returns the input unchanged.
+    """
+    dims = [int(d) for d in dims]
+    total = math.prod(dims)
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (total, total):
+        raise ValueError(
+            f"operator has shape {m.shape}, expected {(total, total)} for dims {dims}"
+        )
+    if not 0 <= party < len(dims):
+        raise ValueError(f"party index {party} out of range for {len(dims)} parties")
+    n = len(dims)
+    perm = [party] + [p for p in range(n) if p != party]
+    tens = m.reshape(dims + dims)
+    tens = tens.transpose(perm + [n + p for p in perm])
+    return tens.reshape(total, total)
+
+
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending.
+
+    Grossly non-Hermitian input (residual above ``HERMITIAN_RESIDUAL_TOL``
+    relative to the largest entry) is rejected, and the rest is symmetrized
+    before solving.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {h.shape}")
+    adjoint = h.conj().T
+    scale = float(np.max(np.abs(h))) if h.size else 0.0
+    residual = float(np.max(np.abs(h - adjoint))) if h.size else 0.0
+    if scale > 0.0 and residual > HERMITIAN_RESIDUAL_TOL * scale:
+        raise ValueError(
+            f"matrix is not Hermitian (residual {residual:.3e} at scale {scale:.3e})"
+        )
+    return np.linalg.eigvalsh((h + adjoint) / 2.0)
+
+
+def operator_schmidt_rank(m: np.ndarray, dims, party: int, rel_tol: float = 1e-9) -> int:
+    """Schmidt rank across (party | rest): move the party to the front, then realign."""
+    mp = permute_party_to_front(m, dims, party)
+    d_party = int(dims[party])
+    d_rest = mp.shape[0] // d_party
+    tens = mp.reshape(d_party, d_rest, d_party, d_rest)
+    realigned = tens.transpose(0, 2, 1, 3).reshape(d_party * d_party, d_rest * d_rest)
+    sv = np.linalg.svd(realigned, compute_uv=False)
+    return int(np.count_nonzero(sv**2 > rel_tol * sv[0] ** 2)) if sv[0] > 0 else 0
+
+
+def lone_kraus_operator(channel) -> np.ndarray:
+    """Dominant Choi eigenvector, scaled by the root of its eigenvalue, as an operator."""
+    j = choi_matrix(channel)
+    evals, vecs = np.linalg.eigh((j + j.conj().T) / 2.0)
+    top = vecs[:, -1] * np.sqrt(max(float(evals[-1]), 0.0))
+    return top.reshape((channel.output_dim, channel.dim), order="F")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from loccgate import (
     gate_party,
     gate_channel,
     haar_unitary,
-    hermitian_eigenvalues,
     random_unitary_channel,
     remix_kraus,
     rotated_domino_channel,
@@ -38,6 +37,7 @@ from loccgate import (
 )
 from loccgate.gate import channel_gram, party_gram
 from loccgate.sweeps import SweepConfig, sample_rng
+from oracle import hermitian_eigenvalues
 from oracle import augmented_spectrum, operator_basis, recombined_basis
 
 QUARTER_PI = math.pi / 4
@@ -265,7 +265,7 @@ def test_criterion_09_invariance_suite():
                 dims == baseline,
                 f"{channel.name}: remix {i} changed nullspace dims {baseline} -> {dims}",
             )
-        selected, gram = channel_gram(channel, 1e-9)
+        selected, gram = channel_gram(channel)
         for p in range(channel.n_parties):
             d_party = channel.input_dims[p]
             d_rest = channel.dim // d_party
@@ -290,31 +290,24 @@ def test_criterion_10_degenerate_guard():
         "Kraus-rank-1 channels classified by product form, never NOT_LOCC",
         budget_s=60.0,
     )
-    identity = KrausChannel("identity", (2, 2), 4, (np.eye(4, dtype=complex),))
-    verdict = gate_channel(identity)
-    crit.check(
-        verdict.verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE and verdict.local is True,
-        f"identity: {verdict.verdict} local={verdict.local}",
-    )
     rng = np.random.default_rng(1010)
-    product_unitary = KrausChannel(
-        "product-unitary",
-        (2, 2),
-        4,
-        (np.kron(haar_unitary(2, rng), haar_unitary(2, rng)),),
-    )
-    verdict = gate_channel(product_unitary)
-    crit.check(
-        verdict.verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE and verdict.local is True,
-        f"product-unitary: {verdict.verdict} local={verdict.local}",
-    )
     swap = np.zeros((4, 4), dtype=complex)
     for a in range(2):
         for b in range(2):
             swap[b * 2 + a, a * 2 + b] = 1.0
-    verdict = gate_channel(KrausChannel("swap", (2, 2), 4, (swap,)))
-    crit.check(
-        verdict.verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE and verdict.local is False,
-        f"swap: {verdict.verdict} local={verdict.local}",
-    )
+    cases = [
+        ("identity", np.eye(4, dtype=complex), True),
+        ("product-unitary", np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), True),
+        ("swap", swap, False),
+    ]
+    for name, op, local in cases:
+        channel = KrausChannel(name, (2, 2), 4, (op,))
+        # the same channel as three operators: the guard must not depend on the Kraus list
+        remixed = remix_kraus(channel, haar_unitary(3, rng))
+        for label, ch in ((name, channel), (f"remixed {name}", remixed)):
+            verdict = gate_channel(ch)
+            crit.check(
+                verdict.verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE and verdict.local is local,
+                f"{label}: {verdict.verdict} local={verdict.local}",
+            )
     crit.finish()

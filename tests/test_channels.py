@@ -8,13 +8,15 @@ from loccgate import (
     check_completeness,
     choi_matrix,
     haar_unitary,
-    hermitian_eigenvalues,
     kraus_rank,
     lone_kraus_operator,
     operator_schmidt_rank,
     remix_kraus,
     validate_density_matrix,
 )
+from oracle import hermitian_eigenvalues
+from oracle import lone_kraus_operator as choi_lone_kraus_operator
+from oracle import operator_schmidt_rank as permuted_schmidt_rank
 
 
 def identity_channel(dims=(2, 2)) -> KrausChannel:
@@ -181,6 +183,14 @@ def test_channels_equal_self_and_mismatch(bell, domino):
         channels_equal(bell, domino)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_channels_equal_rejects_non_finite_or_negative_tol(bell, tol):
+    # an infinite tolerance used to call any two channels equal
+    with pytest.raises(ValueError, match="tolerance"):
+        channels_equal(bell, bell, tol)
+    assert channels_equal(bell, bell, 0.0) == (True, 0.0)
+
+
 def test_kraus_rank_values(bell, zoo_channels):
     assert kraus_rank(identity_channel()) == 1
     assert kraus_rank(bell) == 4
@@ -210,6 +220,50 @@ def test_lone_kraus_operator_recovers_unitary():
     phase = np.vdot(lone.reshape(-1), u.reshape(-1))
     phase /= abs(phase)
     assert np.allclose(phase * lone, u, atol=1e-10)
+
+
+def test_lone_kraus_operator_matches_choi_eigenvector():
+    rng = np.random.default_rng(15)
+    channels = []
+    for dims in ((2, 2), (2, 3, 2), (4, 4)):
+        d = int(np.prod(dims))
+        unitary = KrausChannel("u", dims, d, (haar_unitary(d, rng),))
+        channels.append(remix_kraus(unitary, haar_unitary(3, rng)))  # zero-padded to 3
+    isometry = haar_unitary(6, rng)[:, :4]
+    channels.append(KrausChannel("iso", (2, 2), 6, (isometry,)))
+    for channel in channels:
+        assert kraus_rank(channel) == 1
+        lone = lone_kraus_operator(channel)
+        reference = choi_lone_kraus_operator(channel)
+        assert lone.shape == reference.shape == (channel.output_dim, channel.dim)
+        phase = np.vdot(lone.reshape(-1), reference.reshape(-1))
+        phase /= abs(phase)
+        assert np.max(np.abs(phase * lone - reference)) < 1e-12
+
+
+def _operator_of_schmidt_rank(rng, dims, party, rank):
+    """Random sum of ``rank`` products A_k (on the party) times B_k (on the rest)."""
+    before = int(np.prod(dims[:party]))
+    after = int(np.prod(dims[party + 1 :]))
+    d = dims[party]
+    a = rng.standard_normal((rank, d, d)) + 1j * rng.standard_normal((rank, d, d))
+    shape = (rank, before, after, before, after)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    total = before * d * after
+    return np.einsum("kab,kxyuv->xayubv", a, b).reshape(total, total)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2)])
+def test_operator_schmidt_rank_matches_permute_then_realign(dims):
+    rng = np.random.default_rng(16)
+    total = int(np.prod(dims))
+    for party, d in enumerate(dims):
+        full = min(d * d, (total // d) ** 2)
+        for rank in (1, 2, full):
+            m = _operator_of_schmidt_rank(rng, dims, party, rank)
+            assert permuted_schmidt_rank(m, dims, party) == rank
+            for cut in range(len(dims)):  # every cut, not only the one built in
+                assert operator_schmidt_rank(m, dims, cut) == permuted_schmidt_rank(m, dims, cut)
 
 
 def test_operator_schmidt_rank_product():

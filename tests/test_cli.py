@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import loccgate
-from loccgate import bell_channel
+from loccgate import RotatedDominoParams, bell_channel, rotated_domino_channel
 from loccgate.cli import main
 from loccgate.serialize import channel_to_dict, save_channel
 
@@ -157,6 +157,73 @@ def test_sweep_rejects_bad_config(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# tolerances that would fake a verdict
+
+
+@pytest.fixture()
+def implementable_domino_file(tmp_path):
+    # rotated domino with theta1 = 0 has a three-round LOCC protocol
+    path = tmp_path / "rd.json"
+    save_channel(rotated_domino_channel(RotatedDominoParams((0.0, 0.3, 0.5, 0.7))), path)
+    return path
+
+
+def _cli_process(argv):
+    src = Path(loccgate.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "loccgate.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_check_default_tol_finds_candidates(capsys, implementable_domino_file):
+    code, out, _ = run(capsys, ["check", "--channel", str(implementable_domino_file)])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "FIRST_MOVE_CANDIDATES"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "2"])
+def test_check_rejects_tol_that_fakes_a_verdict(implementable_domino_file, tol):
+    # these used to print NOT_LOCC (nan, -1) or nullity 9 (2) with exit 0
+    proc = _cli_process(["check", "--channel", str(implementable_domino_file), f"--tol={tol}"])
+    assert proc.returncode == 2, proc.stderr
+    assert "NOT_LOCC" not in proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "--tol" in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "0", "1", "1.5", "x"])
+def test_check_rejects_tol_outside_unit_interval(capsys, implementable_domino_file, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--channel", str(implementable_domino_file), f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_protocol_rejects_tol_that_fakes_a_match(
+    capsys, tmp_path, implementable_domino_file, tol
+):
+    proto = tmp_path / "domino-protocol.json"  # pi/4 angles: Choi distance 0.34 to the target
+    assert run(capsys, ["protocol", "domino-three-round", "--out", str(proto)])[0] == 0
+    target = str(implementable_domino_file)
+    argv = ["verify-protocol", "--protocol", str(proto), "--channel", target]
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and json.loads(out)["choi_distance"] > 0.3
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_rejects_rel_tol_outside_unit_interval(capsys, tmp_path):
+    assert run(capsys, _sweep(tmp_path, rel_tol=-1.0))[0] == 2
+    assert run(capsys, _sweep(tmp_path, rel_tol=float("nan")))[0] == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
+# ---------------------------------------------------------------------------
 # protocol + verify-protocol
 
 
@@ -271,6 +338,13 @@ def _deep_protocol(tmp_path):
     return ["verify-protocol", "--protocol", str(path), "--channel", str(path)]
 
 
+def _deep_sweep_config(tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 3000
+    path.write_text('{"family": ' + "[" * depth + "]" * depth + "}")
+    return ["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -280,6 +354,7 @@ def _deep_protocol(tmp_path):
         (lambda tmp_path: _sweep(tmp_path, dims=["a"]), 2),
         (lambda tmp_path: _sweep(tmp_path, rel_tol="x"), 2),
         (_deep_protocol, 2),
+        (_deep_sweep_config, 2),
         (_near_complete_channel, 4),
         (lambda tmp_path: ["zoo", "bell", "--out", str(tmp_path / "missing" / "bell.json")], 2),
         (lambda tmp_path: ["protocol", "usd-oneway", "--out", str(tmp_path / "missing" / "p.json")], 2),
@@ -294,6 +369,7 @@ def _deep_protocol(tmp_path):
         "sweep-non-integer-dims",
         "sweep-non-real-rel-tol",
         "deep-protocol",
+        "deep-sweep-config",
         "near-complete-identity-outside-span",
         "zoo-out-in-missing-dir",
         "protocol-out-in-missing-dir",
@@ -303,12 +379,7 @@ def _deep_protocol(tmp_path):
     ],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
-    src = Path(loccgate.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "loccgate.cli", *argv(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _cli_process(argv(tmp_path))
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")

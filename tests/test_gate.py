@@ -9,17 +9,17 @@ from loccgate import (
     gate_channel,
     gate_party,
     haar_unitary,
-    hermitian_eigenvalues,
     identity_vector,
     pair_products,
     random_unitary_channel,
     remix_kraus,
     select_independent_subset,
 )
-from loccgate.gate import IdentityOutsideSpanError, channel_gram, party_gram
+from loccgate.gate import IdentityOutsideSpanError, channel_gram, party_gram, valid_rel_tol
 from loccgate.linalg import nullspace_dimension
 from oracle import (
     augmented_q,
+    hermitian_eigenvalues,
     augmented_spectrum,
     build_q,
     identity_coefficients,
@@ -44,7 +44,7 @@ def gate_internals(channel, party, products=None, bases=None, rel_tol=1e-13):
 
 def gate_spectrum(channel, party):
     """Ascending eigenvalues of the Gram the gate solves for one party."""
-    selected, gram = channel_gram(channel, 1e-9)
+    selected, gram = channel_gram(channel)
     return hermitian_eigenvalues(party_gram(selected, gram, channel.input_dims, party))
 
 
@@ -257,6 +257,22 @@ def test_gate_channel_needs_two_parties():
         gate_channel(single)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0, 2.0])
+def test_gate_rejects_rel_tol_outside_unit_interval(rotated_domino, tol):
+    # nan or a negative threshold counts no eigenvalue as zero, which fakes NOT_LOCC
+    assert not valid_rel_tol(tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        gate_channel(rotated_domino, tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        gate_party(rotated_domino, 0, tol)
+
+
+def test_gate_accepts_rel_tol_inside_unit_interval(bell):
+    for tol in (5e-324, 1e-13, 0.5, np.nextafter(1.0, 0.0)):
+        assert valid_rel_tol(tol)
+        assert gate_channel(bell, tol).reports == tuple(gate_party(bell, p, tol) for p in (0, 1))
+
+
 def test_verdict_serializes(bell):
     doc = gate_channel(bell).to_dict()
     assert doc["verdict"] == VERDICT_NOT_LOCC
@@ -351,7 +367,7 @@ def test_gate_matches_explicit_q_for_every_party(dims, nu):
 def test_channel_gram_matches_direct_inner_products(bell, domino, usd_instance):
     extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
     for channel in (bell, domino, usd_instance, extra):
-        selected, gram = channel_gram(channel, 1e-9)
+        selected, gram = channel_gram(channel)
         flat = selected.reshape(len(selected), -1)
         c = identity_coefficients(selected, range(len(selected)))
         direct = flat.conj() @ flat.T + np.outer(c, c.conj())
@@ -363,7 +379,7 @@ def test_party_gram_nullity_matches_checked_eigensolve(zoo_channels, dephasing):
     # checked and symmetrized hermitian_eigenvalues on the same matrices
     extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
     for channel in (*zoo_channels, dephasing, extra):
-        selected, gram = channel_gram(channel, 1e-9)
+        selected, gram = channel_gram(channel)
         for party in range(channel.n_parties):
             pgram = party_gram(selected, gram, channel.input_dims, party)
             evals = hermitian_eigenvalues(pgram)

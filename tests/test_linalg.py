@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccgate import pair_products, random_unitary_channel
-from loccgate.linalg import (
+from loccgate.linalg import nullspace_dimension, select_independent_subset
+from oracle import (
     hermitian_eigenvalues,
-    nullspace_dimension,
+    mgs_subset_indices,
+    operator_basis,
     permute_party_to_front,
-    select_independent_subset,
 )
-from oracle import mgs_subset_indices, operator_basis
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -263,6 +263,13 @@ def test_subset_rejects_bad_args():
         select_independent_subset([np.ones(2)], 0.0)
     with pytest.raises(ValueError):
         select_independent_subset([np.ones(2), np.ones(3)], 1e-9)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0, 2.0])
+def test_subset_rejects_tolerance_outside_unit_interval(tol):
+    # a nan tolerance used to keep no vector and return an empty subset
+    with pytest.raises(ValueError, match="tolerance"):
+        select_independent_subset(np.eye(3), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,7 +210,16 @@ def test_verify_dimension_mismatch_raises():
         verify_protocol(tree, bell_channel())
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_verify_rejects_non_finite_or_negative_tol(tol):
+    target = rotated_domino_channel(RotatedDominoParams((0.0, 0.3, 0.5, 0.7)))
+    tree = domino_three_round_protocol(*[np.pi / 4] * 3)
+    assert verify_protocol(tree, target)[1] > 0.3
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_protocol(tree, target, tol)
+
+
 def test_verify_bad_isometry_shape_raises():
     tree = dephasing_tree()
     with pytest.raises(ValueError, match="isometry"):
-        verify_protocol(tree, bell_channel(), output_isometry=np.eye(3))
+        verify_protocol(replace(tree, output_isometry=np.eye(3)), bell_channel())

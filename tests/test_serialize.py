@@ -1,9 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loccgate import bell_channel, channels_equal, domino_three_round_protocol
+from loccgate import (
+    KrausChannel,
+    ProtocolTree,
+    bell_channel,
+    channels_equal,
+    domino_three_round_protocol,
+)
 from loccgate.serialize import (
     DimensionError,
     SchemaError,
@@ -124,3 +133,103 @@ def test_protocol_from_dict_rejections():
     no_branches = dict(doc, root={"party": 0, "branches": []})
     with pytest.raises(SchemaError):
         protocol_from_dict(no_branches)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a parser either returns its object or raises SchemaError
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])  # json.loads reads these as exact ints
+    | st.floats()
+    | st.text(max_size=4)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+_numbers = st.integers(-2, 2) | st.floats(-2, 2) | _json_scalars
+_pairs = st.lists(_numbers, min_size=2, max_size=2) | _json_values
+
+
+@st.composite
+def _mutated(draw, doc: dict) -> dict:
+    """Drop or replace up to two fields of a well-formed document."""
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(_json_values)
+    return doc
+
+
+@st.composite
+def _matrices(draw, rows: int, cols: int):
+    rows = draw(st.sampled_from([rows, rows, 1]))  # sometimes the wrong height
+    return [[draw(_pairs) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def _channel_docs(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    out = draw(st.integers(1, 3))
+    doc = {
+        "name": draw(st.text(max_size=3)),
+        "input_dims": dims,
+        "output_dim": out,
+        "kraus": [draw(_matrices(out, math.prod(dims))) for _ in range(draw(st.integers(1, 2)))],
+    }
+    return draw(_mutated(doc))
+
+
+@st.composite
+def _nodes(draw, dims: list, depth: int):
+    party = draw(st.integers(0, len(dims)))  # one past the last party, sometimes
+    local = dims[party] if party < len(dims) else 1
+    branches = []
+    for _ in range(draw(st.integers(1, 2))):
+        rows = draw(st.integers(1, 3))
+        branch = {"op": draw(_matrices(rows, local)), "child": None}
+        if depth and draw(st.booleans()):
+            child_dims = [rows if p == party else d for p, d in enumerate(dims)]
+            branch["child"] = draw(_nodes(child_dims, depth - 1))
+        branches.append(draw(_mutated(branch)))
+    return draw(_mutated({"party": party, "branches": branches}))
+
+
+@st.composite
+def _protocol_docs(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    doc = {"parties": len(dims), "initial_dims": dims, "root": draw(_nodes(dims, 2))}
+    if draw(st.booleans()):
+        doc["output_isometry"] = draw(_matrices(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    return draw(_mutated(doc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_channel_docs() | _json_values)
+def test_channel_from_dict_returns_channel_or_schema_error(doc):
+    try:
+        channel = channel_from_dict(doc)
+    except SchemaError:
+        return
+    assert isinstance(channel, KrausChannel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_protocol_docs() | _json_values)
+def test_protocol_from_dict_returns_tree_or_schema_error(doc):
+    try:
+        tree = protocol_from_dict(doc)
+    except SchemaError:
+        return
+    assert isinstance(tree, ProtocolTree)
+
+
+def test_matrix_rejects_integers_beyond_float_range():
+    with pytest.raises(SchemaError, match="not finite"):
+        matrix_from_json([[[10**400, 0]]])

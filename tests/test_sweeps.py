@@ -32,6 +32,9 @@ def test_config_from_dict_and_validation():
     ):
         with pytest.raises(SchemaError, match=field):
             SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, field: value})
+    for rel_tol in (float("nan"), float("inf"), -float("inf"), 0, -1, 1.0, 2):
+        with pytest.raises(SchemaError, match="rel_tol"):
+            SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, "rel_tol": rel_tol})
     cfg = SweepConfig.from_dict(
         {"family": "random_unitary", "samples": 1, "seed": 0, "dims": [2, 3], "nu_values": [4],
          "rel_tol": 1e-12, "theta_high": 0.5, "eta1": 0.1, "eta3": 0}
