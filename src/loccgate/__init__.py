@@ -23,6 +23,7 @@ from .channels import (
 from .gate import (
     GateVerdict,
     PartyGateReport,
+    VERDICT_DEGENERATE_IDENTITY_SPAN,
     VERDICT_DEGENERATE_KRAUS_RANK_ONE,
     VERDICT_FIRST_MOVE_CANDIDATES,
     VERDICT_NOT_LOCC,
@@ -75,6 +76,7 @@ __all__ = [
     "validate_density_matrix",
     "GateVerdict",
     "PartyGateReport",
+    "VERDICT_DEGENERATE_IDENTITY_SPAN",
     "VERDICT_DEGENERATE_KRAUS_RANK_ONE",
     "VERDICT_FIRST_MOVE_CANDIDATES",
     "VERDICT_NOT_LOCC",

@@ -3,10 +3,10 @@
 Kraus rank and the lone operator of a Kraus-rank-1 channel come from the
 N x N Kraus Gram tr(K_i^dag K_j), not from the (D d_out)^2 Choi matrix.
 
-Channels are immutable after construction and all operations are pure, so
-concurrent use is safe.  Kraus operators may be rectangular (output dimension
-different from the input dimension); density matrices and operators are plain
-numpy arrays.
+A channel keeps its Kraus operators as one read-only complex (N, d_out, D)
+array copied at construction, so it is immutable, and all operations are pure:
+concurrent use is safe.  Kraus operators may be rectangular (d_out != D);
+density matrices and operators are plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -36,36 +36,35 @@ class KrausChannel:
 
     ``input_dims`` lists the per-party dimensions of the input space (their
     product is the total input dimension D); every Kraus operator maps that
-    space into a common output space of dimension ``output_dim``.
+    space into a common output space of dimension ``output_dim``; ``kraus`` is
+    kept as a read-only complex (N, output_dim, D) copy of the given operators.
     """
 
     name: str
     input_dims: tuple[int, ...]
     output_dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.input_dims)
         object.__setattr__(self, "input_dims", dims)
         object.__setattr__(self, "output_dim", int(self.output_dim))
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        object.__setattr__(self, "kraus", ops)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("input_dims must be a nonempty list of positive integers")
         if self.output_dim < 1:
             raise ValueError("output_dim must be positive")
-        if not ops:
+        if not len(self.kraus):
             raise ValueError("channel needs at least one Kraus operator")
-        total = math.prod(dims)
-        for idx, k in enumerate(ops):
-            if k.ndim != 2 or k.shape != (self.output_dim, total):
-                raise ValueError(
-                    f"Kraus operator {idx} has shape {k.shape}, "
-                    f"expected {(self.output_dim, total)}"
-                )
-        finite = np.isfinite(np.stack(ops)).all(axis=(1, 2))
+        expected = (self.output_dim, math.prod(dims))
+        for idx, k in enumerate(self.kraus):
+            if (shape := np.shape(k)) != expected:
+                raise ValueError(f"Kraus operator {idx} has shape {shape}, expected {expected}")
+        ops = np.array(self.kraus, dtype=complex)
+        finite = np.isfinite(ops).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"Kraus operator {int(np.argmin(finite))} has non-finite entries")
+        ops.flags.writeable = False
+        object.__setattr__(self, "kraus", ops)
 
     @property
     def dim(self) -> int:
@@ -83,8 +82,7 @@ class KrausChannel:
 
 def check_completeness(channel: KrausChannel) -> float:
     """Largest absolute entry of sum_i K_i^dag K_i - I."""
-    ks = np.stack(channel.kraus)
-    acc = np.einsum("iab,iac->bc", ks.conj(), ks)
+    acc = np.einsum("iab,iac->bc", channel.kraus.conj(), channel.kraus)
     return float(np.max(np.abs(acc - np.eye(channel.dim))))
 
 
@@ -108,8 +106,7 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"state has shape {rho.shape}, expected {(channel.dim, channel.dim)}"
         )
-    ks = np.stack(channel.kraus)
-    return np.einsum("iab,bc,idc->ad", ks, rho, ks.conj())
+    return np.einsum("iab,bc,idc->ad", channel.kraus, rho, channel.kraus.conj())
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -117,15 +114,16 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
 
     vec stacks columns, so vec(K) is K^T read row by row.
     """
-    vecs = np.stack(channel.kraus).transpose(0, 2, 1).reshape(channel.n_kraus, -1)
+    vecs = channel.kraus.transpose(0, 2, 1).reshape(channel.n_kraus, -1)
     return vecs.T @ vecs.conj()
 
 
 def remix_kraus(channel: KrausChannel, v: np.ndarray) -> KrausChannel:
     """Rewrite the Kraus list as K'_j = sum_i v[j,i] K_i.
 
-    ``v`` must have isometric columns (v^dag v = I); the channel is zero-padded
-    to match v's column count first.  The Choi matrix is unchanged.
+    ``v`` must have isometric columns (v^dag v = I) and at least as many
+    columns as the channel has Kraus operators; columns beyond those act on
+    nothing.  The Choi matrix is unchanged.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2:
@@ -139,12 +137,8 @@ def remix_kraus(channel: KrausChannel, v: np.ndarray) -> KrausChannel:
     gram_residual = float(np.max(np.abs(v.conj().T @ v - np.eye(n_hat))))
     if gram_residual > VALIDATION_TOL:
         raise ValueError(f"mixing matrix columns are not isometric (residual {gram_residual:.3e})")
-    padded = list(channel.kraus) + [
-        np.zeros_like(channel.kraus[0]) for _ in range(n_hat - channel.n_kraus)
-    ]
-    stacked = np.stack(padded)
-    remixed = np.tensordot(v, stacked, axes=([1], [0]))
-    return KrausChannel(channel.name, channel.input_dims, channel.output_dim, tuple(remixed))
+    remixed = np.tensordot(v[:, : channel.n_kraus], channel.kraus, axes=1)
+    return KrausChannel(channel.name, channel.input_dims, channel.output_dim, remixed)
 
 
 def valid_choi_tol(tol) -> bool:
@@ -162,25 +156,24 @@ def channels_equal(
         raise ValueError(
             f"dimension mismatch: {a.dim}->{a.output_dim} vs {b.dim}->{b.output_dim}"
         )
-    distance = float(np.max(np.abs(choi_matrix(a) - choi_matrix(b))))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as an inf or nan distance
+        distance = float(np.max(np.abs(choi_matrix(a) - choi_matrix(b))))
     return distance <= tol, distance
 
 
-def _kraus_gram(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked Kraus operators and their Gram tr(K_i^dag K_j), Hermitian by construction.
+def _kraus_gram(channel: KrausChannel) -> np.ndarray:
+    """The Kraus Gram tr(K_i^dag K_j), Hermitian by construction.
 
     If the Gram maps u to lambda u, the Choi matrix maps vec(sum_i u_i K_i) to
     lambda times it, so the two share their nonzero eigenvalues.
     """
-    ks = np.stack(channel.kraus)
-    vecs = ks.reshape(len(ks), -1)
-    return ks, vecs.conj() @ vecs.T
+    vecs = channel.kraus.reshape(channel.n_kraus, -1)
+    return vecs.conj() @ vecs.T
 
 
 def kraus_rank(channel: KrausChannel) -> int:
     """Rank of the Choi matrix: the minimal number of Kraus operators."""
-    gram = _kraus_gram(channel)[1]
-    return len(gram) - nullspace_dimension(gram, KRAUS_RANK_RTOL)[0]
+    return channel.n_kraus - nullspace_dimension(_kraus_gram(channel), KRAUS_RANK_RTOL)[0]
 
 
 def lone_kraus_operator(channel: KrausChannel) -> np.ndarray:
@@ -190,9 +183,8 @@ def lone_kraus_operator(channel: KrausChannel) -> np.ndarray:
     the dominant Choi eigenvector scaled by the square root of its eigenvalue,
     defined up to a global phase.
     """
-    ks, gram = _kraus_gram(channel)
-    u = np.linalg.eigh(gram)[1][:, -1]
-    return np.tensordot(u, ks, axes=1)
+    u = np.linalg.eigh(_kraus_gram(channel))[1][:, -1]
+    return np.tensordot(u, channel.kraus, axes=1)
 
 
 def operator_schmidt_rank(m: np.ndarray, dims, party: int) -> int:

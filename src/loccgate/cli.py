@@ -94,13 +94,13 @@ def _tol_type(valid, rule: str):
     return tolerance
 
 
-def _complex_arg(text: str) -> complex:
+def _amplitude_arg(text: str) -> complex:
     parts = _floats(text)
-    if len(parts) == 1:
-        return complex(parts[0], 0.0)
-    if len(parts) == 2:
-        return complex(parts[0], parts[1])
-    raise SchemaError(f"expected 're' or 're,im', got {text!r}")
+    if len(parts) not in (1, 2):
+        raise SchemaError(f"expected 're' or 're,im', got {text!r}")
+    if not all(abs(p) <= 1.0 for p in parts) or math.hypot(*parts) > 1.0:  # inf and nan too
+        raise SchemaError(f"amplitude {text!r} has modulus above 1")
+    return complex(*parts)
 
 
 def _write_output(path, write) -> int:
@@ -126,15 +126,15 @@ def cmd_check(args) -> int:
         _err(f"dimension inconsistency: the gate needs at least 2 parties, got {channel.n_parties}")
         return EXIT_DIMENSION
     residual = check_completeness(channel)
-    if residual > COMPLETENESS_TOL:
-        _err(f"completeness failure: residual {residual:.3e} exceeds {COMPLETENESS_TOL:g}")
+    if not residual <= COMPLETENESS_TOL:
+        _err(f"completeness failure: residual {residual:.3e} is not within {COMPLETENESS_TOL:g}")
         return EXIT_COMPLETENESS
     try:
         verdict = gate_channel(channel, rel_tol=args.tol)
     except IdentityOutsideSpanError as exc:  # a defect below the ceiling, off the span
         _err(f"completeness failure: residual {residual:.3e}, {exc}")
         return EXIT_COMPLETENESS
-    if residual > COMPLETENESS_WARN_TOL:
+    if not residual <= COMPLETENESS_WARN_TOL:
         print(
             f"warning: completeness residual {residual:.3e} above {COMPLETENESS_WARN_TOL:g}",
             file=sys.stderr,
@@ -162,8 +162,8 @@ def _build_zoo_channel(args):
         return random_unitary_channel(tuple(_ints(args.dims)), args.nu, rng)
     if args.name == "usd":
         if args.alpha1 is not None:
-            a1 = _complex_arg(args.alpha1)
-            a3 = _complex_arg(args.alpha3) if args.alpha3 is not None else complex(0.5)
+            a1 = _amplitude_arg(args.alpha1)
+            a3 = _amplitude_arg(args.alpha3) if args.alpha3 is not None else complex(0.5)
             params = UsdParams(
                 alpha1=a1,
                 beta1=math.sqrt(max(1.0 - abs(a1) ** 2, 0.0)),
@@ -181,9 +181,13 @@ def _build_zoo_channel(args):
 
 def cmd_zoo(args) -> int:
     try:
-        channel = _build_zoo_channel(args)
+        with np.errstate(all="raise", under="ignore"):
+            channel = _build_zoo_channel(args)
     except (SchemaError, ValueError) as exc:
         _err(str(exc))
+        return EXIT_PARSE
+    except FloatingPointError as exc:  # e.g. usd amplitudes too small to square
+        _err(f"parameters out of double-precision range: {exc}")
         return EXIT_PARSE
     return _write_output(args.out, lambda path: save_channel(channel, path))
 
@@ -196,7 +200,7 @@ def cmd_protocol(args) -> int:
                 raise SchemaError("--theta needs exactly three angles (theta2,theta3,theta4)")
             tree = domino_three_round_protocol(*angles)
         elif args.name == "usd-oneway":
-            a1 = _complex_arg(args.alpha1) if args.alpha1 is not None else complex(0.4)
+            a1 = _amplitude_arg(args.alpha1) if args.alpha1 is not None else complex(0.4)
             tree = usd_oneway_protocol(a1, math.sqrt(max(1.0 - abs(a1) ** 2, 0.0)))
         else:
             raise SchemaError(f"unknown protocol {args.name!r}")

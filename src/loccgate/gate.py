@@ -60,7 +60,7 @@ from .linalg import (
 DEFAULT_NULLSPACE_RTOL = 1e-13
 
 # Hard ceiling on the completeness residual before gating is meaningless, and
-# the residual above which the CLI warns but still gates.
+# the residual above which the CLI warns but still gates; a nan residual fails both.
 COMPLETENESS_TOL = 1e-6
 COMPLETENESS_WARN_TOL = 1e-9
 
@@ -80,6 +80,7 @@ class IdentityOutsideSpanError(ValueError):
 VERDICT_NOT_LOCC = "NOT_LOCC"
 VERDICT_FIRST_MOVE_CANDIDATES = "FIRST_MOVE_CANDIDATES"
 VERDICT_DEGENERATE_KRAUS_RANK_ONE = "DEGENERATE_KRAUS_RANK_ONE"
+VERDICT_DEGENERATE_IDENTITY_SPAN = "DEGENERATE_IDENTITY_SPAN"
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,8 @@ class GateVerdict:
 
     ``NOT_LOCC`` is a certificate that the channel admits no LOCC protocol.
     ``FIRST_MOVE_CANDIDATES`` is *not* a proof of LOCC-possibility; the gate
-    is a necessary condition only.  Kraus-rank-1 channels are classified
-    separately since they need no measurement at all.
+    is a necessary condition only.  Kraus-rank-1 channels, which need no
+    measurement at all, and those the gate cannot judge are classified apart.
     """
 
     reports: tuple[PartyGateReport, ...]
@@ -134,9 +135,8 @@ def pair_products(channel: KrausChannel) -> np.ndarray:
     Ordered row-major in (i, j).  The adjoint of product (i, j) is product
     (j, i) exactly.
     """
-    ks = np.stack(channel.kraus)
-    n = len(ks)
-    return np.einsum("iab,jac->ijbc", ks.conj(), ks).reshape(n * n, channel.dim, channel.dim)
+    ks = channel.kraus
+    return np.einsum("iab,jac->ijbc", ks.conj(), ks).reshape(-1, channel.dim, channel.dim)
 
 
 def identity_vector(subset: IndependentSubset) -> np.ndarray:
@@ -190,7 +190,7 @@ def _checked_gram(channel: KrausChannel, rel_tol: float) -> tuple[np.ndarray, np
     if not valid_rel_tol(rel_tol):
         raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
     residual = check_completeness(channel)
-    if residual > COMPLETENESS_TOL:
+    if not residual <= COMPLETENESS_TOL:
         raise ValueError(
             f"channel '{channel.name}' is not trace-preserving "
             f"(completeness residual {residual:.3e})"
@@ -232,7 +232,8 @@ def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL)
     A Kraus-rank-1 channel needs no measurement, so it is never certified
     NOT_LOCC; it is reported DEGENERATE_KRAUS_RANK_ONE with ``local`` true
     exactly when its lone (square) Kraus operator is a tensor product across
-    every single-party cut.
+    every single-party cut.  Pair products that span only the identity make
+    Q_aug the unit row c^dag, ratio 1 for any channel: DEGENERATE_IDENTITY_SPAN.
     """
     if channel.n_parties < 2:
         raise ValueError("channel must have at least 2 parties")
@@ -256,6 +257,8 @@ def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL)
             verdict=VERDICT_DEGENERATE_KRAUS_RANK_ONE,
             local=local,
         )
+    if len(selected) == 1:
+        return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_IDENTITY_SPAN)
     candidates = tuple(r.party for r in reports if r.can_measure_first)
     if candidates:
         return GateVerdict(

@@ -72,8 +72,9 @@ def validate_protocol(tree: ProtocolTree) -> list[float]:
             raise ValueError(f"party index {node.party} out of range")
         local_dim = dims[node.party]
         ops = _node_ops(node, local_dim)
-        acc = sum(op.conj().T @ op for op in ops)
-        residuals.append(float(np.max(np.abs(acc - np.eye(local_dim)))))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
+            acc = sum(op.conj().T @ op for op in ops)
+            residuals.append(float(np.max(np.abs(acc - np.eye(local_dim)))))
         for op, child in node.branches:
             if child is not None:
                 new_dims = list(dims)
@@ -92,11 +93,10 @@ def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
     unreachable (zero-probability branches kept only for node completeness)
     and are dropped from the Kraus list.
     """
-    residuals = validate_protocol(tree)
-    worst = max(residuals)
-    if worst > VALIDATION_TOL:
+    residuals = np.array(validate_protocol(tree))
+    if not (residuals <= VALIDATION_TOL).all():  # a nan residual fails too
         raise ValueError(
-            f"protocol nodes are not complete measurements (max residual {worst:.3e})"
+            f"protocol nodes are not complete measurements (max residual {residuals.max():.3e})"
         )
     total_in = math.prod(tree.initial_dims)
     leaves: list[tuple[tuple[int, ...], np.ndarray]] = []
@@ -122,7 +122,7 @@ def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
     kraus = [acc for _, acc in leaves if float(np.linalg.norm(acc)) > ZERO_LEAF_TOL]
     if not kraus:
         raise ValueError("every leaf compiled to a zero operator")
-    return KrausChannel("protocol", tree.initial_dims, math.prod(out_dims.pop()), tuple(kraus))
+    return KrausChannel("protocol", tree.initial_dims, math.prod(out_dims.pop()), kraus)
 
 
 def communication_rounds(tree: ProtocolTree) -> int:
@@ -155,8 +155,7 @@ def verify_protocol(
                 f"dimension mismatch after isometry: isometry acts on {iso.shape[1] if iso.ndim == 2 else '?'}, "
                 f"protocol outputs {compiled.output_dim}"
             )
-        kraus = tuple(iso @ k for k in compiled.kraus)
-        compiled = KrausChannel(compiled.name, compiled.input_dims, iso.shape[0], kraus)
+        compiled = KrausChannel(compiled.name, compiled.input_dims, len(iso), iso @ compiled.kraus)
     return channels_equal(compiled, target, tol)
 
 

@@ -18,6 +18,10 @@ from .channels import KrausChannel
 from .protocols import ProtocolNode, ProtocolTree
 
 
+# Most measurement layers a protocol document may nest, far below the stack limit.
+MAX_PROTOCOL_DEPTH = 100
+
+
 class SchemaError(ValueError):
     """Document does not match the expected schema."""
 
@@ -95,15 +99,8 @@ def channel_from_dict(doc: dict) -> KrausChannel:
     if not isinstance(kraus_raw, list) or not kraus_raw:
         raise SchemaError("'kraus' must be a nonempty array of matrices")
     kraus = [matrix_from_json(k, where=f"kraus[{i}]") for i, k in enumerate(kraus_raw)]
-    total = math.prod(dims)
-    for i, k in enumerate(kraus):
-        if k.shape != (output_dim, total):
-            raise DimensionError(
-                f"kraus[{i}] has shape {k.shape}, expected {(output_dim, total)} "
-                f"from output_dim and input_dims"
-            )
     try:
-        return KrausChannel(name, dims, output_dim, tuple(kraus))
+        return KrausChannel(name, dims, output_dim, kraus)
     except ValueError as exc:
         raise DimensionError(str(exc)) from exc
 
@@ -139,7 +136,9 @@ def _node_to_dict(node: ProtocolNode) -> dict:
     }
 
 
-def _node_from_dict(doc, where: str) -> ProtocolNode:
+def _node_from_dict(doc, where: str, depth: int = 1) -> ProtocolNode:
+    if depth > MAX_PROTOCOL_DEPTH:
+        raise SchemaError(f"{where}: protocol tree is deeper than {MAX_PROTOCOL_DEPTH} levels")
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: node must be an object")
     if "party" not in doc or "branches" not in doc:
@@ -155,8 +154,9 @@ def _node_from_dict(doc, where: str) -> ProtocolNode:
         if not isinstance(branch, dict) or "op" not in branch:
             raise SchemaError(f"{where}: branch {i} needs an 'op' matrix")
         op = matrix_from_json(branch["op"], where=f"{where}.branches[{i}].op")
-        child_doc = branch.get("child")
-        child = None if child_doc is None else _node_from_dict(child_doc, f"{where}.branches[{i}]")
+        child = branch.get("child")
+        if child is not None:
+            child = _node_from_dict(child, f"{where}.branches[{i}]", depth + 1)
         branches.append((op, child))
     return ProtocolNode(party=party, branches=branches)
 

@@ -8,7 +8,7 @@ numpy Generator, so reproducibility is the caller's seed choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def bell_channel() -> KrausChannel:
         s * (_kron(e0, e1) + _kron(e1, e0)),
         s * (_kron(e0, e1) - _kron(e1, e0)),
     ]
-    return KrausChannel("bell", (2, 2), 4, tuple(_proj(v) for v in states))
+    return KrausChannel("bell", (2, 2), 4, [_proj(v) for v in states])
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,12 @@ def rotated_domino_states(params: RotatedDominoParams) -> list[np.ndarray]:
 def rotated_domino_channel(params: RotatedDominoParams) -> KrausChannel:
     """Two-qutrit channel projecting onto the nine rotated domino states."""
     states = rotated_domino_states(params)
-    return KrausChannel("rotated-domino", (3, 3), 9, tuple(_proj(v) for v in states))
+    return KrausChannel("rotated-domino", (3, 3), 9, [_proj(v) for v in states])
 
 
 def domino_channel() -> KrausChannel:
     """The fully rotated (theta = pi/4 everywhere) domino channel."""
-    channel = rotated_domino_channel(RotatedDominoParams((QUARTER_PI,) * 4))
-    return KrausChannel("domino", channel.input_dims, channel.output_dim, channel.kraus)
+    return replace(rotated_domino_channel(RotatedDominoParams((QUARTER_PI,) * 4)), name="domino")
 
 
 def _haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,8 +138,7 @@ def random_unitary_channel(dims, n_u: int, rng: np.random.Generator) -> KrausCha
     if n_u < 1:
         raise ValueError("need at least one unitary")
     total = math.prod(dims)
-    scale = 1.0 / np.sqrt(n_u)
-    kraus = tuple(scale * _haar_unitaries(total, n_u, rng))
+    kraus = _haar_unitaries(total, n_u, rng) * (1.0 / np.sqrt(n_u))
     return KrausChannel("random-unitary", dims, total, kraus)
 
 
@@ -254,9 +252,9 @@ def usd_channel(p: UsdParams, *, allow_alpha3_zero: bool = False) -> KrausChanne
         _kron(mu5 * e0 + nu5 * e1, e0),
     ]
     weights = [p1, p1, p3, 1.0, 1.0]
-    kraus = tuple(
+    kraus = [
         np.sqrt(w) * np.outer(_ket(n, 5), v.conj()) for n, (w, v) in enumerate(zip(weights, psi))
-    )
+    ]
     return KrausChannel("usd", (2, 2), 5, kraus)
 
 

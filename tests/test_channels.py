@@ -47,6 +47,27 @@ def test_channel_construction_validates_shapes():
     ops[1][0, 0] = np.inf
     with pytest.raises(ValueError, match="^Kraus operator 1 has non-finite entries$"):
         KrausChannel("bad", (2, 2), 4, tuple(ops))
+    with pytest.raises(ValueError, match="^channel needs at least one Kraus operator$"):
+        KrausChannel("bad", (2, 2), 4, np.zeros((0, 4, 4)))
+    with pytest.raises(ValueError, match=r"^Kraus operator 1 has shape \(3, 3\), expected \(4, 4\)$"):
+        KrausChannel("bad", (2, 2), 4, [np.eye(4), np.eye(3)])
+
+
+def test_channel_holds_a_read_only_copy_of_its_operators():
+    # complex input, which np.asarray would share rather than copy
+    ops = np.eye(4, dtype=complex)[None].repeat(2, axis=0) / np.sqrt(2)
+    channel = KrausChannel("identity", (2, 2), 4, ops)
+    ops[0] *= 3.0
+    assert check_completeness(channel) < 1e-15
+    assert isinstance(channel.kraus, np.ndarray)
+    assert channel.kraus.shape == (2, 4, 4) and channel.kraus.dtype == complex
+    assert not np.shares_memory(channel.kraus, ops)
+    with pytest.raises(ValueError):
+        channel.kraus[0, 0, 0] = 5.0
+    # a list of real operators is stacked into the same complex layout
+    listed = KrausChannel("identity", (2, 2), 4, [np.eye(4)])
+    assert listed.kraus.shape == (1, 4, 4) and listed.kraus.dtype == complex
+    assert not listed.kraus.flags.writeable
 
 
 def test_completeness_identity_and_bell(bell):
@@ -200,7 +221,7 @@ def test_kraus_rank_matches_choi_rank_on_padded_remixes(bell, zoo_channels):
     # duplicated Kraus operators make the list longer than the rank
     doubled = KrausChannel(
         "doubled-bell", bell.input_dims, bell.output_dim,
-        tuple(k / np.sqrt(2) for k in bell.kraus * 2),
+        tuple(k / np.sqrt(2) for k in [*bell.kraus] * 2),
     )
     rng = np.random.default_rng(12)
     for channel in [*zoo_channels, doubled]:

@@ -1,16 +1,30 @@
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loccgate
-from loccgate import RotatedDominoParams, bell_channel, rotated_domino_channel
+from loccgate import (
+    RotatedDominoParams,
+    bell_channel,
+    domino_three_round_protocol,
+    rotated_domino_channel,
+    usd_oneway_protocol,
+)
 from loccgate.cli import main
-from loccgate.serialize import channel_to_dict, save_channel
+from loccgate.serialize import channel_to_dict, protocol_to_dict, save_channel
 
 
 def run(capsys, argv):
@@ -77,6 +91,31 @@ def test_check_completeness_failure(capsys, tmp_path):
     code, _, err = run(capsys, ["check", "--channel", str(path)])
     assert code == 4
     assert "completeness failure" in err
+
+
+def overflowing_channel():
+    # K^dag K overflows to inf - inf, so the completeness residual is nan
+    from loccgate import KrausChannel
+
+    k = np.eye(4, dtype=complex)
+    k[:2, :2] = 1e155 * np.array([[1, 1], [1, -1]])
+    return KrausChannel("overflow", (2, 2), 4, [k])
+
+
+def test_check_nan_completeness_residual_fails_without_warning(capsys, tmp_path, recwarn):
+    from loccgate import check_completeness, gate_channel
+
+    channel = overflowing_channel()
+    assert np.isnan(check_completeness(channel))
+    path = tmp_path / "overflow.json"
+    save_channel(channel, path)
+    code, out, err = run(capsys, ["check", "--channel", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err == "error: completeness failure: residual nan is not within 1e-06\n"
+    assert len(recwarn) == 0
+    with pytest.raises(ValueError, match="completeness residual nan"):
+        gate_channel(channel)
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +422,172 @@ def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zoo", "usd", "--alpha1=1e-300"],  # squaring 1/alpha1 overflows
+        ["zoo", "usd", "--alpha1=0.3", "--alpha3=0.5,1e308"],
+        ["protocol", "usd-oneway", "--alpha1=1e155"],
+    ],
+)
+def test_out_of_range_amplitudes_exit_2_without_warning(capsys, tmp_path, recwarn, argv):
+    code, _, err = run(capsys, [*argv, f"--out={tmp_path / 'out.json'}"])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert len(recwarn) == 0
+    assert not (tmp_path / "out.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every run ends in a documented exit code, with no exception or warning
+
+_DIR = "@DIR@"  # stands for the example's own temporary directory
+
+_numbers = st.sampled_from([0, 1, -1, 0.25, 2, 1e-300, 1e155, 1e308, math.nan, math.inf]) | (
+    st.floats(-3, 3)
+)
+_arg_text = st.lists(_numbers, max_size=4).map(lambda xs: ",".join(map(str, xs))) | st.text(
+    st.characters(codec="ascii", exclude_categories=["Cc"]), max_size=5
+)
+_malformed_json = st.sampled_from(["", "{", "[]", "null", '{"name": 1}', "[" * 3000])
+_small_ints = st.lists(st.integers(-1, 3), max_size=3)
+_out = st.sampled_from([f"{_DIR}/out", f"{_DIR}/missing/out"])
+
+_CHANNEL_DOCS = [
+    channel_to_dict(bell_channel()),
+    channel_to_dict(rotated_domino_channel(RotatedDominoParams((0.0, 0.3, 0.5, 0.7)))),
+]
+_PROTOCOL_DOCS = [
+    protocol_to_dict(domino_three_round_protocol(0.3, 0.5, 0.7)),
+    protocol_to_dict(usd_oneway_protocol(0.4, math.sqrt(0.84))),
+]
+
+
+def _matrix(draw, rows: int, cols: int) -> list:
+    return [[[draw(_numbers), draw(_numbers)] for _ in range(cols)] for _ in range(rows)]
+
+
+def _options(draw, strategies: dict) -> list[str]:
+    """A few of the given options, each as one ``--flag=value`` argument."""
+    flags = draw(st.lists(st.sampled_from(sorted(strategies)), unique=True, max_size=4))
+    return [f"{flag}={draw(strategies[flag])}" for flag in flags]
+
+
+@st.composite
+def _channel_text(draw) -> str:
+    kind = draw(st.sampled_from(["zoo", "random", "malformed"]))
+    if kind == "malformed":
+        return draw(_malformed_json)
+    if kind == "zoo":  # one Kraus operator rescaled, sometimes
+        doc = copy.deepcopy(draw(st.sampled_from(_CHANNEL_DOCS)))
+        scale = draw(st.just(1.0) | _numbers)
+        doc["kraus"][0] = [[[scale * re, scale * im] for re, im in row] for row in doc["kraus"][0]]
+    else:
+        dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        out = draw(st.integers(0, 3))
+        n = draw(st.integers(1, 2))
+        kraus = [_matrix(draw, max(out, 1), max(math.prod(dims), 1)) for _ in range(n)]
+        doc = {"name": "fuzz", "input_dims": dims, "output_dim": out, "kraus": kraus}
+    return json.dumps(doc)
+
+
+@st.composite
+def _protocol_text(draw) -> str:
+    kind = draw(st.sampled_from(["builtin", "random-root", "malformed"]))
+    if kind == "malformed":
+        return draw(_malformed_json)
+    doc = copy.deepcopy(draw(st.sampled_from(_PROTOCOL_DOCS)))
+    if kind == "random-root":  # one measurement, by a party past the last one sometimes
+        dims = doc["initial_dims"]
+        party = draw(st.integers(0, len(dims)))
+        local = dims[party] if party < len(dims) else 1
+        ops = [_matrix(draw, draw(st.integers(1, 3)), local) for _ in range(draw(st.integers(1, 2)))]
+        doc["root"] = {"party": party, "branches": [{"op": op, "child": None} for op in ops]}
+    return json.dumps(doc)
+
+
+@st.composite
+def _sweep_config_text(draw) -> str:
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_malformed_json)
+    doc = {
+        "family": draw(st.sampled_from(["rotated_domino", "random_unitary", "usd", "bogus"])),
+        "samples": draw(st.integers(-1, 2)),
+        "seed": draw(st.integers(-1, 3)),
+    }
+    optional = {
+        "dims": _small_ints,
+        "nu_values": st.lists(st.integers(-1, 6), max_size=3),
+        "rel_tol": _numbers,
+        "theta_high": _numbers,
+        "eta1": _numbers,
+        "eta3": _numbers,
+        "unknown": st.just(1),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=4)):
+        doc[key] = draw(optional[key])
+    if draw(st.integers(0, 5)) == 0:
+        del doc[draw(st.sampled_from(["family", "samples", "seed"]))]
+    return json.dumps(doc)
+
+
+def _maybe(draw, name: str, text) -> dict:
+    """The file ``name`` with generated contents, or no file at all."""
+    return {} if draw(st.integers(0, 9)) == 0 else {name: draw(text)}
+
+
+@st.composite
+def _cli_runs(draw) -> tuple[list[str], dict]:
+    """One CLI invocation: its argv and the files it reads, by name."""
+    command = draw(st.sampled_from(["check", "zoo", "protocol", "sweep", "verify-protocol"]))
+    channel, protocol = f"--channel={_DIR}/channel.json", f"--protocol={_DIR}/protocol.json"
+    if command == "check":
+        argv = ["check", channel, *_options(draw, {"--tol": _arg_text})]
+        return argv, _maybe(draw, "channel.json", _channel_text())
+    if command == "verify-protocol":
+        argv = ["verify-protocol", protocol, channel, *_options(draw, {"--tol": _arg_text})]
+        files = _maybe(draw, "channel.json", _channel_text())
+        return argv, {**files, **_maybe(draw, "protocol.json", _protocol_text())}
+    if command == "sweep":
+        argv = ["sweep", f"--config={_DIR}/config.json", f"--out={draw(_out)}"]
+        return argv, _maybe(draw, "config.json", _sweep_config_text())
+    if command == "protocol":
+        name = draw(st.sampled_from(["domino-three-round", "usd-oneway", "unknown"]))
+        options = {"--theta": _arg_text, "--alpha1": _arg_text}
+        return ["protocol", name, f"--out={draw(_out)}", *_options(draw, options)], {}
+    families = ["bell", "domino", "rotated-domino", "random-unitary", "usd", "unknown"]
+    options = {
+        "--theta": _arg_text,
+        "--dims": _small_ints.map(lambda ds: ",".join(map(str, ds))),
+        "--nu": st.integers(-1, 6).map(str),
+        "--seed": st.integers(-1, 3).map(str),
+        "--alpha1": _arg_text,
+        "--alpha3": _arg_text,
+        "--eta1": _arg_text,
+        "--eta3": _arg_text,
+    }
+    argv = ["zoo", draw(st.sampled_from(families)), f"--out={draw(_out)}"]
+    return [*argv, *_options(draw, options)], {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cli_runs())
+def test_cli_exits_with_a_documented_code_and_no_warning(run_spec):
+    argv, files = run_spec
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        argv = [arg.replace(_DIR, tmp) for arg in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejected the arguments
+                    code = exc.code
+    assert code in range(5), stderr.getvalue()
+    assert [str(w.message) for w in caught] == []

@@ -3,6 +3,7 @@ import pytest
 
 from loccgate import (
     KrausChannel,
+    VERDICT_DEGENERATE_IDENTITY_SPAN,
     VERDICT_DEGENERATE_KRAUS_RANK_ONE,
     VERDICT_FIRST_MOVE_CANDIDATES,
     VERDICT_NOT_LOCC,
@@ -243,6 +244,38 @@ def test_gate_channel_identity_degenerate():
     verdict = gate_channel(identity_channel())
     assert verdict.verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE
     assert verdict.local is True
+
+
+def flagged_channel(name, ops_and_weights) -> KrausChannel:
+    """Two-qubit channel applying op_k with probability w_k and recording k in a flag."""
+    flags = len(ops_and_weights)
+    kraus = []
+    for k, (op, weight) in enumerate(ops_and_weights):
+        stacked = np.zeros((4 * flags, 4), dtype=complex)
+        stacked[4 * k : 4 * k + 4] = np.sqrt(weight) * op
+        kraus.append(stacked)
+    return KrausChannel(name, (2, 2), 4 * flags, kraus)
+
+
+CNOT = np.eye(4)[[0, 1, 3, 2]]
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        # Alice appends a biased coin: a local operation
+        flagged_channel("coin", [(np.eye(4), 0.3), (np.eye(4), 0.7)]),
+        # a CNOT heralded half the time: not LOCC, yet its products are the same
+        flagged_channel("heralded-cnot", [(CNOT, 0.5), (np.eye(4), 0.5)]),
+    ],
+    ids=lambda c: c.name,
+)
+def test_gate_channel_products_spanning_only_the_identity_prove_nothing(channel):
+    verdict = gate_channel(channel)
+    assert verdict.verdict == VERDICT_DEGENERATE_IDENTITY_SPAN
+    assert [(r.pair_count, r.nullspace_dim) for r in verdict.reports] == [(1, 0), (1, 0)]
+    assert verdict.lambda_hat == 1.0
+    assert "local" not in verdict.to_dict() and "candidates" not in verdict.to_dict()
 
 
 def test_gate_channel_dephasing_candidates(dephasing):

@@ -73,6 +73,17 @@ def test_validate_reports_incomplete_node():
         protocol_to_channel(lossy)
 
 
+def test_validate_rejects_overflowing_node_behind_a_complete_one():
+    # the cross terms of a^2 and -a^2 overflow to inf - inf: a nan residual
+    a = 1e200
+    child = ProtocolNode(1, [(np.array([[a, a]]), None), (np.array([[a, -a]]), None)])
+    tree = ProtocolTree(2, (2, 2), ProtocolNode(0, [(np.eye(2), child)]))
+    residuals = validate_protocol(tree)
+    assert residuals[0] == 0.0 and np.isnan(residuals[1])
+    with pytest.raises(ValueError, match="not complete measurements"):
+        protocol_to_channel(tree)
+
+
 # ---------------------------------------------------------------------------
 # compilation
 
@@ -202,6 +213,12 @@ def test_verify_distinct_channels_not_ok():
     ok, dist = verify_protocol(donothing_tree(), bell_channel())
     assert not ok
     assert dist > 0.1
+
+
+def test_verify_against_an_overflowing_target_is_a_mismatch():
+    target = KrausChannel("huge", (2, 2), 4, [1e200 * np.eye(4)])
+    ok, dist = verify_protocol(donothing_tree(), target)
+    assert not ok and not np.isfinite(dist)
 
 
 def test_verify_dimension_mismatch_raises():

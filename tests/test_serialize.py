@@ -14,6 +14,7 @@ from loccgate import (
     domino_three_round_protocol,
 )
 from loccgate.serialize import (
+    MAX_PROTOCOL_DEPTH,
     DimensionError,
     SchemaError,
     channel_from_dict,
@@ -133,6 +134,30 @@ def test_protocol_from_dict_rejections():
     no_branches = dict(doc, root={"party": 0, "branches": []})
     with pytest.raises(SchemaError):
         protocol_from_dict(no_branches)
+
+
+def _chain_protocol_doc(depth: int) -> dict:
+    """A protocol whose tree is one chain of ``depth`` trivial measurements by party 0."""
+    node = None
+    for _ in range(depth):
+        node = {"party": 0, "branches": [{"op": matrix_to_json(np.eye(2)), "child": node}]}
+    return {"parties": 2, "initial_dims": [2, 2], "root": node}
+
+
+def test_protocol_depth_is_capped(tmp_path):
+    from loccgate import communication_rounds, protocol_to_channel, validate_protocol
+
+    path = tmp_path / "at-cap.json"
+    path.write_text(json.dumps(_chain_protocol_doc(MAX_PROTOCOL_DEPTH)))
+    tree = load_protocol(path)
+    assert communication_rounds(tree) == MAX_PROTOCOL_DEPTH - 1
+    assert validate_protocol(tree) == [0.0] * MAX_PROTOCOL_DEPTH
+    assert np.array_equal(protocol_to_channel(tree).kraus, np.eye(4)[None])
+    with pytest.raises(SchemaError, match=f"deeper than {MAX_PROTOCOL_DEPTH} levels"):
+        protocol_from_dict(_chain_protocol_doc(MAX_PROTOCOL_DEPTH + 1))
+    # far past the cap it is the same error, not an exhausted interpreter stack
+    with pytest.raises(SchemaError, match="deeper than"):
+        protocol_from_dict(_chain_protocol_doc(3000))
 
 
 # ---------------------------------------------------------------------------
