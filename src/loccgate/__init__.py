@@ -28,7 +28,6 @@ from .gate import (
     VERDICT_FIRST_MOVE_CANDIDATES,
     VERDICT_NOT_LOCC,
     gate_channel,
-    gate_party,
     identity_vector,
     pair_products,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "VERDICT_FIRST_MOVE_CANDIDATES",
     "VERDICT_NOT_LOCC",
     "gate_channel",
-    "gate_party",
     "identity_vector",
     "pair_products",
     "IndependentSubset",

@@ -7,6 +7,11 @@ A channel keeps its Kraus operators as one read-only complex (N, d_out, D)
 array copied at construction, so it is immutable, and all operations are pure:
 concurrent use is safe.  Kraus operators may be rectangular (d_out != D);
 density matrices and operators are plain numpy arrays.
+
+The three failure classes every layer raises are defined here, the lowest
+layer that raises them: ``SchemaError`` for malformed input, its subclass
+``DimensionError`` for input whose dimensions are inconsistent, and
+``CompletenessError`` for a channel or measurement that is not complete.
 """
 
 from __future__ import annotations
@@ -28,6 +33,18 @@ CHOI_DISTANCE_TOL = 1e-9
 # Rounding allowance when checking that an input is a state, an isometry or a
 # complete measurement.
 VALIDATION_TOL = 1e-10
+
+
+class SchemaError(ValueError):
+    """Input does not match the expected schema."""
+
+
+class DimensionError(SchemaError):
+    """Input parses but its dimensions are inconsistent."""
+
+
+class CompletenessError(ValueError):
+    """A channel or a measurement does not resolve the identity."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +75,7 @@ class KrausChannel:
         expected = (self.output_dim, math.prod(dims))
         for idx, k in enumerate(self.kraus):
             if (shape := np.shape(k)) != expected:
-                raise ValueError(f"Kraus operator {idx} has shape {shape}, expected {expected}")
+                raise DimensionError(f"Kraus operator {idx} has shape {shape}, expected {expected}")
         ops = np.array(self.kraus, dtype=complex)
         finite = np.isfinite(ops).all(axis=(1, 2))
         if not finite.all():
@@ -153,7 +170,7 @@ def channels_equal(
     if not valid_choi_tol(tol):
         raise ValueError(f"Choi distance tolerance must be finite and >= 0, got {tol!r}")
     if a.dim != b.dim or a.output_dim != b.output_dim:
-        raise ValueError(
+        raise DimensionError(
             f"dimension mismatch: {a.dim}->{a.output_dim} vs {b.dim}->{b.output_dim}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as an inf or nan distance

@@ -3,9 +3,11 @@ and verify protocol trees against target channels.
 
 All commands are deterministic given their arguments; random families take an
 explicit --seed.  Exit codes: 0 success (for verify-protocol: channels match),
-1 verification mismatch, 2 parse failure (an out-of-range --tol included) or
-an output that cannot be written, 3 dimension inconsistency, 4 completeness
-failure.
+1 verification mismatch.  A failure raises its class where it is found, and
+``main`` alone maps the class to the code: 3 for a ``DimensionError``
+(dimension inconsistency), 4 for a ``CompletenessError`` (completeness
+failure), 2 for any other ``ValueError`` (parse failure, an out-of-range --tol
+included) and for an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,17 +19,15 @@ import sys
 
 import numpy as np
 
-from .gate import (
-    COMPLETENESS_TOL,
-    COMPLETENESS_WARN_TOL,
-    DEFAULT_NULLSPACE_RTOL,
-    IdentityOutsideSpanError,
-    gate_channel,
-    valid_rel_tol,
-)
-from .channels import CHOI_DISTANCE_TOL, check_completeness, valid_choi_tol
-from .serialize import (
+from .gate import COMPLETENESS_WARN_TOL, DEFAULT_NULLSPACE_RTOL, gate_channel, valid_rel_tol
+from .channels import (
+    CHOI_DISTANCE_TOL,
+    CompletenessError,
     DimensionError,
+    check_completeness,
+    valid_choi_tol,
+)
+from .serialize import (
     SchemaError,
     _load_json,
     load_channel,
@@ -65,15 +65,8 @@ sweep CSV columns (fixed order):
 """
 
 
-def _err(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
-
-
 def _floats(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise SchemaError(f"expected comma-separated numbers, got {text!r}") from exc
+    return [float(x) for x in text.split(",") if x.strip() != ""]  # its ValueError names the token
 
 
 def _ints(text: str) -> list[int]:
@@ -103,38 +96,11 @@ def _amplitude_arg(text: str) -> complex:
     return complex(*parts)
 
 
-def _write_output(path, write) -> int:
-    """Run ``write(path)``; an unwritable path exits 2, like an unreadable input."""
-    try:
-        write(path)
-    except OSError as exc:
-        _err(f"cannot write {path}: {exc.strerror or exc}")
-        return EXIT_PARSE
-    return EXIT_OK
-
-
 def cmd_check(args) -> int:
-    try:
-        channel = load_channel(args.channel)
-    except DimensionError as exc:
-        _err(f"dimension inconsistency: {exc}")
-        return EXIT_DIMENSION
-    except SchemaError as exc:
-        _err(f"parse failure: {exc}")
-        return EXIT_PARSE
-    if channel.n_parties < 2:
-        _err(f"dimension inconsistency: the gate needs at least 2 parties, got {channel.n_parties}")
-        return EXIT_DIMENSION
-    residual = check_completeness(channel)
-    if not residual <= COMPLETENESS_TOL:
-        _err(f"completeness failure: residual {residual:.3e} is not within {COMPLETENESS_TOL:g}")
-        return EXIT_COMPLETENESS
-    try:
-        verdict = gate_channel(channel, rel_tol=args.tol)
-    except IdentityOutsideSpanError as exc:  # a defect below the ceiling, off the span
-        _err(f"completeness failure: residual {residual:.3e}, {exc}")
-        return EXIT_COMPLETENESS
-    if not residual <= COMPLETENESS_WARN_TOL:
+    channel = load_channel(args.channel)
+    verdict = gate_channel(channel, rel_tol=args.tol)
+    residual = check_completeness(channel)  # the gate has held it within COMPLETENESS_TOL
+    if residual > COMPLETENESS_WARN_TOL:
         print(
             f"warning: completeness residual {residual:.3e} above {COMPLETENESS_WARN_TOL:g}",
             file=sys.stderr,
@@ -160,85 +126,51 @@ def _build_zoo_channel(args):
             raise SchemaError("random-unitary needs --dims and --nu")
         rng = np.random.default_rng(args.seed)
         return random_unitary_channel(tuple(_ints(args.dims)), args.nu, rng)
-    if args.name == "usd":
-        if args.alpha1 is not None:
-            a1 = _amplitude_arg(args.alpha1)
-            a3 = _amplitude_arg(args.alpha3) if args.alpha3 is not None else complex(0.5)
-            params = UsdParams(
-                alpha1=a1,
-                beta1=math.sqrt(max(1.0 - abs(a1) ** 2, 0.0)),
-                alpha3=a3,
-                beta3=math.sqrt(max(1.0 - abs(a3) ** 2, 0.0)),
-                eta1=args.eta1,
-                eta3=args.eta3,
-            )
-        else:
-            rng = np.random.default_rng(args.seed)
-            params = sample_usd_params(rng, args.eta1, args.eta3)
-        return usd_channel(params)
-    raise SchemaError(f"unknown family {args.name!r}")
+    # usd, the last name argparse admits
+    if args.alpha1 is not None:
+        a1 = _amplitude_arg(args.alpha1)
+        a3 = _amplitude_arg(args.alpha3) if args.alpha3 is not None else complex(0.5)
+        params = UsdParams(
+            alpha1=a1,
+            beta1=math.sqrt(max(1.0 - abs(a1) ** 2, 0.0)),
+            alpha3=a3,
+            beta3=math.sqrt(max(1.0 - abs(a3) ** 2, 0.0)),
+            eta1=args.eta1,
+            eta3=args.eta3,
+        )
+    else:
+        rng = np.random.default_rng(args.seed)
+        params = sample_usd_params(rng, args.eta1, args.eta3)
+    return usd_channel(params)
 
 
 def cmd_zoo(args) -> int:
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            channel = _build_zoo_channel(args)
-    except (SchemaError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    except FloatingPointError as exc:  # e.g. usd amplitudes too small to square
-        _err(f"parameters out of double-precision range: {exc}")
-        return EXIT_PARSE
-    return _write_output(args.out, lambda path: save_channel(channel, path))
+    save_channel(_build_zoo_channel(args), args.out)
+    return EXIT_OK
 
 
 def cmd_protocol(args) -> int:
-    try:
-        if args.name == "domino-three-round":
-            angles = _floats(args.theta) if args.theta else [QUARTER_PI] * 3
-            if len(angles) != 3:
-                raise SchemaError("--theta needs exactly three angles (theta2,theta3,theta4)")
-            tree = domino_three_round_protocol(*angles)
-        elif args.name == "usd-oneway":
-            a1 = _amplitude_arg(args.alpha1) if args.alpha1 is not None else complex(0.4)
-            tree = usd_oneway_protocol(a1, math.sqrt(max(1.0 - abs(a1) ** 2, 0.0)))
-        else:
-            raise SchemaError(f"unknown protocol {args.name!r}")
-    except (SchemaError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    return _write_output(args.out, lambda path: save_protocol(tree, path))
+    if args.name == "domino-three-round":
+        angles = _floats(args.theta) if args.theta else [QUARTER_PI] * 3
+        if len(angles) != 3:
+            raise SchemaError("--theta needs exactly three angles (theta2,theta3,theta4)")
+        tree = domino_three_round_protocol(*angles)
+    else:  # usd-oneway, the only other name argparse admits
+        a1 = _amplitude_arg(args.alpha1) if args.alpha1 is not None else complex(0.4)
+        tree = usd_oneway_protocol(a1, math.sqrt(max(1.0 - abs(a1) ** 2, 0.0)))
+    save_protocol(tree, args.out)
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = SweepConfig.from_dict(_load_json(args.config))
-    except SchemaError as exc:
-        _err(f"parse failure: {exc}")
-        return EXIT_PARSE
-    try:
-        header, rows = run_sweep(cfg)
-    except ValueError as exc:  # a sampler that finds no valid instance
-        _err(f"parse failure: sweep config admits no samples: {exc}")
-        return EXIT_PARSE
-    return _write_output(args.out, lambda path: write_csv_atomic(path, header, rows))
+    header, rows = run_sweep(SweepConfig.from_dict(_load_json(args.config)))
+    write_csv_atomic(args.out, header, rows)
+    return EXIT_OK
 
 
 def cmd_verify_protocol(args) -> int:
-    try:
-        tree = load_protocol(args.protocol)
-        channel = load_channel(args.channel)
-    except DimensionError as exc:
-        _err(f"dimension inconsistency: {exc}")
-        return EXIT_DIMENSION
-    except SchemaError as exc:
-        _err(f"parse failure: {exc}")
-        return EXIT_PARSE
-    try:
-        ok, distance = verify_protocol(tree, channel, tol=args.tol)
-    except ValueError as exc:
-        _err(f"dimension inconsistency: {exc}")
-        return EXIT_DIMENSION
+    tree = load_protocol(args.protocol)
+    ok, distance = verify_protocol(tree, load_channel(args.channel), tol=args.tol)
     print(json.dumps({"ok": ok, "choi_distance": distance}, indent=2))
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -314,9 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one command; a failure prints its message and exits with its class's code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DimensionError as exc:
+        return _fail(EXIT_DIMENSION, f"dimension inconsistency: {exc}")
+    except CompletenessError as exc:
+        return _fail(EXIT_COMPLETENESS, f"completeness failure: {exc}")
+    except ValueError as exc:
+        return _fail(EXIT_PARSE, f"parse failure: {exc}")
+    except OSError as exc:  # inputs are read through _load_json, so this is a failed write
+        out = getattr(args, "out", "stdout")  # check and verify-protocol write only stdout
+        return _fail(EXIT_PARSE, f"cannot write {out}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

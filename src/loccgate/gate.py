@@ -41,6 +41,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channels import (
+    CompletenessError,
+    DimensionError,
     KrausChannel,
     check_completeness,
     kraus_rank,
@@ -71,10 +73,6 @@ IDENTITY_RESIDUAL_TOL = 1e-9
 def valid_rel_tol(rel_tol) -> bool:
     """A relative threshold must be finite and strictly between 0 and 1."""
     return 0.0 < rel_tol < 1.0  # false for nan and +-inf
-
-
-class IdentityOutsideSpanError(ValueError):
-    """The identity is not a combination of the selected pair products."""
 
 
 VERDICT_NOT_LOCC = "NOT_LOCC"
@@ -145,14 +143,14 @@ def identity_vector(subset: IndependentSubset) -> np.ndarray:
     With the selected products P = r^T basis, c solves r c = h for the
     identity's coordinates h = conj(basis) vec(I).  Completeness puts the
     identity in their span; a residual above IDENTITY_RESIDUAL_TOL (always
-    so for an empty S) signals a broken channel or a subset tolerance that
-    discarded too much.
+    so for an empty S) raises ``CompletenessError``: the channel is broken,
+    or the subset tolerance discarded too much.
     """
     target = np.eye(math.isqrt(subset.basis.shape[1]), dtype=complex).reshape(-1)
     h = np.conj(subset.basis @ target)  # target is real
     residual = float(np.linalg.norm(subset.basis.T @ h - target))
     if residual > IDENTITY_RESIDUAL_TOL:
-        raise IdentityOutsideSpanError(
+        raise CompletenessError(
             f"identity not in the span of selected pair products (residual {residual:.3e}); "
             "completeness or the subset tolerance is broken"
         )
@@ -185,19 +183,6 @@ def party_gram(selected: np.ndarray, gram: np.ndarray, dims, party: int) -> np.n
     return gram - reduced.conj() @ reduced.T / (before * after)
 
 
-def _checked_gram(channel: KrausChannel, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``channel_gram`` once the threshold and the channel's completeness pass."""
-    if not valid_rel_tol(rel_tol):
-        raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
-    residual = check_completeness(channel)
-    if not residual <= COMPLETENESS_TOL:
-        raise ValueError(
-            f"channel '{channel.name}' is not trace-preserving "
-            f"(completeness residual {residual:.3e})"
-        )
-    return channel_gram(channel)
-
-
 def _party_report(selected, gram, dims, party: int, rel_tol: float) -> PartyGateReport:
     nullity, eig_min, eig_max = nullspace_dimension(
         party_gram(selected, gram, dims, party), rel_tol
@@ -216,16 +201,6 @@ def _party_report(selected, gram, dims, party: int, rel_tol: float) -> PartyGate
     )
 
 
-def gate_party(
-    channel: KrausChannel, party: int, rel_tol: float = DEFAULT_NULLSPACE_RTOL
-) -> PartyGateReport:
-    """Augmented-Q diagnostics for one party: can it measure first at all?"""
-    if not 0 <= party < channel.n_parties:
-        raise ValueError(f"party index {party} out of range for {channel.n_parties} parties")
-    selected, gram = _checked_gram(channel, rel_tol)
-    return _party_report(selected, gram, channel.input_dims, party, rel_tol)
-
-
 def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> GateVerdict:
     """Run the gate for every party and classify the channel.
 
@@ -234,10 +209,21 @@ def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL)
     exactly when its lone (square) Kraus operator is a tensor product across
     every single-party cut.  Pair products that span only the identity make
     Q_aug the unit row c^dag, ratio 1 for any channel: DEGENERATE_IDENTITY_SPAN.
+
+    Raises ``DimensionError`` for fewer than 2 parties, ``CompletenessError`` for
+    a completeness residual above COMPLETENESS_TOL or the identity off the span.
     """
     if channel.n_parties < 2:
-        raise ValueError("channel must have at least 2 parties")
-    selected, gram = _checked_gram(channel, rel_tol)
+        raise DimensionError(f"the gate needs at least 2 parties, got {channel.n_parties}")
+    if not valid_rel_tol(rel_tol):
+        raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
+    residual = check_completeness(channel)
+    if not residual <= COMPLETENESS_TOL:
+        raise CompletenessError(
+            f"channel '{channel.name}' has completeness residual {residual:.3e}, "
+            f"not within {COMPLETENESS_TOL:g}"
+        )
+    selected, gram = channel_gram(channel)
     reports = tuple(
         _party_report(selected, gram, channel.input_dims, p, rel_tol)
         for p in range(channel.n_parties)

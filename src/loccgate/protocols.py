@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CHOI_DISTANCE_TOL, VALIDATION_TOL, KrausChannel, channels_equal
+from .channels import (
+    CHOI_DISTANCE_TOL,
+    VALIDATION_TOL,
+    CompletenessError,
+    DimensionError,
+    KrausChannel,
+    channels_equal,
+)
 from .zoo import AMPLITUDE_NORM_TOL, QUARTER_PI, _ket, _proj
 
 # Frobenius norm below which a compiled leaf operator is an unreachable branch.
@@ -51,7 +58,7 @@ def _node_ops(node: ProtocolNode, local_dim: int) -> list[np.ndarray]:
     ops = [np.asarray(op, dtype=complex) for op, _ in node.branches]
     for op in ops:
         if op.ndim != 2 or op.shape[1] != local_dim:
-            raise ValueError(
+            raise DimensionError(
                 f"operator of shape {op.shape} inconsistent with party "
                 f"{node.party} local dimension {local_dim}"
             )
@@ -62,14 +69,14 @@ def validate_protocol(tree: ProtocolTree) -> list[float]:
     """Per-node completeness residuals, preorder.
 
     Each node's operators must resolve the identity on the acting party's
-    current local dimension; structural inconsistencies raise instead of
-    being reported as residuals.
+    current local dimension; structural inconsistencies raise
+    ``DimensionError`` instead of being reported as residuals.
     """
     residuals: list[float] = []
 
     def walk(node: ProtocolNode, dims: list[int]) -> None:
         if not 0 <= node.party < tree.parties:
-            raise ValueError(f"party index {node.party} out of range")
+            raise DimensionError(f"party index {node.party} out of range")
         local_dim = dims[node.party]
         ops = _node_ops(node, local_dim)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
@@ -95,7 +102,7 @@ def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
     """
     residuals = np.array(validate_protocol(tree))
     if not (residuals <= VALIDATION_TOL).all():  # a nan residual fails too
-        raise ValueError(
+        raise CompletenessError(
             f"protocol nodes are not complete measurements (max residual {residuals.max():.3e})"
         )
     total_in = math.prod(tree.initial_dims)
@@ -118,7 +125,7 @@ def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
     walk(tree.root, list(tree.initial_dims), np.eye(total_in, dtype=complex))
     out_dims = {d for d, _ in leaves}
     if len(out_dims) != 1:
-        raise ValueError(f"inconsistent leaf output dimensions: {sorted(out_dims)}")
+        raise DimensionError(f"inconsistent leaf output dimensions: {sorted(out_dims)}")
     kraus = [acc for _, acc in leaves if float(np.linalg.norm(acc)) > ZERO_LEAF_TOL]
     if not kraus:
         raise ValueError("every leaf compiled to a zero operator")
@@ -151,7 +158,7 @@ def verify_protocol(
     if tree.output_isometry is not None:
         iso = np.asarray(tree.output_isometry, dtype=complex)
         if iso.ndim != 2 or iso.shape[1] != compiled.output_dim:
-            raise ValueError(
+            raise DimensionError(
                 f"dimension mismatch after isometry: isometry acts on {iso.shape[1] if iso.ndim == 2 else '?'}, "
                 f"protocol outputs {compiled.output_dim}"
             )

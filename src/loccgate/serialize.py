@@ -3,7 +3,8 @@
 Matrices are stored as arrays of rows with each entry a ``[re, im]`` pair.
 Parsers reject inconsistent shapes and non-finite numbers; ``SchemaError``
 flags malformed documents, its subclass ``DimensionError`` flags documents
-that parse but are dimensionally inconsistent.
+that parse but are dimensionally inconsistent.  Both are defined in
+``channels`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -14,20 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import DimensionError, KrausChannel, SchemaError
 from .protocols import ProtocolNode, ProtocolTree
-
 
 # Most measurement layers a protocol document may nest, far below the stack limit.
 MAX_PROTOCOL_DEPTH = 100
-
-
-class SchemaError(ValueError):
-    """Document does not match the expected schema."""
-
-
-class DimensionError(SchemaError):
-    """Document parses but its dimensions are inconsistent."""
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -99,10 +91,7 @@ def channel_from_dict(doc: dict) -> KrausChannel:
     if not isinstance(kraus_raw, list) or not kraus_raw:
         raise SchemaError("'kraus' must be a nonempty array of matrices")
     kraus = [matrix_from_json(k, where=f"kraus[{i}]") for i, k in enumerate(kraus_raw)]
-    try:
-        return KrausChannel(name, dims, output_dim, kraus)
-    except ValueError as exc:
-        raise DimensionError(str(exc)) from exc
+    return KrausChannel(name, dims, output_dim, kraus)  # a shape mismatch is a DimensionError
 
 
 def _load_json(path) -> dict:

@@ -49,6 +49,8 @@ class SweepConfig:
             raise SchemaError(f"unknown sweep family {self.family!r}; expected one of {FAMILIES}")
         if self.samples < 1:
             raise SchemaError("samples must be at least 1")
+        if self.seed < 0:
+            raise SchemaError(f"seed must be nonnegative, got {self.seed}")
         if not valid_rel_tol(self.rel_tol):
             raise SchemaError(f"rel_tol must be a finite number in (0, 1), got {self.rel_tol!r}")
         if not 0.0 < self.theta_high <= math.pi / 4.0:

@@ -231,8 +231,14 @@ def usd_channel(p: UsdParams, *, allow_alpha3_zero: bool = False) -> KrausChanne
     a1, b1, a3, b3 = p.alpha1, p.beta1, p.alpha3, p.beta3
     e0, e1 = _ket(0, 2), _ket(1, 2)
 
-    q = np.sqrt(abs(b3) ** 2 + abs(a3 * b1) ** 2) / (2.0 * np.conj(a1) * np.conj(b1) * np.conj(b3))
-    p1 = 1.0 / (2.0 * abs(q * b1) ** 2)
+    try:  # a tiny alpha1 overflows q, or its square in p1
+        with np.errstate(all="raise", under="ignore"):
+            q = np.sqrt(abs(b3) ** 2 + abs(a3 * b1) ** 2) / (
+                2.0 * np.conj(a1) * np.conj(b1) * np.conj(b3)
+            )
+            p1 = 1.0 / (2.0 * abs(q * b1) ** 2)
+    except FloatingPointError as exc:
+        raise ValueError(f"|alpha1| = {abs(a1):g} is too small: {exc}") from exc
     p3 = abs(b3) ** 2 * (1.0 - abs(a1 / b1) ** 2) / (1.0 - abs(a1 * b3 / b1) ** 2)
     radicand = 1.0 - abs(a1 / b1) ** 2 - abs(a3 / b3) ** 2 * p3
     if radicand < 0.0:

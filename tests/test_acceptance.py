@@ -22,7 +22,6 @@ from loccgate import (
     check_completeness,
     domino_channel,
     domino_three_round_protocol,
-    gate_party,
     gate_channel,
     haar_unitary,
     random_unitary_channel,
@@ -256,11 +255,11 @@ def test_criterion_09_invariance_suite():
         usd_channel(sample_usd_params(np.random.default_rng(92))),
     ]
     for channel in zoo:
-        baseline = [gate_party(channel, p).nullspace_dim for p in range(channel.n_parties)]
+        baseline = [r.nullspace_dim for r in gate_channel(channel).reports]
         for i in range(10):
             size = channel.n_kraus + (2 if i % 2 else 0)  # every other remix zero-pads
             remixed = remix_kraus(channel, haar_unitary(size, rng))
-            dims = [gate_party(remixed, p).nullspace_dim for p in range(channel.n_parties)]
+            dims = [r.nullspace_dim for r in gate_channel(remixed).reports]
             crit.check(
                 dims == baseline,
                 f"{channel.name}: remix {i} changed nullspace dims {baseline} -> {dims}",

@@ -112,7 +112,10 @@ def test_check_nan_completeness_residual_fails_without_warning(capsys, tmp_path,
     code, out, err = run(capsys, ["check", "--channel", str(path)])
     assert code == 4
     assert out == ""
-    assert err == "error: completeness failure: residual nan is not within 1e-06\n"
+    assert err == (
+        "error: completeness failure: channel 'overflow' has completeness residual nan, "
+        "not within 1e-06\n"
+    )
     assert len(recwarn) == 0
     with pytest.raises(ValueError, match="completeness residual nan"):
         gate_channel(channel)
@@ -377,6 +380,16 @@ def _deep_protocol(tmp_path):
     return ["verify-protocol", "--protocol", str(path), "--channel", str(path)]
 
 
+def _domino_protocol(tmp_path, edit_root):
+    # the three-round domino protocol, its root edited, against the channel it implements
+    doc = protocol_to_dict(domino_three_round_protocol(0.3, 0.5, 0.7))
+    edit_root(doc["root"])
+    proto, target = tmp_path / "protocol.json", tmp_path / "target.json"
+    proto.write_text(json.dumps(doc))
+    save_channel(rotated_domino_channel(RotatedDominoParams((0.0, 0.3, 0.5, 0.7))), target)
+    return ["verify-protocol", "--protocol", str(proto), "--channel", str(target)]
+
+
 def _deep_sweep_config(tmp_path):
     path = tmp_path / "deep.json"
     depth = 3000
@@ -400,6 +413,9 @@ def _deep_sweep_config(tmp_path):
         (lambda tmp_path: _sweep(tmp_path, out="missing/o.csv"), 2),
         (lambda tmp_path: _random_unitary_zoo(tmp_path, "inf,2"), 2),
         (lambda tmp_path: _random_unitary_zoo(tmp_path, "2.7,2"), 2),
+        (lambda tmp_path: _domino_protocol(tmp_path, lambda root: root["branches"].pop()), 4),
+        (lambda tmp_path: _domino_protocol(tmp_path, lambda root: root.update(party=2)), 3),
+        (lambda tmp_path: _sweep(tmp_path, seed=-1), 2),
     ],
     ids=[
         "one-party-check",
@@ -415,6 +431,9 @@ def _deep_sweep_config(tmp_path):
         "sweep-out-in-missing-dir",
         "zoo-infinite-dims",
         "zoo-fractional-dims",
+        "verify-incomplete-protocol",
+        "verify-party-out-of-range",
+        "sweep-negative-seed",
     ],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):

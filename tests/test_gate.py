@@ -8,7 +8,6 @@ from loccgate import (
     VERDICT_FIRST_MOVE_CANDIDATES,
     VERDICT_NOT_LOCC,
     gate_channel,
-    gate_party,
     haar_unitary,
     identity_vector,
     pair_products,
@@ -16,7 +15,8 @@ from loccgate import (
     remix_kraus,
     select_independent_subset,
 )
-from loccgate.gate import IdentityOutsideSpanError, channel_gram, party_gram, valid_rel_tol
+from loccgate.channels import CompletenessError, DimensionError
+from loccgate.gate import channel_gram, party_gram, valid_rel_tol
 from loccgate.linalg import nullspace_dimension
 from oracle import (
     augmented_q,
@@ -145,7 +145,7 @@ def test_identity_vector_rejects_identity_outside_span():
     e0 = np.diag([1.0, 0.0]).astype(complex)
     products = [e0, 2 * e0]
     subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    with pytest.raises(IdentityOutsideSpanError, match="not in the span"):
+    with pytest.raises(CompletenessError, match="not in the span"):
         identity_vector(subset)
 
 
@@ -168,7 +168,7 @@ def test_identity_vector_matches_normal_equations():
 
 def test_gate_party_bell(bell):
     for party in (0, 1):
-        report = gate_party(bell, party)
+        report = gate_channel(bell).reports[party]
         assert report.nullspace_dim == 0
         assert not report.can_measure_first
         assert abs(report.ratio - 1.0) < 1e-9
@@ -177,10 +177,10 @@ def test_gate_party_bell(bell):
 
 
 def test_gate_party_dephasing(dephasing):
-    alice = gate_party(dephasing, 0)
+    alice = gate_channel(dephasing).reports[0]
     assert alice.nullspace_dim == 1
     assert alice.can_measure_first
-    bob = gate_party(dephasing, 1)
+    bob = gate_channel(dephasing).reports[1]
     assert bob.nullspace_dim == 0
     assert not bob.can_measure_first
     # the nullspace direction for Alice is (1,-1)/sqrt(2)
@@ -191,7 +191,7 @@ def test_gate_party_dephasing(dephasing):
 
 def test_gate_party_identity_channel():
     for party in (0, 1):
-        report = gate_party(identity_channel(), party)
+        report = gate_channel(identity_channel()).reports[party]
         assert report.nullspace_dim == 0
         assert report.q_rows == 13
         assert report.pair_count == 1
@@ -200,23 +200,23 @@ def test_gate_party_identity_channel():
 def test_gate_party_rejects_incomplete_channel():
     broken = KrausChannel("broken", (2, 2), 4, (0.5 * np.eye(4),))
     with pytest.raises(ValueError):
-        gate_party(broken, 0)
+        gate_channel(broken).reports[0]
 
 
 def test_gate_party_trivial_rest_factor():
     # a party whose complement is one-dimensional leaves no unaugmented rows
     channel = KrausChannel("trivial-rest", (2, 1), 2, (np.eye(2, dtype=complex),))
-    report = gate_party(channel, 0)
+    report = gate_channel(channel).reports[0]
     assert report.q_rows == 1  # just the identity-coefficient row
     assert report.nullspace_dim == 0
-    other = gate_party(channel, 1)
+    other = gate_channel(channel).reports[1]
     assert other.q_rows == 1 * 3 + 1
 
 
 def test_ratio_within_unit_interval(zoo_channels):
     for channel in zoo_channels:
         for party in range(channel.n_parties):
-            report = gate_party(channel, party)
+            report = gate_channel(channel).reports[party]
             assert 0.0 <= report.ratio <= 1.0 + 1e-12
             assert report.nullspace_dim <= report.pair_count
             d_party = channel.input_dims[party]
@@ -286,7 +286,7 @@ def test_gate_channel_dephasing_candidates(dephasing):
 
 def test_gate_channel_needs_two_parties():
     single = KrausChannel("single", (4,), 4, (np.eye(4),))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError, match="at least 2 parties"):
         gate_channel(single)
 
 
@@ -296,14 +296,12 @@ def test_gate_rejects_rel_tol_outside_unit_interval(rotated_domino, tol):
     assert not valid_rel_tol(tol)
     with pytest.raises(ValueError, match="rel_tol"):
         gate_channel(rotated_domino, tol)
-    with pytest.raises(ValueError, match="rel_tol"):
-        gate_party(rotated_domino, 0, tol)
 
 
 def test_gate_accepts_rel_tol_inside_unit_interval(bell):
     for tol in (5e-324, 1e-13, 0.5, np.nextafter(1.0, 0.0)):
         assert valid_rel_tol(tol)
-        assert gate_channel(bell, tol).reports == tuple(gate_party(bell, p, tol) for p in (0, 1))
+        assert [r.party for r in gate_channel(bell, tol).reports] == [0, 1]
 
 
 def test_verdict_serializes(bell):
@@ -329,11 +327,11 @@ def test_verdict_serializes(bell):
 def test_remix_invariance_of_nullspace_dims(zoo_channels):
     rng = np.random.default_rng(20)
     for channel in zoo_channels:
-        baseline = [gate_party(channel, p).nullspace_dim for p in range(channel.n_parties)]
+        baseline = [r.nullspace_dim for r in gate_channel(channel).reports]
         for i in range(10):
             size = channel.n_kraus + (2 if i % 2 else 0)  # half the remixes pad
             remixed = remix_kraus(channel, haar_unitary(size, rng))
-            dims = [gate_party(remixed, p).nullspace_dim for p in range(channel.n_parties)]
+            dims = [r.nullspace_dim for r in gate_channel(remixed).reports]
             assert dims == baseline
 
 
@@ -358,7 +356,7 @@ def test_basis_recombination_invariance(bell, usd_instance):
             d_party = channel.input_dims[party]
             d_rest = channel.dim // d_party
             base = (operator_basis(d_party), operator_basis(d_rest))
-            report = gate_party(channel, party)
+            report = gate_channel(channel).reports[party]
             reference = gate_spectrum(channel, party)
             scale = max(report.eig_max, 1e-30)
             for _ in range(5):
@@ -386,7 +384,7 @@ def test_gate_matches_explicit_q_for_every_party(dims, nu):
     # factors on both sides; unequal dims make d_party != d_rest
     channel = random_unitary_channel(dims, nu, np.random.default_rng(23))
     for party in range(len(dims)):
-        report = gate_party(channel, party)
+        report = gate_channel(channel).reports[party]
         _, subset, nullity, eig_min, eig_max = gate_internals(channel, party)
         scale = max(eig_max, 1e-30)
         assert report.pair_count == len(subset.indices)
@@ -464,8 +462,8 @@ def test_global_phase_leaves_reports_unchanged(bell, usd_instance):
             tuple(1j * k for k in channel.kraus),
         )
         for party in range(2):
-            a = gate_party(channel, party)
-            b = gate_party(rephased, party)
+            a = gate_channel(channel).reports[party]
+            b = gate_channel(rephased).reports[party]
             assert a == b
         # a generic phase keeps integers exact and floats to rounding
         generic = KrausChannel(
@@ -473,8 +471,8 @@ def test_global_phase_leaves_reports_unchanged(bell, usd_instance):
             tuple(np.exp(0.7j) * k for k in channel.kraus),
         )
         for party in range(2):
-            a = gate_party(channel, party)
-            c = gate_party(generic, party)
+            a = gate_channel(channel).reports[party]
+            c = gate_channel(generic).reports[party]
             assert c.nullspace_dim == a.nullspace_dim
             assert c.pair_count == a.pair_count
             assert abs(c.ratio - a.ratio) < 1e-10

@@ -27,8 +27,8 @@ def test_config_from_dict_and_validation():
     with pytest.raises(SchemaError):
         SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, "eta1": 0.6})
     for field, value in (
-        ("samples", 1.0), ("seed", True), ("dims", ["a"]), ("dims", 2), ("nu_values", [False]),
-        ("rel_tol", "x"), ("theta_high", None), ("eta1", True), ("eta3", [0.1]),
+        ("samples", 1.0), ("seed", True), ("seed", -1), ("dims", ["a"]), ("dims", 2),
+        ("nu_values", [False]), ("rel_tol", "x"), ("theta_high", None), ("eta1", True), ("eta3", [0.1]),
     ):
         with pytest.raises(SchemaError, match=field):
             SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, field: value})

@@ -262,6 +262,14 @@ def test_usd_ratio_shrinks_toward_alpha3_zero():
         assert r_small.ratio < r_big.ratio
 
 
+@pytest.mark.parametrize("alpha1", [1e-300, 5e-324])
+def test_usd_channel_rejects_alpha1_too_small_without_warning(recwarn, alpha1):
+    # squaring 1/alpha1 overflows; a subnormal alpha1 already overflows the division
+    with pytest.raises(ValueError, match="too small"):
+        usd_channel(valid_params(alpha1=alpha1, beta1=1.0))
+    assert len(recwarn) == 0
+
+
 def test_usd_locc_limit_flag():
     assert valid_params(alpha3=0.0, beta3=1.0).is_locc_limit
     assert not valid_params().is_locc_limit
