@@ -28,6 +28,7 @@ from .gate import (
     VERDICT_FIRST_MOVE_CANDIDATES,
     VERDICT_NOT_LOCC,
     gate_channel,
+    gate_channels,
     identity_vector,
     pair_products,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "VERDICT_FIRST_MOVE_CANDIDATES",
     "VERDICT_NOT_LOCC",
     "gate_channel",
+    "gate_channels",
     "identity_vector",
     "pair_products",
     "IndependentSubset",

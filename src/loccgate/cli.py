@@ -171,7 +171,9 @@ def cmd_sweep(args) -> int:
 def cmd_verify_protocol(args) -> int:
     tree = load_protocol(args.protocol)
     ok, distance = verify_protocol(tree, load_channel(args.channel), tol=args.tol)
-    print(json.dumps({"ok": ok, "choi_distance": distance}, indent=2))
+    # strict JSON has no Infinity or NaN: an overflowing distance prints null
+    shown = distance if math.isfinite(distance) else None
+    print(json.dumps({"ok": ok, "choi_distance": shown}, indent=2, allow_nan=False))
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

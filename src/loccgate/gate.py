@@ -54,6 +54,7 @@ from .linalg import (
     IndependentSubset,
     nullspace_dimension,
     select_independent_subset,
+    select_independent_subsets,
 )
 
 # Eigenvalues of Q_aug^dag Q_aug below DEFAULT_NULLSPACE_RTOL times the largest count
@@ -133,8 +134,23 @@ def pair_products(channel: KrausChannel) -> np.ndarray:
     Ordered row-major in (i, j).  The adjoint of product (i, j) is product
     (j, i) exactly.
     """
-    ks = channel.kraus
-    return np.einsum("iab,jac->ijbc", ks.conj(), ks).reshape(-1, channel.dim, channel.dim)
+    return stacked_pair_products(channel.kraus[None])[0]
+
+
+def stacked_pair_products(kraus: np.ndarray) -> np.ndarray:
+    """``pair_products`` of a (B, N, d_out, D) stack of Kraus operators, shape (B, N^2, D, D).
+
+    One batched matrix product.  Each product is then averaged with the
+    adjoint of its swapped partner, real and imaginary parts in place, which
+    keeps the adjoint of (i, j) equal to (j, i), and each (i, i) Hermitian,
+    bit for bit.
+    """
+    n_stack, n, _, d = kraus.shape
+    products = np.matmul(kraus.conj().swapaxes(-1, -2)[:, :, None], kraus[:, None])
+    products.real += products.real.transpose(0, 2, 1, 4, 3)
+    products.imag -= products.imag.transpose(0, 2, 1, 4, 3)
+    products *= 0.5
+    return products.reshape(n_stack, n * n, d, d)
 
 
 def identity_vector(subset: IndependentSubset) -> np.ndarray:
@@ -169,6 +185,10 @@ def channel_gram(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     subset = select_independent_subset(
         products.reshape(len(products), -1), DEFAULT_INDEPENDENCE_TOL
     )
+    return _selected_gram(products, subset)
+
+
+def _selected_gram(products: np.ndarray, subset: IndependentSubset) -> tuple[np.ndarray, np.ndarray]:
     c = identity_vector(subset)
     return products[subset.indices], subset.r.conj().T @ subset.r + np.outer(c, c.conj())
 
@@ -213,6 +233,40 @@ def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL)
     Raises ``DimensionError`` for fewer than 2 parties, ``CompletenessError`` for
     a completeness residual above COMPLETENESS_TOL or the identity off the span.
     """
+    return gate_channels([channel], rel_tol)[0]
+
+
+def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[GateVerdict]:
+    """``gate_channel`` for each of a list of channels of one shape.
+
+    Every channel is checked first, in order (at least 2 parties, a valid
+    ``rel_tol``, completeness), so the first bad channel raises before any
+    gating.  The
+    channels must share input dims and Kraus array shape (else
+    ``DimensionError``).  More than one channel has its pair products
+    computed as one stack and its independent subsets selected in one
+    stacked scan; a single channel takes the one-vector scan, which is
+    faster alone.  Verdicts, candidates and report integers do not depend on
+    the stacking; ratios agree to rounding.
+    """
+    channels = list(channels)
+    for channel in channels:
+        _check_gateable(channel, rel_tol)
+    if len({(c.input_dims, c.kraus.shape) for c in channels}) > 1:
+        raise DimensionError("gate_channels needs channels of one shape (input dims and Kraus array)")
+    if len(channels) <= 1:
+        return [_classify(c, *channel_gram(c), rel_tol) for c in channels]
+    products = stacked_pair_products(np.stack([c.kraus for c in channels]))
+    subsets = select_independent_subsets(
+        products.reshape(len(channels), products.shape[1], -1), DEFAULT_INDEPENDENCE_TOL
+    )
+    return [
+        _classify(c, *_selected_gram(p, s), rel_tol)
+        for c, p, s in zip(channels, products, subsets)
+    ]
+
+
+def _check_gateable(channel: KrausChannel, rel_tol: float) -> None:
     if channel.n_parties < 2:
         raise DimensionError(f"the gate needs at least 2 parties, got {channel.n_parties}")
     if not valid_rel_tol(rel_tol):
@@ -223,7 +277,9 @@ def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL)
             f"channel '{channel.name}' has completeness residual {residual:.3e}, "
             f"not within {COMPLETENESS_TOL:g}"
         )
-    selected, gram = channel_gram(channel)
+
+
+def _classify(channel: KrausChannel, selected, gram, rel_tol: float) -> GateVerdict:
     reports = tuple(
         _party_report(selected, gram, channel.input_dims, p, rel_tol)
         for p in range(channel.n_parties)

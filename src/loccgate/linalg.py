@@ -82,6 +82,74 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     return IndependentSubset(indices=selected, basis=onb[:k], r=factor[:k, :k])
 
 
+def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL) -> list[IndependentSubset]:
+    """``select_independent_subset`` on each slice of a (B, M, L) stack, in one scan.
+
+    The slices advance together, one candidate each per step: at step t,
+    every slice projects its t-th vector above its own zero threshold, with
+    CGS2 batched over the stack.  A slice keeps its own zero filter,
+    acceptance rule and early stop: once its candidates run out or its span
+    is full, its acceptance floor is infinite, and the scan ends when no
+    slice has a candidate left.  After t steps a slice has at most t
+    directions; the rows it has not found yet are zero, so they add nothing
+    to its projections.  Indices equal the one-vector scan's; the factor
+    agrees to rounding, not bit for bit.
+    """
+    vecs = np.asarray(stack, dtype=complex)
+    if vecs.ndim != 3 or 0 in vecs.shape:
+        raise ValueError("stack must be a nonempty (B, M, L) array")
+    if not 0.0 < tol < 1.0:  # also rejects nan and +-inf
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
+    n_slices, n_vecs, length = vecs.shape
+    re, im = vecs.real, vecs.imag
+    norms = np.sqrt(np.einsum("bml,bml->bm", re, re) + np.einsum("bml,bml->bm", im, im))
+    keep = norms > tol * norms.max(axis=1, keepdims=True)
+    n_keep = np.count_nonzero(keep, axis=1)
+    steps = int(n_keep.max())
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :steps]  # kept indices first, in order
+    pick = order + n_vecs * np.arange(n_slices)[:, None]  # rows of the flattened stack
+    flat = vecs.reshape(-1, length)
+    floors = tol * norms.reshape(-1)[pick]
+    floors[np.arange(steps) >= n_keep[:, None]] = np.inf
+    cap = min(steps, length)
+    onb = np.zeros((n_slices, cap, length), dtype=complex)
+    factor = np.zeros((n_slices, cap, cap), dtype=complex)  # r transposed
+    taken = np.zeros((n_slices, steps), dtype=bool)
+    k = np.zeros(n_slices, dtype=np.intp)
+    horizon = steps
+    for t in range(steps):
+        if t >= horizon:
+            break
+        width = min(t, cap)
+        q = onb[:, :width]
+        q_t = q.swapaxes(1, 2)
+        v = flat[pick[:, t], :, None]
+        h1 = (q @ v.conj()).conj()  # Q^dag v
+        r = v - q_t @ h1
+        h2 = (q @ r.conj()).conj()
+        r -= q_t @ h2
+        rnorm = np.sqrt((r.swapaxes(1, 2).conj() @ r).real[:, 0, 0])
+        grow = np.flatnonzero(rnorm > floors[:, t])
+        if grow.size:
+            at = k[grow]
+            onb[grow, at] = r[grow, :, 0] / rnorm[grow, None]
+            factor[grow, at, :width] = (h1 + h2)[grow, :, 0]
+            factor[grow, at, at] = rnorm[grow]
+            taken[grow, t] = True
+            k[grow] += 1
+            if t + 1 >= length:  # a slice whose span is full scans no further
+                full = grow[k[grow] == length]
+                floors[full] = np.inf
+                n_keep[full] = 0
+                horizon = int(n_keep.max())
+    return [
+        IndependentSubset(
+            indices=order[b, taken[b]].tolist(), basis=onb[b, :kb], r=factor[b, :kb, :kb].T
+        )
+        for b, kb in enumerate(k.tolist())
+    ]
+
+
 def nullspace_dimension(gram: np.ndarray, rel_tol: float) -> tuple[int, float, float]:
     """Numerical nullspace dimension of a matrix ``m`` from its Gram m^dag m.
 

@@ -305,6 +305,30 @@ def test_verify_protocol_usd_oneway(capsys, tmp_path):
     assert json.loads(out)["choi_distance"] < 1e-9
 
 
+def test_verify_protocol_overflowing_distance_prints_strict_json(capsys, tmp_path):
+    from loccgate import UsdParams, usd_channel
+
+    proto = tmp_path / "oneway.json"
+    assert run(capsys, ["protocol", "usd-oneway", "--alpha1", "0.4", "--out", str(proto)])[0] == 0
+    doc = json.loads(proto.read_text())
+    doc["output_isometry"] = [
+        [[1e200 * re, 1e200 * im] for re, im in row] for row in doc["output_isometry"]
+    ]
+    proto.write_text(json.dumps(doc))
+    target_path = tmp_path / "usd0.json"
+    target = usd_channel(UsdParams(0.4, np.sqrt(1 - 0.16), 0.0, 1.0), allow_alpha3_zero=True)
+    save_channel(target, target_path)
+    code, out, _ = run(
+        capsys, ["verify-protocol", "--protocol", str(proto), "--channel", str(target_path)]
+    )
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    assert code == 1
+    assert json.loads(out, parse_constant=reject) == {"ok": False, "choi_distance": None}
+
+
 def test_verify_protocol_mismatch_exit_1(capsys, tmp_path, bell_file):
     proto = tmp_path / "oneway.json"
     run(capsys, ["protocol", "usd-oneway", "--alpha1", "0.4", "--out", str(proto)])

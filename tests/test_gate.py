@@ -3,6 +3,7 @@ import pytest
 
 from loccgate import (
     KrausChannel,
+    RotatedDominoParams,
     VERDICT_DEGENERATE_IDENTITY_SPAN,
     VERDICT_DEGENERATE_KRAUS_RANK_ONE,
     VERDICT_FIRST_MOVE_CANDIDATES,
@@ -13,10 +14,20 @@ from loccgate import (
     pair_products,
     random_unitary_channel,
     remix_kraus,
+    rotated_domino_channel,
+    sample_usd_params,
     select_independent_subset,
+    usd_channel,
 )
 from loccgate.channels import CompletenessError, DimensionError
-from loccgate.gate import channel_gram, party_gram, valid_rel_tol
+from loccgate import gate
+from loccgate.gate import (
+    channel_gram,
+    gate_channels,
+    party_gram,
+    stacked_pair_products,
+    valid_rel_tol,
+)
 from loccgate.linalg import nullspace_dimension
 from oracle import (
     augmented_q,
@@ -68,12 +79,28 @@ def test_pair_products_identity_channel():
     assert np.allclose(products[0], np.eye(4), atol=1e-14)
 
 
-def test_pair_products_adjoint_symmetry(usd_instance):
-    n = usd_instance.n_kraus
-    products = pair_products(usd_instance)
-    for i in range(n):
-        for j in range(n):
-            assert np.array_equal(products[i * n + j].conj().T, products[j * n + i])
+def rectangular_output_channel(rng) -> KrausChannel:
+    """Three 2 x 4 Kraus operators cut from one random 6 x 4 isometry."""
+    isometry = haar_unitary(6, rng)[:, :4]
+    return KrausChannel("rectangular", (2, 2), 2, tuple(isometry.reshape(3, 2, 4)))
+
+
+def test_pair_products_adjoint_symmetry(zoo_channels, dephasing):
+    # bit for bit: P_ji == P_ij^dag, and so P_ii exactly Hermitian, alone and stacked
+    rng = np.random.default_rng(29)
+    stacks = [[c] for c in (*zoo_channels, dephasing, rectangular_output_channel(rng))]
+    stacks += [
+        [random_unitary_channel(dims, nu, rng) for _ in range(3)]
+        for dims, nu in (((2, 2), 5), ((2, 3), 7), ((3, 3), 10), ((2, 2, 2), 9))
+    ]
+    for stack in stacks:
+        n = stack[0].n_kraus
+        alone = [pair_products(c) for c in stack]
+        stacked = stacked_pair_products(np.stack([c.kraus for c in stack]))
+        for products in (*alone, *stacked):
+            for i in range(n):
+                for j in range(n):
+                    assert np.array_equal(products[i * n + j].conj().T, products[j * n + i])
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +315,70 @@ def test_gate_channel_needs_two_parties():
     single = KrausChannel("single", (4,), 4, (np.eye(4),))
     with pytest.raises(DimensionError, match="at least 2 parties"):
         gate_channel(single)
+
+
+def assert_same_verdict(got, want):
+    """Equal verdict, candidates, flags and integers; floats equal to 2e-15."""
+    assert (got.verdict, got.candidates, got.local) == (want.verdict, want.candidates, want.local)
+    assert abs(got.lambda_hat - want.lambda_hat) <= 2e-15
+    assert len(got.reports) == len(want.reports)
+    for a, b in zip(got.reports, want.reports):
+        ints = ("party", "pair_count", "q_rows", "nullspace_dim", "can_measure_first")
+        assert [getattr(a, f) for f in ints] == [getattr(b, f) for f in ints]
+        assert abs(a.ratio - b.ratio) <= 2e-15
+        for f in ("eig_min", "eig_max"):
+            assert abs(getattr(a, f) - getattr(b, f)) <= 2e-15 * max(1.0, b.eig_max)
+
+
+def test_gate_channels_matches_gate_channel_per_channel(zoo_channels, dephasing):
+    rng = np.random.default_rng(31)
+    product_unitary = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    channels = [
+        *zoo_channels,
+        dephasing,
+        identity_channel(),
+        KrausChannel("product-unitary", (2, 2), 4, (product_unitary,)),
+        flagged_channel("coin", [(np.eye(4), 0.3), (np.eye(4), 0.7)]),
+        flagged_channel("heralded-cnot", [(CNOT, 0.5), (np.eye(4), 0.5)]),
+        *(rotated_domino_channel(RotatedDominoParams(t)) for t in (
+            (0.0, 0.3, 0.5, 0.7), (0.1, 0.2, 0.3, 0.4), (0.7, 0.1, 0.5, 0.2))),
+        *(usd_channel(sample_usd_params(rng)) for _ in range(3)),
+        *(random_unitary_channel(dims, nu, rng) for dims, nu in (
+            ((2, 2), 1), ((2, 2), 1), ((2, 2), 3), ((2, 2), 3), ((2, 2), 5), ((2, 2), 5),
+            ((2, 3), 6), ((2, 3), 6), ((2, 2, 2), 9), ((2, 2, 2), 9))),
+    ]
+    groups: dict = {}
+    for channel in channels:
+        groups.setdefault((channel.input_dims, channel.kraus.shape), []).append(channel)
+    assert max(len(g) for g in groups.values()) >= 3
+    for group in groups.values():
+        got = gate_channels(group)
+        assert len(got) == len(group)
+        for verdict, channel in zip(got, group):
+            assert_same_verdict(verdict, gate_channel(channel))
+
+
+def test_gate_channels_raises_for_the_first_bad_channel_before_any_work(monkeypatch, rotated_domino):
+    def no_work(*args):
+        raise AssertionError("gating started before every channel was checked")
+
+    monkeypatch.setattr(gate, "stacked_pair_products", no_work)
+    monkeypatch.setattr(gate, "channel_gram", no_work)
+    incomplete = KrausChannel("incomplete", (3, 3), 9, 1.1 * rotated_domino.kraus)
+    single = KrausChannel("single", (4,), 4, (np.eye(4),))
+    with pytest.raises(CompletenessError, match="incomplete"):
+        gate_channels([rotated_domino, incomplete, single])
+    with pytest.raises(DimensionError, match="at least 2 parties"):
+        gate_channels([rotated_domino, single, incomplete])
+    with pytest.raises(ValueError, match="rel_tol"):
+        gate_channels([rotated_domino, rotated_domino], rel_tol=0.0)
+    assert gate_channels([]) == []
+
+
+def test_gate_channels_rejects_channels_of_different_shapes(bell, domino, dephasing):
+    for mixed in ([bell, domino], [bell, dephasing]):
+        with pytest.raises(DimensionError, match="one shape"):
+            gate_channels(mixed)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0, 2.0])

@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccgate import pair_products, random_unitary_channel
-from loccgate.linalg import nullspace_dimension, select_independent_subset
+from loccgate.linalg import (
+    nullspace_dimension,
+    select_independent_subset,
+    select_independent_subsets,
+)
 from oracle import (
     hermitian_eigenvalues,
     mgs_subset_indices,
@@ -181,7 +185,11 @@ def test_subset_all_zero_input_is_empty():
 
 
 def assert_factor(vecs, subset, tol=1e-9):
-    """S = r^T basis, orthonormal basis, triangular r, rejected vectors in the span."""
+    """S = r^T basis, orthonormal basis, triangular r, rejected vectors in the span.
+
+    A rejected vector below ``tol`` times the largest norm counts as zero and
+    is never scanned, so it is held to that zero threshold, not to the span.
+    """
     vecs = [np.asarray(v, dtype=complex) for v in vecs]
     basis, r = subset.basis, subset.r
     selected = np.stack([vecs[i] for i in subset.indices])
@@ -189,7 +197,11 @@ def assert_factor(vecs, subset, tol=1e-9):
     assert np.allclose(basis.conj() @ basis.T, np.eye(len(basis)), atol=1e-12)
     assert np.all(np.tril(r, -1) == 0)
     assert np.all(r.diagonal().real > 0) and np.all(r.diagonal().imag == 0)
+    zero_threshold = tol * max(np.linalg.norm(v) for v in vecs)
+    assert all(np.linalg.norm(vecs[i]) > zero_threshold for i in subset.indices)
     for j in set(range(len(vecs))) - set(subset.indices):
+        if np.linalg.norm(vecs[j]) <= zero_threshold:
+            continue
         outside = vecs[j] - basis.T @ (basis.conj() @ vecs[j])
         assert np.linalg.norm(outside) <= tol * np.linalg.norm(vecs[j])
 
@@ -254,6 +266,47 @@ def test_subset_array_and_list_inputs_agree():
     assert from_array.indices == from_list.indices
     assert np.array_equal(from_array.basis, from_list.basis)
     assert np.array_equal(from_array.r, from_list.r)
+
+
+def random_slice(rng, n_vecs, length):
+    """Vectors of a random rank, some exactly zero, some below the zero
+    threshold, some multiples of an earlier vector."""
+    rank = int(rng.integers(1, length + 1))
+    vecs = random_complex(rng, n_vecs, rank) @ random_complex(rng, rank, length)
+    for j in range(1, n_vecs):
+        if rng.random() < 0.2:
+            vecs[j] = complex(*rng.standard_normal(2)) * vecs[rng.integers(0, j)]
+    vecs[rng.random(n_vecs) < 0.2] = 0.0
+    tiny = rng.random(n_vecs) < 0.2
+    vecs[tiny] = 1e-12 * random_complex(rng, int(tiny.sum()), length)
+    return vecs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 3), st.integers(0, 2 ** 31 - 1))
+def test_stacked_scan_matches_the_scan_of_each_slice(n_slices, length, extra, seed):
+    # slices differ in zero-filter counts, rank deficits and early-stop points
+    rng = np.random.default_rng(seed)
+    n_vecs = length + extra
+    stack = np.stack([random_slice(rng, n_vecs, length) for _ in range(n_slices)])
+    subsets = select_independent_subsets(stack, 1e-9)
+    assert len(subsets) == n_slices
+    for vecs, subset in zip(stack, subsets):
+        alone = select_independent_subset(vecs, 1e-9).indices
+        assert subset.indices == alone == mgs_subset_indices(vecs, 1e-9)
+        selected = vecs[subset.indices]
+        assert np.linalg.norm(subset.r.T @ subset.basis - selected) <= 1e-12 * np.linalg.norm(selected)
+        assert np.allclose(subset.basis.conj() @ subset.basis.T, np.eye(len(alone)), atol=1e-12)
+        assert np.all(np.tril(subset.r, -1) == 0)
+
+
+def test_stacked_scan_rejects_bad_args():
+    with pytest.raises(ValueError, match="stack"):
+        select_independent_subsets(np.ones((2, 3)), 1e-9)
+    with pytest.raises(ValueError, match="stack"):
+        select_independent_subsets(np.ones((2, 0, 3)), 1e-9)
+    with pytest.raises(ValueError, match="tolerance"):
+        select_independent_subsets(np.ones((2, 2, 3)), np.nan)
 
 
 def test_subset_rejects_bad_args():

@@ -2,7 +2,8 @@ import csv
 
 import pytest
 
-from loccgate import SweepConfig, run_sweep, write_csv_atomic
+from loccgate import SweepConfig, gate_channel, random_unitary_channel, run_sweep, write_csv_atomic
+from loccgate.sweeps import STACK_BYTES, sample_rng
 from loccgate.serialize import SchemaError
 
 
@@ -130,3 +131,23 @@ def test_identical_seed_identical_file(tmp_path):
         header, rows = run_sweep(cfg)
         write_csv_atomic(tmp_path / name, header, rows)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+def test_stacked_sweep_rows_equal_gating_each_row_alone():
+    # nu changes mid-sweep, and the nu = 5 run is longer than one stack
+    per_stack = STACK_BYTES // (16 * 25 * 16)  # 25 pair products of 4 x 4
+    cfg = SweepConfig(
+        family="random_unitary", samples=per_stack + 3, seed=5, dims=(2, 2), nu_values=(5, 2)
+    )
+    header, rows = run_sweep(cfg)
+    assert len(rows) == 2 * cfg.samples
+    i_lambda = header.index("lambda_hat")
+    for flat, row in enumerate(rows):
+        nu = cfg.nu_values[flat // cfg.samples]
+        channel = random_unitary_channel(cfg.dims, nu, sample_rng(cfg.seed, flat))
+        alone = gate_channel(channel, rel_tol=cfg.rel_tol)
+        assert row[:2] == [flat, nu]
+        assert row[-1] == alone.verdict
+        assert abs(row[i_lambda] - alone.lambda_hat) <= 2e-15
+        for got, report in zip(row[2:i_lambda], alone.reports, strict=True):
+            assert abs(got - report.ratio) <= 2e-15
