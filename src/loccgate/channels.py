@@ -178,19 +178,24 @@ def channels_equal(
     return distance <= tol, distance
 
 
-def _kraus_gram(channel: KrausChannel) -> np.ndarray:
-    """The Kraus Gram tr(K_i^dag K_j), Hermitian by construction.
+def _kraus_gram(kraus: np.ndarray) -> np.ndarray:
+    """The Kraus Gram tr(K_i^dag K_j) of an (..., N, d_out, D) Kraus array, Hermitian by construction.
 
     If the Gram maps u to lambda u, the Choi matrix maps vec(sum_i u_i K_i) to
     lambda times it, so the two share their nonzero eigenvalues.
     """
-    vecs = channel.kraus.reshape(channel.n_kraus, -1)
-    return vecs.conj() @ vecs.T
+    vecs = kraus.reshape(*kraus.shape[:-2], -1)
+    return vecs.conj() @ vecs.swapaxes(-1, -2)
 
 
 def kraus_rank(channel: KrausChannel) -> int:
     """Rank of the Choi matrix: the minimal number of Kraus operators."""
-    return channel.n_kraus - nullspace_dimension(_kraus_gram(channel), KRAUS_RANK_RTOL)[0]
+    return kraus_ranks(channel.kraus[None])[0]
+
+
+def kraus_ranks(kraus: np.ndarray) -> list[int]:
+    """``kraus_rank`` of each channel in a (B, N, d_out, D) Kraus stack, from one batched eigensolve."""
+    return [kraus.shape[1] - n for n in nullspace_dimension(_kraus_gram(kraus), KRAUS_RANK_RTOL)[0]]
 
 
 def lone_kraus_operator(channel: KrausChannel) -> np.ndarray:
@@ -200,7 +205,7 @@ def lone_kraus_operator(channel: KrausChannel) -> np.ndarray:
     the dominant Choi eigenvector scaled by the square root of its eigenvalue,
     defined up to a global phase.
     """
-    u = np.linalg.eigh(_kraus_gram(channel))[1][:, -1]
+    u = np.linalg.eigh(_kraus_gram(channel.kraus))[1][:, -1]
     return np.tensordot(u, channel.kraus, axes=1)
 
 

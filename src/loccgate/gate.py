@@ -22,6 +22,9 @@ permutes matrix entries, so the subset, c and the first and last terms are
 computed once per channel; each party adds only its partial-trace term.
 Subset selection factors the selected products as r^T times orthonormal rows,
 so <P_a, P_b> = (r^dag r)_ab and c comes from one triangular solve with r.
+Channels of one shape are gated as a stack, and channels with equal |S| share
+each step after the subset scan: one solve for c, then per party one partial
+trace and one eigensolve.  A single channel is a stack of one.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),
@@ -45,7 +48,7 @@ from .channels import (
     DimensionError,
     KrausChannel,
     check_completeness,
-    kraus_rank,
+    kraus_ranks,
     lone_kraus_operator,
     operator_schmidt_rank,
 )
@@ -156,69 +159,105 @@ def stacked_pair_products(kraus: np.ndarray) -> np.ndarray:
 def identity_vector(subset: IndependentSubset) -> np.ndarray:
     """Unit-norm coefficients c over S with sum_a c_a P_a = I.
 
-    With the selected products P = r^T basis, c solves r c = h for the
-    identity's coordinates h = conj(basis) vec(I).  Completeness puts the
-    identity in their span; a residual above IDENTITY_RESIDUAL_TOL (always
-    so for an empty S) raises ``CompletenessError``: the channel is broken,
-    or the subset tolerance discarded too much.
+    The one-slice case of the gate's stacked identity solve.  With the
+    selected products P = r^T basis, c solves r c = h for the identity's
+    coordinates h = conj(basis) vec(I).  Completeness puts the identity in
+    their span; a residual above IDENTITY_RESIDUAL_TOL (always so for an
+    empty S) raises ``CompletenessError``: the channel is broken, or the
+    subset tolerance discarded too much.
     """
-    target = np.eye(math.isqrt(subset.basis.shape[1]), dtype=complex).reshape(-1)
-    h = np.conj(subset.basis @ target)  # target is real
-    residual = float(np.linalg.norm(subset.basis.T @ h - target))
-    if residual > IDENTITY_RESIDUAL_TOL:
+    h, residual = _identity_coordinates(subset.basis[None])
+    _require_identity_in_span(residual, [""])
+    return _identity_coefficients(subset.r[None], h)[0]
+
+
+def _identity_coordinates(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h = conj(basis) vec(I) and the identity's residual off the span, per slice of a (G, |S|, D^2) stack."""
+    target = np.eye(math.isqrt(basis.shape[-1]), dtype=complex).reshape(-1)
+    h = np.conj(basis @ target)  # target is real
+    residual = np.linalg.norm((h[:, None] @ basis)[:, 0] - target, axis=-1)
+    return h, residual
+
+
+def _require_identity_in_span(residuals: np.ndarray, labels) -> None:
+    bad = np.flatnonzero(residuals > IDENTITY_RESIDUAL_TOL)
+    if bad.size:
         raise CompletenessError(
-            f"identity not in the span of selected pair products (residual {residual:.3e}); "
-            "completeness or the subset tolerance is broken"
+            f"{labels[bad[0]]}identity not in the span of selected pair products "
+            f"(residual {residuals[bad[0]]:.3e}); completeness or the subset tolerance is broken"
         )
-    coeffs = np.linalg.solve(subset.r, h)
-    return coeffs / np.linalg.norm(coeffs)
+
+
+def _identity_coefficients(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    coeffs = np.linalg.solve(r, h[..., None])[..., 0]
+    return coeffs / np.linalg.norm(coeffs, axis=-1, keepdims=True)
 
 
 def channel_gram(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """The party-independent half of the gate, computed once per channel.
+    """The party-independent half of the gate for one channel, as the gate computes it.
 
     Returns the selected pair products P_a, shape (|S|, D, D), and their
     Gram <P_a, P_b> = r^dag r plus c c^dag, where c holds the identity
     coefficients.
     """
-    products = pair_products(channel)
-    subset = select_independent_subset(
-        products.reshape(len(products), -1), DEFAULT_INDEPENDENCE_TOL
-    )
-    return _selected_gram(products, subset)
+    [(_, selected, gram)] = _selected_grams(channel.kraus[None], [channel.name])
+    return selected[0], gram[0]
 
 
-def _selected_gram(products: np.ndarray, subset: IndependentSubset) -> tuple[np.ndarray, np.ndarray]:
-    c = identity_vector(subset)
-    return products[subset.indices], subset.r.conj().T @ subset.r + np.outer(c, c.conj())
+def _selected_grams(kraus: np.ndarray, names) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """``channel_gram`` for a (B, N, d_out, D) Kraus stack, grouped by subset size |S|.
+
+    Returns one (members, selected, gram) per |S|: the group's indices into
+    the stack, its selected products, shape (G, |S|, D, D), and its Grams,
+    shape (G, |S|, |S|).  More than one channel has its subsets selected in
+    one stacked scan; a single channel takes the one-vector scan, which is
+    faster alone.  The identity residuals of every group are checked before
+    any solve, so the first channel in stack order whose identity is off its
+    span raises ``CompletenessError`` naming it (``names``).
+    """
+    products = stacked_pair_products(kraus)
+    flat = products.reshape(len(kraus), products.shape[1], -1)
+    if len(kraus) == 1:
+        subsets = [select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL)]
+    else:
+        subsets = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
+    by_size: dict[int, list[int]] = {}
+    for b, subset in enumerate(subsets):
+        by_size.setdefault(len(subset.indices), []).append(b)
+    residuals = np.empty(len(kraus))
+    groups = []
+    for size, members in by_size.items():
+        picked = [subsets[b] for b in members]
+        rows = np.array([s.indices for s in picked], dtype=np.intp).reshape(len(members), size)
+        selected = products[np.array(members)[:, None], rows]
+        if len(picked) == 1:  # views, no copies
+            basis, r = picked[0].basis[None], picked[0].r[None]
+        else:
+            basis, r = np.stack([s.basis for s in picked]), np.stack([s.r for s in picked])
+        h, residuals[members] = _identity_coordinates(basis)
+        groups.append((members, selected, r, h))
+    _require_identity_in_span(residuals, [f"channel '{name}': " for name in names])
+    out = []
+    for members, selected, r, h in groups:
+        c = _identity_coefficients(r, h)
+        gram = r.conj().swapaxes(-1, -2) @ r + c[..., :, None] * c.conj()[..., None, :]
+        out.append((members, selected, gram))
+    return out
 
 
 def party_gram(selected: np.ndarray, gram: np.ndarray, dims, party: int) -> np.ndarray:
-    """Q_aug^dag Q_aug for one party: ``gram`` minus the party's rest-identity part."""
+    """Q_aug^dag Q_aug for one party: ``gram`` minus the party's rest-identity part.
+
+    ``selected`` (|S|, D, D) and ``gram`` (|S|, |S|) may carry leading stack
+    axes; each slice gets its own Gram from one batched partial trace.
+    """
     before = math.prod(dims[:party])
     after = math.prod(dims[party + 1 :])
     d_party = dims[party]
-    tens = selected.reshape(len(selected), before, d_party, after, before, d_party, after)
-    reduced = np.einsum("kxayxby->kab", tens).reshape(len(selected), -1)
-    return gram - reduced.conj() @ reduced.T / (before * after)
-
-
-def _party_report(selected, gram, dims, party: int, rel_tol: float) -> PartyGateReport:
-    nullity, eig_min, eig_max = nullspace_dimension(
-        party_gram(selected, gram, dims, party), rel_tol
-    )
-    d_party = dims[party]
-    d_rest = math.prod(dims) // d_party
-    return PartyGateReport(
-        party=party,
-        pair_count=len(selected),
-        q_rows=d_party * d_party * (d_rest * d_rest - 1) + 1,
-        eig_min=eig_min,
-        eig_max=eig_max,
-        ratio=max(eig_min / eig_max, 0.0) if eig_max > 0.0 else 0.0,
-        nullspace_dim=nullity,
-        can_measure_first=nullity >= 1,
-    )
+    lead = selected.shape[:-2]
+    tens = selected.reshape(*lead, before, d_party, after, before, d_party, after)
+    reduced = np.einsum("...xayxby->...ab", tens).reshape(*lead, -1)
+    return gram - reduced.conj() @ reduced.swapaxes(-1, -2) / (before * after)
 
 
 def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> GateVerdict:
@@ -241,29 +280,41 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
 
     Every channel is checked first, in order (at least 2 parties, a valid
     ``rel_tol``, completeness), so the first bad channel raises before any
-    gating.  The
-    channels must share input dims and Kraus array shape (else
-    ``DimensionError``).  More than one channel has its pair products
-    computed as one stack and its independent subsets selected in one
-    stacked scan; a single channel takes the one-vector scan, which is
-    faster alone.  Verdicts, candidates and report integers do not depend on
-    the stacking; ratios agree to rounding.
+    gating.  The channels must share input dims and Kraus array shape (else
+    ``DimensionError``).  The whole list is gated as one stack: one batched
+    pair-product matmul and subset scan, then per subset size one identity
+    solve and, per party, one partial trace and one eigensolve, and one
+    Kraus-rank eigensolve for the stack.  Verdicts, candidates and report
+    integers do not depend on the stacking; ratios agree to rounding.
     """
     channels = list(channels)
     for channel in channels:
         _check_gateable(channel, rel_tol)
     if len({(c.input_dims, c.kraus.shape) for c in channels}) > 1:
         raise DimensionError("gate_channels needs channels of one shape (input dims and Kraus array)")
-    if len(channels) <= 1:
-        return [_classify(c, *channel_gram(c), rel_tol) for c in channels]
-    products = stacked_pair_products(np.stack([c.kraus for c in channels]))
-    subsets = select_independent_subsets(
-        products.reshape(len(channels), products.shape[1], -1), DEFAULT_INDEPENDENCE_TOL
-    )
-    return [
-        _classify(c, *_selected_gram(p, s), rel_tol)
-        for c, p, s in zip(channels, products, subsets)
-    ]
+    if not channels:
+        return []
+    kraus = np.stack([c.kraus for c in channels])
+    dims = channels[0].input_dims
+    reports: list[list[PartyGateReport]] = [[] for _ in channels]
+    for members, selected, gram in _selected_grams(kraus, [c.name for c in channels]):
+        for party, d_party in enumerate(dims):
+            d_rest = math.prod(dims) // d_party
+            q_rows = d_party * d_party * (d_rest * d_rest - 1) + 1
+            stats = nullspace_dimension(party_gram(selected, gram, dims, party), rel_tol)
+            for b, nullity, eig_min, eig_max in zip(members, *stats):
+                reports[b].append(PartyGateReport(
+                    party=party,
+                    pair_count=selected.shape[1],
+                    q_rows=q_rows,
+                    eig_min=eig_min,
+                    eig_max=eig_max,
+                    ratio=max(eig_min / eig_max, 0.0) if eig_max > 0.0 else 0.0,
+                    nullspace_dim=nullity,
+                    can_measure_first=nullity >= 1,
+                ))
+    ranks = kraus_ranks(kraus)
+    return [_verdict(c, tuple(rep), rank) for c, rep, rank in zip(channels, reports, ranks)]
 
 
 def _check_gateable(channel: KrausChannel, rel_tol: float) -> None:
@@ -279,13 +330,9 @@ def _check_gateable(channel: KrausChannel, rel_tol: float) -> None:
         )
 
 
-def _classify(channel: KrausChannel, selected, gram, rel_tol: float) -> GateVerdict:
-    reports = tuple(
-        _party_report(selected, gram, channel.input_dims, p, rel_tol)
-        for p in range(channel.n_parties)
-    )
+def _verdict(channel: KrausChannel, reports, rank: int) -> GateVerdict:
     lambda_hat = min(r.ratio for r in reports)
-    if kraus_rank(channel) == 1:
+    if rank == 1:
         local = False
         if channel.output_dim == channel.dim:
             lone = lone_kraus_operator(channel)
@@ -299,7 +346,7 @@ def _classify(channel: KrausChannel, selected, gram, rel_tol: float) -> GateVerd
             verdict=VERDICT_DEGENERATE_KRAUS_RANK_ONE,
             local=local,
         )
-    if len(selected) == 1:
+    if reports[0].pair_count == 1:
         return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_IDENTITY_SPAN)
     candidates = tuple(r.party for r in reports if r.can_measure_first)
     if candidates:

@@ -150,21 +150,21 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL) -> 
     ]
 
 
-def nullspace_dimension(gram: np.ndarray, rel_tol: float) -> tuple[int, float, float]:
+def nullspace_dimension(gram: np.ndarray, rel_tol: float):
     """Numerical nullspace dimension of a matrix ``m`` from its Gram m^dag m.
 
     Returns the count of Gram eigenvalues below ``rel_tol`` times the largest
     plus the extreme eigenvalues; a zero Gram has nullity equal to its size.
-    The input must be such a Gram, Hermitian by construction: it is neither
-    checked nor symmetrized, and the eigensolver reads its lower triangle.
+    A (..., n, n) stack takes one batched eigensolve and gives per-slice
+    lists; a single Gram gives Python scalars.  The input must be such a
+    Gram, Hermitian by construction: it is neither checked nor symmetrized,
+    and the eigensolver reads its lower triangle.
     """
     gram = np.asarray(gram, dtype=complex)
     if gram.size == 0:
         raise ValueError("Gram matrix must be nonempty")
     evals = np.linalg.eigvalsh(gram)
-    eig_min = float(evals[0])
-    eig_max = float(evals[-1])
-    if eig_max <= 0.0:
-        return gram.shape[0], eig_min, eig_max
-    dim = int(np.count_nonzero(evals < rel_tol * eig_max))
-    return dim, eig_min, eig_max
+    eig_min, eig_max = evals[..., 0], evals[..., -1]
+    dim = np.count_nonzero(evals < rel_tol * eig_max[..., None], axis=-1)
+    dim = np.where(eig_max <= 0.0, gram.shape[-1], dim)
+    return dim.tolist(), eig_min.tolist(), eig_max.tolist()

@@ -14,6 +14,7 @@ from loccgate import (
     remix_kraus,
     validate_density_matrix,
 )
+from loccgate.channels import kraus_ranks
 from oracle import hermitian_eigenvalues
 from oracle import lone_kraus_operator as choi_lone_kraus_operator
 from oracle import operator_schmidt_rank as permuted_schmidt_rank
@@ -215,6 +216,19 @@ def test_channels_equal_rejects_non_finite_or_negative_tol(bell, tol):
 def test_kraus_rank_values(bell, zoo_channels):
     assert kraus_rank(identity_channel()) == 1
     assert kraus_rank(bell) == 4
+
+
+def test_kraus_ranks_of_a_stack_equal_the_per_channel_ranks(bell):
+    rng = np.random.default_rng(14)
+    u = haar_unitary(4, rng)
+    channels = [
+        bell,
+        KrausChannel("rank-one", (2, 2), 4, [u / 2] * 4),
+        KrausChannel("rank-two", (2, 2), 4, [u / 2, u / 2, bell.kraus[1] / np.sqrt(2), 0 * u]),
+    ]
+    ranks = kraus_ranks(np.stack([c.kraus for c in channels]))
+    assert ranks == [kraus_rank(c) for c in channels] == [4, 1, 2]
+    assert type(kraus_rank(bell)) is int
 
 
 def test_kraus_rank_matches_choi_rank_on_padded_remixes(bell, zoo_channels):

@@ -330,6 +330,17 @@ def assert_same_verdict(got, want):
             assert abs(getattr(a, f) - getattr(b, f)) <= 2e-15 * max(1.0, b.eig_max)
 
 
+def mixed_subset_sizes(rng) -> list[KrausChannel]:
+    """(2, 2) channels of 4 Kraus operators whose independent subsets differ in size."""
+    u = np.stack([haar_unitary(4, rng) for _ in range(3)])
+    return [
+        random_unitary_channel((2, 2), 4, rng),
+        KrausChannel("repeated-unitary", (2, 2), 4, 0.5 * u[[0, 0, 1, 2]]),
+        random_unitary_channel((2, 2), 4, rng),
+        KrausChannel("rank-one", (2, 2), 4, 0.5 * u[[1, 1, 1, 1]]),
+    ]
+
+
 def test_gate_channels_matches_gate_channel_per_channel(zoo_channels, dephasing):
     rng = np.random.default_rng(31)
     product_unitary = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
@@ -346,11 +357,14 @@ def test_gate_channels_matches_gate_channel_per_channel(zoo_channels, dephasing)
         *(random_unitary_channel(dims, nu, rng) for dims, nu in (
             ((2, 2), 1), ((2, 2), 1), ((2, 2), 3), ((2, 2), 3), ((2, 2), 5), ((2, 2), 5),
             ((2, 3), 6), ((2, 3), 6), ((2, 2, 2), 9), ((2, 2, 2), 9))),
+        *mixed_subset_sizes(rng),
     ]
     groups: dict = {}
     for channel in channels:
         groups.setdefault((channel.input_dims, channel.kraus.shape), []).append(channel)
     assert max(len(g) for g in groups.values()) >= 3
+    mixed = groups[((2, 2), (4, 4, 4))]
+    assert len({gate_channel(c).reports[0].pair_count for c in mixed}) >= 3
     for group in groups.values():
         got = gate_channels(group)
         assert len(got) == len(group)
@@ -363,7 +377,7 @@ def test_gate_channels_raises_for_the_first_bad_channel_before_any_work(monkeypa
         raise AssertionError("gating started before every channel was checked")
 
     monkeypatch.setattr(gate, "stacked_pair_products", no_work)
-    monkeypatch.setattr(gate, "channel_gram", no_work)
+    monkeypatch.setattr(gate, "_selected_grams", no_work)
     incomplete = KrausChannel("incomplete", (3, 3), 9, 1.1 * rotated_domino.kraus)
     single = KrausChannel("single", (4,), 4, (np.eye(4),))
     with pytest.raises(CompletenessError, match="incomplete"):
@@ -373,6 +387,49 @@ def test_gate_channels_raises_for_the_first_bad_channel_before_any_work(monkeypa
     with pytest.raises(ValueError, match="rel_tol"):
         gate_channels([rotated_domino, rotated_domino], rel_tol=0.0)
     assert gate_channels([]) == []
+
+
+def test_gate_channels_names_the_first_channel_whose_identity_is_off_the_span():
+    # completeness residual 1e-7 in a direction outside the pair products' span
+    k0 = np.sqrt(0.5) * np.diag([1, 1, 1, np.sqrt(1 + 1e-7)]).astype(complex)
+    k1 = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)) @ k0
+    near = KrausChannel("near-complete", (2, 2), 4, (k0, k1))
+    later = KrausChannel("later", (2, 2), 4, (k1, k0))
+    rng = np.random.default_rng(41)
+    good = [random_unitary_channel((2, 2), 2, rng) for _ in range(2)]
+    with pytest.raises(CompletenessError, match="channel 'near-complete': identity not in the span"):
+        gate_channels([good[0], near, good[1], later])
+    with pytest.raises(CompletenessError, match="channel 'later'"):
+        gate_channel(later)
+    # groups of equal |S| are solved apart, yet the first bad channel in input
+    # order raises: here |S| = 1 for "lone", after a good |S| = 2 channel
+    halves = KrausChannel("halves", (2, 2), 4, (np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])))
+    lone = KrausChannel("lone", (2, 2), 4, (k0 * np.sqrt(2), np.zeros((4, 4))))
+    with pytest.raises(CompletenessError, match="channel 'lone'"):
+        gate_channels([halves, lone, near])
+
+
+def test_gate_channels_batches_its_eigensolves_and_solves(monkeypatch):
+    rng = np.random.default_rng(42)
+    channels = [usd_channel(sample_usd_params(rng)) for _ in range(40)]
+    calls = {"eigvalsh": 0, "solve": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    verdicts = gate_channels(channels)
+    n_groups = len({v.reports[0].pair_count for v in verdicts})
+    # one eigensolve per party and subset size, one for the Kraus ranks; one solve per subset size
+    assert calls["eigvalsh"] <= channels[0].n_parties * n_groups + 1
+    assert calls["solve"] == n_groups
 
 
 def test_gate_channels_rejects_channels_of_different_shapes(bell, domino, dephasing):

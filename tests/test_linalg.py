@@ -364,6 +364,25 @@ def test_nullspace_matches_hermitian_eigenvalue_count():
         assert abs(eig_max - evals[-1]) <= 1e-12 * evals[-1]
 
 
+def test_nullspace_of_a_stack_equals_the_per_slice_calls():
+    rng = np.random.default_rng(13)
+    grams = []
+    for rank in (1, 3, 5, 5, 2):
+        m = random_complex(rng, 7, rank) @ random_complex(rng, rank, 5)
+        grams.append(m.conj().T @ m)
+    grams.insert(2, np.zeros((5, 5)))  # a zero Gram has full nullity, neighbours unaffected
+    stack = np.stack(grams).reshape(2, 3, 5, 5)
+    dims, mins, maxs = nullspace_dimension(stack, 1e-9)
+    per_slice = [nullspace_dimension(g, 1e-9) for g in grams]
+    assert [d for row in dims for d in row] == [p[0] for p in per_slice] == [4, 2, 5, 0, 0, 3]
+    assert np.array(mins).reshape(-1).tolist() == pytest.approx([p[1] for p in per_slice], abs=1e-12)
+    assert np.array(maxs).reshape(-1).tolist() == pytest.approx([p[2] for p in per_slice], rel=1e-12)
+    assert maxs[0][2] == 0.0
+    assert [type(v) for v in per_slice[0]] == [int, float, float]  # one Gram: Python scalars
+
+
 def test_nullspace_rejects_empty():
     with pytest.raises(ValueError):
         nullspace_dimension(np.zeros((0, 0)), 1e-9)
+    with pytest.raises(ValueError):
+        nullspace_dimension(np.zeros((3, 0, 0)), 1e-9)

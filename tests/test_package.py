@@ -7,7 +7,7 @@ import pytest
 import loccgate
 from loccgate import linalg
 from loccgate import cli, gate, protocols
-from loccgate.channels import kraus_rank, operator_schmidt_rank, validate_density_matrix
+from loccgate.channels import kraus_rank, kraus_ranks, operator_schmidt_rank, validate_density_matrix
 from loccgate.gate import channel_gram, gate_channel
 from loccgate.protocols import protocol_to_channel, verify_protocol
 
@@ -37,6 +37,7 @@ def test_removed_helpers_stay_removed(name):
 SIGNATURES = [
     (gate_channel, ["channel", "rel_tol"]),
     (kraus_rank, ["channel"]),
+    (kraus_ranks, ["kraus"]),
     (operator_schmidt_rank, ["m", "dims", "party"]),
     (protocol_to_channel, ["tree"]),
     (verify_protocol, ["tree", "target", "tol"]),
@@ -52,7 +53,7 @@ def test_public_signatures_have_no_extra_knobs(func, params):
 
 def test_layers_stay_reachable_where_the_benchmark_tracer_wraps_them():
     for module, names in [
-        (gate, ["kraus_rank", "select_independent_subset", "nullspace_dimension",
+        (gate, ["kraus_ranks", "select_independent_subset", "nullspace_dimension",
                 "identity_vector", "pair_products", "check_completeness"]),
         (protocols, ["protocol_to_channel", "channels_equal"]),
         (cli, ["verify_protocol"]),
