@@ -29,7 +29,6 @@ from .gate import (
     VERDICT_NOT_LOCC,
     gate_channel,
     gate_channels,
-    identity_vector,
     pair_products,
 )
 from .linalg import (
@@ -82,7 +81,6 @@ __all__ = [
     "VERDICT_NOT_LOCC",
     "gate_channel",
     "gate_channels",
-    "identity_vector",
     "pair_products",
     "IndependentSubset",
     "nullspace_dimension",

@@ -21,10 +21,11 @@ with <X, Y> = tr(X^dag Y).  Moving a party's factor to the front only
 permutes matrix entries, so the subset, c and the first and last terms are
 computed once per channel; each party adds only its partial-trace term.
 Subset selection factors the selected products as r^T times orthonormal rows,
-so <P_a, P_b> = (r^dag r)_ab and c comes from one triangular solve with r.
-Channels of one shape are gated as a stack, and channels with equal |S| share
-each step after the subset scan: one solve for c, then per party one partial
-trace and one eigensolve.  A single channel is a stack of one.
+so <P_a, P_b> = (r^dag r)_ab and c solves r c = h for the identity's
+coordinates h over those rows.  Channels of one shape are gated as a stack.
+One identity stage checks every channel's identity residual, then solves for
+c once per subset size |S|; channels with equal |S| then share, per party,
+one partial trace and one eigensolve.  A single channel is a stack of one.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),
@@ -54,7 +55,6 @@ from .channels import (
 )
 from .linalg import (
     DEFAULT_INDEPENDENCE_TOL,
-    IndependentSubset,
     nullspace_dimension,
     select_independent_subset,
     select_independent_subsets,
@@ -156,64 +156,44 @@ def stacked_pair_products(kraus: np.ndarray) -> np.ndarray:
     return products.reshape(n_stack, n * n, d, d)
 
 
-def identity_vector(subset: IndependentSubset) -> np.ndarray:
-    """Unit-norm coefficients c over S with sum_a c_a P_a = I.
+def _identity_coefficients(groups, names) -> list[np.ndarray]:
+    """Unit-norm c with sum_a c_a P_a = I for each subset-size group (members, basis, r).
 
-    The one-slice case of the gate's stacked identity solve.  With the
-    selected products P = r^T basis, c solves r c = h for the identity's
-    coordinates h = conj(basis) vec(I).  Completeness puts the identity in
-    their span; a residual above IDENTITY_RESIDUAL_TOL (always so for an
-    empty S) raises ``CompletenessError``: the channel is broken, or the
-    subset tolerance discarded too much.
+    With the selected products P = r^T basis, c solves r c = h for the
+    identity's coordinates h = conj(basis) vec(I), one batched solve per
+    group.  Completeness puts the identity in their span.  Every residual off
+    the span is computed before any solve, and the first channel in stack
+    order (``names``) whose residual is above IDENTITY_RESIDUAL_TOL (always
+    so for an empty S) raises ``CompletenessError``: the channel is broken,
+    or the subset tolerance discarded too much.
     """
-    h, residual = _identity_coordinates(subset.basis[None])
-    _require_identity_in_span(residual, [""])
-    return _identity_coefficients(subset.r[None], h)[0]
-
-
-def _identity_coordinates(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h = conj(basis) vec(I) and the identity's residual off the span, per slice of a (G, |S|, D^2) stack."""
-    target = np.eye(math.isqrt(basis.shape[-1]), dtype=complex).reshape(-1)
-    h = np.conj(basis @ target)  # target is real
-    residual = np.linalg.norm((h[:, None] @ basis)[:, 0] - target, axis=-1)
-    return h, residual
-
-
-def _require_identity_in_span(residuals: np.ndarray, labels) -> None:
+    target = np.eye(math.isqrt(groups[0][1].shape[-1]), dtype=complex).reshape(-1)
+    residuals = np.empty(len(names))
+    coords = []
+    for members, basis, _ in groups:
+        h = np.conj(basis @ target)  # target is real
+        residuals[members] = np.linalg.norm((h[:, None] @ basis)[:, 0] - target, axis=-1)
+        coords.append(h)
     bad = np.flatnonzero(residuals > IDENTITY_RESIDUAL_TOL)
     if bad.size:
         raise CompletenessError(
-            f"{labels[bad[0]]}identity not in the span of selected pair products "
+            f"channel '{names[bad[0]]}': identity not in the span of selected pair products "
             f"(residual {residuals[bad[0]]:.3e}); completeness or the subset tolerance is broken"
         )
-
-
-def _identity_coefficients(r: np.ndarray, h: np.ndarray) -> np.ndarray:
-    coeffs = np.linalg.solve(r, h[..., None])[..., 0]
-    return coeffs / np.linalg.norm(coeffs, axis=-1, keepdims=True)
-
-
-def channel_gram(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """The party-independent half of the gate for one channel, as the gate computes it.
-
-    Returns the selected pair products P_a, shape (|S|, D, D), and their
-    Gram <P_a, P_b> = r^dag r plus c c^dag, where c holds the identity
-    coefficients.
-    """
-    [(_, selected, gram)] = _selected_grams(channel.kraus[None], [channel.name])
-    return selected[0], gram[0]
+    coeffs = [np.linalg.solve(r, h[..., None])[..., 0] for (_, _, r), h in zip(groups, coords)]
+    return [c / np.linalg.norm(c, axis=-1, keepdims=True) for c in coeffs]
 
 
 def _selected_grams(kraus: np.ndarray, names) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """``channel_gram`` for a (B, N, d_out, D) Kraus stack, grouped by subset size |S|.
+    """The party-independent half of the gate for a (B, N, d_out, D) Kraus stack, grouped by |S|.
 
-    Returns one (members, selected, gram) per |S|: the group's indices into
-    the stack, its selected products, shape (G, |S|, D, D), and its Grams,
-    shape (G, |S|, |S|).  More than one channel has its subsets selected in
-    one stacked scan; a single channel takes the one-vector scan, which is
-    faster alone.  The identity residuals of every group are checked before
-    any solve, so the first channel in stack order whose identity is off its
-    span raises ``CompletenessError`` naming it (``names``).
+    Returns one (members, selected, gram) per subset size |S|: the group's
+    indices into the stack, its selected products P_a, shape (G, |S|, D, D),
+    and its Grams <P_a, P_b> = r^dag r plus c c^dag, shape (G, |S|, |S|).
+    More than one channel has its subsets selected in one stacked scan; a
+    single channel takes the one-vector scan, which is faster alone.  The
+    identity coefficients c come from ``_identity_coefficients``, which names
+    (``names``) the first channel whose identity is off its span.
     """
     products = stacked_pair_products(kraus)
     flat = products.reshape(len(kraus), products.shape[1], -1)
@@ -224,24 +204,20 @@ def _selected_grams(kraus: np.ndarray, names) -> list[tuple[list[int], np.ndarra
     by_size: dict[int, list[int]] = {}
     for b, subset in enumerate(subsets):
         by_size.setdefault(len(subset.indices), []).append(b)
-    residuals = np.empty(len(kraus))
-    groups = []
+    groups, selected = [], []
     for size, members in by_size.items():
         picked = [subsets[b] for b in members]
         rows = np.array([s.indices for s in picked], dtype=np.intp).reshape(len(members), size)
-        selected = products[np.array(members)[:, None], rows]
+        selected.append(products[np.array(members)[:, None], rows])
         if len(picked) == 1:  # views, no copies
             basis, r = picked[0].basis[None], picked[0].r[None]
         else:
             basis, r = np.stack([s.basis for s in picked]), np.stack([s.r for s in picked])
-        h, residuals[members] = _identity_coordinates(basis)
-        groups.append((members, selected, r, h))
-    _require_identity_in_span(residuals, [f"channel '{name}': " for name in names])
+        groups.append((members, basis, r))
     out = []
-    for members, selected, r, h in groups:
-        c = _identity_coefficients(r, h)
+    for (members, _, r), sel, c in zip(groups, selected, _identity_coefficients(groups, names)):
         gram = r.conj().swapaxes(-1, -2) @ r + c[..., :, None] * c.conj()[..., None, :]
-        out.append((members, selected, gram))
+        out.append((members, sel, gram))
     return out
 
 

@@ -23,7 +23,7 @@ from .channels import (
     KrausChannel,
     channels_equal,
 )
-from .zoo import AMPLITUDE_NORM_TOL, QUARTER_PI, _ket, _proj
+from .zoo import AMPLITUDE_NORM_TOL, QUARTER_PI, _ket, _proj, _rotated_pair
 
 # Frobenius norm below which a compiled leaf operator is an unreachable branch.
 ZERO_LEAF_TOL = 1e-12
@@ -72,7 +72,13 @@ def validate_protocol(tree: ProtocolTree) -> list[float]:
     current local dimension; structural inconsistencies raise
     ``DimensionError`` instead of being reported as residuals.
     """
+    return _walk_nodes(tree)[0]
+
+
+def _walk_nodes(tree: ProtocolTree) -> tuple[list[float], set[tuple[int, ...]]]:
+    """``validate_protocol``'s residuals and the set of per-party dims the leaves end on."""
     residuals: list[float] = []
+    leaf_dims: set[tuple[int, ...]] = set()
 
     def walk(node: ProtocolNode, dims: list[int]) -> None:
         if not 0 <= node.party < tree.parties:
@@ -82,31 +88,45 @@ def validate_protocol(tree: ProtocolTree) -> list[float]:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
             acc = sum(op.conj().T @ op for op in ops)
             residuals.append(float(np.max(np.abs(acc - np.eye(local_dim)))))
-        for op, child in node.branches:
-            if child is not None:
-                new_dims = list(dims)
-                new_dims[node.party] = np.asarray(op).shape[0]
+        for op, (_, child) in zip(ops, node.branches):
+            new_dims = list(dims)
+            new_dims[node.party] = op.shape[0]
+            if child is None:
+                leaf_dims.add(tuple(new_dims))
+            else:
                 walk(child, new_dims)
 
     walk(tree.root, list(tree.initial_dims))
-    return residuals
+    return residuals, leaf_dims
+
+
+def _output_dims(tree: ProtocolTree) -> tuple[int, ...]:
+    """Validate the tree and return the per-party dims every leaf ends on; nothing is compiled.
+
+    Raises ``CompletenessError`` for a node that is not a complete
+    measurement and ``DimensionError`` for leaves that end on different dims.
+    """
+    residuals, leaf_dims = _walk_nodes(tree)
+    if not (np.array(residuals) <= VALIDATION_TOL).all():  # a nan residual fails too
+        raise CompletenessError(
+            f"protocol nodes are not complete measurements (max residual {max(residuals):.3e})"
+        )
+    if len(leaf_dims) != 1:
+        raise DimensionError(f"inconsistent leaf output dimensions: {sorted(leaf_dims)}")
+    return leaf_dims.pop()
 
 
 def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
     """Compile the tree into a channel named "protocol", one Kraus operator per live leaf.
 
-    All leaves must end on the same per-party output dimensions.  Leaves whose
+    The tree is validated, and all leaves must end on the same per-party
+    output dimensions, before any operator is compiled.  Leaves whose
     accumulated operator has Frobenius norm below ``ZERO_LEAF_TOL`` are
     unreachable (zero-probability branches kept only for node completeness)
     and are dropped from the Kraus list.
     """
-    residuals = np.array(validate_protocol(tree))
-    if not (residuals <= VALIDATION_TOL).all():  # a nan residual fails too
-        raise CompletenessError(
-            f"protocol nodes are not complete measurements (max residual {residuals.max():.3e})"
-        )
-    total_in = math.prod(tree.initial_dims)
-    leaves: list[tuple[tuple[int, ...], np.ndarray]] = []
+    out_dims = _output_dims(tree)
+    leaves: list[np.ndarray] = []
 
     def walk(node: ProtocolNode, dims: list[int], acc: np.ndarray) -> None:
         for op, child in node.branches:
@@ -118,18 +138,15 @@ def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
             new_dims = list(dims)
             new_dims[node.party] = op.shape[0]
             if child is None:
-                leaves.append((tuple(new_dims), new_acc))
+                leaves.append(new_acc)
             else:
                 walk(child, new_dims, new_acc)
 
-    walk(tree.root, list(tree.initial_dims), np.eye(total_in, dtype=complex))
-    out_dims = {d for d, _ in leaves}
-    if len(out_dims) != 1:
-        raise DimensionError(f"inconsistent leaf output dimensions: {sorted(out_dims)}")
-    kraus = [acc for _, acc in leaves if float(np.linalg.norm(acc)) > ZERO_LEAF_TOL]
+    walk(tree.root, list(tree.initial_dims), np.eye(math.prod(tree.initial_dims), dtype=complex))
+    kraus = [acc for acc in leaves if float(np.linalg.norm(acc)) > ZERO_LEAF_TOL]
     if not kraus:
         raise ValueError("every leaf compiled to a zero operator")
-    return KrausChannel("protocol", tree.initial_dims, math.prod(out_dims.pop()), kraus)
+    return KrausChannel("protocol", tree.initial_dims, math.prod(out_dims), kraus)
 
 
 def communication_rounds(tree: ProtocolTree) -> int:
@@ -152,16 +169,22 @@ def verify_protocol(
 
     The tree's ``output_isometry``, if any, is applied to every compiled Kraus
     operator first; it must be isometric on the protocol's reachable output
-    subspace for the comparison to be fair.
+    subspace for the comparison to be fair.  Dims are checked before any
+    operator is compiled, each mismatch a ``DimensionError``: the tree's input
+    dimension against the target's, before validation, then its leaves'
+    output dimension against the isometry's width, or against the target's
+    output dimension when there is no isometry.
     """
+    if math.prod(tree.initial_dims) != target.dim:
+        raise DimensionError(f"protocol input dims {tree.initial_dims}, target input {target.dim}")
+    iso = None if tree.output_isometry is None else np.asarray(tree.output_isometry, dtype=complex)
+    width = target.output_dim if iso is None else iso.shape[1] if iso.ndim == 2 else None
+    total_out = math.prod(_output_dims(tree))
+    if total_out != width:
+        side = "target outputs" if iso is None else f"isometry of shape {iso.shape} acts on"
+        raise DimensionError(f"protocol outputs {total_out}, {side} {width}")
     compiled = protocol_to_channel(tree)
-    if tree.output_isometry is not None:
-        iso = np.asarray(tree.output_isometry, dtype=complex)
-        if iso.ndim != 2 or iso.shape[1] != compiled.output_dim:
-            raise DimensionError(
-                f"dimension mismatch after isometry: isometry acts on {iso.shape[1] if iso.ndim == 2 else '?'}, "
-                f"protocol outputs {compiled.output_dim}"
-            )
+    if iso is not None:
         compiled = KrausChannel(compiled.name, compiled.input_dims, len(iso), iso @ compiled.kraus)
     return channels_equal(compiled, target, tol)
 
@@ -181,19 +204,12 @@ def domino_three_round_protocol(theta2: float, theta3: float, theta4: float) -> 
     alice, bob = 0, 1
     e0, e1, e2 = (_ket(i, 3) for i in range(3))
 
-    def plus(a, b, t):
-        return math.cos(t) * a + math.sin(t) * b
-
-    def minus(a, b, t):
-        return math.sin(t) * a - math.cos(t) * b
-
     # Bob heard "0 or 1" from Alice, resolves 1 vs 2, then Alice finishes.
     alice_after_bob1 = ProtocolNode(alice, [(_proj(e0), None), (_proj(e1), None), (_proj(e2), None)])
     alice_after_bob2 = ProtocolNode(
         alice,
         [
-            (_proj(plus(e0, e1, theta4)), None),
-            (_proj(minus(e0, e1, theta4)), None),
+            *((_proj(v), None) for v in _rotated_pair(e0, e1, theta4)),
             (_proj(e2), None),
         ],
     )
@@ -208,8 +224,7 @@ def domino_three_round_protocol(theta2: float, theta3: float, theta4: float) -> 
     bob_resolves_pair2 = ProtocolNode(
         bob,
         [
-            (_proj(plus(e1, e2, theta2)), None),
-            (_proj(minus(e1, e2, theta2)), None),
+            *((_proj(v), None) for v in _rotated_pair(e1, e2, theta2)),
             (_proj(e0), None),
         ],
     )
@@ -224,8 +239,7 @@ def domino_three_round_protocol(theta2: float, theta3: float, theta4: float) -> 
         alice,
         [
             (_proj(e0), None),
-            (_proj(plus(e1, e2, theta3)), None),
-            (_proj(minus(e1, e2, theta3)), None),
+            *((_proj(v), None) for v in _rotated_pair(e1, e2, theta3)),
         ],
     )
     root = ProtocolNode(

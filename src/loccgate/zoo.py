@@ -30,6 +30,11 @@ def _proj(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _rotated_pair(a: np.ndarray, b: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The domino pair (cos t a + sin t b, sin t a - cos t b), orthonormal for orthonormal a, b."""
+    return math.cos(t) * a + math.sin(t) * b, math.sin(t) * a - math.cos(t) * b
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # np.kron of two kets, without its per-call reshaping of general operands
     return np.multiply.outer(a, b).reshape(-1)
@@ -76,23 +81,12 @@ def rotated_domino_states(params: RotatedDominoParams) -> list[np.ndarray]:
     """The nine orthonormal two-qutrit product states of the rotated domino family."""
     t1, t2, t3, t4 = params.theta
     e0, e1, e2 = (_ket(i, 3) for i in range(3))
-
-    def rot_plus(a, b, t):
-        return math.cos(t) * a + math.sin(t) * b
-
-    def rot_minus(a, b, t):
-        return math.sin(t) * a - math.cos(t) * b
-
     return [
         _kron(e1, e1),
-        _kron(e0, rot_plus(e0, e1, t1)),
-        _kron(e0, rot_minus(e0, e1, t1)),
-        _kron(e2, rot_plus(e1, e2, t2)),
-        _kron(e2, rot_minus(e1, e2, t2)),
-        _kron(rot_plus(e1, e2, t3), e0),
-        _kron(rot_minus(e1, e2, t3), e0),
-        _kron(rot_plus(e0, e1, t4), e2),
-        _kron(rot_minus(e0, e1, t4), e2),
+        *(_kron(e0, v) for v in _rotated_pair(e0, e1, t1)),
+        *(_kron(e2, v) for v in _rotated_pair(e1, e2, t2)),
+        *(_kron(v, e0) for v in _rotated_pair(e1, e2, t3)),
+        *(_kron(v, e2) for v in _rotated_pair(e0, e1, t4)),
     ]
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from loccgate import protocols
 from loccgate import (
     KrausChannel,
+    ProtocolNode,
+    ProtocolTree,
     RotatedDominoParams,
     bell_channel,
     domino_channel,
@@ -55,3 +58,27 @@ def dephasing():
 def zoo_channels(bell, domino, rotated_domino, random_unitary_22, usd_instance):
     """One representative per example family."""
     return [bell, domino, rotated_domino, random_unitary_22, usd_instance]
+
+
+@pytest.fixture(scope="session")
+def isometry_chain():
+    """Three chained one-branch nodes, each widening its party's qubit to 1000 dims.
+
+    Compiled, its lone Kraus operator would be 10^9 x 8 (128 GB).
+    """
+    iso = np.zeros((1000, 2), dtype=complex)
+    iso[0, 0] = iso[1, 1] = 1.0
+    node = None
+    for party in (2, 1, 0):
+        node = ProtocolNode(party, [(iso, node)])
+    return ProtocolTree(3, (2, 2, 2), node)
+
+
+@pytest.fixture()
+def no_compiling(monkeypatch):
+    """Fail any protocol compilation, so that a test never builds the chain's operators."""
+
+    def compile_(tree):
+        raise AssertionError("the protocol was compiled before its dims were checked")
+
+    monkeypatch.setattr(protocols, "protocol_to_channel", compile_)

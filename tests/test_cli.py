@@ -24,7 +24,7 @@ from loccgate import (
     usd_oneway_protocol,
 )
 from loccgate.cli import main
-from loccgate.serialize import channel_to_dict, protocol_to_dict, save_channel
+from loccgate.serialize import channel_to_dict, protocol_to_dict, save_channel, save_protocol
 
 
 def run(capsys, argv):
@@ -338,6 +338,19 @@ def test_verify_protocol_mismatch_exit_1(capsys, tmp_path, bell_file):
     )
     assert code == 3
     assert "dimension" in err
+
+
+def test_verify_protocol_checks_dims_before_compiling(capsys, tmp_path, no_compiling, isometry_chain):
+    from loccgate import KrausChannel
+
+    proto, target = tmp_path / "chain.json", tmp_path / "identity.json"
+    save_protocol(isometry_chain, proto)
+    save_channel(KrausChannel("identity", (2, 2, 2), 8, (np.eye(8),)), target)
+    assert proto.stat().st_size > 75_000
+    argv = ["verify-protocol", "--protocol", str(proto), "--channel", str(target)]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "protocol outputs 1000000000, target outputs 8" in err
 
 
 def test_verify_protocol_distinct_channels(capsys, tmp_path, bell_file):

@@ -10,7 +10,6 @@ from loccgate import (
     VERDICT_NOT_LOCC,
     gate_channel,
     haar_unitary,
-    identity_vector,
     pair_products,
     random_unitary_channel,
     remix_kraus,
@@ -22,7 +21,7 @@ from loccgate import (
 from loccgate.channels import CompletenessError, DimensionError
 from loccgate import gate
 from loccgate.gate import (
-    channel_gram,
+    _selected_grams,
     gate_channels,
     party_gram,
     stacked_pair_products,
@@ -56,7 +55,7 @@ def gate_internals(channel, party, products=None, bases=None, rel_tol=1e-13):
 
 def gate_spectrum(channel, party):
     """Ascending eigenvalues of the Gram the gate solves for one party."""
-    selected, gram = channel_gram(channel)
+    [(_, [selected], [gram])] = _selected_grams(channel.kraus[None], [channel.name])
     return hermitian_eigenvalues(party_gram(selected, gram, channel.input_dims, party))
 
 
@@ -144,49 +143,6 @@ def test_build_q_dephasing_zero_for_alice_nonzero_for_bob(dephasing):
     assert np.max(np.abs(q_alice)) < 1e-12
     q_bob, _ = build_q(dephasing, 1)
     assert np.max(np.abs(q_bob)) > 0.1
-
-
-def test_identity_vector_bell(bell):
-    products = pair_products(bell)
-    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    c = identity_vector(subset)
-    assert np.allclose(c, [0.5, 0.5, 0.5, 0.5], atol=1e-10)
-
-
-def test_identity_vector_dephasing(dephasing):
-    products = pair_products(dephasing)
-    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    c = identity_vector(subset)
-    assert np.allclose(c, np.array([1, 1]) / np.sqrt(2), atol=1e-12)
-
-
-def test_identity_vector_usd_uniform(usd_instance):
-    products = pair_products(usd_instance)
-    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    assert subset.indices == [0, 6, 12, 18, 24]  # five diagonal pairs
-    c = identity_vector(subset)
-    assert np.allclose(c, np.full(5, 1 / np.sqrt(5)), atol=1e-10)
-
-
-def test_identity_vector_rejects_identity_outside_span():
-    e0 = np.diag([1.0, 0.0]).astype(complex)
-    products = [e0, 2 * e0]
-    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    with pytest.raises(CompletenessError, match="not in the span"):
-        identity_vector(subset)
-
-
-def test_identity_vector_matches_normal_equations():
-    rng = np.random.default_rng(9)
-    products = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
-    products.append(np.eye(3) + 0.5 * products[0] - 2j * products[2])
-    subset = select_independent_subset([p.reshape(-1) for p in products], 1e-9)
-    assert subset.indices == [0, 1, 2, 3, 4]
-    # independent oracle: solve the normal equations directly, then normalize
-    b = np.stack([p.reshape(-1) for p in products], axis=1)
-    target = np.eye(3, dtype=complex).reshape(-1)
-    oracle = np.linalg.solve(b.conj().T @ b, b.conj().T @ target)
-    assert np.allclose(identity_vector(subset), oracle / np.linalg.norm(oracle), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +499,23 @@ def test_gate_matches_explicit_q_for_every_party(dims, nu):
         assert np.max(np.abs(gate_spectrum(channel, party) - spectrum)) < 1e-9 * scale
 
 
-def test_channel_gram_matches_direct_inner_products(bell, domino, usd_instance):
-    extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
-    for channel in (bell, domino, usd_instance, extra):
-        selected, gram = channel_gram(channel)
+def test_gate_gram_matches_direct_inner_products(bell, dephasing, domino, usd_instance):
+    # the gate's Gram is <P_a, P_b> + c c^dag; c is pinned where S is the diagonal
+    # pairs K_i^dag K_i, which sum to I
+    cases = [
+        (bell, np.full(4, 0.5)),
+        (dephasing, np.full(2, 1 / np.sqrt(2))),
+        (usd_instance, np.full(5, 1 / np.sqrt(5))),
+        (domino, None),
+        (random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23)), None),
+    ]
+    for channel, pinned in cases:
+        [(_, [selected], [gram])] = _selected_grams(channel.kraus[None], [channel.name])
         flat = selected.reshape(len(selected), -1)
         c = identity_coefficients(selected, range(len(selected)))
+        if pinned is not None:
+            assert np.array_equal(selected, pair_products(channel)[:: channel.n_kraus + 1])
+            assert np.allclose(np.outer(c, c.conj()), np.outer(pinned, pinned), atol=1e-10)
         direct = flat.conj() @ flat.T + np.outer(c, c.conj())
         assert np.max(np.abs(gram - direct)) < 1e-12 * np.max(np.abs(direct))
 
@@ -558,7 +525,7 @@ def test_party_gram_nullity_matches_checked_eigensolve(zoo_channels, dephasing):
     # checked and symmetrized hermitian_eigenvalues on the same matrices
     extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
     for channel in (*zoo_channels, dephasing, extra):
-        selected, gram = channel_gram(channel)
+        [(_, [selected], [gram])] = _selected_grams(channel.kraus[None], [channel.name])
         for party in range(channel.n_parties):
             pgram = party_gram(selected, gram, channel.input_dims, party)
             evals = hermitian_eigenvalues(pgram)

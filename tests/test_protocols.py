@@ -23,6 +23,7 @@ from loccgate import (
     validate_protocol,
     verify_protocol,
 )
+from loccgate.channels import DimensionError
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -225,6 +226,18 @@ def test_verify_dimension_mismatch_raises():
     tree = domino_three_round_protocol(0.2, 0.3, 0.4)
     with pytest.raises(ValueError):
         verify_protocol(tree, bell_channel())
+
+
+def test_verify_checks_dims_before_compiling(no_compiling, isometry_chain):
+    identity = KrausChannel("identity", (2, 2, 2), 8, (np.eye(8),))
+    with pytest.raises(DimensionError, match="protocol outputs 1000000000, target outputs 8"):
+        verify_protocol(isometry_chain, identity)
+    with pytest.raises(DimensionError, match="isometry"):
+        verify_protocol(replace(isometry_chain, output_isometry=np.eye(8)), identity)
+    # an incomplete node behind mismatched input dims: the input check comes first
+    lossy = ProtocolTree(2, (3, 1), ProtocolNode(0, [(np.ones((1, 3)), None)]))
+    with pytest.raises(DimensionError, match="protocol input dims"):
+        verify_protocol(lossy, bell_channel())
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
