@@ -98,7 +98,10 @@ class KrausChannel:
 
 
 def check_completeness(channel: KrausChannel) -> float:
-    """Largest absolute entry of sum_i K_i^dag K_i - I."""
+    """Largest absolute entry of sum_i K_i^dag K_i - I; inf, with no D x D matrix
+    formed, when N d_out < D caps the sum's rank below D."""
+    if channel.n_kraus * channel.output_dim < channel.dim:
+        return math.inf
     acc = np.einsum("iab,iac->bc", channel.kraus.conj(), channel.kraus)
     return float(np.max(np.abs(acc - np.eye(channel.dim))))
 

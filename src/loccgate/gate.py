@@ -22,7 +22,9 @@ permutes matrix entries, so the subset, c and the first and last terms are
 computed once per channel; each party adds only its partial-trace term.
 Subset selection factors the selected products as r^T times orthonormal rows,
 so <P_a, P_b> = (r^dag r)_ab and c solves r c = h for the identity's
-coordinates h over those rows.  Channels of one shape are gated as a stack.
+coordinates h over those rows.  Channels of one shape are gated as stacks:
+their pair products are formed in chunks and zero-filtered once, and a stack
+packs each channel's surviving products, zero-padded to its widest channel.
 One identity stage checks every channel's identity residual, then solves for
 c once per subset size |S|; channels with equal |S| then share, per party,
 one partial trace and one eigensolve.  A single channel is a stack of one.
@@ -55,6 +57,7 @@ from .channels import (
 )
 from .linalg import (
     DEFAULT_INDEPENDENCE_TOL,
+    nonzero_vectors,
     nullspace_dimension,
     select_independent_subset,
     select_independent_subsets,
@@ -72,6 +75,11 @@ COMPLETENESS_WARN_TOL = 1e-9
 
 # Largest norm of the identity's part outside the span of the selected products.
 IDENTITY_RESIDUAL_TOL = 1e-9
+
+# Largest packed pair-product array gated as one stack, in bytes, and the chunk
+# products are formed in.  The stacked scan's buffers take up to twice as much
+# again: larger stacks cut per-channel call overhead but add peak memory.
+STACK_BYTES = 1 << 18
 
 
 def valid_rel_tol(rel_tol) -> bool:
@@ -156,6 +164,53 @@ def stacked_pair_products(kraus: np.ndarray) -> np.ndarray:
     return products.reshape(n_stack, n * n, d, d)
 
 
+def product_chunk(n_kraus: int, dim: int) -> int:
+    """How many channels' pair products ``packed_stacks`` forms at a time: as
+    many as fit in STACK_BYTES, at least 1."""
+    return max(1, STACK_BYTES // (np.dtype(complex).itemsize * (n_kraus * dim) ** 2))
+
+
+def packed_stacks(kraus: np.ndarray):
+    """Cut a (B, N, d_out, D) Kraus stack into the stacks gated together; yields (start, packed).
+
+    Pair products are formed in chunks of ``product_chunk`` channels and
+    pass the zero filter (``nonzero_vectors``) once.  ``packed``, shape
+    (b, W, D, D), holds each channel's surviving products in input order,
+    zero-padded to the widest channel, within STACK_BYTES unless b is 1.  A
+    chunk whose products all survive is yielded as it is, not copied.
+    """
+    n_stack, n, _, d = kraus.shape
+    row_bytes = kraus.itemsize * d * d
+    step = product_chunk(n, d)
+    run, width = [], 0
+    for lo in range(0, n_stack, step):
+        products = stacked_pair_products(kraus[lo : lo + step])
+        keep = nonzero_vectors(products.reshape(*products.shape[:2], -1), DEFAULT_INDEPENDENCE_TOL)[1]
+        if not run and keep.all():  # every product survives: the chunk is a stack as it is
+            run.append(products)
+            del products  # hand the chunk over without keeping it alive here
+            yield lo, run.pop()
+            continue
+        for b, mask in enumerate(keep, lo):
+            if run and (len(run) + 1) * max(width, mask.sum()) * row_bytes > STACK_BYTES:
+                yield b - len(run), _padded(run, width)
+                width = 0
+            run.append(products[b - lo, mask])
+            width = max(width, len(run[-1]))
+    if run:
+        del products  # the kept rows are copies: free the chunk while the stack is gated
+        yield n_stack - len(run), _padded(run, width)
+
+
+def _padded(run: list[np.ndarray], width: int) -> np.ndarray:
+    """The arrays of ``run``, zero-padded to ``width`` and stacked; empties ``run``."""
+    packed = np.zeros((len(run), width, *run[0].shape[1:]), dtype=complex)
+    for b, kept in enumerate(run):
+        packed[b, : len(kept)] = kept
+    run.clear()
+    return packed
+
+
 def _identity_coefficients(groups, names) -> list[np.ndarray]:
     """Unit-norm c with sum_a c_a P_a = I for each subset-size group (members, basis, r).
 
@@ -184,8 +239,8 @@ def _identity_coefficients(groups, names) -> list[np.ndarray]:
     return [c / np.linalg.norm(c, axis=-1, keepdims=True) for c in coeffs]
 
 
-def _selected_grams(kraus: np.ndarray, names) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """The party-independent half of the gate for a (B, N, d_out, D) Kraus stack, grouped by |S|.
+def _selected_grams(products: np.ndarray, names) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The party-independent half of the gate for one stack of ``packed_stacks``, grouped by |S|.
 
     Returns one (members, selected, gram) per subset size |S|: the group's
     indices into the stack, its selected products P_a, shape (G, |S|, D, D),
@@ -195,9 +250,8 @@ def _selected_grams(kraus: np.ndarray, names) -> list[tuple[list[int], np.ndarra
     identity coefficients c come from ``_identity_coefficients``, which names
     (``names``) the first channel whose identity is off its span.
     """
-    products = stacked_pair_products(kraus)
-    flat = products.reshape(len(kraus), products.shape[1], -1)
-    if len(kraus) == 1:
+    flat = products.reshape(*products.shape[:2], -1)
+    if len(products) == 1:
         subsets = [select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL)]
     else:
         subsets = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
@@ -257,11 +311,11 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
     Every channel is checked first, in order (at least 2 parties, a valid
     ``rel_tol``, completeness), so the first bad channel raises before any
     gating.  The channels must share input dims and Kraus array shape (else
-    ``DimensionError``).  The whole list is gated as one stack: one batched
-    pair-product matmul and subset scan, then per subset size one identity
-    solve and, per party, one partial trace and one eigensolve, and one
-    Kraus-rank eigensolve for the stack.  Verdicts, candidates and report
-    integers do not depend on the stacking; ratios agree to rounding.
+    ``DimensionError``).  The list is gated in the stacks of ``packed_stacks``:
+    per stack one subset scan, then per subset size one identity solve and,
+    per party, one partial trace and one eigensolve; one Kraus-rank
+    eigensolve serves the list.  Verdicts, candidates and report integers do
+    not depend on the stacking; ratios agree to rounding.
     """
     channels = list(channels)
     for channel in channels:
@@ -273,22 +327,25 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
     kraus = np.stack([c.kraus for c in channels])
     dims = channels[0].input_dims
     reports: list[list[PartyGateReport]] = [[] for _ in channels]
-    for members, selected, gram in _selected_grams(kraus, [c.name for c in channels]):
-        for party, d_party in enumerate(dims):
-            d_rest = math.prod(dims) // d_party
-            q_rows = d_party * d_party * (d_rest * d_rest - 1) + 1
-            stats = nullspace_dimension(party_gram(selected, gram, dims, party), rel_tol)
-            for b, nullity, eig_min, eig_max in zip(members, *stats):
-                reports[b].append(PartyGateReport(
-                    party=party,
-                    pair_count=selected.shape[1],
-                    q_rows=q_rows,
-                    eig_min=eig_min,
-                    eig_max=eig_max,
-                    ratio=max(eig_min / eig_max, 0.0) if eig_max > 0.0 else 0.0,
-                    nullspace_dim=nullity,
-                    can_measure_first=nullity >= 1,
-                ))
+    for start, products in packed_stacks(kraus):
+        grams = _selected_grams(products, [c.name for c in channels[start : start + len(products)]])
+        del products  # the selected products are copies: free the stack before the party work
+        for members, selected, gram in grams:
+            for party, d_party in enumerate(dims):
+                d_rest = math.prod(dims) // d_party
+                q_rows = d_party * d_party * (d_rest * d_rest - 1) + 1
+                stats = nullspace_dimension(party_gram(selected, gram, dims, party), rel_tol)
+                for b, nullity, eig_min, eig_max in zip(members, *stats):
+                    reports[start + b].append(PartyGateReport(
+                        party=party,
+                        pair_count=selected.shape[1],
+                        q_rows=q_rows,
+                        eig_min=eig_min,
+                        eig_max=eig_max,
+                        ratio=max(eig_min / eig_max, 0.0) if eig_max > 0.0 else 0.0,
+                        nullspace_dim=nullity,
+                        can_measure_first=nullity >= 1,
+                    ))
     ranks = kraus_ranks(kraus)
     return [_verdict(c, tuple(rep), rank) for c, rep, rank in zip(channels, reports, ranks)]
 

@@ -33,6 +33,20 @@ class IndependentSubset:
     r: np.ndarray
 
 
+def nonzero_vectors(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Norms of a (..., M, L) complex stack of vectors, and which of them count as nonzero.
+
+    The zero filter: a vector whose norm is at most ``tol`` times the largest
+    of its slice counts as zero, or it would enter an independent subset on
+    rounding noise.  ``tol`` must lie in (0, 1).
+    """
+    if not 0.0 < tol < 1.0:  # also rejects nan and +-inf
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
+    re, im = vectors.real, vectors.imag
+    norms = np.sqrt(np.einsum("...ml,...ml->...m", re, re) + np.einsum("...ml,...ml->...m", im, im))
+    return norms, norms > tol * norms.max(axis=-1, keepdims=True)
+
+
 def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) -> IndependentSubset:
     """Greedy maximal linearly independent subset, scanned in input order.
 
@@ -41,10 +55,8 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     residual is ``r -= Q h`` with ``h = Q^dag r``, applied twice.  A vector
     joins S iff that residual exceeds ``tol`` times its own norm; its column
     of the factor is then the summed ``h`` above the residual norm.  Vectors
-    whose norm is below ``tol`` times the largest input norm, all taken in one
-    array pass, count as zero, or they would enter S on rounding noise.  The
-    scan stops once S spans the whole space: each later vector lies in it.
-    ``tol`` must lie in (0, 1).
+    that ``nonzero_vectors`` counts as zero never enter S.  The scan stops
+    once S spans the whole space: each later vector lies in it.
     """
     try:
         vecs = np.asarray(vectors, dtype=complex)
@@ -52,12 +64,10 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
         raise ValueError("vectors must all have equal length") from exc
     if len(vecs) == 0:
         raise ValueError("vectors must be nonempty")
-    if not 0.0 < tol < 1.0:  # also rejects nan and +-inf
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
     vecs = vecs.reshape(len(vecs), -1)
     length = vecs.shape[1]
-    norms = np.linalg.norm(vecs, axis=1)
-    keep = np.flatnonzero(norms > tol * norms.max())
+    norms, nonzero = nonzero_vectors(vecs, tol)
+    keep = np.flatnonzero(nonzero)
     selected: list[int] = []
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
     onb_c = np.empty_like(onb)  # conj(onb), so Q^dag v is a plain product
@@ -85,45 +95,34 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
 def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL) -> list[IndependentSubset]:
     """``select_independent_subset`` on each slice of a (B, M, L) stack, in one scan.
 
-    The slices advance together, one candidate each per step: at step t,
-    every slice projects its t-th vector above its own zero threshold, with
-    CGS2 batched over the stack.  A slice keeps its own zero filter,
-    acceptance rule and early stop: once its candidates run out or its span
-    is full, its acceptance floor is infinite, and the scan ends when no
-    slice has a candidate left.  After t steps a slice has at most t
-    directions; the rows it has not found yet are zero, so they add nothing
-    to its projections.  Indices equal the one-vector scan's; the factor
-    agrees to rounding, not bit for bit.
+    The slices advance together: at step t, every slice projects its t-th
+    vector, with CGS2 batched over the stack.  A slice keeps its own zero
+    filter, acceptance rule and early stop: a vector the filter drops, or
+    any vector once its span is full, meets an infinite acceptance floor,
+    and the scan ends when no slice accepts a later vector, soonest on
+    slices packed with their nonzero vectors first.  After t steps a slice
+    has at most t directions; the rows it has not found yet are zero, so
+    they add nothing to its projections.  Indices equal the one-vector
+    scan's; the factor agrees to rounding, not bit for bit.
     """
     vecs = np.asarray(stack, dtype=complex)
     if vecs.ndim != 3 or 0 in vecs.shape:
         raise ValueError("stack must be a nonempty (B, M, L) array")
-    if not 0.0 < tol < 1.0:  # also rejects nan and +-inf
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
     n_slices, n_vecs, length = vecs.shape
-    re, im = vecs.real, vecs.imag
-    norms = np.sqrt(np.einsum("bml,bml->bm", re, re) + np.einsum("bml,bml->bm", im, im))
-    keep = norms > tol * norms.max(axis=1, keepdims=True)
-    n_keep = np.count_nonzero(keep, axis=1)
-    steps = int(n_keep.max())
-    order = np.argsort(~keep, axis=1, kind="stable")[:, :steps]  # kept indices first, in order
-    pick = order + n_vecs * np.arange(n_slices)[:, None]  # rows of the flattened stack
-    flat = vecs.reshape(-1, length)
-    floors = tol * norms.reshape(-1)[pick]
-    floors[np.arange(steps) >= n_keep[:, None]] = np.inf
-    cap = min(steps, length)
+    norms, nonzero = nonzero_vectors(vecs, tol)
+    floors = np.where(nonzero, tol * norms, np.inf)
+    cap = min(n_vecs, length)
     onb = np.zeros((n_slices, cap, length), dtype=complex)
     factor = np.zeros((n_slices, cap, cap), dtype=complex)  # r transposed
-    taken = np.zeros((n_slices, steps), dtype=bool)
+    taken = np.zeros((n_slices, n_vecs), dtype=bool)
     k = np.zeros(n_slices, dtype=np.intp)
-    horizon = steps
-    for t in range(steps):
-        if t >= horizon:
+    for t in range(n_vecs):
+        if np.isinf(floors[:, t:]).all():  # no slice accepts a vector from here on
             break
         width = min(t, cap)
         q = onb[:, :width]
         q_t = q.swapaxes(1, 2)
-        v = flat[pick[:, t], :, None]
+        v = vecs[:, t, :, None]
         h1 = (q @ v.conj()).conj()  # Q^dag v
         r = v - q_t @ h1
         h2 = (q @ r.conj()).conj()
@@ -140,11 +139,9 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL) -> 
             if t + 1 >= length:  # a slice whose span is full scans no further
                 full = grow[k[grow] == length]
                 floors[full] = np.inf
-                n_keep[full] = 0
-                horizon = int(n_keep.max())
     return [
         IndependentSubset(
-            indices=order[b, taken[b]].tolist(), basis=onb[b, :kb], r=factor[b, :kb, :kb].T
+            indices=np.flatnonzero(taken[b]).tolist(), basis=onb[b, :kb], r=factor[b, :kb, :kb].T
         )
         for b, kb in enumerate(k.tolist())
     ]

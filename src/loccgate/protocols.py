@@ -69,8 +69,9 @@ def validate_protocol(tree: ProtocolTree) -> list[float]:
     """Per-node completeness residuals, preorder.
 
     Each node's operators must resolve the identity on the acting party's
-    current local dimension; structural inconsistencies raise
-    ``DimensionError`` instead of being reported as residuals.
+    current local dimension d; with fewer than d rows in total they cannot,
+    and the residual is inf with no d x d matrix formed.  Structural
+    inconsistencies raise ``DimensionError`` instead of being reported.
     """
     return _walk_nodes(tree)[0]
 
@@ -85,9 +86,12 @@ def _walk_nodes(tree: ProtocolTree) -> tuple[list[float], set[tuple[int, ...]]]:
             raise DimensionError(f"party index {node.party} out of range")
         local_dim = dims[node.party]
         ops = _node_ops(node, local_dim)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
-            acc = sum(op.conj().T @ op for op in ops)
-            residuals.append(float(np.max(np.abs(acc - np.eye(local_dim)))))
+        if sum(len(op) for op in ops) < local_dim:  # sum op^dag op has too low a rank to be I
+            residuals.append(math.inf)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
+                acc = sum(op.conj().T @ op for op in ops)
+                residuals.append(float(np.max(np.abs(acc - np.eye(local_dim)))))
         for op, (_, child) in zip(ops, node.branches):
             new_dims = list(dims)
             new_dims[node.party] = op.shape[0]

@@ -11,11 +11,12 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
 
-from .gate import DEFAULT_NULLSPACE_RTOL, gate_channels, valid_rel_tol
+from .gate import DEFAULT_NULLSPACE_RTOL, gate_channels, product_chunk, valid_rel_tol
 from .serialize import SchemaError
 from .zoo import (
     RotatedDominoParams,
@@ -138,27 +139,18 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
-# Largest stack of pair products, in bytes, gated in one ``gate_channels`` call.
-# The stacked scan's buffers take up to twice as much again, so this bounds
-# what a sweep adds to its peak memory; larger stacks cut per-row numpy call
-# overhead further but add memory in proportion.
-STACK_BYTES = 1 << 18
-
-
 def _same_shape_stacks(samples):
-    """Runs of consecutive samples whose channels share a shape, each run's
-    pair products within STACK_BYTES (a lone oversized channel runs alone)."""
-    stack, key, room = [], None, 0
-    for values, channel in samples:
-        shape = (channel.input_dims, channel.kraus.shape)
-        if shape != key or len(stack) == room:
-            if stack:
-                yield stack
-            products_bytes = channel.kraus.itemsize * (channel.n_kraus * channel.dim) ** 2
-            stack, key, room = [], shape, max(1, STACK_BYTES // products_bytes)
-        stack.append((values, channel))
-    if stack:
-        yield stack
+    """Runs of consecutive samples whose channels share a shape, N product
+    chunks (``gate.product_chunk``) long: as many as fit ``gate.STACK_BYTES``
+    when each keeps only its N products K_i^dag K_i, as measurements do.
+
+    ``gate_channels`` cuts a run into stacks of at most STACK_BYTES of packed
+    products.  Where every product survives, those stacks are the chunks.
+    """
+    for _, run in groupby(samples, key=lambda s: (s[1].input_dims, s[1].kraus.shape)):
+        for first in run:  # the rest of the stack comes from the same run
+            n = first[1].n_kraus
+            yield [first, *islice(run, n * product_chunk(n, first[1].dim) - 1)]
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list]]:

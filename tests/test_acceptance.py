@@ -34,7 +34,7 @@ from loccgate import (
     usd_states,
     verify_protocol,
 )
-from loccgate.gate import _selected_grams, party_gram
+from loccgate.gate import _selected_grams, party_gram, stacked_pair_products
 from loccgate.sweeps import SweepConfig, sample_rng
 from oracle import hermitian_eigenvalues
 from oracle import augmented_spectrum, operator_basis, recombined_basis
@@ -264,7 +264,7 @@ def test_criterion_09_invariance_suite():
                 dims == baseline,
                 f"{channel.name}: remix {i} changed nullspace dims {baseline} -> {dims}",
             )
-        [(_, [selected], [gram])] = _selected_grams(channel.kraus[None], [channel.name])
+        [(_, [selected], [gram])] = _selected_grams(stacked_pair_products(channel.kraus[None]), [channel.name])
         for p in range(channel.n_parties):
             d_party = channel.input_dims[p]
             d_rest = channel.dim // d_party

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from loccgate import (
     channels_equal,
     check_completeness,
     choi_matrix,
+    gate_channel,
     haar_unitary,
     kraus_rank,
     lone_kraus_operator,
@@ -14,7 +18,7 @@ from loccgate import (
     remix_kraus,
     validate_density_matrix,
 )
-from loccgate.channels import kraus_ranks
+from loccgate.channels import CompletenessError, kraus_ranks
 from oracle import hermitian_eigenvalues
 from oracle import lone_kraus_operator as choi_lone_kraus_operator
 from oracle import operator_schmidt_rank as permuted_schmidt_rank
@@ -79,6 +83,24 @@ def test_completeness_identity_and_bell(bell):
 def test_completeness_every_zoo_channel(zoo_channels):
     for channel in zoo_channels:
         assert check_completeness(channel) < 1e-9
+
+
+def wide_channel(width=2048) -> KrausChannel:
+    """One 1 x width Kraus operator: sum K^dag K has rank 1 and cannot be the identity."""
+    return KrausChannel("wide", (width, 1), 1, (np.full((1, width), width ** -0.5),))
+
+
+def test_completeness_fails_without_a_d_by_d_matrix_when_the_rank_forbids_it():
+    tracemalloc.start()
+    try:
+        residual = check_completeness(wide_channel())
+        with pytest.raises(CompletenessError, match="'wide' has completeness residual inf"):
+            gate_channel(wide_channel())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual == math.inf
+    assert peak < 2048 ** 2 * 16 // 8  # an eighth of one complex 2048 x 2048 matrix
 
 
 def test_apply_identity_channel():

@@ -93,6 +93,17 @@ def test_check_completeness_failure(capsys, tmp_path):
     assert "completeness failure" in err
 
 
+def test_check_fails_completeness_of_a_channel_too_narrow_to_be_complete(capsys, tmp_path):
+    # one 1 x 2048 Kraus operator on input dims (2048, 1): sum K^dag K has rank 1
+    from loccgate import KrausChannel
+
+    path = tmp_path / "wide.json"
+    save_channel(KrausChannel("wide", (2048, 1), 1, (np.full((1, 2048), 2048 ** -0.5),)), path)
+    code, out, err = run(capsys, ["check", "--channel", str(path)])
+    assert (code, out) == (4, "")
+    assert "'wide' has completeness residual inf" in err
+
+
 def overflowing_channel():
     # K^dag K overflows to inf - inf, so the completeness residual is nan
     from loccgate import KrausChannel

@@ -27,7 +27,7 @@ from loccgate.gate import (
     stacked_pair_products,
     valid_rel_tol,
 )
-from loccgate.linalg import nullspace_dimension
+from loccgate.linalg import nonzero_vectors, nullspace_dimension
 from oracle import (
     augmented_q,
     hermitian_eigenvalues,
@@ -55,7 +55,7 @@ def gate_internals(channel, party, products=None, bases=None, rel_tol=1e-13):
 
 def gate_spectrum(channel, party):
     """Ascending eigenvalues of the Gram the gate solves for one party."""
-    [(_, [selected], [gram])] = _selected_grams(channel.kraus[None], [channel.name])
+    [(_, [selected], [gram])] = _selected_grams(stacked_pair_products(channel.kraus[None]), [channel.name])
     return hermitian_eigenvalues(party_gram(selected, gram, channel.input_dims, party))
 
 
@@ -328,6 +328,46 @@ def test_gate_channels_matches_gate_channel_per_channel(zoo_channels, dephasing)
             assert_same_verdict(verdict, gate_channel(channel))
 
 
+def test_gate_channels_pads_slices_that_keep_different_numbers_of_products(monkeypatch):
+    # one (3, 12, 4) Kraus stack whose slices keep 9, 5, 3 and 3 of their 9 pair products
+    rng = np.random.default_rng(43)
+    u = random_unitary_channel((2, 2), 3, rng).kraus
+    padded_unitary = np.zeros((3, 12, 4), dtype=complex)
+    padded_unitary[:, :4] = u
+    two_flags = np.zeros((3, 12, 4), dtype=complex)  # K_1^dag K_2 survives, the other cross terms vanish
+    two_flags[0, :4] = np.sqrt(1.5) * u[0]  # weights 1/2, 1/4 and 1/4
+    two_flags[1:, 4:8] = np.sqrt(0.75) * u[1:]
+    q = haar_unitary(4, rng)
+    proj = [np.outer(q[:, i], q[:, i].conj()) for i in range(4)]
+    channels = [
+        KrausChannel("padded-unitary", (2, 2), 12, padded_unitary),
+        KrausChannel("two-flags", (2, 2), 12, two_flags),
+        flagged_channel("measure", [(proj[0], 1.0), (proj[1], 1.0), (proj[2] + proj[3], 1.0)]),
+        flagged_channel("coin", [(np.eye(4), 0.2), (np.eye(4), 0.3), (np.eye(4), 0.5)]),
+    ]
+    kraus = np.stack([c.kraus for c in channels])
+    kept = nonzero_vectors(stacked_pair_products(kraus).reshape(4, 9, -1), 1e-9)[1]
+    assert kept.sum(axis=1).tolist() == [9, 5, 3, 3]
+    scanned, formed = [], []
+
+    def record(calls, func):
+        return lambda arg, *rest: calls.append(arg) or func(arg, *rest)
+
+    # the gate reaches both stages through its module attributes
+    monkeypatch.setattr(gate, "stacked_pair_products", record(formed, stacked_pair_products))
+    monkeypatch.setattr(gate, "select_independent_subsets", record(scanned, gate.select_independent_subsets))
+    got = gate_channels(channels)
+    assert len(formed) == 1 and np.array_equal(formed[0], kraus)
+    (packed,) = scanned
+    assert packed.shape == (4, 9, 16)
+    for products, mask, slice_ in zip(stacked_pair_products(kraus), kept, packed):
+        assert np.array_equal(slice_[: mask.sum()], products[mask].reshape(-1, 16))
+        assert not slice_[mask.sum() :].any()
+    assert got[3].verdict == VERDICT_DEGENERATE_IDENTITY_SPAN
+    for verdict, channel in zip(got, channels):
+        assert_same_verdict(verdict, gate_channel(channel))
+
+
 def test_gate_channels_raises_for_the_first_bad_channel_before_any_work(monkeypatch, rotated_domino):
     def no_work(*args):
         raise AssertionError("gating started before every channel was checked")
@@ -510,7 +550,7 @@ def test_gate_gram_matches_direct_inner_products(bell, dephasing, domino, usd_in
         (random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23)), None),
     ]
     for channel, pinned in cases:
-        [(_, [selected], [gram])] = _selected_grams(channel.kraus[None], [channel.name])
+        [(_, [selected], [gram])] = _selected_grams(stacked_pair_products(channel.kraus[None]), [channel.name])
         flat = selected.reshape(len(selected), -1)
         c = identity_coefficients(selected, range(len(selected)))
         if pinned is not None:
@@ -525,7 +565,7 @@ def test_party_gram_nullity_matches_checked_eigensolve(zoo_channels, dephasing):
     # checked and symmetrized hermitian_eigenvalues on the same matrices
     extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
     for channel in (*zoo_channels, dephasing, extra):
-        [(_, [selected], [gram])] = _selected_grams(channel.kraus[None], [channel.name])
+        [(_, [selected], [gram])] = _selected_grams(stacked_pair_products(channel.kraus[None]), [channel.name])
         for party in range(channel.n_parties):
             pgram = party_gram(selected, gram, channel.input_dims, party)
             evals = hermitian_eigenvalues(pgram)

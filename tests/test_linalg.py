@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from loccgate import pair_products, random_unitary_channel
 from loccgate.linalg import (
+    nonzero_vectors,
     nullspace_dimension,
     select_independent_subset,
     select_independent_subsets,
@@ -298,6 +299,24 @@ def test_stacked_scan_matches_the_scan_of_each_slice(n_slices, length, extra, se
         assert np.linalg.norm(subset.r.T @ subset.basis - selected) <= 1e-12 * np.linalg.norm(selected)
         assert np.allclose(subset.basis.conj() @ subset.basis.T, np.eye(len(alone)), atol=1e-12)
         assert np.all(np.tril(subset.r, -1) == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 7), st.integers(0, 3), st.integers(0, 2 ** 31 - 1))
+def test_stacked_scan_on_packed_slices_matches_the_scan_of_each_unpadded_slice(
+    n_slices, length, extra, seed
+):
+    # each slice keeps its nonzero vectors in order, zero-padded to the widest slice
+    rng = np.random.default_rng(seed)
+    raw = [random_slice(rng, length + extra, length) for _ in range(n_slices)]
+    kept = [vecs[nonzero_vectors(vecs, 1e-9)[1]] for vecs in raw]
+    packed = np.zeros((n_slices, max(1, *map(len, kept)), length), dtype=complex)
+    for slice_, vecs in zip(packed, kept):
+        slice_[: len(vecs)] = vecs
+    for subset, vecs, original in zip(select_independent_subsets(packed, 1e-9), kept, raw):
+        assert subset.indices == (select_independent_subset(vecs, 1e-9).indices if len(vecs) else [])
+        mask = nonzero_vectors(original, 1e-9)[1]
+        assert np.flatnonzero(mask)[subset.indices].tolist() == select_independent_subset(original).indices
 
 
 def test_stacked_scan_rejects_bad_args():

@@ -1,4 +1,6 @@
 import copy
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +85,24 @@ def test_validate_rejects_overflowing_node_behind_a_complete_one():
     assert residuals[0] == 0.0 and np.isnan(residuals[1])
     with pytest.raises(ValueError, match="not complete measurements"):
         protocol_to_channel(tree)
+
+
+def test_validate_fails_a_node_with_too_few_rows_without_a_d_by_d_matrix():
+    # the root widens party 0 to 2048 dims; its child's lone 1 x 2048 operator has rank 1
+    child = ProtocolNode(0, [(np.full((1, 2048), 2048 ** -0.5), None)])
+    widen = np.zeros((2048, 2), dtype=complex)
+    widen[:2] = np.eye(2)
+    tree = ProtocolTree(2, (2, 2), ProtocolNode(0, [(widen, child)]))
+    tracemalloc.start()
+    try:
+        residuals = validate_protocol(tree)
+        with pytest.raises(ValueError, match="max residual inf"):
+            protocol_to_channel(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residuals == [0.0, math.inf]
+    assert peak < 2048 ** 2 * 16 // 8  # an eighth of one complex 2048 x 2048 matrix
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import csv
 import pytest
 
 from loccgate import SweepConfig, gate_channel, random_unitary_channel, run_sweep, write_csv_atomic
-from loccgate.sweeps import STACK_BYTES, sample_rng
+from loccgate import gate
+from loccgate.gate import STACK_BYTES
+from loccgate.sweeps import _FAMILY_TABLE, sample_rng
 from loccgate.serialize import SchemaError
 
 
@@ -133,6 +135,17 @@ def test_identical_seed_identical_file(tmp_path):
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
+def assert_rows_equal_gating_each_row_alone(header, rows, channels):
+    i_lambda = header.index("lambda_hat")
+    for flat, (row, channel) in enumerate(zip(rows, channels, strict=True)):
+        alone = gate_channel(channel)
+        assert row[0] == flat
+        assert row[-1] == alone.verdict
+        assert abs(row[i_lambda] - alone.lambda_hat) <= 2e-15
+        for got, report in zip(row[i_lambda - len(alone.reports) : i_lambda], alone.reports, strict=True):
+            assert abs(got - report.ratio) <= 2e-15
+
+
 def test_stacked_sweep_rows_equal_gating_each_row_alone():
     # nu changes mid-sweep, and the nu = 5 run is longer than one stack
     per_stack = STACK_BYTES // (16 * 25 * 16)  # 25 pair products of 4 x 4
@@ -140,14 +153,23 @@ def test_stacked_sweep_rows_equal_gating_each_row_alone():
         family="random_unitary", samples=per_stack + 3, seed=5, dims=(2, 2), nu_values=(5, 2)
     )
     header, rows = run_sweep(cfg)
-    assert len(rows) == 2 * cfg.samples
-    i_lambda = header.index("lambda_hat")
-    for flat, row in enumerate(rows):
-        nu = cfg.nu_values[flat // cfg.samples]
-        channel = random_unitary_channel(cfg.dims, nu, sample_rng(cfg.seed, flat))
-        alone = gate_channel(channel, rel_tol=cfg.rel_tol)
-        assert row[:2] == [flat, nu]
-        assert row[-1] == alone.verdict
-        assert abs(row[i_lambda] - alone.lambda_hat) <= 2e-15
-        for got, report in zip(row[2:i_lambda], alone.reports, strict=True):
-            assert abs(got - report.ratio) <= 2e-15
+    nus = [nu for nu in cfg.nu_values for _ in range(cfg.samples)]
+    assert [row[1] for row in rows] == nus
+    channels = [random_unitary_channel(cfg.dims, nu, sample_rng(cfg.seed, i)) for i, nu in enumerate(nus)]
+    assert_rows_equal_gating_each_row_alone(header, rows, channels)
+
+
+@pytest.mark.parametrize("family, samples", [("rotated_domino", 50), ("usd", 210)])
+def test_packed_sweep_stacks_stay_within_stack_bytes(monkeypatch, family, samples):
+    # runs longer than one stack; rotated domino keeps 9 of 81 pair products, usd 5 of 25
+    scanned = []
+    for name in ("select_independent_subset", "select_independent_subsets"):
+        scan = getattr(gate, name)
+        monkeypatch.setattr(gate, name, lambda vecs, *rest, scan=scan: scanned.append(vecs) or scan(vecs, *rest))
+    cfg = SweepConfig(family=family, samples=samples, seed=9)
+    header, rows = run_sweep(cfg)
+    monkeypatch.undo()
+    stacks = [len(vecs) if vecs.ndim == 3 else 1 for vecs in scanned]
+    assert sum(stacks) == samples and max(stacks) > 2
+    assert max(vecs.nbytes for vecs in scanned) <= STACK_BYTES
+    assert_rows_equal_gating_each_row_alone(header, rows, [c for _, c in _FAMILY_TABLE[family][1](cfg)])
