@@ -20,6 +20,48 @@ from pathlib import Path
 from loccgate import SweepConfig, run_sweep, write_csv_atomic
 
 
+def figure_configs(samples: int, seeds: int, seed: int) -> dict[str, list[SweepConfig]]:
+    """The sweep configs behind each figure CSV, by file name.
+
+    ``samples`` counts the samples per continuous family, ``seeds`` the
+    seeds per random-unitary N_u value, and ``seed`` is the master seed.
+    """
+    return {
+        "rotated_domino.csv": [SweepConfig(family="rotated_domino", samples=samples, seed=seed)],
+        "usd.csv": [SweepConfig(family="usd", samples=samples, seed=seed + 1)],
+        "random_unitary.csv": [
+            SweepConfig(
+                family="random_unitary",
+                samples=seeds,
+                seed=seed + 2,
+                dims=dims,
+                nu_values=tuple(range(2, dims[0] * dims[1] + 3)),
+            )
+            for dims in ((2, 2), (2, 3))
+        ],
+    }
+
+
+def figure_table(configs: list[SweepConfig]) -> tuple[list[str], list[list]]:
+    """(header, rows) of one figure CSV: one config's sweep as it is, or the
+    transition study, which concatenates its dimension pairs behind a dims
+    column."""
+    if len(configs) == 1:
+        return run_sweep(configs[0])
+    table_header, table_rows = None, []
+    for cfg in configs:
+        header, rows = run_sweep(cfg)
+        header = ["dims", *header]
+        if table_header is None:
+            table_header = header
+        elif header != table_header:
+            # [2,3] and [2,2] have the same party count, columns must agree
+            raise RuntimeError("transition sweep column mismatch")
+        label = "x".join(map(str, cfg.dims))
+        table_rows.extend([label, *row] for row in rows)
+    return table_header, table_rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="data", help="output directory (created if missing)")
@@ -38,40 +80,10 @@ def main() -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    configs = {
-        "rotated_domino.csv": SweepConfig(
-            family="rotated_domino", samples=samples, seed=args.seed
-        ),
-        "usd.csv": SweepConfig(family="usd", samples=samples, seed=args.seed + 1),
-    }
-    for filename, cfg in configs.items():
-        header, rows = run_sweep(cfg)
+    for filename, configs in figure_configs(samples, seeds, args.seed).items():
+        header, rows = figure_table(configs)
         write_csv_atomic(outdir / filename, header, rows)
         print(f"wrote {outdir / filename} ({len(rows)} rows)")
-
-    # the transition study concatenates both dimension pairs into one file
-    transition_rows = []
-    transition_header = None
-    for dims in ((2, 2), (2, 3)):
-        total = dims[0] * dims[1]
-        cfg = SweepConfig(
-            family="random_unitary",
-            samples=seeds,
-            seed=args.seed + 2,
-            dims=dims,
-            nu_values=tuple(range(2, total + 3)),
-        )
-        header, rows = run_sweep(cfg)
-        header = ["dims", *header]
-        rows = [[f"{dims[0]}x{dims[1]}", *row] for row in rows]
-        if transition_header is None:
-            transition_header = header
-        elif header != transition_header:
-            # [2,3] and [2,2] have the same party count, columns must agree
-            raise RuntimeError("transition sweep column mismatch")
-        transition_rows.extend(rows)
-    write_csv_atomic(outdir / "random_unitary.csv", transition_header, transition_rows)
-    print(f"wrote {outdir / 'random_unitary.csv'} ({len(transition_rows)} rows)")
     return 0
 
 

@@ -7,7 +7,7 @@ explicit --seed.  Exit codes: 0 success (for verify-protocol: channels match),
 ``main`` alone maps the class to the code: 3 for a ``DimensionError``
 (dimension inconsistency), 4 for a ``CompletenessError`` (completeness
 failure), 2 for any other ``ValueError`` (parse failure, an out-of-range --tol
-included) and for an --out that cannot be written.
+included), an input too large for memory and an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -264,6 +264,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_COMPLETENESS, f"completeness failure: {exc}")
     except ValueError as exc:
         return _fail(EXIT_PARSE, f"parse failure: {exc}")
+    except MemoryError as exc:  # numpy's names the size: "Unable to allocate 2.33 TiB ..."
+        return _fail(EXIT_PARSE, f"input too large: {str(exc) or 'out of memory'}")
     except OSError as exc:  # inputs are read through _load_json, so this is a failed write
         out = getattr(args, "out", "stdout")  # check and verify-protocol write only stdout
         return _fail(EXIT_PARSE, f"cannot write {out}: {exc.strerror or exc}")

@@ -25,9 +25,10 @@ so <P_a, P_b> = (r^dag r)_ab and c solves r c = h for the identity's
 coordinates h over those rows.  Channels of one shape are gated as stacks:
 their pair products are formed in chunks and zero-filtered once, and a stack
 packs each channel's surviving products, zero-padded to its widest channel.
-One identity stage checks every channel's identity residual, then solves for
-c once per subset size |S|; channels with equal |S| then share, per party,
-one partial trace and one eigensolve.  A single channel is a stack of one.
+One scan gives the stack one padded record of subsets and factors, one
+identity stage checks it for every residual and solves for c once per |S|,
+and channels with equal |S| share, per party, one partial trace and one
+eigensolve.  A single channel is a stack of one, with a one-vector scan.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),
@@ -211,67 +212,57 @@ def _padded(run: list[np.ndarray], width: int) -> np.ndarray:
     return packed
 
 
-def _identity_coefficients(groups, names) -> list[np.ndarray]:
-    """Unit-norm c with sum_a c_a P_a = I for each subset-size group (members, basis, r).
+def _identity_coefficients(basis: np.ndarray, groups, names) -> list[np.ndarray]:
+    """Unit-norm c with sum_a c_a P_a = I for each subset-size group (members, r).
 
     With the selected products P = r^T basis, c solves r c = h for the
-    identity's coordinates h = conj(basis) vec(I), one batched solve per
-    group.  Completeness puts the identity in their span.  Every residual off
-    the span is computed before any solve, and the first channel in stack
-    order (``names``) whose residual is above IDENTITY_RESIDUAL_TOL (always
-    so for an empty S) raises ``CompletenessError``: the channel is broken,
-    or the subset tolerance discarded too much.
+    identity's coordinates h = conj(basis) vec(I), where the padded rows of
+    the stack's ``basis`` give h = 0.  Completeness puts the identity in their
+    span.  All residuals off the span come before the one batched solve per
+    group: the first channel in stack order (``names``) whose residual is
+    above IDENTITY_RESIDUAL_TOL (always so for an empty S) raises
+    ``CompletenessError``; it is broken, or the subset tolerance dropped too much.
     """
-    target = np.eye(math.isqrt(groups[0][1].shape[-1]), dtype=complex).reshape(-1)
-    residuals = np.empty(len(names))
-    coords = []
-    for members, basis, _ in groups:
-        h = np.conj(basis @ target)  # target is real
-        residuals[members] = np.linalg.norm((h[:, None] @ basis)[:, 0] - target, axis=-1)
-        coords.append(h)
+    target = np.eye(math.isqrt(basis.shape[-1]), dtype=complex).reshape(-1)
+    h = np.conj(basis @ target)  # target is real
+    residuals = np.linalg.norm((h[:, None] @ basis)[:, 0] - target, axis=-1)
     bad = np.flatnonzero(residuals > IDENTITY_RESIDUAL_TOL)
     if bad.size:
         raise CompletenessError(
             f"channel '{names[bad[0]]}': identity not in the span of selected pair products "
             f"(residual {residuals[bad[0]]:.3e}); completeness or the subset tolerance is broken"
         )
-    coeffs = [np.linalg.solve(r, h[..., None])[..., 0] for (_, _, r), h in zip(groups, coords)]
+    coeffs = [np.linalg.solve(r, h[members, : r.shape[-1], None])[..., 0] for members, r in groups]
     return [c / np.linalg.norm(c, axis=-1, keepdims=True) for c in coeffs]
 
 
-def _selected_grams(products: np.ndarray, names) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+def _selected_grams(products: np.ndarray, names, stacked: bool = False):
     """The party-independent half of the gate for one stack of ``packed_stacks``, grouped by |S|.
 
     Returns one (members, selected, gram) per subset size |S|: the group's
     indices into the stack, its selected products P_a, shape (G, |S|, D, D),
     and its Grams <P_a, P_b> = r^dag r plus c c^dag, shape (G, |S|, |S|).
-    More than one channel has its subsets selected in one stacked scan; a
-    single channel takes the one-vector scan, which is faster alone.  The
-    identity coefficients c come from ``_identity_coefficients``, which names
-    (``names``) the first channel whose identity is off its span.
+    The groups index one padded scan record (``select_independent_subsets``):
+    the stacked scan's in a call that gates two or more channels (``stacked``),
+    else the one-vector scan's, faster alone.  ``names`` name the channels.
     """
     flat = products.reshape(*products.shape[:2], -1)
-    if len(products) == 1:
-        subsets = [select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL)]
-    else:
-        subsets = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
-    by_size: dict[int, list[int]] = {}
-    for b, subset in enumerate(subsets):
-        by_size.setdefault(len(subset.indices), []).append(b)
-    groups, selected = [], []
-    for size, members in by_size.items():
-        picked = [subsets[b] for b in members]
-        rows = np.array([s.indices for s in picked], dtype=np.intp).reshape(len(members), size)
-        selected.append(products[np.array(members)[:, None], rows])
-        if len(picked) == 1:  # views, no copies
-            basis, r = picked[0].basis[None], picked[0].r[None]
-        else:
-            basis, r = np.stack([s.basis for s in picked]), np.stack([s.r for s in picked])
-        groups.append((members, basis, r))
+    if stacked:
+        taken, basis, r = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
+    else:  # a one-channel call
+        subset = select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL)
+        taken = np.isin(np.arange(flat.shape[1]), subset.indices)[None]
+        basis, r = subset.basis[None], subset.r[None]
+        del subset  # its views would keep the scan's whole buffers alive
+    sizes = taken.sum(axis=1)
+    groups = [(np.flatnonzero(sizes == k), r[sizes == k, :k, :k]) for k in dict.fromkeys(sizes.tolist())]
+    coeffs = _identity_coefficients(basis, groups, names)
+    del basis, r  # free the scan's buffers before the selected products are gathered
     out = []
-    for (members, _, r), sel, c in zip(groups, selected, _identity_coefficients(groups, names)):
-        gram = r.conj().swapaxes(-1, -2) @ r + c[..., :, None] * c.conj()[..., None, :]
-        out.append((members, sel, gram))
+    for (members, factor), c in zip(groups, coeffs):
+        selected = products[taken & (sizes == factor.shape[-1])[:, None]]
+        gram = factor.conj().swapaxes(-1, -2) @ factor + c[..., :, None] * c.conj()[..., None, :]
+        out.append((members.tolist(), selected.reshape(len(members), -1, *products.shape[2:]), gram))
     return out
 
 
@@ -312,10 +303,10 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
     ``rel_tol``, completeness), so the first bad channel raises before any
     gating.  The channels must share input dims and Kraus array shape (else
     ``DimensionError``).  The list is gated in the stacks of ``packed_stacks``:
-    per stack one subset scan, then per subset size one identity solve and,
-    per party, one partial trace and one eigensolve; one Kraus-rank
-    eigensolve serves the list.  Verdicts, candidates and report integers do
-    not depend on the stacking; ratios agree to rounding.
+    per stack one subset scan (stacked for two or more channels, so reports do
+    not depend on the stack cuts, bit for bit), per |S| one identity solve and,
+    per party, one partial trace and one eigensolve; one Kraus-rank eigensolve
+    serves the list.
     """
     channels = list(channels)
     for channel in channels:
@@ -328,7 +319,8 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
     dims = channels[0].input_dims
     reports: list[list[PartyGateReport]] = [[] for _ in channels]
     for start, products in packed_stacks(kraus):
-        grams = _selected_grams(products, [c.name for c in channels[start : start + len(products)]])
+        names = [c.name for c in channels[start : start + len(products)]]
+        grams = _selected_grams(products, names, stacked=len(channels) > 1)
         del products  # the selected products are copies: free the stack before the party work
         for members, selected, gram in grams:
             for party, d_party in enumerate(dims):

@@ -92,18 +92,22 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     return IndependentSubset(indices=selected, basis=onb[:k], r=factor[:k, :k])
 
 
-def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL) -> list[IndependentSubset]:
+def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     """``select_independent_subset`` on each slice of a (B, M, L) stack, in one scan.
 
-    The slices advance together: at step t, every slice projects its t-th
-    vector, with CGS2 batched over the stack.  A slice keeps its own zero
-    filter, acceptance rule and early stop: a vector the filter drops, or
-    any vector once its span is full, meets an infinite acceptance floor,
-    and the scan ends when no slice accepts a later vector, soonest on
-    slices packed with their nonzero vectors first.  After t steps a slice
-    has at most t directions; the rows it has not found yet are zero, so
-    they add nothing to its projections.  Indices equal the one-vector
-    scan's; the factor agrees to rounding, not bit for bit.
+    Returns one padded record (taken, basis, r): ``taken`` (B, M) marks the
+    selected vectors; ``basis`` (B, K, L) and ``r`` (B, K, K), K = min(M, L),
+    are zero past a slice's k = taken[b].sum() rows and columns, and slice b
+    selects ``r[b, :k, :k].T @ basis[b, :k]``.  The slices advance together:
+    at step t, every slice projects its t-th vector, with CGS2 batched over
+    the stack.  A slice keeps its own zero filter, acceptance rule and early
+    stop: a vector the filter drops, or any vector once its span is full,
+    meets an infinite acceptance floor, and the scan ends when no slice
+    accepts a later vector, soonest on slices packed with their nonzero
+    vectors first.  After t steps a slice has at most t directions; the rows
+    it has not found yet are zero, so they add nothing to its projections.  A
+    slice's record does not depend on the other slices, bit for bit; its
+    indices equal the one-vector scan's, its factor agrees to rounding.
     """
     vecs = np.asarray(stack, dtype=complex)
     if vecs.ndim != 3 or 0 in vecs.shape:
@@ -113,7 +117,7 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL) -> 
     floors = np.where(nonzero, tol * norms, np.inf)
     cap = min(n_vecs, length)
     onb = np.zeros((n_slices, cap, length), dtype=complex)
-    factor = np.zeros((n_slices, cap, cap), dtype=complex)  # r transposed
+    factor = np.zeros((n_slices, cap, cap), dtype=complex)
     taken = np.zeros((n_slices, n_vecs), dtype=bool)
     k = np.zeros(n_slices, dtype=np.intp)
     for t in range(n_vecs):
@@ -132,19 +136,13 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL) -> 
         if grow.size:
             at = k[grow]
             onb[grow, at] = r[grow, :, 0] / rnorm[grow, None]
-            factor[grow, at, :width] = (h1 + h2)[grow, :, 0]
+            factor[grow, :width, at] = (h1 + h2)[grow, :, 0]
             factor[grow, at, at] = rnorm[grow]
             taken[grow, t] = True
             k[grow] += 1
             if t + 1 >= length:  # a slice whose span is full scans no further
-                full = grow[k[grow] == length]
-                floors[full] = np.inf
-    return [
-        IndependentSubset(
-            indices=np.flatnonzero(taken[b]).tolist(), basis=onb[b, :kb], r=factor[b, :kb, :kb].T
-        )
-        for b, kb in enumerate(k.tolist())
-    ]
+                floors[grow[k[grow] == length]] = np.inf
+    return taken, onb, factor
 
 
 def nullspace_dimension(gram: np.ndarray, rel_tol: float):

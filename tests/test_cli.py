@@ -209,6 +209,23 @@ def test_sweep_rejects_bad_config(capsys, tmp_path):
     assert "parse failure" in err
 
 
+def test_input_too_large_for_memory_exits_2_without_traceback(capsys, tmp_path, bell_file, monkeypatch):
+    # a random_unitary sweep at nu_values [100000] asks numpy for 2.33 TiB of pair
+    # products; the gate stage that would allocate them raises instead
+    def too_large(kraus):
+        raise MemoryError("Unable to allocate 2.33 TiB for an array")
+
+    monkeypatch.setattr(loccgate.gate, "stacked_pair_products", too_large)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"family": "random_unitary", "samples": 1, "seed": 0, "nu_values": [5]}))
+    for argv in (["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")],
+                 ["check", "--channel", str(bell_file)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: input too large: Unable to allocate 2.33 TiB for an array\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # tolerances that would fake a verdict
 

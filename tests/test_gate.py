@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -403,6 +406,43 @@ def test_gate_channels_names_the_first_channel_whose_identity_is_off_the_span():
     lone = KrausChannel("lone", (2, 2), 4, (k0 * np.sqrt(2), np.zeros((4, 4))))
     with pytest.raises(CompletenessError, match="channel 'lone'"):
         gate_channels([halves, lone, near])
+
+
+def same_shape_lists(rng):
+    """One list of same-shape channels per family: lone stacks at 4 KiB, one stack at 4 MiB."""
+    yield [
+        rotated_domino_channel(RotatedDominoParams(tuple(rng.uniform(0.0, np.pi / 4, 4))))
+        for _ in range(12)
+    ]
+    yield [usd_channel(sample_usd_params(rng)) for _ in range(16)]
+    for dims, nu in (((2, 2), 3), ((2, 2), 5), ((2, 3), 6), ((2, 2, 2), 5)):
+        yield [random_unitary_channel(dims, nu, rng) for _ in range(12)]
+    yield [channel for _ in range(4) for channel in mixed_subset_sizes(rng)]
+
+
+def test_gate_channels_rows_do_not_depend_on_the_stack_cuts(monkeypatch):
+    # from lone stacks of one channel to one stack of the whole list
+    for channels in same_shape_lists(np.random.default_rng(47)):
+        outputs = set()
+        for stack_bytes in (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 22):
+            monkeypatch.setattr(gate, "STACK_BYTES", stack_bytes)
+            outputs.add(json.dumps([v.to_dict() for v in gate_channels(channels)]))
+        assert len(outputs) == 1, channels[0].name
+
+
+def test_gate_channels_keeps_no_scan_buffer_it_does_not_need():
+    # 200 usd channels fill one 256 KiB stack; the gate keeps no per-channel copy
+    # of the scan's basis, and frees the basis before it gathers the selected products
+    rng = np.random.default_rng(42)
+    channels = [usd_channel(sample_usd_params(rng)) for _ in range(200)]
+    gate_channels(channels[:2])  # warm-up: first-call allocations are not the gate's
+    tracemalloc.start()
+    try:
+        gate_channels(channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1650 * 1024
 
 
 def test_gate_channels_batches_its_eigensolves_and_solves(monkeypatch):

@@ -283,6 +283,21 @@ def random_slice(rng, n_vecs, length):
     return vecs
 
 
+def assert_record_slice(taken, basis, r, vecs):
+    """One slice of the stacked scan's padded record against the one-vector
+    scan of its vectors: same indices, a factor that reproduces the selected
+    vectors, and exact zeros past its k rows, which the gate's identity stage
+    relies on."""
+    indices = np.flatnonzero(taken)
+    assert indices.tolist() == select_independent_subset(vecs, 1e-9).indices
+    k = len(indices)
+    assert not basis[k:].any() and not r[k:].any() and not r[:, k:].any()
+    selected = vecs[indices]
+    assert np.linalg.norm(r[:k, :k].T @ basis[:k] - selected) <= 1e-12 * np.linalg.norm(selected)
+    assert np.allclose(basis[:k].conj() @ basis[:k].T, np.eye(k), atol=1e-12)
+    assert np.all(np.tril(r, -1) == 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 3), st.integers(0, 2 ** 31 - 1))
 def test_stacked_scan_matches_the_scan_of_each_slice(n_slices, length, extra, seed):
@@ -290,15 +305,13 @@ def test_stacked_scan_matches_the_scan_of_each_slice(n_slices, length, extra, se
     rng = np.random.default_rng(seed)
     n_vecs = length + extra
     stack = np.stack([random_slice(rng, n_vecs, length) for _ in range(n_slices)])
-    subsets = select_independent_subsets(stack, 1e-9)
-    assert len(subsets) == n_slices
-    for vecs, subset in zip(stack, subsets):
-        alone = select_independent_subset(vecs, 1e-9).indices
-        assert subset.indices == alone == mgs_subset_indices(vecs, 1e-9)
-        selected = vecs[subset.indices]
-        assert np.linalg.norm(subset.r.T @ subset.basis - selected) <= 1e-12 * np.linalg.norm(selected)
-        assert np.allclose(subset.basis.conj() @ subset.basis.T, np.eye(len(alone)), atol=1e-12)
-        assert np.all(np.tril(subset.r, -1) == 0)
+    taken, basis, r = select_independent_subsets(stack, 1e-9)
+    cap = min(n_vecs, length)
+    assert taken.shape == (n_slices, n_vecs) and taken.dtype == bool
+    assert basis.shape == (n_slices, cap, length) and r.shape == (n_slices, cap, cap)
+    for b, vecs in enumerate(stack):
+        assert_record_slice(taken[b], basis[b], r[b], vecs)
+        assert np.flatnonzero(taken[b]).tolist() == mgs_subset_indices(vecs, 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,10 +326,12 @@ def test_stacked_scan_on_packed_slices_matches_the_scan_of_each_unpadded_slice(
     packed = np.zeros((n_slices, max(1, *map(len, kept)), length), dtype=complex)
     for slice_, vecs in zip(packed, kept):
         slice_[: len(vecs)] = vecs
-    for subset, vecs, original in zip(select_independent_subsets(packed, 1e-9), kept, raw):
-        assert subset.indices == (select_independent_subset(vecs, 1e-9).indices if len(vecs) else [])
+    taken, basis, r = select_independent_subsets(packed, 1e-9)
+    for b, (vecs, original) in enumerate(zip(kept, raw)):
+        assert_record_slice(taken[b], basis[b], r[b], packed[b])
+        assert not taken[b, len(vecs) :].any()
         mask = nonzero_vectors(original, 1e-9)[1]
-        assert np.flatnonzero(mask)[subset.indices].tolist() == select_independent_subset(original).indices
+        assert np.flatnonzero(mask)[taken[b, : len(vecs)]].tolist() == select_independent_subset(original).indices
 
 
 def test_stacked_scan_rejects_bad_args():
