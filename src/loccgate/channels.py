@@ -100,10 +100,17 @@ class KrausChannel:
 def check_completeness(channel: KrausChannel) -> float:
     """Largest absolute entry of sum_i K_i^dag K_i - I; inf, with no D x D matrix
     formed, when N d_out < D caps the sum's rank below D."""
-    if channel.n_kraus * channel.output_dim < channel.dim:
-        return math.inf
-    acc = np.einsum("iab,iac->bc", channel.kraus.conj(), channel.kraus)
-    return float(np.max(np.abs(acc - np.eye(channel.dim))))
+    return float(completeness_residuals(channel.kraus[None])[0])
+
+
+def completeness_residuals(kraus: np.ndarray) -> np.ndarray:
+    """``check_completeness`` of each channel in a (B, N, d_out, D) Kraus stack,
+    from one batched einsum."""
+    n_stack, n, d_out, d = kraus.shape
+    if n * d_out < d:
+        return np.full(n_stack, math.inf)
+    acc = np.einsum("...iab,...iac->...bc", kraus.conj(), kraus)
+    return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:

@@ -28,7 +28,8 @@ packs each channel's surviving products, zero-padded to its widest channel.
 One scan gives the stack one padded record of subsets and factors, one
 identity stage checks it for every residual and solves for c once per |S|,
 and channels with equal |S| share, per party, one partial trace and one
-eigensolve.  A single channel is a stack of one, with a one-vector scan.
+eigensolve.  Sweeps hand their rows to the gate as Kraus stacks; a single
+channel (``gate_channel``) is a stack of one, with a one-vector scan.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),
@@ -51,7 +52,7 @@ from .channels import (
     CompletenessError,
     DimensionError,
     KrausChannel,
-    check_completeness,
+    completeness_residuals,
     kraus_ranks,
     lone_kraus_operator,
     operator_schmidt_rank,
@@ -243,8 +244,8 @@ def _selected_grams(products: np.ndarray, names, stacked: bool = False):
     indices into the stack, its selected products P_a, shape (G, |S|, D, D),
     and its Grams <P_a, P_b> = r^dag r plus c c^dag, shape (G, |S|, |S|).
     The groups index one padded scan record (``select_independent_subsets``):
-    the stacked scan's in a call that gates two or more channels (``stacked``),
-    else the one-vector scan's, faster alone.  ``names`` name the channels.
+    the stacked scan's if ``stacked``, else the one-vector scan's, faster for
+    a lone channel.  ``names`` name the channels.
     """
     flat = products.reshape(*products.shape[:2], -1)
     if stacked:
@@ -297,36 +298,71 @@ def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL)
 
 
 def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[GateVerdict]:
-    """``gate_channel`` for each of a list of channels of one shape.
+    """``gate_channel`` for each of a list of channels of one shape, gated as one Kraus stack.
 
-    Every channel is checked first, in order (at least 2 parties, a valid
-    ``rel_tol``, completeness), so the first bad channel raises before any
-    gating.  The channels must share input dims and Kraus array shape (else
-    ``DimensionError``).  The list is gated in the stacks of ``packed_stacks``:
-    per stack one subset scan (stacked for two or more channels, so reports do
-    not depend on the stack cuts, bit for bit), per |S| one identity solve and,
-    per party, one partial trace and one eigensolve; one Kraus-rank eigensolve
-    serves the list.
+    Every channel is checked before any gating (``_check_stack``: at least 2
+    parties, a valid ``rel_tol``, completeness); the first whose input dims or
+    Kraus array shape differ from the first's raises ``DimensionError`` after
+    the channels before it are checked.
     """
     channels = list(channels)
-    for channel in channels:
-        _check_gateable(channel, rel_tol)
-    if len({(c.input_dims, c.kraus.shape) for c in channels}) > 1:
-        raise DimensionError("gate_channels needs channels of one shape (input dims and Kraus array)")
     if not channels:
         return []
-    kraus = np.stack([c.kraus for c in channels])
-    dims = channels[0].input_dims
-    reports: list[list[PartyGateReport]] = [[] for _ in channels]
+    shape = (channels[0].input_dims, channels[0].kraus.shape)
+    faults = (i for i, c in enumerate(channels) if (c.input_dims, c.kraus.shape) != shape)
+    end = next(faults, len(channels))
+    kraus, names = np.stack([c.kraus for c in channels[:end]]), [c.name for c in channels]
+    if end == len(channels):  # no fault; a lone channel takes the one-vector scan
+        return _gate_stack(kraus, shape[0], names, rel_tol, stacked=end > 1)
+    _check_stack(kraus, shape[0], names, rel_tol)
+    parties = channels[end].n_parties
+    raise DimensionError(
+        f"the gate needs at least 2 parties, got {parties}" if parties < 2
+        else "gate_channels needs channels of one shape (input dims and Kraus array)"
+    )
+
+
+def _check_stack(kraus: np.ndarray, input_dims, names, rel_tol: float) -> None:
+    """Raise for the first fault of a Kraus stack: fewer than 2 parties, a bad
+    ``rel_tol``, then the first channel with a non-finite entry and the first
+    whose completeness residual is not within COMPLETENESS_TOL."""
+    if len(input_dims) < 2:
+        raise DimensionError(f"the gate needs at least 2 parties, got {len(input_dims)}")
+    if not valid_rel_tol(rel_tol):
+        raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
+    finite = np.isfinite(kraus).all(axis=(-2, -1))
+    if not finite.all():
+        b, k = np.argwhere(~finite)[0]
+        raise ValueError(f"channel '{names[b]}': Kraus operator {k} has non-finite entries")
+    residuals = completeness_residuals(kraus)
+    bad = np.flatnonzero(~(residuals <= COMPLETENESS_TOL))
+    if bad.size:
+        raise CompletenessError(
+            f"channel '{names[bad[0]]}' has completeness residual {residuals[bad[0]]:.3e}, "
+            f"not within {COMPLETENESS_TOL:g}"
+        )
+
+
+def _gate_stack(
+    kraus: np.ndarray, input_dims, names, rel_tol: float, *, stacked: bool = True
+) -> list[GateVerdict]:
+    """The gate on a (B, N, d_out, D) Kraus stack of channels on ``input_dims``, named ``names``.
+
+    After ``_check_stack``, per stack of ``packed_stacks`` one subset scan
+    (stacked unless ``stacked`` is false, so reports do not depend on the
+    stack cuts, bit for bit), per |S| one identity solve and, per party, one
+    partial trace and eigensolve; one Kraus-rank eigensolve for the whole stack.
+    """
+    _check_stack(kraus, input_dims, names, rel_tol)
+    reports: list[list[PartyGateReport]] = [[] for _ in kraus]
     for start, products in packed_stacks(kraus):
-        names = [c.name for c in channels[start : start + len(products)]]
-        grams = _selected_grams(products, names, stacked=len(channels) > 1)
+        grams = _selected_grams(products, names[start : start + len(products)], stacked)
         del products  # the selected products are copies: free the stack before the party work
         for members, selected, gram in grams:
-            for party, d_party in enumerate(dims):
-                d_rest = math.prod(dims) // d_party
+            for party, d_party in enumerate(input_dims):
+                d_rest = math.prod(input_dims) // d_party
                 q_rows = d_party * d_party * (d_rest * d_rest - 1) + 1
-                stats = nullspace_dimension(party_gram(selected, gram, dims, party), rel_tol)
+                stats = nullspace_dimension(party_gram(selected, gram, input_dims, party), rel_tol)
                 for b, nullity, eig_min, eig_max in zip(members, *stats):
                     reports[start + b].append(PartyGateReport(
                         party=party,
@@ -339,46 +375,19 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
                         can_measure_first=nullity >= 1,
                     ))
     ranks = kraus_ranks(kraus)
-    return [_verdict(c, tuple(rep), rank) for c, rep, rank in zip(channels, reports, ranks)]
+    return [_verdict(k, input_dims, tuple(rep), rank) for k, rep, rank in zip(kraus, reports, ranks)]
 
 
-def _check_gateable(channel: KrausChannel, rel_tol: float) -> None:
-    if channel.n_parties < 2:
-        raise DimensionError(f"the gate needs at least 2 parties, got {channel.n_parties}")
-    if not valid_rel_tol(rel_tol):
-        raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
-    residual = check_completeness(channel)
-    if not residual <= COMPLETENESS_TOL:
-        raise CompletenessError(
-            f"channel '{channel.name}' has completeness residual {residual:.3e}, "
-            f"not within {COMPLETENESS_TOL:g}"
-        )
-
-
-def _verdict(channel: KrausChannel, reports, rank: int) -> GateVerdict:
+def _verdict(kraus: np.ndarray, input_dims, reports, rank: int) -> GateVerdict:
     lambda_hat = min(r.ratio for r in reports)
     if rank == 1:
         local = False
-        if channel.output_dim == channel.dim:
-            lone = lone_kraus_operator(channel)
-            local = all(
-                operator_schmidt_rank(lone, channel.input_dims, p) == 1
-                for p in range(channel.n_parties)
-            )
-        return GateVerdict(
-            reports=reports,
-            lambda_hat=lambda_hat,
-            verdict=VERDICT_DEGENERATE_KRAUS_RANK_ONE,
-            local=local,
-        )
+        if kraus.shape[1] == kraus.shape[2]:  # square
+            lone = lone_kraus_operator(KrausChannel("", input_dims, kraus.shape[1], kraus))
+            local = all(operator_schmidt_rank(lone, input_dims, p) == 1 for p in range(len(input_dims)))
+        return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_KRAUS_RANK_ONE, local=local)
     if reports[0].pair_count == 1:
         return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_IDENTITY_SPAN)
-    candidates = tuple(r.party for r in reports if r.can_measure_first)
-    if candidates:
-        return GateVerdict(
-            reports=reports,
-            lambda_hat=lambda_hat,
-            verdict=VERDICT_FIRST_MOVE_CANDIDATES,
-            candidates=candidates,
-        )
-    return GateVerdict(reports=reports, lambda_hat=lambda_hat, verdict=VERDICT_NOT_LOCC)
+    if candidates := tuple(r.party for r in reports if r.can_measure_first):
+        return GateVerdict(reports, lambda_hat, VERDICT_FIRST_MOVE_CANDIDATES, candidates=candidates)
+    return GateVerdict(reports, lambda_hat, VERDICT_NOT_LOCC)

@@ -22,6 +22,7 @@ from .channels import (
     DimensionError,
     KrausChannel,
     channels_equal,
+    completeness_residuals,
 )
 from .zoo import AMPLITUDE_NORM_TOL, QUARTER_PI, _ket, _proj, _rotated_pair
 
@@ -70,7 +71,8 @@ def validate_protocol(tree: ProtocolTree) -> list[float]:
 
     Each node's operators must resolve the identity on the acting party's
     current local dimension d; with fewer than d rows in total they cannot,
-    and the residual is inf with no d x d matrix formed.  Structural
+    and the residual is inf with no d x d matrix formed (the channel rule,
+    ``completeness_residuals``, applied to the node's stacked rows).  Structural
     inconsistencies raise ``DimensionError`` instead of being reported.
     """
     return _walk_nodes(tree)[0]
@@ -86,12 +88,8 @@ def _walk_nodes(tree: ProtocolTree) -> tuple[list[float], set[tuple[int, ...]]]:
             raise DimensionError(f"party index {node.party} out of range")
         local_dim = dims[node.party]
         ops = _node_ops(node, local_dim)
-        if sum(len(op) for op in ops) < local_dim:  # sum op^dag op has too low a rank to be I
-            residuals.append(math.inf)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves inf or nan
-                acc = sum(op.conj().T @ op for op in ops)
-                residuals.append(float(np.max(np.abs(acc - np.eye(local_dim)))))
+        # the stacked rows as one Kraus operator: its K^dag K is sum op^dag op
+        residuals.append(float(completeness_residuals(np.concatenate(ops)[None, None])[0]))
         for op, (_, child) in zip(ops, node.branches):
             new_dims = list(dims)
             new_dims[node.party] = op.shape[0]
@@ -207,52 +205,19 @@ def domino_three_round_protocol(theta2: float, theta3: float, theta4: float) -> 
             raise ValueError(f"angle out of range: {label} = {t} not in [0, pi/4]")
     alice, bob = 0, 1
     e0, e1, e2 = (_ket(i, 3) for i in range(3))
+    p0, p1, p2 = _proj(e0), _proj(e1), _proj(e2)
+
+    def leaves(*ops):
+        return [(op, None) for op in ops]
 
     # Bob heard "0 or 1" from Alice, resolves 1 vs 2, then Alice finishes.
-    alice_after_bob1 = ProtocolNode(alice, [(_proj(e0), None), (_proj(e1), None), (_proj(e2), None)])
-    alice_after_bob2 = ProtocolNode(
-        alice,
-        [
-            *((_proj(v), None) for v in _rotated_pair(e0, e1, theta4)),
-            (_proj(e2), None),
-        ],
-    )
-    bob_refines = ProtocolNode(
-        bob,
-        [
-            (_proj(e1), alice_after_bob1),
-            (_proj(e2), alice_after_bob2),
-            (_proj(e0), None),
-        ],
-    )
-    bob_resolves_pair2 = ProtocolNode(
-        bob,
-        [
-            *((_proj(v), None) for v in _rotated_pair(e1, e2, theta2)),
-            (_proj(e0), None),
-        ],
-    )
-    alice_splits = ProtocolNode(
-        alice,
-        [
-            (_proj(e0) + _proj(e1), bob_refines),
-            (_proj(e2), bob_resolves_pair2),
-        ],
-    )
-    alice_after_bob0 = ProtocolNode(
-        alice,
-        [
-            (_proj(e0), None),
-            *((_proj(v), None) for v in _rotated_pair(e1, e2, theta3)),
-        ],
-    )
-    root = ProtocolNode(
-        bob,
-        [
-            (_proj(e0), alice_after_bob0),
-            (_proj(e1) + _proj(e2), alice_splits),
-        ],
-    )
+    alice_after_bob1 = ProtocolNode(alice, leaves(p0, p1, p2))
+    alice_after_bob2 = ProtocolNode(alice, leaves(*map(_proj, _rotated_pair(e0, e1, theta4)), p2))
+    bob_refines = ProtocolNode(bob, [(p1, alice_after_bob1), (p2, alice_after_bob2), (p0, None)])
+    bob_resolves_pair2 = ProtocolNode(bob, leaves(*map(_proj, _rotated_pair(e1, e2, theta2)), p0))
+    alice_splits = ProtocolNode(alice, [(p0 + p1, bob_refines), (p2, bob_resolves_pair2)])
+    alice_after_bob0 = ProtocolNode(alice, leaves(p0, *map(_proj, _rotated_pair(e1, e2, theta3))))
+    root = ProtocolNode(bob, [(p0, alice_after_bob0), (p1 + p2, alice_splits)])
     return ProtocolTree(parties=2, initial_dims=(3, 3), root=root)
 
 
@@ -276,25 +241,16 @@ def usd_oneway_protocol(alpha1: complex, beta1: complex) -> ProtocolTree:
         raise ValueError("no valid proportionality constants for Bob's measurement")
     c3 = np.sqrt(c3_sq)
     e0, e1 = _ket(0, 2), _ket(1, 2)
-
-    def flag(n):
-        return _ket(n, 5)
-
-    bob_conclusive = ProtocolNode(
-        1,
-        [
-            (np.outer(flag(2), e0.conj()), None),
-            (np.outer(flag(3), e1.conj()), None),
-        ],
-    )
-    bob_resolves = ProtocolNode(
-        1,
-        [
-            (c1 * np.outer(flag(0), np.conj(a1 * e0 + b1 * e1)), None),
-            (c1 * np.outer(flag(1), np.conj(a1 * e0 - b1 * e1)), None),
-            (c3 * np.outer(flag(4), e0.conj()), None),
-        ],
-    )
+    flag = np.eye(5, dtype=complex)
+    bob_conclusive = ProtocolNode(1, [
+        (np.outer(flag[2], e0.conj()), None),
+        (np.outer(flag[3], e1.conj()), None),
+    ])
+    bob_resolves = ProtocolNode(1, [
+        (c1 * np.outer(flag[0], np.conj(a1 * e0 + b1 * e1)), None),
+        (c1 * np.outer(flag[1], np.conj(a1 * e0 - b1 * e1)), None),
+        (c3 * np.outer(flag[4], e0.conj()), None),
+    ])
     root = ProtocolNode(0, [(_proj(e0), bob_resolves), (_proj(e1), bob_conclusive)])
 
     # Reachable outputs are (alice=0, flags {1,2,5}) and (alice=1, flags {3,4});

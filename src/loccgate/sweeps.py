@@ -1,7 +1,9 @@
 """Seeded parameter sweeps over the example families, emitted as CSV rows.
 
 Every sample draws its own generator from (seed, sample index), so rows are
-reproducible independently of evaluation order.
+reproducible independently of evaluation order.  A family's sampler yields
+runs of rows with their (B, N, d_out, D) Kraus stack, built in one array
+pass, and each run is gated as one stack.
 """
 
 from __future__ import annotations
@@ -11,20 +13,14 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
-from itertools import groupby, islice
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .gate import DEFAULT_NULLSPACE_RTOL, gate_channels, product_chunk, valid_rel_tol
+from .gate import DEFAULT_NULLSPACE_RTOL, _gate_stack, product_chunk, valid_rel_tol
 from .serialize import SchemaError
-from .zoo import (
-    RotatedDominoParams,
-    random_unitary_channel,
-    rotated_domino_channel,
-    sample_usd_params,
-    usd_channel,
-)
+from .zoo import random_unitary_kraus, rotated_domino_kraus, sample_usd_params, usd_kraus
 
 
 @dataclass(frozen=True)
@@ -102,28 +98,43 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(index)))
 
 
+def _runs(count: int, n_kraus: int, dim: int):
+    """Bounds (lo, hi) of the runs of ``count`` rows of N Kraus operators on
+    dimension D: N product chunks (``gate.product_chunk``) long, as many as fit
+    ``gate.STACK_BYTES`` when each keeps only its N products K_i^dag K_i, as
+    measurements do; the gate cuts each run into stacks of packed products."""
+    step = n_kraus * product_chunk(n_kraus, dim)
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def _rotated_domino_samples(cfg: SweepConfig):
-    for s in range(cfg.samples):
-        rng = sample_rng(cfg.seed, s)
+    for lo, hi in _runs(cfg.samples, 9, 9):
         # theta_high - U[0, theta_high) lands in (0, theta_high]
-        theta = tuple(cfg.theta_high - rng.uniform(0.0, cfg.theta_high) for _ in range(4))
-        yield (*theta, min(theta)), rotated_domino_channel(RotatedDominoParams(theta))
+        draws = [sample_rng(cfg.seed, s).uniform(0.0, cfg.theta_high, 4) for s in range(lo, hi)]
+        theta = cfg.theta_high - np.array(draws)
+        yield np.column_stack([theta, theta.min(axis=1)]).tolist(), (3, 3), rotated_domino_kraus(theta)
 
 
 def _random_unitary_samples(cfg: SweepConfig):
-    nus = (nu for nu in cfg.nu_values for _ in range(cfg.samples))
-    for flat, nu in enumerate(nus):
-        yield (nu,), random_unitary_channel(cfg.dims, nu, sample_rng(cfg.seed, flat))
+    flat = 0
+    for nu, repeats in groupby(cfg.nu_values):
+        count = cfg.samples * len(list(repeats))
+        for lo, hi in _runs(count, nu, math.prod(cfg.dims)):
+            rngs = [sample_rng(cfg.seed, flat + s) for s in range(lo, hi)]
+            yield [(nu,)] * (hi - lo), cfg.dims, random_unitary_kraus(cfg.dims, nu, rngs)
+        flat += count
 
 
 def _usd_samples(cfg: SweepConfig):
-    for s in range(cfg.samples):
-        p = sample_usd_params(sample_rng(cfg.seed, s), cfg.eta1, cfg.eta3)
-        values = (abs(p.alpha1), abs(p.beta1), abs(p.alpha3), abs(p.beta3), p.eta1, p.eta3)
-        yield values, usd_channel(p)
+    for lo, hi in _runs(cfg.samples, 5, 4):
+        rngs = (sample_rng(cfg.seed, s) for s in range(lo, hi))
+        params = [sample_usd_params(rng, cfg.eta1, cfg.eta3) for rng in rngs]
+        values = [(*map(abs, (p.alpha1, p.beta1, p.alpha3, p.beta3)), p.eta1, p.eta3) for p in params]
+        yield values, (2, 2), usd_kraus(params)
 
 
-# Family -> (parameter columns, sampler yielding (parameter values, channel)).
+# Family -> (parameter columns, sampler yielding runs (parameter values per row,
+# input dims, Kraus stack)).
 _FAMILY_TABLE = {
     "rotated_domino": (
         ("theta1", "theta2", "theta3", "theta4", "theta_min"),
@@ -139,35 +150,22 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
-def _same_shape_stacks(samples):
-    """Runs of consecutive samples whose channels share a shape, N product
-    chunks (``gate.product_chunk``) long: as many as fit ``gate.STACK_BYTES``
-    when each keeps only its N products K_i^dag K_i, as measurements do.
-
-    ``gate_channels`` cuts a run into stacks of at most STACK_BYTES of packed
-    products.  Where every product survives, those stacks are the chunks.
-    """
-    for _, run in groupby(samples, key=lambda s: (s[1].input_dims, s[1].kraus.shape)):
-        for first in run:  # the rest of the stack comes from the same run
-            n = first[1].n_kraus
-            yield [first, *islice(run, n * product_chunk(n, first[1].dim) - 1)]
-
-
 def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list]]:
     """Evaluate a sweep; returns (header, rows) in deterministic order.
 
     Each row is the sample index, the family's parameter values, one ratio
-    per party, ``lambda_hat`` and the verdict.  Consecutive same-shape
-    samples are gated together (``gate_channels``); rows equal those of
-    gating each sample alone, ratios to rounding.
+    per party, ``lambda_hat`` and the verdict.  Each run of the family's
+    sampler is gated as one Kraus stack, with the stacked scan even for a
+    run of one row, so a row does not depend on ``samples``; rows equal those
+    of gating each sample alone, ratios to rounding.
     """
     columns, samples = _FAMILY_TABLE[cfg.family]
     rows = []
-    for stack in _same_shape_stacks(samples(cfg)):
-        verdicts = gate_channels([channel for _, channel in stack], rel_tol=cfg.rel_tol)
-        for (values, _), verdict in zip(stack, verdicts):
+    for values, dims, kraus in samples(cfg):
+        names = [f"{cfg.family} sample {i}" for i in range(len(rows), len(rows) + len(kraus))]
+        for value, verdict in zip(values, _gate_stack(kraus, dims, names, cfg.rel_tol)):
             ratios = [r.ratio for r in verdict.reports]
-            rows.append([len(rows), *values, *ratios, verdict.lambda_hat, verdict.verdict])
+            rows.append([len(rows), *value, *ratios, verdict.lambda_hat, verdict.verdict])
     # SweepConfig guarantees at least one sample, so ``ratios`` is bound
     ratio_columns = [f"ratio_party{p}" for p in range(len(ratios))]
     return ["sample", *columns, *ratio_columns, "lambda_hat", "verdict"], rows

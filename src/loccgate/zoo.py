@@ -2,7 +2,10 @@
 
 Deterministic families (Bell, domino, rotated domino, unambiguous-discrimination)
 are pure functions of their parameters; random families take an explicit
-numpy Generator, so reproducibility is the caller's seed choice.
+numpy Generator, so reproducibility is the caller's seed choice.  Each swept
+family's channel is the one-row case of a stacked form that builds the
+(B, N, d_out, D) Kraus operators of B parameter rows at once
+(``rotated_domino_kraus``, ``usd_kraus``, ``random_unitary_kraus``).
 """
 
 from __future__ import annotations
@@ -27,17 +30,24 @@ def _ket(index: int, dim: int) -> np.ndarray:
 
 
 def _proj(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
+    """|v><v|, of a ket or of each ket along the last axis of a stack."""
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
-def _rotated_pair(a: np.ndarray, b: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The domino pair (cos t a + sin t b, sin t a - cos t b), orthonormal for orthonormal a, b."""
-    return math.cos(t) * a + math.sin(t) * b, math.sin(t) * a - math.cos(t) * b
+def _rotated_pair(a: np.ndarray, b: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The domino pair (cos t a + sin t b, sin t a - cos t b), orthonormal for orthonormal a, b.
+
+    For an array of angles, each ket gains a leading axis over the angles.
+    """
+    c, s = np.cos(t), np.sin(t)
+    outer = np.multiply.outer
+    return outer(c, a) + outer(s, b), outer(s, a) - outer(c, b)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.kron of two kets, without its per-call reshaping of general operands
-    return np.multiply.outer(a, b).reshape(-1)
+    # np.kron of two kets (or of stacks of them), without its per-call reshaping of general operands
+    out = a[..., :, None] * b[..., None, :]
+    return out.reshape(*out.shape[:-2], -1)
 
 
 def bell_channel() -> KrausChannel:
@@ -77,23 +87,33 @@ class RotatedDominoParams:
         return any(t == 0.0 for t in self.theta)
 
 
-def rotated_domino_states(params: RotatedDominoParams) -> list[np.ndarray]:
-    """The nine orthonormal two-qutrit product states of the rotated domino family."""
-    t1, t2, t3, t4 = params.theta
+def _rotated_domino_states(theta) -> np.ndarray:
+    """``rotated_domino_states`` of each row of a (B, 4) angle array, shape (B, 9, 9)."""
+    t1, t2, t3, t4 = np.asarray(theta, dtype=float).T
     e0, e1, e2 = (_ket(i, 3) for i in range(3))
-    return [
-        _kron(e1, e1),
+    return np.stack([
+        np.broadcast_to(_kron(e1, e1), (len(t1), 9)),
         *(_kron(e0, v) for v in _rotated_pair(e0, e1, t1)),
         *(_kron(e2, v) for v in _rotated_pair(e1, e2, t2)),
         *(_kron(v, e0) for v in _rotated_pair(e1, e2, t3)),
         *(_kron(v, e2) for v in _rotated_pair(e0, e1, t4)),
-    ]
+    ], axis=1)
+
+
+def rotated_domino_states(params: RotatedDominoParams) -> list[np.ndarray]:
+    """The nine orthonormal two-qutrit product states of the rotated domino family."""
+    return list(_rotated_domino_states([params.theta])[0])
+
+
+def rotated_domino_kraus(theta) -> np.ndarray:
+    """``rotated_domino_channel``'s Kraus operators for each row of a (B, 4) array
+    of angles in [0, pi/4], shape (B, 9, 9, 9), built in one array pass."""
+    return _proj(_rotated_domino_states(theta))
 
 
 def rotated_domino_channel(params: RotatedDominoParams) -> KrausChannel:
     """Two-qutrit channel projecting onto the nine rotated domino states."""
-    states = rotated_domino_states(params)
-    return KrausChannel("rotated-domino", (3, 3), 9, [_proj(v) for v in states])
+    return KrausChannel("rotated-domino", (3, 3), 9, rotated_domino_kraus([params.theta])[0])
 
 
 def domino_channel() -> KrausChannel:
@@ -101,25 +121,28 @@ def domino_channel() -> KrausChannel:
     return replace(rotated_domino_channel(RotatedDominoParams((QUARTER_PI,) * 4)), name="domino")
 
 
-def _haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` independent Haar-distributed d x d unitaries, stacked.
+def random_unitary_kraus(dims, n_u: int, rngs) -> np.ndarray:
+    """``random_unitary_channel``'s Kraus operators for each generator of ``rngs``, shape (B, n_u, D, D).
 
     QR-factor complex Ginibre matrices, then rescale each Q column by the
     phase of the matching R diagonal entry so the distribution is uniform.
-    One draw takes each matrix's real part, then its imaginary part, matrix
-    by matrix, and one QR call factors the whole stack.
+    One draw per generator takes each matrix's real part, then its imaginary
+    part, matrix by matrix, and one QR call factors the whole stack.
     """
+    d = math.prod(dims)
     if d < 1:
         raise ValueError("dimension must be positive")
-    g = rng.standard_normal((n, 2, d, d))
-    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    if n_u < 1:
+        raise ValueError("need at least one unitary")
+    g = np.stack([rng.standard_normal((n_u, 2, d, d)) for rng in rngs])
+    q, r = np.linalg.qr((g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    return q * (diag / np.abs(diag))[..., None, :] * (1.0 / np.sqrt(n_u))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary: a phase-fixed QR of one Ginibre draw."""
-    return _haar_unitaries(d, 1, rng)[0]
+    return random_unitary_kraus((d,), 1, [rng])[0, 0]
 
 
 def random_unitary_channel(dims, n_u: int, rng: np.random.Generator) -> KrausChannel:
@@ -129,11 +152,8 @@ def random_unitary_channel(dims, n_u: int, rng: np.random.Generator) -> KrausCha
     ``rng``, scaled by 1/sqrt(n_u), made with one draw and one QR call.
     """
     dims = tuple(int(d) for d in dims)
-    if n_u < 1:
-        raise ValueError("need at least one unitary")
-    total = math.prod(dims)
-    kraus = _haar_unitaries(total, n_u, rng) * (1.0 / np.sqrt(n_u))
-    return KrausChannel("random-unitary", dims, total, kraus)
+    kraus = random_unitary_kraus(dims, n_u, [rng])[0]
+    return KrausChannel("random-unitary", dims, math.prod(dims), kraus)
 
 
 @dataclass(frozen=True)
@@ -152,12 +172,9 @@ class UsdParams:
     eta3: float = 0.25
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha1", complex(self.alpha1))
-        object.__setattr__(self, "beta1", complex(self.beta1))
-        object.__setattr__(self, "alpha3", complex(self.alpha3))
-        object.__setattr__(self, "beta3", complex(self.beta3))
-        object.__setattr__(self, "eta1", float(self.eta1))
-        object.__setattr__(self, "eta3", float(self.eta3))
+        for name in ("alpha1", "beta1", "alpha3", "beta3", "eta1", "eta3"):
+            kind = float if name.startswith("eta") else complex
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     @property
     def is_locc_limit(self) -> bool:
@@ -213,6 +230,47 @@ def usd_states(p: UsdParams, *, allow_alpha3_zero: bool = False) -> list[np.ndar
     return [phi1, phi2, phi3, phi4]
 
 
+def usd_kraus(params, *, allow_alpha3_zero: bool = False) -> np.ndarray:
+    """``usd_channel``'s Kraus operators for each parameter set of ``params``, shape (B, 5, 5, 4).
+
+    Each row's scalars are computed in Python, as numpy's complex division
+    rounds differently; only the arrays are assembled for all rows at once.
+    """
+    rows = []
+    for p in params:
+        validate_usd_params(p, allow_alpha3_zero=allow_alpha3_zero)
+        a1, b1, a3, b3 = p.alpha1, p.beta1, p.alpha3, p.beta3
+        try:  # a tiny alpha1 overflows q, or its square in p1
+            with np.errstate(all="raise", under="ignore"):
+                q = np.sqrt(abs(b3) ** 2 + abs(a3 * b1) ** 2) / (
+                    2.0 * np.conj(a1) * np.conj(b1) * np.conj(b3)
+                )
+                p1 = 1.0 / (2.0 * abs(q * b1) ** 2)
+        except FloatingPointError as exc:
+            raise ValueError(f"|alpha1| = {abs(a1):g} is too small: {exc}") from exc
+        p3 = abs(b3) ** 2 * (1.0 - abs(a1 / b1) ** 2) / (1.0 - abs(a1 * b3 / b1) ** 2)
+        radicand = 1.0 - abs(a1 / b1) ** 2 - abs(a3 / b3) ** 2 * p3
+        if radicand < 0.0:
+            raise ValueError(
+                "negative radicand for the inconclusive-outcome amplitude; "
+                "parameters lie outside the valid region"
+            )
+        phase = -np.angle(a3 / b3) if a3 != 0 else 0.0
+        nu5 = -np.exp(1j * phase) * np.sqrt(max(1.0 - p3, 0.0))
+        rows.append((a1, b1, q, a3 / b3, np.sqrt(radicand), nu5, p1, p3))
+    a1, b1, q, ratio, mu5, nu5, p1, p3 = (np.array(column)[:, None] for column in zip(*rows))
+    e0, e1 = _ket(0, 2), _ket(1, 2)
+    psi = np.stack([
+        q * _kron(e0, a1 * e0 + b1 * e1),
+        q * _kron(e0, a1 * e0 - b1 * e1),
+        _kron(ratio * e0 + e1, e0),
+        np.broadcast_to(_kron(e1, e1), (len(rows), 4)),
+        _kron(mu5 * e0 + nu5 * e1, e0),
+    ], axis=1)
+    weights = np.sqrt(np.stack([p1, p1, p3, np.ones_like(p1), np.ones_like(p1)], axis=1))
+    return weights[..., None] * (np.eye(5, dtype=complex)[:, :, None] * psi.conj()[:, :, None, :])
+
+
 def usd_channel(p: UsdParams, *, allow_alpha3_zero: bool = False) -> KrausChannel:
     """Five-outcome channel of the optimal unambiguous-discrimination measurement.
 
@@ -221,41 +279,7 @@ def usd_channel(p: UsdParams, *, allow_alpha3_zero: bool = False) -> KrausChanne
     vectors Psi_n are entered exactly as defined by the measurement; Psi_3 is
     deliberately unnormalized and its weight p_3 compensates.
     """
-    validate_usd_params(p, allow_alpha3_zero=allow_alpha3_zero)
-    a1, b1, a3, b3 = p.alpha1, p.beta1, p.alpha3, p.beta3
-    e0, e1 = _ket(0, 2), _ket(1, 2)
-
-    try:  # a tiny alpha1 overflows q, or its square in p1
-        with np.errstate(all="raise", under="ignore"):
-            q = np.sqrt(abs(b3) ** 2 + abs(a3 * b1) ** 2) / (
-                2.0 * np.conj(a1) * np.conj(b1) * np.conj(b3)
-            )
-            p1 = 1.0 / (2.0 * abs(q * b1) ** 2)
-    except FloatingPointError as exc:
-        raise ValueError(f"|alpha1| = {abs(a1):g} is too small: {exc}") from exc
-    p3 = abs(b3) ** 2 * (1.0 - abs(a1 / b1) ** 2) / (1.0 - abs(a1 * b3 / b1) ** 2)
-    radicand = 1.0 - abs(a1 / b1) ** 2 - abs(a3 / b3) ** 2 * p3
-    if radicand < 0.0:
-        raise ValueError(
-            "negative radicand for the inconclusive-outcome amplitude; "
-            "parameters lie outside the valid region"
-        )
-    mu5 = np.sqrt(radicand)
-    phase = -np.angle(a3 / b3) if a3 != 0 else 0.0
-    nu5 = -np.exp(1j * phase) * np.sqrt(max(1.0 - p3, 0.0))
-
-    psi = [
-        q * _kron(e0, a1 * e0 + b1 * e1),
-        q * _kron(e0, a1 * e0 - b1 * e1),
-        _kron((a3 / b3) * e0 + e1, e0),
-        _kron(e1, e1),
-        _kron(mu5 * e0 + nu5 * e1, e0),
-    ]
-    weights = [p1, p1, p3, 1.0, 1.0]
-    kraus = [
-        np.sqrt(w) * np.outer(_ket(n, 5), v.conj()) for n, (w, v) in enumerate(zip(weights, psi))
-    ]
-    return KrausChannel("usd", (2, 2), 5, kraus)
+    return KrausChannel("usd", (2, 2), 5, usd_kraus([p], allow_alpha3_zero=allow_alpha3_zero)[0])
 
 
 def sample_usd_params(

@@ -18,7 +18,7 @@ from loccgate import (
     remix_kraus,
     validate_density_matrix,
 )
-from loccgate.channels import CompletenessError, kraus_ranks
+from loccgate.channels import CompletenessError, completeness_residuals, kraus_ranks
 from oracle import hermitian_eigenvalues
 from oracle import lone_kraus_operator as choi_lone_kraus_operator
 from oracle import operator_schmidt_rank as permuted_schmidt_rank
@@ -101,6 +101,23 @@ def test_completeness_fails_without_a_d_by_d_matrix_when_the_rank_forbids_it():
         tracemalloc.stop()
     assert residual == math.inf
     assert peak < 2048 ** 2 * 16 // 8  # an eighth of one complex 2048 x 2048 matrix
+
+
+def test_batched_completeness_residuals_equal_the_per_channel_ones(monkeypatch, zoo_channels, dephasing):
+    for channel in [*zoo_channels, dephasing, identity_channel()]:
+        stack = np.stack([channel.kraus, 1.1 * channel.kraus, channel.kraus[::-1]])
+        per_channel = [check_completeness(KrausChannel("row", channel.input_dims, channel.output_dim, k)) for k in stack]
+        assert completeness_residuals(stack).tolist() == per_channel
+        for k, residual in zip(stack, per_channel):  # the loop over Kraus operators, as a reference
+            assert abs(residual - np.max(np.abs(sum(ki.conj().T @ ki for ki in k) - np.eye(channel.dim)))) < 1e-15
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a D x D matrix was formed")
+
+    monkeypatch.setattr(np, "einsum", no_gram)
+    wide = np.stack([wide_channel().kraus] * 3)  # N d_out = 1 < D = 2048
+    assert completeness_residuals(wide).tolist() == [math.inf] * 3
+    assert check_completeness(wide_channel()) == math.inf
 
 
 def test_apply_identity_channel():

@@ -24,6 +24,7 @@ from loccgate import (
 from loccgate.channels import CompletenessError, DimensionError
 from loccgate import gate
 from loccgate.gate import (
+    _gate_stack,
     _selected_grams,
     gate_channels,
     party_gram,
@@ -386,6 +387,43 @@ def test_gate_channels_raises_for_the_first_bad_channel_before_any_work(monkeypa
     with pytest.raises(ValueError, match="rel_tol"):
         gate_channels([rotated_domino, rotated_domino], rel_tol=0.0)
     assert gate_channels([]) == []
+
+
+def test_gate_stack_raises_for_the_first_bad_row_before_any_work(monkeypatch, rotated_domino):
+    def no_work(*args):
+        raise AssertionError("gating started before every row was checked")
+
+    monkeypatch.setattr(gate, "stacked_pair_products", no_work)
+    monkeypatch.setattr(gate, "_selected_grams", no_work)
+    good, names = rotated_domino.kraus, ["a", "b", "c", "d"]
+    non_finite = good.copy()
+    non_finite[3, 1, 2] = np.nan
+    # finiteness comes before completeness, which a non-finite row fails too
+    with pytest.raises(ValueError, match="^channel 'c': Kraus operator 3 has non-finite entries$"):
+        _gate_stack(np.stack([good, 1.1 * good, non_finite, non_finite]), (3, 3), names, 1e-13)
+    with pytest.raises(CompletenessError, match="^channel 'b' has completeness residual 2.100e-01, not within"):
+        _gate_stack(np.stack([good, 1.1 * good, good, 1.2 * good]), (3, 3), names, 1e-13)
+    with pytest.raises(DimensionError, match="at least 2 parties, got 1"):
+        _gate_stack(np.stack([good, 1.1 * good]), (9,), names, 1e-13)
+    with pytest.raises(ValueError, match="rel_tol"):
+        _gate_stack(np.stack([good, good]), (3, 3), names, 0.0)
+    wide = np.full((2, 1, 1, 2048), 2048 ** -0.5, dtype=complex)  # N d_out < D: the rank forbids completeness
+    with pytest.raises(CompletenessError, match="^channel 'a' has completeness residual inf"):
+        _gate_stack(wide, (2048, 1), names, 1e-13)
+
+
+def test_gate_stack_of_one_row_takes_the_stacked_scan(monkeypatch, bell):
+    calls = []
+    for name in ("select_independent_subset", "select_independent_subsets"):
+        scan = getattr(gate, name)
+        monkeypatch.setattr(gate, name, lambda vecs, *rest, name=name, scan=scan: calls.append(name) or scan(vecs, *rest))
+    rank_one = np.eye(4, dtype=complex)[None, None]
+    [verdict] = _gate_stack(rank_one, (2, 2), ["identity"], 1e-13)
+    assert (verdict.verdict, verdict.local) == (VERDICT_DEGENERATE_KRAUS_RANK_ONE, True)
+    [stacked] = _gate_stack(bell.kraus[None], (2, 2), ["bell"], 1e-13)
+    assert calls == ["select_independent_subsets", "select_independent_subsets"]
+    assert_same_verdict(stacked, gate_channel(bell))
+    assert calls[-1] == "select_independent_subset"
 
 
 def test_gate_channels_names_the_first_channel_whose_identity_is_off_the_span():

@@ -1,11 +1,23 @@
 import csv
+import math
+from dataclasses import replace
 
 import pytest
 
-from loccgate import SweepConfig, gate_channel, random_unitary_channel, run_sweep, write_csv_atomic
+from loccgate import (
+    RotatedDominoParams,
+    SweepConfig,
+    gate_channel,
+    random_unitary_channel,
+    rotated_domino_channel,
+    run_sweep,
+    sample_usd_params,
+    usd_channel,
+    write_csv_atomic,
+)
 from loccgate import gate
 from loccgate.gate import STACK_BYTES
-from loccgate.sweeps import _FAMILY_TABLE, sample_rng
+from loccgate.sweeps import sample_rng
 from loccgate.serialize import SchemaError
 
 
@@ -146,6 +158,20 @@ def assert_rows_equal_gating_each_row_alone(header, rows, channels):
             assert abs(got - report.ratio) <= 2e-15
 
 
+def one_row_channels(cfg):
+    """The channels of a sweep's rows, from the public one-row constructors."""
+    if cfg.family == "rotated_domino":
+        rngs = [sample_rng(cfg.seed, i) for i in range(cfg.samples)]
+        return [
+            rotated_domino_channel(RotatedDominoParams(tuple(cfg.theta_high - rng.uniform(0.0, cfg.theta_high) for _ in range(4))))
+            for rng in rngs
+        ]
+    if cfg.family == "usd":
+        return [usd_channel(sample_usd_params(sample_rng(cfg.seed, i), cfg.eta1, cfg.eta3)) for i in range(cfg.samples)]
+    nus = [nu for nu in cfg.nu_values for _ in range(cfg.samples)]
+    return [random_unitary_channel(cfg.dims, nu, sample_rng(cfg.seed, i)) for i, nu in enumerate(nus)]
+
+
 def test_stacked_sweep_rows_equal_gating_each_row_alone():
     # nu changes mid-sweep, and the nu = 5 run is longer than one stack
     per_stack = STACK_BYTES // (16 * 25 * 16)  # 25 pair products of 4 x 4
@@ -155,8 +181,7 @@ def test_stacked_sweep_rows_equal_gating_each_row_alone():
     header, rows = run_sweep(cfg)
     nus = [nu for nu in cfg.nu_values for _ in range(cfg.samples)]
     assert [row[1] for row in rows] == nus
-    channels = [random_unitary_channel(cfg.dims, nu, sample_rng(cfg.seed, i)) for i, nu in enumerate(nus)]
-    assert_rows_equal_gating_each_row_alone(header, rows, channels)
+    assert_rows_equal_gating_each_row_alone(header, rows, one_row_channels(cfg))
 
 
 @pytest.mark.parametrize("family, samples", [("rotated_domino", 50), ("usd", 210)])
@@ -172,4 +197,31 @@ def test_packed_sweep_stacks_stay_within_stack_bytes(monkeypatch, family, sample
     stacks = [len(vecs) if vecs.ndim == 3 else 1 for vecs in scanned]
     assert sum(stacks) == samples and max(stacks) > 2
     assert max(vecs.nbytes for vecs in scanned) <= STACK_BYTES
-    assert_rows_equal_gating_each_row_alone(header, rows, [c for _, c in _FAMILY_TABLE[family][1](cfg)])
+    assert_rows_equal_gating_each_row_alone(header, rows, one_row_channels(cfg))
+
+
+@pytest.mark.parametrize("short, long", [
+    # each short sweep ends on a run of one row: 56 = 8 * product_chunk(8, 6), 18 and 200 likewise
+    (SweepConfig(family="random_unitary", samples=57, seed=5, dims=(2, 3), nu_values=(8,)), 70),
+    (SweepConfig(family="rotated_domino", samples=19, seed=3), 30),
+    (SweepConfig(family="usd", samples=201, seed=4), 205),
+])
+def test_rows_of_a_shorter_sweep_are_a_prefix_of_a_longer_one(tmp_path, short, long):
+    # a lone last row once took the one-vector scan, and sample 56 above read 0.0 instead of 9.65e-18
+    for name, cfg in (("short.csv", short), ("long.csv", replace(short, samples=long))):
+        write_csv_atomic(tmp_path / name, *run_sweep(cfg))
+    short_bytes, long_bytes = (tmp_path / "short.csv").read_bytes(), (tmp_path / "long.csv").read_bytes()
+    assert short_bytes.count(b"\n") == short.samples + 1
+    assert long_bytes.startswith(short_bytes)
+
+
+def test_rotated_domino_angles_match_four_scalar_draws():
+    # one uniform(0, theta_high, 4) draw per row gives the four scalar draws' angles, bit for bit
+    for seed in range(40):
+        for theta_high in (math.pi / 4, 0.3):
+            cfg = SweepConfig(family="rotated_domino", samples=3, seed=seed, theta_high=theta_high)
+            for row in run_sweep(cfg)[1]:
+                rng = sample_rng(seed, row[0])
+                reference = [theta_high - rng.uniform(0.0, theta_high) for _ in range(4)]
+                assert [type(t) for t in row[1:6]] == [float] * 5
+                assert row[1:5] == reference and row[5] == min(reference)

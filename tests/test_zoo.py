@@ -270,6 +270,32 @@ def test_usd_channel_rejects_alpha1_too_small_without_warning(recwarn, alpha1):
     assert len(recwarn) == 0
 
 
+def bits(a):
+    """The raw bits of a float array: unlike ==, they tell 0.0 from -0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_stacked_builds_equal_one_row_constructor_calls_bit_for_bit():
+    rng = np.random.default_rng(50)
+    theta = rng.uniform(0.0, QUARTER_PI, (12, 4))
+    theta[0], theta[1, 2] = 0.0, QUARTER_PI
+    one_row = [rotated_domino_channel(RotatedDominoParams(tuple(t))).kraus for t in theta]
+    assert np.array_equal(bits(zoo.rotated_domino_kraus(theta)), bits(np.stack(one_row)))
+
+    params = [
+        *(sample_usd_params(rng) for _ in range(12)),
+        valid_params(alpha1=0.4 * np.exp(0.3j), beta1=np.sqrt(0.84) * np.exp(1.1j), alpha3=0.5j),
+        valid_params(alpha3=0.0, beta3=1.0),
+    ]
+    one_row = [usd_channel(p, allow_alpha3_zero=True).kraus for p in params]
+    assert np.array_equal(bits(zoo.usd_kraus(params, allow_alpha3_zero=True)), bits(np.stack(one_row)))
+
+    for dims, nu in (((2, 2), 1), ((2, 3), 8), ((2, 2, 2), 9)):
+        one_row = [random_unitary_channel(dims, nu, np.random.default_rng(s)).kraus for s in range(10)]
+        stacked = zoo.random_unitary_kraus(dims, nu, [np.random.default_rng(s) for s in range(10)])
+        assert np.array_equal(bits(stacked), bits(np.stack(one_row)))
+
+
 def test_usd_locc_limit_flag():
     assert valid_params(alpha3=0.0, beta3=1.0).is_locc_limit
     assert not valid_params().is_locc_limit
