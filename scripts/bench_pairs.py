@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Benchmark a parent revision against the working tree in alternating pairs.
+
+The parent's committed files are exported (``git archive``) into a temporary
+directory, removed on exit.  This tree's ``bench/run.py`` then runs in both
+checkouts, pair i on seed ``--seed + i``, the parent first in even pairs and
+second in odd ones.  For each end-to-end metric of ``BENCHMARK.json``, and
+each per-case median of the run's ``report`` line (``case_ms``), it prints
+each side's median and quartiles and how many pairs the change won:
+
+    python3 scripts/bench_pairs.py --workload sweep --pairs 10 --seed 3001 [--parent HEAD] [--seconds 30]
+
+Stdlib only; run it from the root of a checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(q1, median, q3) of ``values``, linearly interpolated between order statistics."""
+    ordered = sorted(values)
+
+    def at(p: float) -> float:
+        pos = (len(ordered) - 1) * p
+        lo = int(pos)
+        hi = min(lo + 1, len(ordered) - 1)
+        return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
+    """One row per metric of ``better`` ("lower" or "higher") that every run reports.
+
+    ``parent`` and ``change`` hold one {metric: value} per run, pair i being
+    (parent[i], change[i]).  A pair counts as a win when the change is
+    strictly better; ``wins`` counts them out of ``pairs``.
+    """
+    rows = []
+    for name, direction in better.items():
+        if not all(name in run for run in (*parent, *change)):
+            continue
+        sign = 1.0 if direction == "higher" else -1.0
+        pairs = list(zip((run[name] for run in parent), (run[name] for run in change)))
+        rows.append({
+            "metric": name,
+            "parent": quartiles(p for p, _ in pairs),
+            "change": quartiles(c for _, c in pairs),
+            "wins": sum(sign * (c - p) > 0 for p, c in pairs),
+            "pairs": len(pairs),
+        })
+    return rows
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
+    """One ``bench/run.py`` run of this tree in ``checkout``: its end-to-end values and ``case_ms``."""
+    argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, "--seed", str(seed)]
+    if seconds is not None:
+        argv += ["--seconds", str(seconds)]
+    lines = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
+    final = json.loads(lines[-1])
+    if final["failed"]:
+        raise SystemExit(f"error: {final['failed']} of {final['attempted']} units failed in {checkout}")
+    values = {name: metric["value"] for name, metric in final["metrics"].items()}
+    for line in lines:
+        if line.startswith("report "):
+            values.update({f"case_ms.{k}": v for k, v in json.loads(line[7:])["case_ms"].items()})
+    return values
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, required=True, help="pair i runs on seed SEED + i")
+    parser.add_argument("--parent", default="HEAD", help="revision to compare against (default: HEAD)")
+    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
+    args = parser.parse_args()
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    parent, change = [], []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = [(parent, Path(tmp)), (change, ROOT)]
+            for runs, checkout in order if i % 2 == 0 else order[::-1]:
+                runs.append(run_bench(checkout, args.workload, seed, args.seconds))
+            print(f"pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr)
+    cases = sorted(k for k in change[0] if k.startswith("case_ms."))
+    for row in summarize(parent, change, {**better, **dict.fromkeys(cases, "lower")}):
+        p, c = row["parent"], row["change"]
+        print(f"{row['metric']}: parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]  "
+              f"change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]  wins {row['wins']}/{row['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -105,12 +105,14 @@ def check_completeness(channel: KrausChannel) -> float:
 
 def completeness_residuals(kraus: np.ndarray) -> np.ndarray:
     """``check_completeness`` of each channel in a (B, N, d_out, D) Kraus stack,
-    from one batched einsum."""
+    from one (D x N d_out)(N d_out x D) GEMM per channel; an overflow reads nan."""
     n_stack, n, d_out, d = kraus.shape
     if n * d_out < d:
         return np.full(n_stack, math.inf)
-    acc = np.einsum("...iab,...iac->...bc", kraus.conj(), kraus)
-    return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
+    rows = kraus.reshape(n_stack, n * d_out, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow anywhere reads nan below
+        residuals = np.max(np.abs(rows.conj().swapaxes(-1, -2) @ rows - np.eye(d)), axis=(-2, -1))
+    return np.where(np.isfinite(residuals), residuals, math.nan)
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:

@@ -151,19 +151,25 @@ def pair_products(channel: KrausChannel) -> np.ndarray:
 
 
 def stacked_pair_products(kraus: np.ndarray) -> np.ndarray:
-    """``pair_products`` of a (B, N, d_out, D) stack of Kraus operators, shape (B, N^2, D, D).
-
-    One batched matrix product.  Each product is then averaged with the
-    adjoint of its swapped partner, real and imaginary parts in place, which
-    keeps the adjoint of (i, j) equal to (j, i), and each (i, i) Hermitian,
-    bit for bit.
-    """
+    """``pair_products`` of a (B, N, d_out, D) Kraus stack: ``pair_product_columns`` in input order."""
     n_stack, n, _, d = kraus.shape
-    products = np.matmul(kraus.conj().swapaxes(-1, -2)[:, :, None], kraus[:, None])
+    return pair_product_columns(kraus).swapaxes(1, 2).reshape(n_stack, n * n, d, d)
+
+
+def pair_product_columns(kraus: np.ndarray) -> np.ndarray:
+    """The pair products of a (B, N, d_out, D) Kraus stack, shape (B, N, N, D, D), [b, j, i] = K_i^dag K_j.
+
+    Column j of A^dag A, A = [K_1 | ... | K_N], is A^dag K_j: one GEMM per K_j, with the bits
+    of one per pair.  Each product is averaged in place with its swapped partner's adjoint, so
+    the adjoint of (i, j) is (j, i) and each (i, i) is Hermitian, bit for bit.
+    """
+    n_stack, n, d_out, d = kraus.shape
+    rows = np.conjugate(kraus.swapaxes(-1, -2), order="C").reshape(n_stack, 1, n * d, d_out)
+    products = np.matmul(rows, kraus).reshape(n_stack, n, n, d, d)
     products.real += products.real.transpose(0, 2, 1, 4, 3)
     products.imag -= products.imag.transpose(0, 2, 1, 4, 3)
     products *= 0.5
-    return products.reshape(n_stack, n * n, d, d)
+    return products
 
 
 def product_chunk(n_kraus: int, dim: int) -> int:
@@ -175,22 +181,23 @@ def product_chunk(n_kraus: int, dim: int) -> int:
 def packed_stacks(kraus: np.ndarray):
     """Cut a (B, N, d_out, D) Kraus stack into the stacks gated together; yields (start, packed).
 
-    Pair products are formed in chunks of ``product_chunk`` channels and
-    pass the zero filter (``nonzero_vectors``) once.  ``packed``, shape
-    (b, W, D, D), holds each channel's surviving products in input order,
-    zero-padded to the widest channel, within STACK_BYTES unless b is 1.  A
-    chunk whose products all survive is yielded as it is, not copied.
+    Pair products are formed in chunks of ``product_chunk`` channels by
+    ``pair_product_columns`` and zero-filtered (``nonzero_vectors``) once.
+    ``packed``, shape (b, W, D, D), holds each channel's surviving products
+    in input order, zero-padded to the widest channel, within STACK_BYTES
+    unless b is 1; a chunk whose products all survive is copied once, whole.
     """
     n_stack, n, _, d = kraus.shape
     row_bytes = kraus.itemsize * d * d
     step = product_chunk(n, d)
     run, width = [], 0
     for lo in range(0, n_stack, step):
-        products = stacked_pair_products(kraus[lo : lo + step])
-        keep = nonzero_vectors(products.reshape(*products.shape[:2], -1), DEFAULT_INDEPENDENCE_TOL)[1]
-        if not run and keep.all():  # every product survives: the chunk is a stack as it is
-            run.append(products)
-            del products  # hand the chunk over without keeping it alive here
+        columns = pair_product_columns(kraus[lo : lo + step])
+        keep = nonzero_vectors(columns.reshape(len(columns), n * n, -1), DEFAULT_INDEPENDENCE_TOL)[1]
+        keep, products = keep.reshape(-1, n, n).swapaxes(1, 2), columns.swapaxes(1, 2)  # input order
+        if not run and keep.all():  # every product survives: the chunk is one stack
+            run.append(products.reshape(len(products), n * n, d, d))
+            del columns, products  # free the chunk before the stack is gated
             yield lo, run.pop()
             continue
         for b, mask in enumerate(keep, lo):
@@ -200,7 +207,7 @@ def packed_stacks(kraus: np.ndarray):
             run.append(products[b - lo, mask])
             width = max(width, len(run[-1]))
     if run:
-        del products  # the kept rows are copies: free the chunk while the stack is gated
+        del columns, products  # the kept rows are copies: free the chunk while the stack is gated
         yield n_stack - len(run), _padded(run, width)
 
 

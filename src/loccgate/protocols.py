@@ -21,6 +21,7 @@ from .channels import (
     CompletenessError,
     DimensionError,
     KrausChannel,
+    SchemaError,
     channels_equal,
     completeness_residuals,
 )
@@ -169,13 +170,13 @@ def verify_protocol(
 ) -> tuple[bool, float]:
     """Compile the tree and compare Choi matrices against the target.
 
-    The tree's ``output_isometry``, if any, is applied to every compiled Kraus
-    operator first; it must be isometric on the protocol's reachable output
-    subspace for the comparison to be fair.  Dims are checked before any
-    operator is compiled, each mismatch a ``DimensionError``: the tree's input
-    dimension against the target's, before validation, then its leaves'
-    output dimension against the isometry's width, or against the target's
-    output dimension when there is no isometry.
+    The tree's ``output_isometry`` V, if any, is applied to every compiled
+    K_i; it must be isometric on the reachable outputs, with every
+    ||(V^dag V - I) K_i||_max within VALIDATION_TOL, or ``SchemaError``.
+    Dims are checked before any operator is compiled, each mismatch a
+    ``DimensionError``: the tree's input dimension against the target's, before
+    validation, then its leaves' output dimension against the isometry's
+    width, or against the target's output dimension when there is no isometry.
     """
     if math.prod(tree.initial_dims) != target.dim:
         raise DimensionError(f"protocol input dims {tree.initial_dims}, target input {target.dim}")
@@ -187,6 +188,10 @@ def verify_protocol(
         raise DimensionError(f"protocol outputs {total_out}, {side} {width}")
     compiled = protocol_to_channel(tree)
     if iso is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as a nan residual
+            residual = float(np.max(np.abs((iso.conj().T @ iso - np.eye(width)) @ compiled.kraus)))
+        if not residual <= VALIDATION_TOL:
+            raise SchemaError(f"output isometry is not isometric on the protocol's outputs ({residual:.3e})")
         compiled = KrausChannel(compiled.name, compiled.input_dims, len(iso), iso @ compiled.kraus)
     return channels_equal(compiled, target, tol)
 

@@ -6,8 +6,9 @@ module builds Q row by row from a Hilbert-Schmidt orthonormal operator basis
 can check the gate against an independent computation and against any
 recombination of the basis.  It also keeps the textbook forms of what the
 library computes more directly: moving a party's factor to the front, a
-checked Hermitian eigensolve, the permute-then-realign operator Schmidt rank
-and the lone Kraus operator from the dominant Choi eigenvector.
+checked Hermitian eigensolve, the permute-then-realign operator Schmidt rank,
+the lone Kraus operator from the dominant Choi eigenvector, pair products
+formed one GEMM per pair and the completeness Gram summed by ``einsum``.
 """
 
 from __future__ import annotations
@@ -76,6 +77,28 @@ def operator_schmidt_rank(m: np.ndarray, dims, party: int, rel_tol: float = 1e-9
     realigned = tens.transpose(0, 2, 1, 3).reshape(d_party * d_party, d_rest * d_rest)
     sv = np.linalg.svd(realigned, compute_uv=False)
     return int(np.count_nonzero(sv**2 > rel_tol * sv[0] ** 2)) if sv[0] > 0 else 0
+
+
+def per_pair_products(kraus: np.ndarray) -> np.ndarray:
+    """Pair products of a (B, N, d_out, D) Kraus stack, shape (B, N^2, D, D), one GEMM per pair.
+
+    Each K_i^dag K_j is then averaged in place with the adjoint of its
+    swapped partner, real and imaginary parts apart.  The gate forms the
+    same products one GEMM per Kraus operator, with the same bits.
+    """
+    n_stack, n, _, d = kraus.shape
+    products = np.matmul(kraus.conj().swapaxes(-1, -2)[:, :, None], kraus[:, None])
+    products.real += products.real.transpose(0, 2, 1, 4, 3)
+    products.imag -= products.imag.transpose(0, 2, 1, 4, 3)
+    products *= 0.5
+    return products.reshape(n_stack, n * n, d, d)
+
+
+def einsum_completeness(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per channel of a (B, N, d_out, D) Kraus stack: the largest entry of
+    |sum_i K_i^dag K_i - I| and of |sum_i K_i^dag K_i|, the sum by ``einsum``."""
+    acc = np.einsum("...iab,...iac->...bc", kraus.conj(), kraus)
+    return np.abs(acc - np.eye(kraus.shape[-1])).max(axis=(-2, -1)), np.abs(acc).max(axis=(-2, -1))
 
 
 def lone_kraus_operator(channel) -> np.ndarray:

@@ -1,0 +1,34 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_summarize_counts_strict_wins_in_each_metric_direction():
+    parent = [{"throughput_per_s": 100.0, "latency_p50_ms": 2.0, "peak_rss_mb": 40.0},
+              {"throughput_per_s": 110.0, "latency_p50_ms": 2.2, "peak_rss_mb": 40.0},
+              {"throughput_per_s": 90.0, "latency_p50_ms": 1.8, "peak_rss_mb": 41.0}]
+    change = [{"throughput_per_s": 120.0, "latency_p50_ms": 1.5, "peak_rss_mb": 40.0},
+              {"throughput_per_s": 105.0, "latency_p50_ms": 2.4, "peak_rss_mb": 40.5},
+              {"throughput_per_s": 95.0, "latency_p50_ms": 1.7, "peak_rss_mb": 39.0}]
+    better = {"throughput_per_s": "higher", "latency_p50_ms": "lower", "peak_rss_mb": "lower", "setup_s": "lower"}
+    rows = bench_pairs.summarize(parent, change, better)
+    assert [r["metric"] for r in rows] == ["throughput_per_s", "latency_p50_ms", "peak_rss_mb"]  # no setup_s reported
+    by_name = {r["metric"]: r for r in rows}
+    assert by_name["throughput_per_s"]["parent"] == (95.0, 100.0, 105.0)
+    assert by_name["throughput_per_s"]["change"] == (100.0, 105.0, 112.5)
+    assert [by_name[m]["wins"] for m in ("throughput_per_s", "latency_p50_ms", "peak_rss_mb")] == [2, 2, 1]
+    assert {r["pairs"] for r in rows} == {3}
+    assert by_name["latency_p50_ms"]["parent"][1] == pytest.approx(2.0)

@@ -6,6 +6,7 @@ import pytest
 
 from loccgate import (
     KrausChannel,
+    UsdParams,
     apply_channel,
     channels_equal,
     check_completeness,
@@ -16,10 +17,13 @@ from loccgate import (
     lone_kraus_operator,
     operator_schmidt_rank,
     remix_kraus,
+    sample_rng,
+    sample_usd_params,
     validate_density_matrix,
 )
 from loccgate.channels import CompletenessError, completeness_residuals, kraus_ranks
-from oracle import hermitian_eigenvalues
+from loccgate.zoo import random_unitary_kraus, rotated_domino_kraus, usd_kraus
+from oracle import einsum_completeness, hermitian_eigenvalues
 from oracle import lone_kraus_operator as choi_lone_kraus_operator
 from oracle import operator_schmidt_rank as permuted_schmidt_rank
 
@@ -118,6 +122,26 @@ def test_batched_completeness_residuals_equal_the_per_channel_ones(monkeypatch, 
     wide = np.stack([wide_channel().kraus] * 3)  # N d_out = 1 < D = 2048
     assert completeness_residuals(wide).tolist() == [math.inf] * 3
     assert check_completeness(wide_channel()) == math.inf
+
+
+def desk_stacks(seed=1):
+    """The Kraus stacks of the desk figure sweeps' rows at one seed."""
+    rngs = [sample_rng(seed, s) for s in range(200)]
+    yield rotated_domino_kraus(np.pi / 4 - np.array([rng.uniform(0.0, np.pi / 4, 4) for rng in rngs]))
+    yield usd_kraus([sample_usd_params(rng) for rng in rngs])
+    for dims, nu_values in (((2, 2), range(2, 7)), ((2, 3), range(2, 9))):
+        for nu in nu_values:
+            yield random_unitary_kraus(dims, nu, rngs[:20])
+
+
+def test_completeness_gemm_residuals_match_the_einsum_sum(zoo_channels, dephasing):
+    # one GEMM per channel sums in another order than einsum: the residuals agree to rounding
+    complex_usd = usd_kraus([UsdParams(0.3 + 0.2j, np.sqrt(0.87), 0.5j, np.sqrt(0.75))])[0]
+    stacks = [np.stack([k, 1.1 * k, k[::-1]]) for k in (*(c.kraus for c in zoo_channels), dephasing.kraus, complex_usd)]
+    for kraus in (*stacks, *desk_stacks()):
+        reference, scale = einsum_completeness(kraus)
+        bound = 8 * np.finfo(float).eps * np.maximum(1.0, scale)
+        assert (np.abs(completeness_residuals(kraus) - reference) <= bound).all()
 
 
 def test_apply_identity_channel():

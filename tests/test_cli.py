@@ -215,7 +215,7 @@ def test_input_too_large_for_memory_exits_2_without_traceback(capsys, tmp_path, 
     def too_large(kraus):
         raise MemoryError("Unable to allocate 2.33 TiB for an array")
 
-    monkeypatch.setattr(loccgate.gate, "stacked_pair_products", too_large)
+    monkeypatch.setattr(loccgate.gate, "pair_product_columns", too_large)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"family": "random_unitary", "samples": 1, "seed": 0, "nu_values": [5]}))
     for argv in (["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")],
@@ -334,18 +334,14 @@ def test_verify_protocol_usd_oneway(capsys, tmp_path):
 
 
 def test_verify_protocol_overflowing_distance_prints_strict_json(capsys, tmp_path):
-    from loccgate import UsdParams, usd_channel
+    from loccgate import KrausChannel, UsdParams, usd_channel
 
     proto = tmp_path / "oneway.json"
     assert run(capsys, ["protocol", "usd-oneway", "--alpha1", "0.4", "--out", str(proto)])[0] == 0
-    doc = json.loads(proto.read_text())
-    doc["output_isometry"] = [
-        [[1e200 * re, 1e200 * im] for re, im in row] for row in doc["output_isometry"]
-    ]
-    proto.write_text(json.dumps(doc))
+    # finite entries around 1e200 load (only finiteness is checked), and their Choi matrix overflows
     target_path = tmp_path / "usd0.json"
     target = usd_channel(UsdParams(0.4, np.sqrt(1 - 0.16), 0.0, 1.0), allow_alpha3_zero=True)
-    save_channel(target, target_path)
+    save_channel(KrausChannel("huge", target.input_dims, target.output_dim, 1e200 * target.kraus), target_path)
     code, out, _ = run(
         capsys, ["verify-protocol", "--protocol", str(proto), "--channel", str(target_path)]
     )
@@ -355,6 +351,21 @@ def test_verify_protocol_overflowing_distance_prints_strict_json(capsys, tmp_pat
 
     assert code == 1
     assert json.loads(out, parse_constant=reject) == {"ok": False, "choi_distance": None}
+
+
+def test_verify_protocol_rejects_an_output_map_that_is_not_isometric(capsys, tmp_path):
+    from loccgate import UsdParams, usd_channel
+
+    proto = tmp_path / "oneway.json"
+    assert run(capsys, ["protocol", "usd-oneway", "--alpha1", "0.4", "--out", str(proto)])[0] == 0
+    doc = json.loads(proto.read_text())
+    doc["output_isometry"] = [[[2 * re, 2 * im] for re, im in row] for row in doc["output_isometry"]]
+    proto.write_text(json.dumps(doc))
+    target_path = tmp_path / "usd0.json"
+    save_channel(usd_channel(UsdParams(0.4, np.sqrt(1 - 0.16), 0.0, 1.0), allow_alpha3_zero=True), target_path)
+    code, out, err = run(capsys, ["verify-protocol", "--protocol", str(proto), "--channel", str(target_path)])
+    assert (code, out) == (2, "")
+    assert err == "error: parse failure: output isometry is not isometric on the protocol's outputs (3.000e+00)\n"
 
 
 def test_verify_protocol_mismatch_exit_1(capsys, tmp_path, bell_file):

@@ -1,8 +1,12 @@
+import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loccgate import (
     KrausChannel,
@@ -40,6 +44,7 @@ from oracle import (
     identity_coefficients,
     operator_basis,
     party_products,
+    per_pair_products,
     q_matrix,
     recombined_basis,
 )
@@ -104,6 +109,23 @@ def test_pair_products_adjoint_symmetry(zoo_channels, dephasing):
             for i in range(n):
                 for j in range(n):
                     assert np.array_equal(products[i * n + j].conj().T, products[j * n + i])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_stacked_pair_products_equal_the_per_pair_reference_bit_for_bit(zoo_channels, dephasing):
+    # one GEMM per Kraus operator forms each product with the bits of one GEMM per pair
+    rng = np.random.default_rng(53)
+    channels = (*zoo_channels, dephasing, rectangular_output_channel(rng))
+    for channel in channels:
+        assert same_bits(pair_products(channel), per_pair_products(channel.kraus[None])[0])
+    stacks = [np.stack([c.kraus, 0.5j * c.kraus]) for c in channels]
+    for d_out, d, n in itertools.product((1, 3, 4, 6, 9, 16), (2, 4, 6, 8, 9, 16), (1, 2, 5, 13)):
+        stacks.append(rng.normal(size=(2, n, d_out, d)) + 1j * rng.normal(size=(2, n, d_out, d)))
+    for kraus in stacks:
+        assert same_bits(stacked_pair_products(kraus), per_pair_products(kraus))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +354,8 @@ def test_gate_channels_matches_gate_channel_per_channel(zoo_channels, dephasing)
             assert_same_verdict(verdict, gate_channel(channel))
 
 
-def test_gate_channels_pads_slices_that_keep_different_numbers_of_products(monkeypatch):
-    # one (3, 12, 4) Kraus stack whose slices keep 9, 5, 3 and 3 of their 9 pair products
+def mixed_survivor_channels() -> list[KrausChannel]:
+    """Four (2, 2) channels of three 12 x 4 Kraus operators that keep 9, 5, 3 and 3 of their 9 pair products."""
     rng = np.random.default_rng(43)
     u = random_unitary_channel((2, 2), 3, rng).kraus
     padded_unitary = np.zeros((3, 12, 4), dtype=complex)
@@ -343,12 +365,17 @@ def test_gate_channels_pads_slices_that_keep_different_numbers_of_products(monke
     two_flags[1:, 4:8] = np.sqrt(0.75) * u[1:]
     q = haar_unitary(4, rng)
     proj = [np.outer(q[:, i], q[:, i].conj()) for i in range(4)]
-    channels = [
+    return [
         KrausChannel("padded-unitary", (2, 2), 12, padded_unitary),
         KrausChannel("two-flags", (2, 2), 12, two_flags),
         flagged_channel("measure", [(proj[0], 1.0), (proj[1], 1.0), (proj[2] + proj[3], 1.0)]),
         flagged_channel("coin", [(np.eye(4), 0.2), (np.eye(4), 0.3), (np.eye(4), 0.5)]),
     ]
+
+
+def test_gate_channels_pads_slices_that_keep_different_numbers_of_products(monkeypatch):
+    # one (3, 12, 4) Kraus stack whose slices keep 9, 5, 3 and 3 of their 9 pair products
+    channels = mixed_survivor_channels()
     kraus = np.stack([c.kraus for c in channels])
     kept = nonzero_vectors(stacked_pair_products(kraus).reshape(4, 9, -1), 1e-9)[1]
     assert kept.sum(axis=1).tolist() == [9, 5, 3, 3]
@@ -358,7 +385,7 @@ def test_gate_channels_pads_slices_that_keep_different_numbers_of_products(monke
         return lambda arg, *rest: calls.append(arg) or func(arg, *rest)
 
     # the gate reaches both stages through its module attributes
-    monkeypatch.setattr(gate, "stacked_pair_products", record(formed, stacked_pair_products))
+    monkeypatch.setattr(gate, "pair_product_columns", record(formed, gate.pair_product_columns))
     monkeypatch.setattr(gate, "select_independent_subsets", record(scanned, gate.select_independent_subsets))
     got = gate_channels(channels)
     assert len(formed) == 1 and np.array_equal(formed[0], kraus)
@@ -372,11 +399,39 @@ def test_gate_channels_pads_slices_that_keep_different_numbers_of_products(monke
         assert_same_verdict(verdict, gate_channel(channel))
 
 
+def reference_stacks(kraus: np.ndarray) -> list:
+    """``packed_stacks`` of a stack whose chunks are its stacks, from the per-pair products."""
+    out, step = [], gate.product_chunk(kraus.shape[1], kraus.shape[-1])
+    for lo in range(0, len(kraus), step):
+        products = per_pair_products(kraus[lo : lo + step])
+        keep = nonzero_vectors(products.reshape(*products.shape[:2], -1), 1e-9)[1]
+        packed = np.zeros((len(products), keep.sum(axis=1).max(), *products.shape[2:]), dtype=complex)
+        for slice_, kept, mask in zip(packed, products, keep):
+            slice_[: mask.sum()] = kept[mask]
+        out.append((lo, packed))
+    return out
+
+
+def test_packed_stacks_equal_packing_the_per_pair_reference():
+    rng = np.random.default_rng(59)
+    mixed = np.stack([c.kraus for c in mixed_survivor_channels()])
+    survive = [np.stack([random_unitary_channel(dims, nu, rng).kraus for _ in range(5)])
+               for dims, nu in (((2, 2), 3), ((3, 3), 10))]  # one chunk, and three chunks of 2, 2 and 1
+    assert gate.product_chunk(10, 9) == 2 and gate.product_chunk(3, 4) >= 5
+    for kraus in (mixed, *survive):
+        got, want = list(gate.packed_stacks(kraus)), reference_stacks(kraus)
+        assert [lo for lo, _ in got] == [lo for lo, _ in want]
+        for (_, packed), (_, expected) in zip(got, want):
+            assert same_bits(packed, expected)
+    for kraus in survive:  # every product survives: each chunk is one stack, unpadded
+        assert all(packed.shape[1] == kraus.shape[1] ** 2 for _, packed in gate.packed_stacks(kraus))
+
+
 def test_gate_channels_raises_for_the_first_bad_channel_before_any_work(monkeypatch, rotated_domino):
     def no_work(*args):
         raise AssertionError("gating started before every channel was checked")
 
-    monkeypatch.setattr(gate, "stacked_pair_products", no_work)
+    monkeypatch.setattr(gate, "pair_product_columns", no_work)
     monkeypatch.setattr(gate, "_selected_grams", no_work)
     incomplete = KrausChannel("incomplete", (3, 3), 9, 1.1 * rotated_domino.kraus)
     single = KrausChannel("single", (4,), 4, (np.eye(4),))
@@ -393,7 +448,7 @@ def test_gate_stack_raises_for_the_first_bad_row_before_any_work(monkeypatch, ro
     def no_work(*args):
         raise AssertionError("gating started before every row was checked")
 
-    monkeypatch.setattr(gate, "stacked_pair_products", no_work)
+    monkeypatch.setattr(gate, "pair_product_columns", no_work)
     monkeypatch.setattr(gate, "_selected_grams", no_work)
     good, names = rotated_domino.kraus, ["a", "b", "c", "d"]
     non_finite = good.copy()
@@ -555,6 +610,51 @@ def test_remix_invariance_of_nullspace_dims(zoo_channels):
             remixed = remix_kraus(channel, haar_unitary(size, rng))
             dims = [r.nullspace_dim for r in gate_channel(remixed).reports]
             assert dims == baseline
+
+
+def relabelled(channel: KrausChannel, perm) -> KrausChannel:
+    """The channel with its input's tensor factors permuted: party k is the original party perm[k]."""
+    kraus = channel.kraus.reshape(channel.n_kraus, channel.output_dim, *channel.input_dims)
+    kraus = kraus.transpose(0, 1, *(2 + p for p in perm)).reshape(channel.kraus.shape)
+    dims = tuple(channel.input_dims[p] for p in perm)
+    return KrausChannel(channel.name, dims, channel.output_dim, kraus)
+
+
+def assert_relabelling_permutes_the_reports(channel):
+    base = gate_channel(channel)
+    for perm in itertools.permutations(range(channel.n_parties)):
+        got = gate_channel(relabelled(channel, perm))
+        assert (got.verdict, got.local) == (base.verdict, base.local)
+        moved = None if base.candidates is None else tuple(k for k, p in enumerate(perm) if p in base.candidates)
+        assert got.candidates == moved
+        assert abs(got.lambda_hat - base.lambda_hat) <= 1e-12
+        for k, (report, p) in enumerate(zip(got.reports, perm)):
+            want = base.reports[p]
+            ints = ("nullspace_dim", "pair_count", "q_rows", "can_measure_first")
+            assert report.party == k
+            assert [getattr(report, f) for f in ints] == [getattr(want, f) for f in ints]
+            assert abs(report.ratio - want.ratio) <= 1e-12
+
+
+def test_party_relabelling_permutes_the_reports(bell, domino, usd_instance):
+    for channel in (bell, domino, usd_instance):
+        assert_relabelling_permutes_the_reports(channel)
+
+
+@st.composite
+def small_channels(draw) -> KrausChannel:
+    """Random channels on 2-3 parties of local dims 2-3: N Kraus operators cut from one Haar isometry."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    d, n = math.prod(dims), draw(st.integers(1, 4))
+    d_out = draw(st.sampled_from(sorted({d, -(-d // n)})))  # square, or the fewest rows that complete
+    isometry = haar_unitary(n * d_out, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))[:, :d]
+    return KrausChannel("random", dims, d_out, isometry.reshape(n, d_out, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_channels())
+def test_party_relabelling_permutes_the_reports_of_random_channels(channel):
+    assert_relabelling_permutes_the_reports(channel)
 
 
 def test_subset_order_invariance(bell, usd_instance, rotated_domino):

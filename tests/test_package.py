@@ -57,7 +57,7 @@ def test_public_signatures_have_no_extra_knobs(func, params):
 def test_layers_stay_reachable_where_the_benchmark_tracer_wraps_them():
     for module, names in [
         (gate, ["kraus_ranks", "select_independent_subset", "nullspace_dimension",
-                "pair_products", "completeness_residuals", "stacked_pair_products",
+                "pair_products", "completeness_residuals", "stacked_pair_products", "pair_product_columns",
                 "select_independent_subsets", "_identity_coefficients", "party_gram",
                 "packed_stacks", "nonzero_vectors"]),
         (protocols, ["protocol_to_channel", "channels_equal"]),

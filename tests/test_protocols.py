@@ -25,7 +25,7 @@ from loccgate import (
     validate_protocol,
     verify_protocol,
 )
-from loccgate.channels import DimensionError
+from loccgate.channels import DimensionError, SchemaError
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -208,6 +208,20 @@ def test_usd_oneway_matches_conclusive_limit():
         ok, dist = verify_protocol(tree, target)
         assert ok, dist
         assert dist < 1e-9
+
+
+def test_verify_needs_an_output_map_isometric_on_the_reachable_outputs():
+    # the 5 x 10 usd-oneway map is isometric only on the five reachable flags, exactly
+    tree = usd_oneway_protocol(0.4, np.sqrt(1 - 0.16))
+    target = usd_channel(UsdParams(0.4, np.sqrt(1 - 0.16), 0.0, 1.0), allow_alpha3_zero=True)
+    iso = tree.output_isometry
+    compiled = protocol_to_channel(tree).kraus
+    assert not np.allclose(iso.conj().T @ iso, np.eye(10))
+    assert np.max(np.abs(iso.conj().T @ iso @ compiled - compiled)) == 0.0
+    assert verify_protocol(tree, target)[0]
+    for scale, shown in ((2.0, r"3\.000e\+00"), (1.0 + 1e-9, r"2\.000e-09"), (1e200, "nan")):
+        with pytest.raises(SchemaError, match=f"not isometric on the protocol's outputs \\({shown}\\)$"):
+            verify_protocol(replace(tree, output_isometry=scale * iso), target)
 
 
 def test_usd_oneway_complex_alpha1():
