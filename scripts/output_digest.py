@@ -4,9 +4,10 @@
 The outputs are the desk-scale figure CSVs of run_figure_sweeps.py at master
 seeds 1, 7 and 511, and the verdict JSON (``gate_channel(...).to_dict()``)
 of the bell and domino channels and of five large random-unitary channels
-at seeds 1 and 2.  --full-scale adds the three full-scale figure CSVs at
-the default master seed.  Run it before and after a change and diff the
-output:
+at seeds 1 and 2, and the exit code and stdout of cold ``python -m
+loccgate.cli`` processes running the benchmark's cli commands.  --full-scale
+adds the three full-scale figure CSVs at the default master seed.  Run it
+before and after a change and diff the output:
 
     PYTHONPATH=src python scripts/output_digest.py [--full-scale]
 """
@@ -14,17 +15,29 @@ output:
 import argparse
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import loccgate
 from loccgate import (
+    RotatedDominoParams,
+    UsdParams,
     bell_channel,
     domino_channel,
+    domino_three_round_protocol,
     gate_channel,
     random_unitary_channel,
+    rotated_domino_channel,
     sample_rng,
+    usd_channel,
+    usd_oneway_protocol,
     write_csv_atomic,
 )
+from loccgate.serialize import save_channel, save_protocol
 from run_figure_sweeps import figure_configs, figure_table
 
 DESK_SEEDS = (1, 7, 511)
@@ -54,6 +67,37 @@ def verdict_digest(channel) -> str:
     return sha256(json.dumps(gate_channel(channel).to_dict()).encode())
 
 
+def cli_digests(outdir: Path):
+    """One digest of exit code and stdout per cold CLI process, over the cli workload's commands.
+
+    ``check`` on bell, domino and a seeded 2x2x2 channel of 8 unitaries, and
+    ``verify-protocol`` for each built-in protocol against the boundary
+    channel it implements.
+    """
+    b1 = math.sqrt(1.0 - 0.4**2)
+    channels = {
+        "bell": bell_channel(),
+        "domino": domino_channel(),
+        "ru2x2x2_8": random_unitary_channel((2, 2, 2), 8, sample_rng(1, 0)),
+        "domino_theta1_zero": rotated_domino_channel(RotatedDominoParams((0.0, 0.3, 0.5, 0.7))),
+        "usd_alpha3_zero": usd_channel(UsdParams(0.4, b1, 0.0, 1.0), allow_alpha3_zero=True),
+    }
+    for name, channel in channels.items():
+        save_channel(channel, outdir / f"{name}.json")
+    save_protocol(domino_three_round_protocol(0.3, 0.5, 0.7), outdir / "domino_three_round.json")
+    save_protocol(usd_oneway_protocol(0.4, b1), outdir / "usd_oneway.json")
+    commands = {name: ["check", "--channel", f"{name}.json"] for name in ("bell", "domino", "ru2x2x2_8")}
+    for protocol, target in (("domino_three_round", "domino_theta1_zero"), ("usd_oneway", "usd_alpha3_zero")):
+        argv = ["verify-protocol", "--protocol", f"{protocol}.json", "--channel", f"{target}.json"]
+        commands[f"verify_{protocol}"] = argv
+    src = str(Path(loccgate.__file__).resolve().parents[1])  # the loccgate this script imported
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for name, argv in commands.items():
+        cmd = [sys.executable, "-m", "loccgate.cli", *argv]
+        proc = subprocess.run(cmd, cwd=outdir, env=env, capture_output=True, timeout=120)
+        yield sha256(f"{proc.returncode}\n".encode() + proc.stdout), f"cli/{name}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--full-scale", action="store_true", help="add the full-scale figure CSVs")
@@ -64,6 +108,7 @@ def main() -> int:
             lines += figure_digests(Path(tmp), f"desk-seed{seed}", 200, 20, seed)
         if args.full_scale:
             lines += figure_digests(Path(tmp), "full-scale", 10000, 100, 20240)
+        lines += cli_digests(Path(tmp))
     lines.append((verdict_digest(bell_channel()), "bell.json"))
     lines.append((verdict_digest(domino_channel()), "domino.json"))
     for seed in VERDICT_SEEDS:

@@ -25,7 +25,6 @@ from .channels import (
     channels_equal,
     completeness_residuals,
 )
-from .zoo import AMPLITUDE_NORM_TOL, QUARTER_PI, _ket, _proj, _rotated_pair
 
 # Frobenius norm below which a compiled leaf operator is an unreachable branch.
 ZERO_LEAF_TOL = 1e-12
@@ -205,6 +204,8 @@ def domino_three_round_protocol(theta2: float, theta3: float, theta4: float) -> 
     branches are kept so every node is a complete measurement; their leaves
     compile to exactly zero and are dropped.
     """
+    from .zoo import QUARTER_PI, _ket, _proj, _rotated_pair  # here, so compiling a tree never loads zoo
+
     for label, t in (("theta2", theta2), ("theta3", theta3), ("theta4", theta4)):
         if not 0.0 <= t <= QUARTER_PI:
             raise ValueError(f"angle out of range: {label} = {t} not in [0, pi/4]")
@@ -235,6 +236,8 @@ def usd_oneway_protocol(alpha1: complex, beta1: complex) -> ProtocolTree:
     (alpha1, beta1).  The attached output isometry merges Alice's leftover
     qubit with Bob's flag into the target's single flag register.
     """
+    from .zoo import AMPLITUDE_NORM_TOL, _ket, _proj
+
     a1, b1 = complex(alpha1), complex(beta1)
     if abs(abs(a1) ** 2 + abs(b1) ** 2 - 1.0) > AMPLITUDE_NORM_TOL:
         raise ValueError("amplitudes must be normalized")

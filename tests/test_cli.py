@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import math
@@ -238,12 +239,13 @@ def implementable_domino_file(tmp_path):
     return path
 
 
-def _cli_process(argv):
+def _cli_process(argv, python=("-m", "loccgate.cli"), **env):
+    """A cold ``python -m loccgate.cli`` process (``python`` replaces the module flags)."""
     src = Path(loccgate.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "loccgate.cli", *argv],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        [sys.executable, *python, *argv],
+        env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True, timeout=120,
     )
 
 
@@ -686,3 +688,82 @@ def test_cli_exits_with_a_documented_code_and_no_warning(run_spec):
                     code = exc.code
     assert code in range(5), stderr.getvalue()
     assert [str(w.message) for w in caught] == []
+
+
+# ---------------------------------------------------------------------------
+# cold processes: per-command imports and the cyclic collector
+
+
+def _loaded_loccgate_modules(importtime_stderr: str) -> set[str]:
+    # -X importtime lines read "import time: self [us] | cumulative | imported package"
+    lines = (line for line in importtime_stderr.splitlines() if line.startswith("import time:"))
+    return {name for line in lines if (name := line.rsplit("|", 1)[-1].strip()).startswith("loccgate")}
+
+
+def test_cold_check_and_verify_protocol_load_neither_zoo_nor_sweeps(tmp_path, bell_file):
+    from loccgate import UsdParams, usd_channel
+
+    b1 = math.sqrt(1 - 0.16)
+    boundary = {  # each built-in protocol against the channel it implements
+        "domino": (domino_three_round_protocol(0.3, 0.5, 0.7),
+                   rotated_domino_channel(RotatedDominoParams((0.0, 0.3, 0.5, 0.7)))),
+        "usd": (usd_oneway_protocol(0.4, b1),
+                usd_channel(UsdParams(0.4, b1, 0.0, 1.0), allow_alpha3_zero=True)),
+    }
+    runs = [(["check", "--channel", str(bell_file)],
+             lambda doc: doc["verdict"] == "NOT_LOCC" and abs(doc["lambda_hat"] - 1.0) < 1e-9)]
+    for name, (protocol, target) in boundary.items():
+        save_protocol(protocol, tmp_path / f"{name}-protocol.json")
+        save_channel(target, tmp_path / f"{name}.json")
+        argv = ["verify-protocol", "--protocol", str(tmp_path / f"{name}-protocol.json"),
+                "--channel", str(tmp_path / f"{name}.json")]
+        runs.append((argv, lambda doc: doc["ok"] is True and doc["choi_distance"] < 1e-9))
+    for argv, right in runs:
+        proc = _cli_process(argv, PYTHONPROFILEIMPORTTIME="1")
+        assert proc.returncode == 0, proc.stderr
+        assert right(json.loads(proc.stdout)), proc.stdout
+        loaded = _loaded_loccgate_modules(proc.stderr)
+        assert {"loccgate", "loccgate.gate", "loccgate.serialize", "loccgate.protocols"} <= loaded
+        assert loaded.isdisjoint({"loccgate.zoo", "loccgate.sweeps"}), argv[0]
+
+
+def test_cold_zoo_protocol_and_sweep_write_what_main_writes(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"family": "usd", "samples": 1, "seed": 1}))
+    for argv in (["zoo", "domino"], ["protocol", "usd-oneway"], ["sweep", "--config", str(config)]):
+        warm, cold = tmp_path / "warm.out", tmp_path / "cold.out"
+        assert run(capsys, [*argv, "--out", str(warm)])[0] == 0
+        proc = _cli_process([*argv, "--out", str(cold)])
+        assert proc.returncode == 0, proc.stderr
+        assert cold.read_bytes() == warm.read_bytes(), argv[0]
+
+
+def test_cold_process_freezes_the_import_heap_and_collects_while_the_command_runs(bell_file):
+    # the gate records the collector's state; cli binds gate_channel when it runs as __main__
+    script = """
+import gc, runpy, sys
+import loccgate.gate
+
+seen = []
+gate_channel = loccgate.gate.gate_channel
+
+def probe(*args, **kwargs):
+    seen.append((gc.isenabled(), gc.get_freeze_count() > 0))
+    return gate_channel(*args, **kwargs)
+
+loccgate.gate.gate_channel = probe
+try:
+    runpy.run_module("loccgate.cli", run_name="__main__")
+finally:
+    print(seen, file=sys.stderr)
+"""
+    proc = _cli_process(["check", "--channel", str(bell_file)], python=("-c", script))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "NOT_LOCC"
+    assert proc.stderr.splitlines()[-1] == "[(True, True)]"
+
+
+def test_main_in_process_leaves_the_collector_as_it_found_it(capsys, bell_file):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run(capsys, ["check", "--channel", str(bell_file)])[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before

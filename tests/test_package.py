@@ -1,5 +1,9 @@
 import ast
+import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,60 @@ REMOVED = (
     "_identity_coordinates",
     "_require_identity_in_span",
 )
+
+
+# The package's exports before its namespace became lazy: home module -> names, in
+# ``__all__`` order.
+EXPORTS = {
+    "channels": ["KrausChannel", "apply_channel", "channels_equal", "check_completeness",
+                 "choi_matrix", "kraus_rank", "lone_kraus_operator", "operator_schmidt_rank",
+                 "remix_kraus", "validate_density_matrix"],
+    "gate": ["GateVerdict", "PartyGateReport", "VERDICT_DEGENERATE_IDENTITY_SPAN",
+             "VERDICT_DEGENERATE_KRAUS_RANK_ONE", "VERDICT_FIRST_MOVE_CANDIDATES",
+             "VERDICT_NOT_LOCC", "gate_channel", "gate_channels", "pair_products"],
+    "linalg": ["IndependentSubset", "nullspace_dimension", "select_independent_subset"],
+    "protocols": ["ProtocolNode", "ProtocolTree", "communication_rounds",
+                  "domino_three_round_protocol", "protocol_to_channel", "usd_oneway_protocol",
+                  "validate_protocol", "verify_protocol"],
+    "sweeps": ["SweepConfig", "run_sweep", "sample_rng", "write_csv_atomic"],
+    "zoo": ["RotatedDominoParams", "UsdParams", "bell_channel", "domino_channel", "haar_unitary",
+            "random_unitary_channel", "rotated_domino_channel", "rotated_domino_states",
+            "sample_usd_params", "usd_channel", "usd_states", "validate_usd_params"],
+}
+
+
+def fresh_python(script: str) -> str:
+    """stdout of ``python -c script`` in a new process that imports this loccgate."""
+    src = str(Path(loccgate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+
+
+def test_lazy_namespace_exports_the_same_objects_in_the_same_order():
+    assert loccgate.__all__ == [name for names in EXPORTS.values() for name in names]
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"loccgate.{module}")
+        assert [n for n in names if getattr(loccgate, n) is not getattr(home, n)] == []
+    star: dict = {}
+    exec("from loccgate import *", star)
+    assert [n for n in loccgate.__all__ if star.get(n) is not getattr(loccgate, n)] == []
+    assert {"__all__", *loccgate.__all__} <= set(dir(loccgate))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        loccgate.no_such_name
+
+
+def test_importing_the_package_loads_no_submodule():
+    script = "import sys, loccgate; print(sorted(m for m in sys.modules if m.startswith('loccgate')))"
+    assert fresh_python(script).strip() == "['loccgate']"
+    script = (  # submodules still import by name, and by attribute after a bare import
+        "import sys, loccgate; from loccgate import cli, sweeps\n"
+        "print(cli is sys.modules['loccgate.cli'], sweeps is sys.modules['loccgate.sweeps'],"
+        " loccgate.zoo is sys.modules['loccgate.zoo'])"
+    )
+    assert fresh_python(script).split() == ["True", "True", "True"]
 
 
 def test_every_exported_name_resolves():
@@ -61,7 +119,8 @@ def test_layers_stay_reachable_where_the_benchmark_tracer_wraps_them():
                 "select_independent_subsets", "_identity_coefficients", "party_gram",
                 "packed_stacks", "nonzero_vectors"]),
         (protocols, ["protocol_to_channel", "channels_equal"]),
-        (cli, ["verify_protocol"]),
+        (cli, ["main", "gate_channel", "check_completeness", "load_channel", "load_protocol",
+               "verify_protocol"]),
     ]:
         assert [n for n in names if not callable(getattr(module, n, None))] == []
     assert list(inspect.signature(gate.select_independent_subset).parameters)[1] == "tol"
