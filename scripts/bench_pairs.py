@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark a parent revision against the working tree in alternating pairs.
 
-The parent's committed files are exported (``git archive``) into a temporary
-directory, removed on exit.  This tree's ``bench/run.py`` then runs in both
-checkouts, pair i on seed ``--seed + i``, the parent first in even pairs and
-second in odd ones.  For each end-to-end metric of ``BENCHMARK.json``, and
-each per-case median of the run's ``report`` line (``case_ms``), it prints
-each side's median and quartiles and how many pairs the change won:
+The parent's committed files are exported (``git archive``) once into a
+temporary directory, removed on exit.  For each workload named, in turn, this
+tree's ``bench/run.py`` then runs in both checkouts, pair i on seed
+``--seed + i``, the parent first in even pairs and second in odd ones.  Per
+workload it prints one table: for each end-to-end metric of
+``BENCHMARK.json``, and each per-case median of the run's ``report`` line
+(``case_ms``), each side's median and quartiles and how many pairs the
+change won:
 
-    python3 scripts/bench_pairs.py --workload sweep --pairs 10 --seed 3001 [--parent HEAD] [--seconds 30]
+    python3 scripts/bench_pairs.py --workload sweep [heavy cli] --pairs 10 --seed 3001 \
+        [--parent HEAD] [--seconds 30]
 
 Stdlib only; run it from the root of a checkout.
 """
@@ -77,30 +80,55 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float | None) -
     return values
 
 
-def main() -> int:
+def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
+    """The command line ``argv`` (None: ``sys.argv``); ``--workload`` takes names from ``workloads``."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+", action="extend",
+                        help="one or more workloads, one table each")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="pair i runs on seed SEED + i")
     parser.add_argument("--parent", default="HEAD", help="revision to compare against (default: HEAD)")
     parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
-    args = parser.parse_args()
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    parent, change = [], []
+    args = parser.parse_args(argv)
+    if unknown := [w for w in args.workload if w not in workloads]:
+        parser.error(f"unknown workload {unknown[0]!r}; expected one of {', '.join(workloads)}")
+    if len(set(args.workload)) < len(args.workload):
+        parser.error("each workload may be named once")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
+
+
+def table(rows: list[dict]) -> list[str]:
+    """One line per ``summarize`` row: each side's median [q1, q3] and the change's wins."""
+    lines = []
+    for row in rows:
+        p, c = row["parent"], row["change"]
+        lines.append(f"{row['metric']}: parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]  "
+                     f"change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]  wins {row['wins']}/{row['pairs']}")
+    return lines
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, [w["name"] for w in spec["workloads"]])
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = [(parent, Path(tmp)), (change, ROOT)]
-            for runs, checkout in order if i % 2 == 0 else order[::-1]:
-                runs.append(run_bench(checkout, args.workload, seed, args.seconds))
-            print(f"pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr)
-    cases = sorted(k for k in change[0] if k.startswith("case_ms."))
-    for row in summarize(parent, change, {**better, **dict.fromkeys(cases, "lower")}):
-        p, c = row["parent"], row["change"]
-        print(f"{row['metric']}: parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]  "
-              f"change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]  wins {row['wins']}/{row['pairs']}")
+        for workload in args.workload:
+            parent, change = [], []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = [(parent, Path(tmp)), (change, ROOT)]
+                for runs, checkout in order if i % 2 == 0 else order[::-1]:
+                    runs.append(run_bench(checkout, workload, seed, args.seconds))
+                print(f"{workload}: pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr)
+            cases = sorted(k for k in change[0] if k.startswith("case_ms."))
+            seeds = f"seeds {args.seed}-{args.seed + args.pairs - 1}"
+            print(f"== {workload}: {args.pairs} pairs against {args.parent}, {seeds}")
+            rows = summarize(parent, change, {**better, **dict.fromkeys(cases, "lower")})
+            print("\n".join(table(rows)), flush=True)
     return 0
 
 

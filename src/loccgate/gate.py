@@ -23,13 +23,13 @@ computed once per channel; each party adds only its partial-trace term.
 Subset selection factors the selected products as r^T times orthonormal rows,
 so <P_a, P_b> = (r^dag r)_ab and c solves r c = h for the identity's
 coordinates h over those rows.  Channels of one shape are gated as stacks:
-their pair products are formed in chunks and zero-filtered once, and a stack
-packs each channel's surviving products, zero-padded to its widest channel.
-One scan gives the stack one padded record of subsets and factors, one
-identity stage checks it for every residual and solves for c once per |S|,
-and channels with equal |S| share, per party, one partial trace and one
-eigensolve.  Sweeps hand their rows to the gate as Kraus stacks; a single
-channel (``gate_channel``) is a stack of one, with a one-vector scan.
+their pair products are formed and zero-filtered in chunks, and a stack, which
+may span chunks, packs each channel's surviving products, zero-padded to its
+widest channel.  One scan gives the stack one padded record of subsets and
+factors, one identity stage checks it for every residual and solves for c
+once per |S|, and channels with equal |S| share, per party, one partial trace
+and one eigensolve.  Sweeps hand their rows to the gate as Kraus stacks; a
+single channel (``gate_channel``) is a stack of one, with a one-vector scan.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),
@@ -78,10 +78,10 @@ COMPLETENESS_WARN_TOL = 1e-9
 # Largest norm of the identity's part outside the span of the selected products.
 IDENTITY_RESIDUAL_TOL = 1e-9
 
-# Largest packed pair-product array gated as one stack, in bytes, and the chunk
-# products are formed in.  The stacked scan's buffers take up to twice as much
-# again: larger stacks cut per-channel call overhead but add peak memory.
-STACK_BYTES = 1 << 18
+# Largest packed pair-product array gated as one stack, in bytes; products are formed in
+# chunks of half as much.  The stacked scan's buffers take up to twice as much again:
+# larger stacks cut per-channel call overhead but add peak memory.
+STACK_BYTES = 1 << 19
 
 
 def valid_rel_tol(rel_tol) -> bool:
@@ -166,26 +166,28 @@ def pair_product_columns(kraus: np.ndarray) -> np.ndarray:
     n_stack, n, d_out, d = kraus.shape
     rows = np.conjugate(kraus.swapaxes(-1, -2), order="C").reshape(n_stack, 1, n * d, d_out)
     products = np.matmul(rows, kraus).reshape(n_stack, n, n, d, d)
-    products.real += products.real.transpose(0, 2, 1, 4, 3)
-    products.imag -= products.imag.transpose(0, 2, 1, 4, 3)
+    if products.nbytes > STACK_BYTES // 2:  # past a chunk's budget, half-size temporaries fault fewer pages
+        products.real += products.real.transpose(0, 2, 1, 4, 3)
+        products.imag -= products.imag.transpose(0, 2, 1, 4, 3)
+    else:
+        products += products.transpose(0, 2, 1, 4, 3).conj()
     products *= 0.5
     return products
 
 
 def product_chunk(n_kraus: int, dim: int) -> int:
-    """How many channels' pair products ``packed_stacks`` forms at a time: as
-    many as fit in STACK_BYTES, at least 1."""
-    return max(1, STACK_BYTES // (np.dtype(complex).itemsize * (n_kraus * dim) ** 2))
+    """Channels per pair-product chunk of ``packed_stacks``: as many as fit STACK_BYTES / 2, at least 1."""
+    return max(1, STACK_BYTES // 2 // (np.dtype(complex).itemsize * (n_kraus * dim) ** 2))
 
 
 def packed_stacks(kraus: np.ndarray):
     """Cut a (B, N, d_out, D) Kraus stack into the stacks gated together; yields (start, packed).
 
-    Pair products are formed in chunks of ``product_chunk`` channels by
-    ``pair_product_columns`` and zero-filtered (``nonzero_vectors``) once.
-    ``packed``, shape (b, W, D, D), holds each channel's surviving products
-    in input order, zero-padded to the widest channel, within STACK_BYTES
-    unless b is 1; a chunk whose products all survive is copied once, whole.
+    Pair products are formed in chunks of ``product_chunk`` channels by ``pair_product_columns``,
+    zero-filtered (``nonzero_vectors``) once and gathered into input order by one boolean index.
+    ``packed``, shape (b, W, D, D), holds each channel's surviving products in input order,
+    zero-padded to the widest channel, within STACK_BYTES unless b is 1; a stack may span
+    chunks, and a stack of one channel is a view of its chunk's gather.
     """
     n_stack, n, _, d = kraus.shape
     row_bytes = kraus.itemsize * d * d
@@ -194,25 +196,24 @@ def packed_stacks(kraus: np.ndarray):
     for lo in range(0, n_stack, step):
         columns = pair_product_columns(kraus[lo : lo + step])
         keep = nonzero_vectors(columns.reshape(len(columns), n * n, -1), DEFAULT_INDEPENDENCE_TOL)[1]
-        keep, products = keep.reshape(-1, n, n).swapaxes(1, 2), columns.swapaxes(1, 2)  # input order
-        if not run and keep.all():  # every product survives: the chunk is one stack
-            run.append(products.reshape(len(products), n * n, d, d))
-            del columns, products  # free the chunk before the stack is gated
-            yield lo, run.pop()
-            continue
-        for b, mask in enumerate(keep, lo):
-            if run and (len(run) + 1) * max(width, mask.sum()) * row_bytes > STACK_BYTES:
+        keep = keep.reshape(-1, n, n).swapaxes(1, 2)  # input order
+        kept, ends = columns.swapaxes(1, 2)[keep], np.cumsum(keep.sum(axis=(1, 2))).tolist()
+        del columns  # free the chunk before a stack is gated
+        for b, (first, last) in enumerate(zip([0, *ends], ends), lo):
+            if run and (len(run) + 1) * max(width, last - first) * row_bytes > STACK_BYTES:
                 yield b - len(run), _padded(run, width)
                 width = 0
-            run.append(products[b - lo, mask])
-            width = max(width, len(run[-1]))
+            run.append(kept[first:last])
+            width = max(width, last - first)
     if run:
-        del columns, products  # the kept rows are copies: free the chunk while the stack is gated
+        del kept  # the run's rows keep what the last stack needs
         yield n_stack - len(run), _padded(run, width)
 
 
 def _padded(run: list[np.ndarray], width: int) -> np.ndarray:
-    """The arrays of ``run``, zero-padded to ``width`` and stacked; empties ``run``."""
+    """The arrays of ``run``, zero-padded to ``width`` and stacked (a lone one uncopied); empties ``run``."""
+    if len(run) == 1:
+        return run.pop()[None]
     packed = np.zeros((len(run), width, *run[0].shape[1:]), dtype=complex)
     for b, kept in enumerate(run):
         packed[b, : len(kept)] = kept

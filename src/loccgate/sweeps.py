@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gate import DEFAULT_NULLSPACE_RTOL, _gate_stack, product_chunk, valid_rel_tol
+from .gate import DEFAULT_NULLSPACE_RTOL, STACK_BYTES, _gate_stack, valid_rel_tol
 from .serialize import SchemaError
 from .zoo import random_unitary_kraus, rotated_domino_kraus, sample_usd_params, usd_kraus
 
@@ -99,11 +99,10 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _runs(count: int, n_kraus: int, dim: int):
-    """Bounds (lo, hi) of the runs of ``count`` rows of N Kraus operators on
-    dimension D: N product chunks (``gate.product_chunk``) long, as many as fit
-    ``gate.STACK_BYTES`` when each keeps only its N products K_i^dag K_i, as
-    measurements do; the gate cuts each run into stacks of packed products."""
-    step = n_kraus * product_chunk(n_kraus, dim)
+    """Bounds (lo, hi) of the runs of ``count`` rows of N Kraus operators on dimension D: as many
+    rows as fit one stack (``gate.STACK_BYTES``) when each keeps only its N products K_i^dag K_i,
+    as measurements do; the gate cuts each run into stacks, which may span its product chunks."""
+    step = max(1, STACK_BYTES // (np.dtype(complex).itemsize * n_kraus * dim * dim))
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 

@@ -32,3 +32,38 @@ def test_summarize_counts_strict_wins_in_each_metric_direction():
     assert [by_name[m]["wins"] for m in ("throughput_per_s", "latency_p50_ms", "peak_rss_mb")] == [2, 2, 1]
     assert {r["pairs"] for r in rows} == {3}
     assert by_name["latency_p50_ms"]["parent"][1] == pytest.approx(2.0)
+
+
+WORKLOADS = ["heavy", "sweep", "cli"]
+
+
+def test_several_workloads_run_against_one_parent_in_the_order_named():
+    argv = ["--workload", "sweep", "heavy", "cli", "--seed", "7", "--parent", "536180e"]
+    args = bench_pairs.parse_args(argv, WORKLOADS)
+    assert (args.workload, args.seed, args.pairs, args.parent, args.seconds) == (
+        ["sweep", "heavy", "cli"], 7, 10, "536180e", None)
+    argv = ["--workload", "heavy", "--seed", "1", "--workload", "sweep"]
+    assert bench_pairs.parse_args(argv, WORKLOADS).workload == ["heavy", "sweep"]
+    assert bench_pairs.parse_args(["--workload", "sweep", "--seed", "1"], WORKLOADS).parent == "HEAD"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--workload", "sweep", "nightly", "--seed", "1"], "unknown workload 'nightly'"),
+    (["--workload", "sweep", "--workload", "sweep", "--seed", "1"], "each workload may be named once"),
+    (["--workload", "sweep", "--seed", "1", "--pairs", "0"], "--pairs must be at least 1"),
+    (["--workload", "--seed", "1"], "expected at least one argument"),
+    (["--seed", "1"], "the following arguments are required: --workload"),
+])
+def test_bad_arguments_exit_2_naming_the_fault(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(argv, WORKLOADS)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_table_prints_medians_quartiles_and_wins_per_metric():
+    rows = bench_pairs.summarize([{"throughput_per_s": 100.0}, {"throughput_per_s": 110.0}],
+                                 [{"throughput_per_s": 120.0}, {"throughput_per_s": 105.0}],
+                                 {"throughput_per_s": "higher"})
+    assert bench_pairs.table(rows) == [
+        "throughput_per_s: parent 105 [102.5, 107.5]  change 112.5 [108.75, 116.25]  wins 1/2"]

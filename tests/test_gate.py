@@ -36,6 +36,7 @@ from loccgate.gate import (
     valid_rel_tol,
 )
 from loccgate.linalg import nonzero_vectors, nullspace_dimension
+from loccgate.zoo import random_unitary_kraus
 from oracle import (
     augmented_q,
     hermitian_eigenvalues,
@@ -400,31 +401,67 @@ def test_gate_channels_pads_slices_that_keep_different_numbers_of_products(monke
 
 
 def reference_stacks(kraus: np.ndarray) -> list:
-    """``packed_stacks`` of a stack whose chunks are its stacks, from the per-pair products."""
-    out, step = [], gate.product_chunk(kraus.shape[1], kraus.shape[-1])
-    for lo in range(0, len(kraus), step):
-        products = per_pair_products(kraus[lo : lo + step])
-        keep = nonzero_vectors(products.reshape(*products.shape[:2], -1), 1e-9)[1]
-        packed = np.zeros((len(products), keep.sum(axis=1).max(), *products.shape[2:]), dtype=complex)
-        for slice_, kept, mask in zip(packed, products, keep):
-            slice_[: mask.sum()] = kept[mask]
+    """``packed_stacks`` by its rule, from the per-pair products of the whole list.
+
+    Each channel's survivors of the zero filter, in input order, join the current stack
+    unless the stack, padded to its widest channel, would then pass STACK_BYTES: then
+    they open the next one.  Stacks do not look at the formation chunks.
+    """
+    products = per_pair_products(kraus)
+    keep = nonzero_vectors(products.reshape(*products.shape[:2], -1), 1e-9)[1]
+    stacks = [[]]
+    for kept in (slice_[mask] for slice_, mask in zip(products, keep)):
+        rows = [*stacks[-1], kept]
+        if stacks[-1] and len(rows) * max(map(len, rows)) * kept[0].nbytes > gate.STACK_BYTES:
+            stacks.append([kept])
+        else:
+            stacks[-1] = rows
+    out, lo = [], 0
+    for rows in stacks:
+        packed = np.zeros((len(rows), max(map(len, rows)), *products.shape[2:]), dtype=complex)
+        for slice_, kept in zip(packed, rows):
+            slice_[: len(kept)] = kept
         out.append((lo, packed))
+        lo += len(rows)
     return out
 
 
-def test_packed_stacks_equal_packing_the_per_pair_reference():
-    rng = np.random.default_rng(59)
-    mixed = np.stack([c.kraus for c in mixed_survivor_channels()])
-    survive = [np.stack([random_unitary_channel(dims, nu, rng).kraus for _ in range(5)])
-               for dims, nu in (((2, 2), 3), ((3, 3), 10))]  # one chunk, and three chunks of 2, 2 and 1
+def chunks_spanned(kraus: np.ndarray, lo: int, packed: np.ndarray) -> int:
+    """How many of ``packed_stacks``' formation chunks the stack of rows lo.. spans."""
+    step = gate.product_chunk(kraus.shape[1], kraus.shape[-1])
+    return (lo + len(packed) - 1) // step - lo // step + 1
+
+
+def assert_packs_like_the_reference(kraus: np.ndarray) -> list:
+    got, want = list(gate.packed_stacks(kraus)), reference_stacks(kraus)
+    assert [lo for lo, _ in got] == [lo for lo, _ in want]
+    for (_, packed), (_, expected) in zip(got, want):
+        assert same_bits(packed, expected)
+    return got
+
+
+def test_packed_stacks_equal_packing_the_per_pair_reference(monkeypatch):
     assert gate.product_chunk(10, 9) == 2 and gate.product_chunk(3, 4) >= 5
-    for kraus in (mixed, *survive):
-        got, want = list(gate.packed_stacks(kraus)), reference_stacks(kraus)
-        assert [lo for lo, _ in got] == [lo for lo, _ in want]
-        for (_, packed), (_, expected) in zip(got, want):
-            assert same_bits(packed, expected)
-    for kraus in survive:  # every product survives: each chunk is one stack, unpadded
-        assert all(packed.shape[1] == kraus.shape[1] ** 2 for _, packed in gate.packed_stacks(kraus))
+    # every product survives: chunks of 2 channels, stacks of 5, so each stack spans 3 chunks
+    rng = np.random.default_rng(59)
+    survive = np.stack([random_unitary_channel((2, 2, 2), 10, rng).kraus for _ in range(10)])
+    assert (gate.product_chunk(10, 8), gate.STACK_BYTES // (100 * 64 * 16)) == (2, 5)
+    got = assert_packs_like_the_reference(survive)
+    assert [chunks_spanned(survive, lo, packed) for lo, packed in got] == [3, 3]
+    assert all(packed.shape[1] == 100 for _, packed in got)
+    # slices that keep 9, 5, 3 and 3 of their 9 products: one stack, and at a budget of
+    # one-channel chunks, a lone stack, a padded stack that spans two chunks and a lone stack
+    mixed = np.stack([c.kraus for c in mixed_survivor_channels()])
+    assert [packed.shape[:2] for _, packed in assert_packs_like_the_reference(mixed)] == [(4, 9)]
+    monkeypatch.setattr(gate, "STACK_BYTES", 3000)
+    got = assert_packs_like_the_reference(mixed)
+    assert [(lo, packed.shape[:2]) for lo, packed in got] == [(0, (1, 9)), (1, (2, 5)), (3, (1, 3))]
+    assert chunks_spanned(mixed, *got[1]) == 2
+    monkeypatch.undo()
+    # a lone row is its chunk's gather, not a copy of it
+    for kraus in (survive[:1], mixed[2:3], random_unitary_channel((4, 4), 18, rng).kraus[None]):
+        [(lo, packed)] = assert_packs_like_the_reference(kraus)
+        assert lo == 0 and not packed.flags.owndata
 
 
 def test_gate_channels_raises_for_the_first_bad_channel_before_any_work(monkeypatch, rotated_domino):
@@ -514,17 +551,21 @@ def same_shape_lists(rng):
 
 
 def test_gate_channels_rows_do_not_depend_on_the_stack_cuts(monkeypatch):
-    # from lone stacks of one channel to one stack of the whole list
+    # from lone stacks of one channel to one stack of the whole list, through
+    # budgets at which a stack spans several formation chunks
     for channels in same_shape_lists(np.random.default_rng(47)):
-        outputs = set()
-        for stack_bytes in (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 22):
+        kraus = np.stack([c.kraus for c in channels])
+        outputs, spans = set(), []
+        for stack_bytes in (1 << 12, 1 << 14, 3 << 13, 1 << 16, 5 << 14, 3 << 16, 1 << 18, 1 << 22):
             monkeypatch.setattr(gate, "STACK_BYTES", stack_bytes)
             outputs.add(json.dumps([v.to_dict() for v in gate_channels(channels)]))
+            spans += [chunks_spanned(kraus, lo, packed) for lo, packed in gate.packed_stacks(kraus)]
         assert len(outputs) == 1, channels[0].name
+        assert max(spans) >= 2, channels[0].name
 
 
 def test_gate_channels_keeps_no_scan_buffer_it_does_not_need():
-    # 200 usd channels fill one 256 KiB stack; the gate keeps no per-channel copy
+    # 200 usd channels fill half of one 512 KiB stack; the gate keeps no per-channel copy
     # of the scan's basis, and frees the basis before it gathers the selected products
     rng = np.random.default_rng(42)
     channels = [usd_channel(sample_usd_params(rng)) for _ in range(200)]
@@ -536,6 +577,41 @@ def test_gate_channels_keeps_no_scan_buffer_it_does_not_need():
     finally:
         tracemalloc.stop()
     assert peak < 1650 * 1024
+
+
+def packing_peak(kraus: np.ndarray) -> tuple[int, list]:
+    """Peak traced bytes of packing ``kraus`` stack by stack, each stack dropped before the next."""
+    list(gate.packed_stacks(kraus[:2]))  # warm-up: first-call allocations are not the packing's
+    shapes = []
+    tracemalloc.start()
+    try:
+        for _, packed in gate.packed_stacks(kraus):
+            shapes.append(packed.shape)
+            del packed
+        return tracemalloc.get_traced_memory()[1], shapes
+    finally:
+        tracemalloc.stop()
+
+
+def test_packing_an_all_survive_run_longer_than_a_chunk_holds_no_second_copy_of_the_stack():
+    # 2x2 channels of 3 unitaries keep all 9 products: chunks of 113 channels, stacks of 227.
+    # Packing a stack holds its chunks' gathers and the stack copied out of them, about two
+    # stacks.  The bound is one stack plus one chunk's three formation buffers (its products,
+    # the averaging's temporary and its gather, each at most STACK_BYTES / 2): 1,280 KiB
+    # against 1,057 KiB measured, so one more copy of the stack would pass it.
+    rng = np.random.default_rng(61)
+    kraus = random_unitary_kraus((2, 2), 3, [rng] * 400)
+    chunk = gate.STACK_BYTES // 2
+    assert gate.product_chunk(3, 4) == 113
+    peak, shapes = packing_peak(kraus[:227])
+    assert shapes == [(227, 9, 4, 4)]
+    assert peak < gate.STACK_BYTES + 3 * chunk
+    # a cut inside the third chunk also holds that chunk's gather, which the next stack
+    # starts from, while the first stack is copied out: measured 1,314 KiB, and keeping
+    # the chunk's products past its gather would pass this bound
+    peak, shapes = packing_peak(kraus)
+    assert shapes == [(227, 9, 4, 4), (173, 9, 4, 4)]
+    assert peak < gate.STACK_BYTES + 4 * chunk
 
 
 def test_gate_channels_batches_its_eigensolves_and_solves(monkeypatch):
@@ -655,6 +731,45 @@ def small_channels(draw) -> KrausChannel:
 @given(small_channels())
 def test_party_relabelling_permutes_the_reports_of_random_channels(channel):
     assert_relabelling_permutes_the_reports(channel)
+
+
+@st.composite
+def same_shape_channel_lists(draw) -> list[KrausChannel]:
+    """Lists of 2-6 random channels of one shape, on 2-3 parties of local dims 2-3, that keep
+    different numbers of their N^2 pair products.
+
+    Each channel splits its N Kraus operators into groups.  Group g applies, with weight w_g,
+    a channel cut from one Haar isometry, and writes its output to a block of rows of its own;
+    so products across groups vanish, and a channel keeps the sum of its groups' squared sizes.
+    """
+    first = draw(small_channels())
+    dims, n, d = first.input_dims, first.n_kraus, first.dim
+    rows = np.zeros((n, n * d - first.kraus.shape[1], d))  # pad its outputs to the list's n * d rows
+    channels = [KrausChannel("random", dims, n * d, np.concatenate([first.kraus, rows], axis=1))]
+    for _ in range(draw(st.integers(1, 5))):
+        groups = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        weights = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
+        weights /= weights[list(set(groups))].sum()
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kraus = np.zeros((n, n * d, d), dtype=complex)
+        for g in set(groups):
+            members = [i for i, label in enumerate(groups) if label == g]
+            isometry = haar_unitary(len(members) * d, rng)[:, :d].reshape(len(members), d, d)
+            kraus[members, g * d : (g + 1) * d] = np.sqrt(weights[g]) * isometry
+        channels.append(KrausChannel("grouped", dims, n * d, kraus))
+    return channels
+
+
+@settings(max_examples=25, deadline=None)
+@given(same_shape_channel_lists(), st.sampled_from([1 << 10, 3 << 11, 1 << 13, 5 << 12, 1 << 15]))
+def test_gate_channels_matches_gate_channel_on_random_same_shape_lists(channels, stack_bytes):
+    # small budgets cut the list into stacks that span formation chunks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gate, "STACK_BYTES", stack_bytes)
+        got = gate_channels(channels)
+    assert len(got) == len(channels)
+    for verdict, channel in zip(got, channels):
+        assert_same_verdict(verdict, gate_channel(channel))
 
 
 def test_subset_order_invariance(bell, usd_instance, rotated_domino):

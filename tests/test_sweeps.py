@@ -15,7 +15,7 @@ from loccgate import (
     usd_channel,
     write_csv_atomic,
 )
-from loccgate import gate
+from loccgate import gate, sweeps
 from loccgate.gate import STACK_BYTES
 from loccgate.sweeps import sample_rng
 from loccgate.serialize import SchemaError
@@ -201,10 +201,14 @@ def test_packed_sweep_stacks_stay_within_stack_bytes(monkeypatch, family, sample
 
 
 @pytest.mark.parametrize("short, long", [
-    # each short sweep ends on a run of one row: 56 = 8 * product_chunk(8, 6), 18 and 200 likewise
+    # the first three ended on a run of one row when runs were 56, 18 and 200 rows long;
+    # the last three end on one with runs of 113, 44 and 409 rows (``sweeps._runs``)
     (SweepConfig(family="random_unitary", samples=57, seed=5, dims=(2, 3), nu_values=(8,)), 70),
     (SweepConfig(family="rotated_domino", samples=19, seed=3), 30),
     (SweepConfig(family="usd", samples=201, seed=4), 205),
+    (SweepConfig(family="random_unitary", samples=114, seed=5, dims=(2, 3), nu_values=(8,)), 130),
+    (SweepConfig(family="rotated_domino", samples=45, seed=3), 60),
+    (SweepConfig(family="usd", samples=410, seed=4), 415),
 ])
 def test_rows_of_a_shorter_sweep_are_a_prefix_of_a_longer_one(tmp_path, short, long):
     # a lone last row once took the one-vector scan, and sample 56 above read 0.0 instead of 9.65e-18
@@ -213,6 +217,14 @@ def test_rows_of_a_shorter_sweep_are_a_prefix_of_a_longer_one(tmp_path, short, l
     short_bytes, long_bytes = (tmp_path / "short.csv").read_bytes(), (tmp_path / "long.csv").read_bytes()
     assert short_bytes.count(b"\n") == short.samples + 1
     assert long_bytes.startswith(short_bytes)
+
+
+def test_a_run_holds_as_many_rows_as_fit_one_stack_of_their_n_products():
+    # STACK_BYTES // (16 N D^2) rows: 2x3 channels of 8 unitaries, rotated domino, usd
+    for (n_kraus, dim), step in (((8, 6), 113), ((9, 9), 44), ((5, 4), 409)):
+        assert step == STACK_BYTES // (16 * n_kraus * dim * dim)
+        assert sweeps._runs(step + 1, n_kraus, dim) == [(0, step), (step, step + 1)]
+    assert sweeps._runs(3, 10**4, 10**3) == [(0, 1), (1, 2), (2, 3)]  # at least one row
 
 
 def test_rotated_domino_angles_match_four_scalar_draws():
