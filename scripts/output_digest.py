@@ -3,11 +3,12 @@
 
 The outputs are the desk-scale figure CSVs of run_figure_sweeps.py at master
 seeds 1, 7 and 511, and the verdict JSON (``gate_channel(...).to_dict()``)
-of the bell and domino channels and of five large random-unitary channels
-at seeds 1 and 2, and the exit code and stdout of cold ``python -m
-loccgate.cli`` processes running the benchmark's cli commands.  --full-scale
-adds the three full-scale figure CSVs at the default master seed.  Run it
-before and after a change and diff the output:
+of the bell and domino channels, of five large random-unitary channels at
+seeds 1 and 2 and of two seeded measurements whose Kraus operators share
+output rows in some pairs only, and the exit code and stdout of cold
+``python -m loccgate.cli`` processes running the benchmark's cli commands.
+--full-scale adds the three full-scale figure CSVs at the default master
+seed.  Run it before and after a change and diff the output:
 
     PYTHONPATH=src python scripts/output_digest.py [--full-scale]
 """
@@ -22,14 +23,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import loccgate
 from loccgate import (
+    KrausChannel,
     RotatedDominoParams,
     UsdParams,
     bell_channel,
     domino_channel,
     domino_three_round_protocol,
     gate_channel,
+    haar_unitary,
     random_unitary_channel,
     rotated_domino_channel,
     sample_rng,
@@ -65,6 +70,25 @@ def figure_digests(outdir: Path, label: str, samples: int, seeds: int, seed: int
 
 def verdict_digest(channel) -> str:
     return sha256(json.dumps(gate_channel(channel).to_dict()).encode())
+
+
+def flagged_measurement(rng) -> KrausChannel:
+    """16-outcome rank-one measurement on 4x4 in a Haar basis that writes outcome k to a flag:
+    K_k = |k> (x) |phi_k><phi_k|, so no two Kraus operators share an output row."""
+    phi = haar_unitary(16, rng)
+    kraus = np.zeros((16, 16 * 16, 16), dtype=complex)
+    for k in range(16):
+        kraus[k, 16 * k : 16 * k + 16] = np.outer(phi[:, k], phi[:, k].conj())
+    return KrausChannel("flagged-measurement", (4, 4), 16 * 16, kraus)
+
+
+def chained_flags(rng) -> KrausChannel:
+    """Three Kraus operators on 2x3, each half of four Haar unitaries U_k: K_0 = |0> (x) U_0,
+    K_1 = |0> (x) U_1 + |1> (x) U_2 and K_2 = |1> (x) U_3, so K_0 and K_2 share no output row."""
+    u = 0.5 * np.stack([haar_unitary(6, rng) for _ in range(4)])
+    kraus = np.zeros((3, 12, 6), dtype=complex)
+    kraus[0, :6], kraus[1, :6], kraus[1, 6:], kraus[2, 6:] = u
+    return KrausChannel("chained-flags", (2, 3), 12, kraus)
 
 
 def cli_digests(outdir: Path):
@@ -111,6 +135,9 @@ def main() -> int:
         lines += cli_digests(Path(tmp))
     lines.append((verdict_digest(bell_channel()), "bell.json"))
     lines.append((verdict_digest(domino_channel()), "domino.json"))
+    for name, channel in (("flagged_measurement_4x4", flagged_measurement(np.random.default_rng(19))),
+                          ("chained_flags_2x3", chained_flags(np.random.default_rng(23)))):
+        lines.append((verdict_digest(channel), f"{name}.json"))
     for seed in VERDICT_SEEDS:
         for i, (name, dims, nu) in enumerate(LARGE_CASES):
             channel = random_unitary_channel(dims, nu, sample_rng(seed, i))

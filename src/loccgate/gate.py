@@ -175,30 +175,60 @@ def pair_product_columns(kraus: np.ndarray) -> np.ndarray:
     return products
 
 
-def product_chunk(n_kraus: int, dim: int) -> int:
+def formed_pair_products(kraus: np.ndarray, pairs) -> np.ndarray:
+    """The pair products ``packed_stacks`` forms of a (B, N, d_out, D) Kraus stack: ``pair_product_columns``
+    if ``pairs`` is None, else one GEMM per pair of the row-major index arrays ``pairs`` (closed under
+    swapping), shape (B, P, D, D), averaged in place with its partner's adjoint: the same bits."""
+    if pairs is None:
+        return pair_product_columns(kraus)
+    i, j = pairs
+    products = np.matmul(np.take(kraus.conj(), i, axis=1).swapaxes(-1, -2), np.take(kraus, j, axis=1))
+    partner = np.searchsorted(i * kraus.shape[1] + j, j * kraus.shape[1] + i)
+    products += products[:, partner].swapaxes(-1, -2).conj()
+    products *= 0.5
+    return products
+
+
+def row_sharing_pairs(kraus: np.ndarray):
+    """Row-major index arrays (i, j) of the pairs whose K_i and K_j are nonzero in a common output
+    row of some channel of a (B, N, d_out, D) Kraus stack; None if all are, or at D = 1, where one
+    pair's GEMM would be a dot, whose bits differ from the block columns'."""
+    n_stack, n, d_out, d = kraus.shape
+    # nonzero rows: a sum of |entries|, unlike one of their squares, never rounds a nonzero row to 0
+    rows = (np.abs(kraus).reshape(-1, d) @ np.ones(d) > 0).reshape(n_stack, n, d_out)
+    support = rows.swapaxes(0, 1).reshape(n, -1).astype(float)
+    overlap = support @ support.T > 0
+    return None if overlap.all() or d == 1 else np.nonzero(overlap)
+
+
+def product_chunk(n_products: int, dim: int) -> int:
     """Channels per pair-product chunk of ``packed_stacks``: as many as fit STACK_BYTES / 2, at least 1."""
-    return max(1, STACK_BYTES // 2 // (np.dtype(complex).itemsize * (n_kraus * dim) ** 2))
+    return max(1, STACK_BYTES // 2 // (np.dtype(complex).itemsize * n_products * dim * dim))
 
 
 def packed_stacks(kraus: np.ndarray):
     """Cut a (B, N, d_out, D) Kraus stack into the stacks gated together; yields (start, packed).
 
-    Pair products are formed in chunks of ``product_chunk`` channels by ``pair_product_columns``,
-    zero-filtered (``nonzero_vectors``) once and gathered into input order by one boolean index.
+    Only the ``row_sharing_pairs`` are formed (every other K_i^dag K_j is exactly zero, which the zero
+    filter drops), by ``formed_pair_products`` in chunks of ``product_chunk`` channels, zero-filtered
+    (``nonzero_vectors``) once and gathered into input order by one boolean index.
     ``packed``, shape (b, W, D, D), holds each channel's surviving products in input order,
     zero-padded to the widest channel, within STACK_BYTES unless b is 1; a stack may span
     chunks, and a stack of one channel is a view of its chunk's gather.
     """
     n_stack, n, _, d = kraus.shape
     row_bytes = kraus.itemsize * d * d
-    step = product_chunk(n, d)
+    pairs = row_sharing_pairs(kraus)
+    step = product_chunk(n * n if pairs is None else len(pairs[0]), d)
     run, width = [], 0
     for lo in range(0, n_stack, step):
-        columns = pair_product_columns(kraus[lo : lo + step])
-        keep = nonzero_vectors(columns.reshape(len(columns), n * n, -1), DEFAULT_INDEPENDENCE_TOL)[1]
-        keep = keep.reshape(-1, n, n).swapaxes(1, 2)  # input order
-        kept, ends = columns.swapaxes(1, 2)[keep], np.cumsum(keep.sum(axis=(1, 2))).tolist()
-        del columns  # free the chunk before a stack is gated
+        products = formed_pair_products(kraus[lo : lo + step], pairs)
+        keep = nonzero_vectors(products.reshape(len(products), -1, d * d), DEFAULT_INDEPENDENCE_TOL)[1]
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        if pairs is None:  # block columns: gather from their input-order view
+            products, keep = products.swapaxes(1, 2), keep.reshape(-1, n, n).swapaxes(1, 2)
+        kept = products[keep]
+        del products  # free the chunk before a stack is gated
         for b, (first, last) in enumerate(zip([0, *ends], ends), lo):
             if run and (len(run) + 1) * max(width, last - first) * row_bytes > STACK_BYTES:
                 yield b - len(run), _padded(run, width)

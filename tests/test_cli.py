@@ -21,6 +21,7 @@ from loccgate import (
     RotatedDominoParams,
     bell_channel,
     domino_three_round_protocol,
+    random_unitary_channel,
     rotated_domino_channel,
     usd_oneway_protocol,
 )
@@ -212,18 +213,26 @@ def test_sweep_rejects_bad_config(capsys, tmp_path):
 
 def test_input_too_large_for_memory_exits_2_without_traceback(capsys, tmp_path, bell_file, monkeypatch):
     # a random_unitary sweep at nu_values [100000] asks numpy for 2.33 TiB of pair
-    # products; the gate stage that would allocate them raises instead
-    def too_large(kraus):
+    # products; the gate stage that would allocate them raises instead, in both forms:
+    # pair by pair for bell, whose operators share output rows in 8 of 16 pairs, and by
+    # block columns for random unitaries, whose operators all share every row
+    forms = []
+
+    def too_large(kraus, pairs):
+        forms.append("pairs" if pairs is not None else "columns")
         raise MemoryError("Unable to allocate 2.33 TiB for an array")
 
-    monkeypatch.setattr(loccgate.gate, "pair_product_columns", too_large)
+    monkeypatch.setattr(loccgate.gate, "formed_pair_products", too_large)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"family": "random_unitary", "samples": 1, "seed": 0, "nu_values": [5]}))
+    dense = tmp_path / "ru.json"
+    save_channel(random_unitary_channel((2, 2), 3, np.random.default_rng(0)), dense)
     for argv in (["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")],
-                 ["check", "--channel", str(bell_file)]):
+                 ["check", "--channel", str(bell_file)], ["check", "--channel", str(dense)]):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err == "error: input too large: Unable to allocate 2.33 TiB for an array\n"
+    assert forms == ["columns", "pairs", "columns"]
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loccgate import (
@@ -36,7 +36,7 @@ from loccgate.gate import (
     valid_rel_tol,
 )
 from loccgate.linalg import nonzero_vectors, nullspace_dimension
-from loccgate.zoo import random_unitary_kraus
+from loccgate.zoo import random_unitary_kraus, rotated_domino_kraus
 from oracle import (
     augmented_q,
     hermitian_eigenvalues,
@@ -386,7 +386,7 @@ def test_gate_channels_pads_slices_that_keep_different_numbers_of_products(monke
         return lambda arg, *rest: calls.append(arg) or func(arg, *rest)
 
     # the gate reaches both stages through its module attributes
-    monkeypatch.setattr(gate, "pair_product_columns", record(formed, gate.pair_product_columns))
+    monkeypatch.setattr(gate, "formed_pair_products", record(formed, gate.formed_pair_products))
     monkeypatch.setattr(gate, "select_independent_subsets", record(scanned, gate.select_independent_subsets))
     got = gate_channels(channels)
     assert len(formed) == 1 and np.array_equal(formed[0], kraus)
@@ -426,9 +426,17 @@ def reference_stacks(kraus: np.ndarray) -> list:
     return out
 
 
+def formed_count(kraus: np.ndarray) -> int:
+    """Pair products ``packed_stacks`` forms per channel: the pairs (i, j) whose K_i and K_j are
+    nonzero in a common output row of some channel, or all N^2 if every pair is or D is 1."""
+    rows = (kraus != 0).any(axis=-1).astype(int)  # (B, N, d_out)
+    shared = np.einsum("bik,bjk->ij", rows, rows) > 0
+    return shared.size if shared.all() or kraus.shape[-1] == 1 else int(shared.sum())
+
+
 def chunks_spanned(kraus: np.ndarray, lo: int, packed: np.ndarray) -> int:
     """How many of ``packed_stacks``' formation chunks the stack of rows lo.. spans."""
-    step = gate.product_chunk(kraus.shape[1], kraus.shape[-1])
+    step = gate.product_chunk(formed_count(kraus), kraus.shape[-1])
     return (lo + len(packed) - 1) // step - lo // step + 1
 
 
@@ -441,11 +449,11 @@ def assert_packs_like_the_reference(kraus: np.ndarray) -> list:
 
 
 def test_packed_stacks_equal_packing_the_per_pair_reference(monkeypatch):
-    assert gate.product_chunk(10, 9) == 2 and gate.product_chunk(3, 4) >= 5
+    assert gate.product_chunk(100, 9) == 2 and gate.product_chunk(9, 4) >= 5
     # every product survives: chunks of 2 channels, stacks of 5, so each stack spans 3 chunks
     rng = np.random.default_rng(59)
     survive = np.stack([random_unitary_channel((2, 2, 2), 10, rng).kraus for _ in range(10)])
-    assert (gate.product_chunk(10, 8), gate.STACK_BYTES // (100 * 64 * 16)) == (2, 5)
+    assert (gate.product_chunk(100, 8), gate.STACK_BYTES // (100 * 64 * 16)) == (2, 5)
     got = assert_packs_like_the_reference(survive)
     assert [chunks_spanned(survive, lo, packed) for lo, packed in got] == [3, 3]
     assert all(packed.shape[1] == 100 for _, packed in got)
@@ -468,7 +476,7 @@ def test_gate_channels_raises_for_the_first_bad_channel_before_any_work(monkeypa
     def no_work(*args):
         raise AssertionError("gating started before every channel was checked")
 
-    monkeypatch.setattr(gate, "pair_product_columns", no_work)
+    monkeypatch.setattr(gate, "formed_pair_products", no_work)
     monkeypatch.setattr(gate, "_selected_grams", no_work)
     incomplete = KrausChannel("incomplete", (3, 3), 9, 1.1 * rotated_domino.kraus)
     single = KrausChannel("single", (4,), 4, (np.eye(4),))
@@ -485,7 +493,7 @@ def test_gate_stack_raises_for_the_first_bad_row_before_any_work(monkeypatch, ro
     def no_work(*args):
         raise AssertionError("gating started before every row was checked")
 
-    monkeypatch.setattr(gate, "pair_product_columns", no_work)
+    monkeypatch.setattr(gate, "formed_pair_products", no_work)
     monkeypatch.setattr(gate, "_selected_grams", no_work)
     good, names = rotated_domino.kraus, ["a", "b", "c", "d"]
     non_finite = good.copy()
@@ -602,7 +610,7 @@ def test_packing_an_all_survive_run_longer_than_a_chunk_holds_no_second_copy_of_
     rng = np.random.default_rng(61)
     kraus = random_unitary_kraus((2, 2), 3, [rng] * 400)
     chunk = gate.STACK_BYTES // 2
-    assert gate.product_chunk(3, 4) == 113
+    assert gate.product_chunk(9, 4) == 113
     peak, shapes = packing_peak(kraus[:227])
     assert shapes == [(227, 9, 4, 4)]
     assert peak < gate.STACK_BYTES + 3 * chunk
@@ -612,6 +620,95 @@ def test_packing_an_all_survive_run_longer_than_a_chunk_holds_no_second_copy_of_
     peak, shapes = packing_peak(kraus)
     assert shapes == [(227, 9, 4, 4), (173, 9, 4, 4)]
     assert peak < gate.STACK_BYTES + 4 * chunk
+
+
+def formed_per_call(monkeypatch) -> list:
+    """Patch the gate's formation stage to record (pairs listed, channels, products per channel) per call."""
+    calls, form = [], gate.formed_pair_products
+
+    def recorded(kraus, pairs):
+        products = form(kraus, pairs)
+        calls.append((pairs is not None, len(products), products[0].size // kraus.shape[-1] ** 2))
+        return products
+
+    monkeypatch.setattr(gate, "formed_pair_products", recorded)
+    return calls
+
+
+def test_packed_stacks_form_only_the_pairs_whose_operators_share_an_output_row(
+    monkeypatch, bell, rotated_domino, usd_instance
+):
+    # rotated domino, usd and bell form only the pairs that share an output row; every pair
+    # of random unitaries shares every row, so those keep the block columns
+    calls = formed_per_call(monkeypatch)
+    rng = np.random.default_rng(67)
+    unitaries = [random_unitary_channel(dims, nu, rng) for dims, nu in (((2, 2), 3), ((2, 3), 6))]
+    for channel in (rotated_domino, usd_instance, bell, *unitaries):
+        gate_channel(channel)
+    assert calls == [(True, 1, 17), (True, 1, 5), (True, 1, 8), (False, 1, 9), (False, 1, 36)]
+    # chunks are sized by the products formed: rotated-domino rows come 11 to a chunk, not 2
+    calls.clear()
+    list(gate.packed_stacks(rotated_domino_kraus(rng.uniform(0.0, np.pi / 4, (12, 4)))))
+    assert calls == [(True, 11, 17), (True, 1, 17)]
+    # at D = 1 a pair's GEMM would be a dot, whose bits differ from the block columns'
+    calls.clear()
+    list(gate.packed_stacks(np.array([[[0.6], [0.0]], [[0.0], [0.8]]], dtype=complex)[None]))
+    assert calls == [(False, 1, 4)]
+
+
+def union_decides() -> np.ndarray:
+    """Two channels of three 3 x 2 operators: K_0 and K_1 share a row in the first only."""
+    kraus = np.zeros((2, 3, 3, 2), dtype=complex)
+    kraus[0, [0, 1, 2], [0, 0, 1]] = [[0.6, 0.2j], [0.3, -0.4], [0.5j, 0.1]]
+    kraus[1, [0, 1, 2], [0, 1, 2]] = [[0.7, 0.1], [-0.2j, 0.9], [0.4, 0.3j]]
+    return kraus
+
+
+@st.composite
+def sparse_kraus_stacks(draw) -> np.ndarray:
+    """(B, N, d_out, D) stacks of random operators, each nonzero in at most two random output rows.
+
+    Each channel draws its own rows, so a pair may share a row in some channels only, where
+    the stack's union decides that it is formed; an operator with no row is zero.
+    """
+    b, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    d_out, d = draw(st.integers(1, 6)), draw(st.integers(2, 5))  # D = 1 keeps the block columns
+    rows = st.lists(st.integers(0, d_out - 1), max_size=2)
+    support = np.zeros((b, n, d_out, 1), dtype=bool)
+    for c, k in itertools.product(range(b), range(n)):
+        support[c, k, draw(rows)] = True
+    support[~support.any(axis=(1, 2, 3)), 0, 0] = True  # a complete channel is not all zero
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.where(support, rng.normal(size=(b, n, d_out, d)) + 1j * rng.normal(size=(b, n, d_out, d)), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_kraus_stacks(), st.sampled_from([1 << 9, 3 << 10, 1 << 19]))
+@example(union_decides(), 1 << 19)
+def test_packed_stacks_equal_the_per_pair_reference_on_random_row_supports(kraus, stack_bytes):
+    # every product not formed is exactly zero, so the per-pair reference over all N^2 pairs,
+    # zero-filtered, packs the same stacks with the same bits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gate, "STACK_BYTES", stack_bytes)
+        assert_packs_like_the_reference(kraus)
+
+
+def test_a_lone_64_outcome_measurement_forms_64_products_not_4096():
+    # K_k = |k><phi_k| for a Haar basis on 8x8: each operator has an output row of its own, so
+    # formation takes 64 products (4 MiB) where 64^2 block columns alone would take 256 MiB
+    phi = haar_unitary(64, np.random.default_rng(71))
+    kraus = np.zeros((64, 64, 64), dtype=complex)
+    kraus[np.arange(64), np.arange(64)] = phi.conj().T
+    channel = KrausChannel("measure-64", (8, 8), 64, kraus)
+    gate_channel(channel)  # warm-up: first-call allocations are not the gate's
+    tracemalloc.start()
+    try:
+        verdict = gate_channel(channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.reports[0].pair_count == 64
+    assert peak < 64 << 20
 
 
 def test_gate_channels_batches_its_eigensolves_and_solves(monkeypatch):

@@ -1,11 +1,13 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loccgate
@@ -14,6 +16,8 @@ from loccgate import cli, gate, protocols
 from loccgate.channels import kraus_rank, kraus_ranks, operator_schmidt_rank, validate_density_matrix
 from loccgate.gate import gate_channel
 from loccgate.protocols import protocol_to_channel, verify_protocol
+from loccgate.serialize import save_channel
+from loccgate.zoo import bell_channel, random_unitary_channel
 
 REMOVED = (
     "permute_party_to_front",
@@ -124,6 +128,27 @@ def test_layers_stay_reachable_where_the_benchmark_tracer_wraps_them():
     ]:
         assert [n for n in names if not callable(getattr(module, n, None))] == []
     assert list(inspect.signature(gate.select_independent_subset).parameters)[1] == "tol"
+
+
+def test_the_benchmark_tracer_hooks_read_what_the_layers_return(capsys, monkeypatch, tmp_path):
+    # bench/tracer.py counts from the arguments and results of the calls it wraps, when it is
+    # left: the one-vector scan's ``.indices`` and candidates, each verdict's channel and
+    # reports, and the files the CLI reads.  A hook that no longer fits raises on exit.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # load the benchmark's file, write nothing
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bell_file = tmp_path / "bell.json"
+    save_channel(bell_channel(), bell_file)
+    with tracer.Tracer() as traced:
+        gate.gate_channel(bell_channel())
+        gate.gate_channel(random_unitary_channel((2, 2, 2), 8, np.random.default_rng(3)))
+        assert cli.main(["check", "--channel", str(bell_file)]) == 0
+    assert '"verdict"' in capsys.readouterr().out
+    for counter in ("linalg.select_independent_subset.flops_computed", "gate.pairs_selected",
+                    "serialize.bytes_read"):
+        assert traced.counters[counter] > 0, counter
 
 
 def test_modules_use_every_name_they_import():
