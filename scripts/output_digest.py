@@ -34,6 +34,7 @@ from loccgate import (
     domino_channel,
     domino_three_round_protocol,
     gate_channel,
+    gate_channels,
     haar_unitary,
     random_unitary_channel,
     rotated_domino_channel,
@@ -91,6 +92,31 @@ def chained_flags(rng) -> KrausChannel:
     return KrausChannel("chained-flags", (2, 3), 12, kraus)
 
 
+def flagged(ops_and_weights) -> np.ndarray:
+    """Kraus operators of a two-qubit channel that applies op_k with weight w_k and writes k to a flag."""
+    kraus = np.zeros((len(ops_and_weights), 4 * len(ops_and_weights), 4), dtype=complex)
+    for k, (op, weight) in enumerate(ops_and_weights):
+        kraus[k, 4 * k : 4 * k + 4] = np.sqrt(weight) * op
+    return kraus
+
+
+def mixed_survivors(rng) -> list[KrausChannel]:
+    """Four 2x2 channels of three 12 x 4 Kraus operators that keep 9, 5, 3 and 3 of their 9 pair
+    products: three Haar unitaries zero-padded to 12 rows; the same unitaries, the first on a
+    flag of its own; a flagged measurement in a Haar basis; and a flagged coin."""
+    u = random_unitary_channel((2, 2), 3, rng).kraus
+    padded_unitary = np.zeros((3, 12, 4), dtype=complex)
+    padded_unitary[:, :4] = u
+    two_flags = np.zeros((3, 12, 4), dtype=complex)  # only K_1^dag K_2 survives of the cross terms
+    two_flags[0, :4] = np.sqrt(1.5) * u[0]  # weights 1/2, 1/4 and 1/4
+    two_flags[1:, 4:8] = np.sqrt(0.75) * u[1:]
+    q = haar_unitary(4, rng)
+    proj = [np.outer(q[:, i], q[:, i].conj()) for i in range(4)]
+    measure = flagged([(proj[0], 1.0), (proj[1], 1.0), (proj[2] + proj[3], 1.0)])
+    coin = flagged([(np.eye(4), 0.2), (np.eye(4), 0.3), (np.eye(4), 0.5)])
+    return [KrausChannel("mixed-survivors", (2, 2), 12, k) for k in (padded_unitary, two_flags, measure, coin)]
+
+
 def cli_digests(outdir: Path):
     """One digest of exit code and stdout per cold CLI process, over the cli workload's commands.
 
@@ -138,6 +164,9 @@ def main() -> int:
     for name, channel in (("flagged_measurement_4x4", flagged_measurement(np.random.default_rng(19))),
                           ("chained_flags_2x3", chained_flags(np.random.default_rng(23)))):
         lines.append((verdict_digest(channel), f"{name}.json"))
+    mixed = [*mixed_survivors(np.random.default_rng(43)), *mixed_survivors(np.random.default_rng(47))]
+    verdicts = [verdict.to_dict() for verdict in gate_channels(mixed)]
+    lines.append((sha256(json.dumps(verdicts).encode()), "mixed_survivors_2x2.json"))
     for seed in VERDICT_SEEDS:
         for i, (name, dims, nu) in enumerate(LARGE_CASES):
             channel = random_unitary_channel(dims, nu, sample_rng(seed, i))

@@ -102,12 +102,13 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     at step t, every slice projects its t-th vector, with CGS2 batched over
     the stack.  A slice keeps its own zero filter, acceptance rule and early
     stop: a vector the filter drops, or any vector once its span is full,
-    meets an infinite acceptance floor, and the scan ends when no slice
-    accepts a later vector, soonest on slices packed with their nonzero
-    vectors first.  After t steps a slice has at most t directions; the rows
-    it has not found yet are zero, so they add nothing to its projections.  A
-    slice's record does not depend on the other slices, bit for bit; its
-    indices equal the one-vector scan's, its factor agrees to rounding.
+    meets an infinite acceptance floor; the scan stops after the last step
+    with a finite floor in any slice.  Until a step that only some slices
+    accept, all slices share one k and the updates index the whole stack;
+    from then on they gather the accepting slices.  The rows a slice has not
+    found yet are zero, so they add nothing to its projections.  A slice's
+    record does not depend on the other slices, bit for bit; its indices
+    equal the one-vector scan's, its factor agrees to rounding.
     """
     vecs = np.asarray(stack, dtype=complex)
     if vecs.ndim != 3 or 0 in vecs.shape:
@@ -120,8 +121,11 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     factor = np.zeros((n_slices, cap, cap), dtype=complex)
     taken = np.zeros((n_slices, n_vecs), dtype=bool)
     k = np.zeros(n_slices, dtype=np.intp)
+    ends = np.arange(1, n_vecs + 1)
+    stop = int((np.isfinite(floors).any(axis=0) * ends).max())  # one past the last step with a finite floor
+    even = True  # every slice has accepted at every accepting step so far, so all k are equal
     for t in range(n_vecs):
-        if np.isinf(floors[:, t:]).all():  # no slice accepts a vector from here on
+        if t >= stop:
             break
         width = min(t, cap)
         q = onb[:, :width]
@@ -132,16 +136,22 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
         h2 = (q @ r.conj()).conj()
         r -= q_t @ h2
         rnorm = np.sqrt((r.swapaxes(1, 2).conj() @ r).real[:, 0, 0])
-        grow = np.flatnonzero(rnorm > floors[:, t])
-        if grow.size:
+        accept = rnorm > floors[:, t]
+        if even and accept.all():
+            grow, at = slice(None), k[0]
+        elif accept.any():
+            even, grow = False, np.flatnonzero(accept)
             at = k[grow]
-            onb[grow, at] = r[grow, :, 0] / rnorm[grow, None]
-            factor[grow, :width, at] = (h1 + h2)[grow, :, 0]
-            factor[grow, at, at] = rnorm[grow]
-            taken[grow, t] = True
-            k[grow] += 1
-            if t + 1 >= length:  # a slice whose span is full scans no further
-                floors[grow[k[grow] == length]] = np.inf
+        else:
+            continue
+        onb[grow, at] = r[grow, :, 0] / rnorm[grow, None]
+        factor[grow, :width, at] = (h1 + h2)[grow, :, 0]
+        factor[grow, at, at] = rnorm[grow]
+        taken[grow, t] = True
+        k[grow] += 1
+        if t + 1 >= length:  # a slice whose span is full scans no further
+            floors[k == length] = np.inf
+            stop = int((np.isfinite(floors).any(axis=0) * ends).max())
     return taken, onb, factor
 
 

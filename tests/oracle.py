@@ -8,7 +8,8 @@ recombination of the basis.  It also keeps the textbook forms of what the
 library computes more directly: moving a party's factor to the front, a
 checked Hermitian eigensolve, the permute-then-realign operator Schmidt rank,
 the lone Kraus operator from the dominant Choi eigenvector, pair products
-formed one GEMM per pair and the completeness Gram summed by ``einsum``.
+formed one GEMM per pair, the completeness Gram summed by ``einsum`` and the
+stacked subset scan with a gather and a stop test at every step.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from loccgate import choi_matrix, haar_unitary, select_independent_subset
+from loccgate.linalg import nonzero_vectors
 
 # Largest |h - h^dag| entry, relative to the largest |h| entry, that
 # ``hermitian_eigenvalues`` accepts as rounding in a Hermitian matrix.
@@ -83,8 +85,15 @@ def per_pair_products(kraus: np.ndarray) -> np.ndarray:
     """Pair products of a (B, N, d_out, D) Kraus stack, shape (B, N^2, D, D), one GEMM per pair.
 
     Each K_i^dag K_j is then averaged in place with the adjoint of its
-    swapped partner, real and imaginary parts apart.  The gate forms the
-    same products one GEMM per Kraus operator, with the same bits.
+    swapped partner, real and imaginary parts apart.  At D >= 2 the gate's
+    products have the same bits, whether it forms them one GEMM per pair or
+    one per Kraus operator (block columns).  At D = 1 they do not: numpy forms
+    one pair's (1 x d_out)(d_out x 1) product as a dot, while a block column
+    (N x d_out)(d_out x 1) is a gemv, and the two round differently in the
+    last bits (N = 3, d_out = 5: by up to 3.6e-15 on complex Gaussian
+    entries).  That is why ``row_sharing_pairs`` keeps the block columns at
+    D = 1: the gate's bits then do not depend on which of its Kraus
+    operators share output rows.
     """
     n_stack, n, _, d = kraus.shape
     products = np.matmul(kraus.conj().swapaxes(-1, -2)[:, :, None], kraus[:, None])
@@ -176,6 +185,44 @@ def mgs_subset_indices(vectors, tol: float) -> list[int]:
             selected.append(idx)
             onb.append(r / rnorm)
     return selected
+
+
+def reference_select_independent_subsets(stack, tol: float):
+    """The stacked CGS2 scan of ``select_independent_subsets`` in its first form, as its bit-for-bit
+    reference: each step tests every later floor to decide whether to go on, and gathers the
+    accepting slices by index even when all of them accept."""
+    vecs = np.asarray(stack, dtype=complex)
+    n_slices, n_vecs, length = vecs.shape
+    norms, nonzero = nonzero_vectors(vecs, tol)
+    floors = np.where(nonzero, tol * norms, np.inf)
+    cap = min(n_vecs, length)
+    onb = np.zeros((n_slices, cap, length), dtype=complex)
+    factor = np.zeros((n_slices, cap, cap), dtype=complex)
+    taken = np.zeros((n_slices, n_vecs), dtype=bool)
+    k = np.zeros(n_slices, dtype=np.intp)
+    for t in range(n_vecs):
+        if np.isinf(floors[:, t:]).all():  # no slice accepts a vector from here on
+            break
+        width = min(t, cap)
+        q = onb[:, :width]
+        q_t = q.swapaxes(1, 2)
+        v = vecs[:, t, :, None]
+        h1 = (q @ v.conj()).conj()  # Q^dag v
+        r = v - q_t @ h1
+        h2 = (q @ r.conj()).conj()
+        r -= q_t @ h2
+        rnorm = np.sqrt((r.swapaxes(1, 2).conj() @ r).real[:, 0, 0])
+        grow = np.flatnonzero(rnorm > floors[:, t])
+        if grow.size:
+            at = k[grow]
+            onb[grow, at] = r[grow, :, 0] / rnorm[grow, None]
+            factor[grow, :width, at] = (h1 + h2)[grow, :, 0]
+            factor[grow, at, at] = rnorm[grow]
+            taken[grow, t] = True
+            k[grow] += 1
+            if t + 1 >= length:  # a slice whose span is full scans no further
+                floors[grow[k[grow] == length]] = np.inf
+    return taken, onb, factor
 
 
 def party_products(channel, party: int) -> list[np.ndarray]:

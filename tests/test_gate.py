@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -828,6 +829,24 @@ def small_channels(draw) -> KrausChannel:
 @given(small_channels())
 def test_party_relabelling_permutes_the_reports_of_random_channels(channel):
     assert_relabelling_permutes_the_reports(channel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_channels(), st.integers(0, 2**32 - 1))
+def test_local_unitaries_leave_the_reports_unchanged(channel, seed):
+    # K_i -> V K_i (U_1 x ... x U_P) conjugates every pair product by the same local unitary
+    rng = np.random.default_rng(seed)
+    local = functools.reduce(np.kron, [haar_unitary(d, rng) for d in channel.input_dims])
+    output = haar_unitary(channel.output_dim, rng)
+    moved = KrausChannel(channel.name, channel.input_dims, channel.output_dim, output @ channel.kraus @ local)
+    base, got = gate_channel(channel), gate_channel(moved)
+    assert (got.verdict, got.candidates, got.local) == (base.verdict, base.candidates, base.local)
+    for a, b in zip(base.reports, got.reports):
+        assert (a.pair_count, a.nullspace_dim) == (b.pair_count, b.nullspace_dim)
+        # the party Gram subtracts entries of size up to D from entries of that size,
+        # so its eigenvalues move by a few eps D eig_max (3.6 at most over 3,000 draws)
+        for f in ("eig_min", "eig_max"):
+            assert abs(getattr(a, f) - getattr(b, f)) <= 8 * np.finfo(float).eps * channel.dim * a.eig_max
 
 
 @st.composite

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccgate import pair_products, random_unitary_channel
+from loccgate import SweepConfig, gate, pair_products, random_unitary_channel, run_sweep
 from loccgate.linalg import (
     nonzero_vectors,
     nullspace_dimension,
@@ -15,6 +15,7 @@ from oracle import (
     mgs_subset_indices,
     operator_basis,
     permute_party_to_front,
+    reference_select_independent_subsets,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -332,6 +333,109 @@ def test_stacked_scan_on_packed_slices_matches_the_scan_of_each_unpadded_slice(
         assert not taken[b, len(vecs) :].any()
         mask = nonzero_vectors(original, 1e-9)[1]
         assert np.flatnonzero(mask)[taken[b, : len(vecs)]].tolist() == select_independent_subset(original).indices
+
+
+def case_slice(kind, rng, n_vecs, length):
+    """One slice of a scan case: "independent" Gaussian vectors, accepted until the span fills;
+    "gap", the same with its second vector zero; a "random" slice; its nonzero vectors first,
+    "padded" with zeros; or all "zero"."""
+    if kind in ("independent", "gap"):
+        vecs = random_complex(rng, n_vecs, length)
+        if kind == "gap":
+            vecs[1:2] = 0.0
+        return vecs
+    vecs = random_slice(rng, n_vecs, length) if kind != "zero" else np.zeros((n_vecs, length), dtype=complex)
+    if kind == "padded":
+        kept = vecs[nonzero_vectors(vecs, 1e-9)[1]]
+        vecs = np.zeros_like(vecs)
+        vecs[: len(kept)] = kept
+    return vecs
+
+
+def case_stack(kinds, n_vecs, length, dead, seed):
+    """A stack of ``case_slice``s whose vectors ``dead`` > 0 are twice their slice's first, so no slice accepts them."""
+    rng = np.random.default_rng(seed)
+    stack = np.stack([case_slice(kind, rng, n_vecs, length) for kind in kinds])
+    if 0 < dead < n_vecs:
+        stack[:, dead] = 2 * stack[:, 0]
+    return stack
+
+
+def scan_cases(stack, taken) -> set:
+    """The cases of the stacked scan that a stack and its record hit."""
+    n_slices, n_vecs, length = stack.shape
+    accepts = taken.sum(axis=0)
+    ran = np.flatnonzero(taken.any(axis=0))
+    cases = {"one slice"} if n_slices == 1 else set()
+    if (accepts == n_slices).any():
+        cases.add("every slice accepts")
+    if ran.size and not accepts[: ran[-1]].all():
+        cases.add("no slice accepts")
+    if ((accepts > 0) & (accepts < n_slices)).any():
+        cases.add("some slices accept")
+    counts = np.count_nonzero(stack.any(axis=-1), axis=1)
+    if any(0 < c < n_vecs and not s[c:].any() for c, s in zip(counts, stack)):
+        cases.add("zero-padded slice")
+    if not stack.any():
+        cases.add("no step runs")
+    filled = taken.cumsum(axis=1) == length
+    if n_vecs > length and len({int(np.argmax(f)) for f in filled if f.any()}) > 1:
+        cases.add("spans fill at different steps")
+    return cases
+
+
+def assert_scans_like_the_reference(stack):
+    got, want = select_independent_subsets(stack, 1e-9), reference_select_independent_subsets(stack, 1e-9)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return got[0]
+
+
+@pytest.mark.parametrize(
+    "case, kinds, n_vecs, length, dead, seed",
+    [
+        ("every slice accepts", ("independent",) * 3, 3, 4, 0, 1),
+        ("no slice accepts", ("independent", "independent"), 4, 5, 2, 2),
+        ("some slices accept", ("independent", "gap"), 4, 5, 0, 3),
+        ("zero-padded slice", ("padded", "independent"), 6, 8, 0, 4),
+        ("no step runs", ("zero", "zero"), 3, 2, 0, 5),
+        ("spans fill at different steps", ("gap", "independent", "random"), 7, 3, 0, 6),
+        ("one slice", ("random",), 6, 4, 3, 7),
+    ],
+)
+def test_stacked_scan_keeps_the_reference_bits_in_each_case(case, kinds, n_vecs, length, dead, seed):
+    stack = case_stack(kinds, n_vecs, length, dead, seed)
+    assert case in scan_cases(stack, assert_scans_like_the_reference(stack))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(["independent", "gap", "random", "padded", "zero"]), min_size=1, max_size=4),
+    st.integers(1, 8),
+    st.integers(1, 5),
+    st.integers(0, 7),
+    st.integers(0, 2**31 - 1),
+)
+def test_stacked_scan_keeps_the_reference_bits(kinds, n_vecs, length, dead, seed):
+    assert_scans_like_the_reference(case_stack(kinds, n_vecs, length, dead, seed))
+
+
+def test_stacked_scan_keeps_the_reference_bits_on_the_desk_sweep(monkeypatch):
+    # the figure sweeps of scripts/run_figure_sweeps.py at desk scale and master seed 1
+    configs = [
+        SweepConfig(family="rotated_domino", samples=200, seed=1),
+        SweepConfig(family="usd", samples=200, seed=2),
+        *(SweepConfig(family="random_unitary", samples=20, seed=3, dims=dims,
+                      nu_values=tuple(range(2, dims[0] * dims[1] + 3))) for dims in ((2, 2), (2, 3))),
+    ]
+    stacks = []
+    scan = gate.select_independent_subsets
+    monkeypatch.setattr(gate, "select_independent_subsets", lambda stack, *rest: stacks.append(stack) or scan(stack, *rest))
+    for cfg in configs:
+        run_sweep(cfg)
+    assert len(stacks) >= 20
+    for stack in stacks:
+        assert_scans_like_the_reference(stack)
 
 
 def test_stacked_scan_rejects_bad_args():
