@@ -11,7 +11,11 @@ workload it prints one table: for each end-to-end metric of
 change won:
 
     python3 scripts/bench_pairs.py --workload sweep [heavy cli] --pairs 10 --seed 3001 \
-        [--parent HEAD] [--seconds 30]
+        [--parent HEAD] [--seconds 30] [--record BENCH.json]
+
+``--record`` also writes the tables as JSON, rewritten after each workload:
+per workload its seeds, seconds, both sides' ``env`` lines (of their first
+run) and, per metric, each side's median and quartiles and the wins.
 
 Stdlib only; run it from the root of a checkout.
 """
@@ -64,20 +68,46 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     return rows
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
-    """One ``bench/run.py`` run of this tree in ``checkout``: its end-to-end values and ``case_ms``."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float | None) -> tuple[dict, dict]:
+    """One ``bench/run.py`` run of this tree in ``checkout``: ``parse_run`` of its output."""
     argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, "--seed", str(seed)]
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
-    lines = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
+    stdout = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout
+    return parse_run(stdout, checkout)
+
+
+def parse_run(stdout: str, checkout) -> tuple[dict, dict]:
+    """The end-to-end values and ``case_ms`` of one run's output, and its ``env`` line."""
+    lines = stdout.splitlines()
     final = json.loads(lines[-1])
     if final["failed"]:
         raise SystemExit(f"error: {final['failed']} of {final['attempted']} units failed in {checkout}")
-    values = {name: metric["value"] for name, metric in final["metrics"].items()}
+    values, env = {name: metric["value"] for name, metric in final["metrics"].items()}, {}
     for line in lines:
         if line.startswith("report "):
             values.update({f"case_ms.{k}": v for k, v in json.loads(line[7:])["case_ms"].items()})
-    return values
+        elif line.startswith("env "):
+            env = json.loads(line[4:])
+    return values, env
+
+
+def record(seeds: list[int], seconds: float, envs: tuple[dict, dict], rows: list[dict]) -> dict:
+    """One workload's entry of the ``--record`` JSON: its seeds, seconds, the (parent, change) ``env``
+    lines and, per ``summarize`` row, each side's median and quartiles and the change's wins."""
+    return {
+        "seeds": seeds,
+        "seconds": seconds,
+        "env": dict(zip(("parent", "change"), envs)),
+        "metrics": {
+            row["metric"]: {
+                **{side: dict(zip(("q1", "median", "q3"), row[side])) for side in ("parent", "change")},
+                "wins": row["wins"],
+                "pairs": row["pairs"],
+            }
+            for row in rows
+        },
+    }
 
 
 def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
@@ -89,6 +119,7 @@ def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, required=True, help="pair i runs on seed SEED + i")
     parser.add_argument("--parent", default="HEAD", help="revision to compare against (default: HEAD)")
     parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
+    parser.add_argument("--record", type=Path, help="also write the tables as JSON to this path")
     args = parser.parse_args(argv)
     if unknown := [w for w in args.workload if w not in workloads]:
         parser.error(f"unknown workload {unknown[0]!r}; expected one of {', '.join(workloads)}")
@@ -113,6 +144,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(argv, [w["name"] for w in spec["workloads"]])
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    revision = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True, check=True)
+    recorded = {"parent": revision.stdout.strip(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
@@ -124,11 +157,16 @@ def main(argv=None) -> int:
                 for runs, checkout in order if i % 2 == 0 else order[::-1]:
                     runs.append(run_bench(checkout, workload, seed, args.seconds))
                 print(f"{workload}: pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr)
-            cases = sorted(k for k in change[0] if k.startswith("case_ms."))
-            seeds = f"seeds {args.seed}-{args.seed + args.pairs - 1}"
-            print(f"== {workload}: {args.pairs} pairs against {args.parent}, {seeds}")
-            rows = summarize(parent, change, {**better, **dict.fromkeys(cases, "lower")})
+            cases = sorted(k for k in change[0][0] if k.startswith("case_ms."))
+            seeds = list(range(args.seed, args.seed + args.pairs))
+            print(f"== {workload}: {args.pairs} pairs against {args.parent}, seeds {seeds[0]}-{seeds[-1]}")
+            metrics = {**better, **dict.fromkeys(cases, "lower")}
+            rows = summarize([v for v, _ in parent], [v for v, _ in change], metrics)
             print("\n".join(table(rows)), flush=True)
+            if args.record:
+                seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+                recorded["workloads"][workload] = record(seeds, seconds, (parent[0][1], change[0][1]), rows)
+                args.record.write_text(json.dumps(recorded, indent=1) + "\n")
     return 0
 
 

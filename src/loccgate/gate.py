@@ -26,10 +26,19 @@ coordinates h over those rows.  Channels of one shape are gated as stacks:
 their pair products are formed and zero-filtered in chunks, and a stack, which
 may span chunks, packs each channel's surviving products, zero-padded to its
 widest channel.  One scan gives the stack one padded record of subsets and
-factors, one identity stage checks it for every residual and solves for c
-once per |S|, and channels with equal |S| share, per party, one partial trace
-and one eigensolve.  Sweeps hand their rows to the gate as Kraus stacks; a
-single channel (``gate_channel``) is a stack of one, with a one-vector scan.
+factors, one identity stage checks it for every residual, and channels with
+equal |S| share one gather, one partial trace per party, one solve for c and,
+per party, one eigensolve.  Sweeps hand their rows to the gate as Kraus stacks;
+a single channel (``gate_channel``) is a stack of one, with a one-vector scan.
+
+Memory follows one law: a stack peaks at the larger of its formation (a chunk's
+products, their averaging temporary and their survivors' gather) and its scan
+(M packed products of length L = D^2, min(M, L) L entries each for the basis
+and the one-vector scan's conjugate basis, min(M, L)^2 for the factor and 3 L
+for a step's vectors), as each later stage frees what no later one reads: the
+basis after the identity's coordinates, the packed stack after the selected
+products' partial traces, the factor after the Grams, and a stack's Grams
+before the next stack is packed.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),
@@ -251,16 +260,13 @@ def _padded(run: list[np.ndarray], width: int) -> np.ndarray:
     return packed
 
 
-def _identity_coefficients(basis: np.ndarray, groups, names) -> list[np.ndarray]:
-    """Unit-norm c with sum_a c_a P_a = I for each subset-size group (members, r).
+def _identity_coefficients(basis: np.ndarray, names) -> np.ndarray:
+    """The identity's coordinates h = conj(basis) vec(I) over each slice of a padded scan ``basis``.
 
-    With the selected products P = r^T basis, c solves r c = h for the
-    identity's coordinates h = conj(basis) vec(I), where the padded rows of
-    the stack's ``basis`` give h = 0.  Completeness puts the identity in their
-    span.  All residuals off the span come before the one batched solve per
-    group: the first channel in stack order (``names``) whose residual is
-    above IDENTITY_RESIDUAL_TOL (always so for an empty S) raises
-    ``CompletenessError``; it is broken, or the subset tolerance dropped too much.
+    Padded rows give h = 0.  Completeness puts the identity in the span of the selected
+    products: the first channel in stack order (``names``) whose residual off that span
+    is above IDENTITY_RESIDUAL_TOL (always so for an empty S) raises ``CompletenessError``;
+    it is broken, or the subset tolerance dropped too much.
     """
     target = np.eye(math.isqrt(basis.shape[-1]), dtype=complex).reshape(-1)
     h = np.conj(basis @ target)  # target is real
@@ -271,53 +277,59 @@ def _identity_coefficients(basis: np.ndarray, groups, names) -> list[np.ndarray]
             f"channel '{names[bad[0]]}': identity not in the span of selected pair products "
             f"(residual {residuals[bad[0]]:.3e}); completeness or the subset tolerance is broken"
         )
-    coeffs = [np.linalg.solve(r, h[members, : r.shape[-1], None])[..., 0] for members, r in groups]
-    return [c / np.linalg.norm(c, axis=-1, keepdims=True) for c in coeffs]
+    return h
 
 
-def _selected_grams(products: np.ndarray, names, stacked: bool = False):
-    """The party-independent half of the gate for one stack of ``packed_stacks``, grouped by |S|.
+def _selected_grams(stacks, names, dims, stacked: bool = False):
+    """The party-independent half of the gate on the (start, packed) stacks of ``packed_stacks``.
 
-    Returns one (members, selected, gram) per subset size |S|: the group's
-    indices into the stack, its selected products P_a, shape (G, |S|, D, D),
-    and its Grams <P_a, P_b> = r^dag r plus c c^dag, shape (G, |S|, |S|).
-    The groups index one padded scan record (``select_independent_subsets``):
-    the stacked scan's if ``stacked``, else the one-vector scan's, faster for
-    a lone channel.  ``names`` name the channels.
+    Yields one (members, traces, gram) per stack and subset size |S|: the group's indices
+    into the Kraus stack, the ``partial_traces`` of its selected products P_a, and its Grams
+    <P_a, P_b> = r^dag r plus c c^dag, shape (G, |S|, |S|), where the unit-norm c solves
+    r c = h.  The scan is ``select_independent_subsets`` if ``stacked``, else the faster
+    one-vector scan of a lone channel.  ``names`` name the channels.  Stacks are freed as
+    the memory law says, so nothing else may hold one.
     """
-    flat = products.reshape(*products.shape[:2], -1)
-    if stacked:
-        taken, basis, r = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
-    else:  # a one-channel call
-        subset = select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL)
-        taken = np.isin(np.arange(flat.shape[1]), subset.indices)[None]
-        basis, r = subset.basis[None], subset.r[None]
-        del subset  # its views would keep the scan's whole buffers alive
-    sizes = taken.sum(axis=1)
-    groups = [(np.flatnonzero(sizes == k), r[sizes == k, :k, :k]) for k in dict.fromkeys(sizes.tolist())]
-    coeffs = _identity_coefficients(basis, groups, names)
-    del basis, r  # free the scan's buffers before the selected products are gathered
-    out = []
-    for (members, factor), c in zip(groups, coeffs):
-        selected = products[taken & (sizes == factor.shape[-1])[:, None]]
-        gram = factor.conj().swapaxes(-1, -2) @ factor + c[..., :, None] * c.conj()[..., None, :]
-        out.append((members.tolist(), selected.reshape(len(members), -1, *products.shape[2:]), gram))
-    return out
+    for start, products in stacks:
+        flat = products.reshape(*products.shape[:2], -1)
+        if stacked:
+            taken, basis, r = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
+        else:  # a one-channel call
+            subset = select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL)
+            taken = np.isin(np.arange(flat.shape[1]), subset.indices)[None]
+            basis, r = subset.basis[None], subset.r[None]
+            del subset  # its views would keep the scan's whole buffers alive
+        h = _identity_coefficients(basis, names[start : start + len(flat)])
+        del flat, basis
+        sizes = taken.sum(axis=1)
+        groups = [(np.flatnonzero(sizes == k), k) for k in dict.fromkeys(sizes.tolist())]
+        traces = [partial_traces(products[taken & (sizes == k)[:, None]].reshape(len(m), k, *products.shape[2:]), dims)
+                  for m, k in groups]
+        del products  # the last reference to the packed stack
+        grams = []
+        for members, k in groups:
+            pick = slice(None) if len(groups) == 1 else members  # one group: views of the scan's factor
+            factor = r[pick, :k, :k]
+            c = np.linalg.solve(factor, h[pick, :k, None])[..., 0]
+            c /= np.linalg.norm(c, axis=-1, keepdims=True)
+            grams.append(factor.conj().swapaxes(-1, -2) @ factor + c[..., :, None] * c.conj()[..., None, :])
+        del r, h, factor
+        for (members, _), reduced, gram in zip(groups, traces, grams):
+            yield (start + members).tolist(), reduced, gram
+        del traces, grams, reduced, gram  # nothing of this stack outlives it
 
 
-def party_gram(selected: np.ndarray, gram: np.ndarray, dims, party: int) -> np.ndarray:
-    """Q_aug^dag Q_aug for one party: ``gram`` minus the party's rest-identity part.
+def partial_traces(selected: np.ndarray, dims) -> list[np.ndarray]:
+    """Per party p, Tr_rest of each product of ``selected`` (..., D, D), flattened to (..., d_p^2)."""
+    lead, total = selected.shape[:-2], math.prod(dims)
+    cuts = [(math.prod(dims[:p]), d, total // math.prod(dims[: p + 1])) for p, d in enumerate(dims)]
+    return [np.einsum("...xayxby->...ab", selected.reshape(*lead, *cut, *cut)).reshape(*lead, -1) for cut in cuts]
 
-    ``selected`` (|S|, D, D) and ``gram`` (|S|, |S|) may carry leading stack
-    axes; each slice gets its own Gram from one batched partial trace.
-    """
-    before = math.prod(dims[:party])
-    after = math.prod(dims[party + 1 :])
-    d_party = dims[party]
-    lead = selected.shape[:-2]
-    tens = selected.reshape(*lead, before, d_party, after, before, d_party, after)
-    reduced = np.einsum("...xayxby->...ab", tens).reshape(*lead, -1)
-    return gram - reduced.conj() @ reduced.swapaxes(-1, -2) / (before * after)
+
+def party_gram(reduced: np.ndarray, gram: np.ndarray, d_rest: int) -> np.ndarray:
+    """Q_aug^dag Q_aug for one party: ``gram`` minus the rest-identity part of the products whose
+    ``partial_traces`` are ``reduced``; both may carry leading stack axes."""
+    return gram - reduced.conj() @ reduced.swapaxes(-1, -2) / d_rest
 
 
 def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> GateVerdict:
@@ -349,7 +361,8 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
     shape = (channels[0].input_dims, channels[0].kraus.shape)
     faults = (i for i, c in enumerate(channels) if (c.input_dims, c.kraus.shape) != shape)
     end = next(faults, len(channels))
-    kraus, names = np.stack([c.kraus for c in channels[:end]]), [c.name for c in channels]
+    kraus = channels[0].kraus[None] if end == 1 else np.stack([c.kraus for c in channels[:end]])
+    names = [c.name for c in channels]
     if end == len(channels):  # no fault; a lone channel takes the one-vector scan
         return _gate_stack(kraus, shape[0], names, rel_tol, stacked=end > 1)
     _check_stack(kraus, shape[0], names, rel_tol)
@@ -388,30 +401,28 @@ def _gate_stack(
 
     After ``_check_stack``, per stack of ``packed_stacks`` one subset scan
     (stacked unless ``stacked`` is false, so reports do not depend on the
-    stack cuts, bit for bit), per |S| one identity solve and, per party, one
+    stack cuts, bit for bit), per |S| one gather, identity solve and, per party,
     partial trace and eigensolve; one Kraus-rank eigensolve for the whole stack.
     """
     _check_stack(kraus, input_dims, names, rel_tol)
     reports: list[list[PartyGateReport]] = [[] for _ in kraus]
-    for start, products in packed_stacks(kraus):
-        grams = _selected_grams(products, names[start : start + len(products)], stacked)
-        del products  # the selected products are copies: free the stack before the party work
-        for members, selected, gram in grams:
-            for party, d_party in enumerate(input_dims):
-                d_rest = math.prod(input_dims) // d_party
-                q_rows = d_party * d_party * (d_rest * d_rest - 1) + 1
-                stats = nullspace_dimension(party_gram(selected, gram, input_dims, party), rel_tol)
-                for b, nullity, eig_min, eig_max in zip(members, *stats):
-                    reports[start + b].append(PartyGateReport(
-                        party=party,
-                        pair_count=selected.shape[1],
-                        q_rows=q_rows,
-                        eig_min=eig_min,
-                        eig_max=eig_max,
-                        ratio=max(eig_min / eig_max, 0.0) if eig_max > 0.0 else 0.0,
-                        nullspace_dim=nullity,
-                        can_measure_first=nullity >= 1,
-                    ))
+    for members, traces, gram in _selected_grams(packed_stacks(kraus), names, input_dims, stacked):
+        for party, (d_party, reduced) in enumerate(zip(input_dims, traces)):
+            d_rest = math.prod(input_dims) // d_party
+            q_rows = d_party * d_party * (d_rest * d_rest - 1) + 1
+            stats = nullspace_dimension(party_gram(reduced, gram, d_rest), rel_tol)
+            for b, nullity, eig_min, eig_max in zip(members, *stats):
+                reports[b].append(PartyGateReport(
+                    party=party,
+                    pair_count=gram.shape[-1],
+                    q_rows=q_rows,
+                    eig_min=eig_min,
+                    eig_max=eig_max,
+                    ratio=max(eig_min / eig_max, 0.0) if eig_max > 0.0 else 0.0,
+                    nullspace_dim=nullity,
+                    can_measure_first=nullity >= 1,
+                ))
+        del traces, gram, reduced  # nothing of this stack outlives it
     ranks = kraus_ranks(kraus)
     return [_verdict(k, input_dims, tuple(rep), rank) for k, rep, rank in zip(kraus, reports, ranks)]
 

@@ -9,12 +9,14 @@ library computes more directly: moving a party's factor to the front, a
 checked Hermitian eigensolve, the permute-then-realign operator Schmidt rank,
 the lone Kraus operator from the dominant Choi eigenvector, pair products
 formed one GEMM per pair, the completeness Gram summed by ``einsum`` and the
-stacked subset scan with a gather and a stop test at every step.
+stacked subset scan with a gather and a stop test at every step.  The memory
+tests measure with ``traced_peak``.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,20 @@ from loccgate.linalg import nonzero_vectors
 # Largest |h - h^dag| entry, relative to the largest |h| entry, that
 # ``hermitian_eigenvalues`` accepts as rounding in a Hermitian matrix.
 HERMITIAN_RESIDUAL_TOL = 1e-6
+
+
+def traced_peak(fn, *args):
+    """(peak bytes that ``tracemalloc`` traced during ``fn(*args)``, its result); tracing stops even if it raises.
+
+    Only allocations made during the call count, so a caller warms ``fn`` up first:
+    first-call allocations (caches, lazy imports) are not the call's.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def permute_party_to_front(m: np.ndarray, dims, party: int) -> np.ndarray:

@@ -264,13 +264,14 @@ def test_criterion_09_invariance_suite():
                 dims == baseline,
                 f"{channel.name}: remix {i} changed nullspace dims {baseline} -> {dims}",
             )
-        [(_, [selected], [gram])] = _selected_grams(stacked_pair_products(channel.kraus[None]), [channel.name])
+        products = [(0, stacked_pair_products(channel.kraus[None]))]
+        [(_, traces, [gram])] = _selected_grams(products, [channel.name], channel.input_dims)
         for p in range(channel.n_parties):
             d_party = channel.input_dims[p]
             d_rest = channel.dim // d_party
             plain = (operator_basis(d_party), operator_basis(d_rest))
             # the gate's closed-form Gram against Q built from explicit bases
-            reference = hermitian_eigenvalues(party_gram(selected, gram, channel.input_dims, p))
+            reference = hermitian_eigenvalues(party_gram(traces[p][0], gram, d_rest))
             scale = max(reference[-1], 1e-30)
             for _ in range(5):
                 bases = (recombined_basis(plain[0], rng), recombined_basis(plain[1], rng))

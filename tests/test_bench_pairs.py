@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,41 @@ def test_table_prints_medians_quartiles_and_wins_per_metric():
                                  {"throughput_per_s": "higher"})
     assert bench_pairs.table(rows) == [
         "throughput_per_s: parent 105 [102.5, 107.5]  change 112.5 [108.75, 116.25]  wins 1/2"]
+
+
+def canned_run(seed: int, commit: str, throughput: float, rss: float, case_ms: float) -> str:
+    """The standard output of one ``bench/run.py`` run: env and report lines, then the final JSON."""
+    env = {"workload": "heavy", "seed": seed, "trace": 0, "seconds": 30.0, "numpy": "2.4.6", "commit": commit}
+    final = {"correct": 6, "attempted": 6, "failed": 0,
+             "metrics": {"throughput_per_s": {"value": throughput}, "peak_rss_mb": {"value": rss}}}
+    return "\n".join(["env " + json.dumps(env), "report " + json.dumps({"case_ms": {"ru4x4_18": case_ms}}),
+                      json.dumps(final)]) + "\n"
+
+
+def test_record_keeps_each_sides_quartiles_wins_env_seeds_and_seconds():
+    parent = [bench_pairs.parse_run(canned_run(s, "unknown", t, r, c), "parent")
+              for s, t, r, c in [(5, 80.0, 49.0, 37.0), (6, 82.0, 49.5, 36.0), (7, 81.0, 49.25, 38.0)]]
+    change = [bench_pairs.parse_run(canned_run(s, "abc123", t, r, c), "change")
+              for s, t, r, c in [(5, 81.0, 47.25, 36.5), (6, 80.0, 47.5, 36.0), (7, 83.0, 47.0, 37.0)]]
+    assert change[0] == ({"throughput_per_s": 81.0, "peak_rss_mb": 47.25, "case_ms.ru4x4_18": 36.5},
+                         {"workload": "heavy", "seed": 5, "trace": 0, "seconds": 30.0, "numpy": "2.4.6",
+                          "commit": "abc123"})
+    better = {"throughput_per_s": "higher", "peak_rss_mb": "lower", "case_ms.ru4x4_18": "lower"}
+    rows = bench_pairs.summarize([v for v, _ in parent], [v for v, _ in change], better)
+    entry = json.loads(json.dumps(bench_pairs.record([5, 6, 7], 30.0, (parent[0][1], change[0][1]), rows)))
+    assert (entry["seeds"], entry["seconds"]) == ([5, 6, 7], 30.0)
+    assert (entry["env"]["parent"]["commit"], entry["env"]["change"]["commit"]) == ("unknown", "abc123")
+    assert list(entry["metrics"]) == ["throughput_per_s", "peak_rss_mb", "case_ms.ru4x4_18"]
+    assert entry["metrics"]["peak_rss_mb"] == {
+        "parent": {"q1": 49.125, "median": 49.25, "q3": 49.375},
+        "change": {"q1": 47.125, "median": 47.25, "q3": 47.375},
+        "wins": 3,
+        "pairs": 3,
+    }
+    assert [entry["metrics"][m]["wins"] for m in ("throughput_per_s", "case_ms.ru4x4_18")] == [2, 2]
+
+
+def test_a_run_with_failed_units_stops_the_comparison():
+    failed = canned_run(1, "abc123", 80.0, 49.0, 37.0).replace('"failed": 0', '"failed": 2')
+    with pytest.raises(SystemExit, match="2 of 6 units failed in change"):
+        bench_pairs.parse_run(failed, "change")

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from loccgate import (
 )
 from loccgate.channels import CompletenessError, completeness_residuals, kraus_ranks
 from loccgate.zoo import random_unitary_kraus, rotated_domino_kraus, usd_kraus
-from oracle import einsum_completeness, hermitian_eigenvalues
+from oracle import einsum_completeness, hermitian_eigenvalues, traced_peak
 from oracle import lone_kraus_operator as choi_lone_kraus_operator
 from oracle import operator_schmidt_rank as permuted_schmidt_rank
 
@@ -95,14 +94,13 @@ def wide_channel(width=2048) -> KrausChannel:
 
 
 def test_completeness_fails_without_a_d_by_d_matrix_when_the_rank_forbids_it():
-    tracemalloc.start()
-    try:
+    def check_and_gate():
         residual = check_completeness(wide_channel())
         with pytest.raises(CompletenessError, match="'wide' has completeness residual inf"):
             gate_channel(wide_channel())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return residual
+
+    peak, residual = traced_peak(check_and_gate)
     assert residual == math.inf
     assert peak < 2048 ** 2 * 16 // 8  # an eighth of one complex 2048 x 2048 matrix
 

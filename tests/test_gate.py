@@ -49,6 +49,7 @@ from oracle import (
     per_pair_products,
     q_matrix,
     recombined_basis,
+    traced_peak,
 )
 
 
@@ -66,8 +67,9 @@ def gate_internals(channel, party, products=None, bases=None, rel_tol=1e-13):
 
 def gate_spectrum(channel, party):
     """Ascending eigenvalues of the Gram the gate solves for one party."""
-    [(_, [selected], [gram])] = _selected_grams(stacked_pair_products(channel.kraus[None]), [channel.name])
-    return hermitian_eigenvalues(party_gram(selected, gram, channel.input_dims, party))
+    products = [(0, stacked_pair_products(channel.kraus[None]))]
+    [(_, traces, [gram])] = _selected_grams(products, [channel.name], channel.input_dims)
+    return hermitian_eigenvalues(party_gram(traces[party][0], gram, channel.dim // channel.input_dims[party]))
 
 
 # ---------------------------------------------------------------------------
@@ -576,30 +578,19 @@ def test_gate_channels_rows_do_not_depend_on_the_stack_cuts(monkeypatch):
 def test_gate_channels_keeps_no_scan_buffer_it_does_not_need():
     # 200 usd channels fill half of one 512 KiB stack; the gate keeps no per-channel copy
     # of the scan's basis, and frees the basis before it gathers the selected products
+    # (measured 1,204 KiB)
     rng = np.random.default_rng(42)
     channels = [usd_channel(sample_usd_params(rng)) for _ in range(200)]
     gate_channels(channels[:2])  # warm-up: first-call allocations are not the gate's
-    tracemalloc.start()
-    try:
-        gate_channels(channels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1650 * 1024
+    peak, _ = traced_peak(gate_channels, channels)
+    assert peak < 1400 * 1024
 
 
 def packing_peak(kraus: np.ndarray) -> tuple[int, list]:
     """Peak traced bytes of packing ``kraus`` stack by stack, each stack dropped before the next."""
     list(gate.packed_stacks(kraus[:2]))  # warm-up: first-call allocations are not the packing's
-    shapes = []
-    tracemalloc.start()
-    try:
-        for _, packed in gate.packed_stacks(kraus):
-            shapes.append(packed.shape)
-            del packed
-        return tracemalloc.get_traced_memory()[1], shapes
-    finally:
-        tracemalloc.stop()
+    # map, unlike a loop variable, holds no stack while the next one is packed
+    return traced_peak(lambda: list(map(lambda stack: stack[1].shape, gate.packed_stacks(kraus))))
 
 
 def test_packing_an_all_survive_run_longer_than_a_chunk_holds_no_second_copy_of_the_stack():
@@ -702,14 +693,104 @@ def test_a_lone_64_outcome_measurement_forms_64_products_not_4096():
     kraus[np.arange(64), np.arange(64)] = phi.conj().T
     channel = KrausChannel("measure-64", (8, 8), 64, kraus)
     gate_channel(channel)  # warm-up: first-call allocations are not the gate's
-    tracemalloc.start()
-    try:
-        verdict = gate_channel(channel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, verdict = traced_peak(gate_channel, channel)
     assert verdict.reports[0].pair_count == 64
     assert peak < 64 << 20
+
+
+# The memory law (``gate``'s module docstring) holds up to a fixed allowance: numpy's ufunc
+# buffers, up to 8192 elements per operand, and arrays of a few KiB.
+LAW_ALLOWANCE = 256 << 10
+HEAVY_SHAPES = [((2, 2, 2), 8), ((3, 3), 11), ((2, 2, 2), 12), ((4, 4), 18), ((2, 2, 2, 2), 20)]
+
+
+def lone_gate_law(channel) -> int:
+    """Bytes a lone ``gate_channel`` may peak at: the larger of formation and the scan, plus LAW_ALLOWANCE.
+
+    Formation holds the products it forms, their averaging temporary and their survivors'
+    gather; the scan holds the M packed products of length L = D^2 plus ``onb``, ``onb_c``
+    and ``factor``, of min(M, L) L, min(M, L) L and min(M, L)^2 complex entries, and a
+    step's three vectors of length L (the previous residual, a projection and the residual).
+    """
+    kraus = channel.kraus[None]
+    pairs = gate.row_sharing_pairs(kraus)
+    formed = channel.n_kraus**2 if pairs is None else len(pairs[0])
+    [(_, packed)] = gate.packed_stacks(kraus)
+    m, length = packed.shape[1], channel.dim**2
+    k = min(m, length)
+    return 16 * max(3 * formed * length, (m + 2 * k + 3) * length + k * k) + LAW_ALLOWANCE
+
+
+def assert_lone_gate_follows_the_law(channel):
+    gate_channel(channel)  # warm-up: first-call allocations are not the gate's
+    peak, _ = traced_peak(gate_channel, channel)
+    assert peak <= lone_gate_law(channel), (channel.input_dims, channel.n_kraus)
+
+
+@pytest.mark.parametrize("dims, nu", HEAVY_SHAPES, ids=[f"{'x'.join(map(str, d))}/{nu}" for d, nu in HEAVY_SHAPES])
+def test_a_lone_channel_peaks_at_its_scan(dims, nu):
+    # these peaked 30-87 KiB over the scan's buffers and products; while the gate kept the
+    # packed stack, the basis and copies of the factor and the selected products alive past
+    # the scan, 3x3/11 peaked 329 KiB and 4x4/18 and 2^4/20 ~1.3 MiB over them
+    assert_lone_gate_follows_the_law(random_unitary_channel(dims, nu, np.random.default_rng(1)))
+
+
+def test_a_local_channel_of_long_products_peaks_at_its_scan():
+    # A_i x I_64 for a random two-operator qubit channel A: 4 products of length 128^2, 1 MiB in
+    # all, where the scan's step vectors (256 KiB each) count.  Measured 3,844 KiB; with each
+    # stage's inputs kept alive to the end of the gate, 4,355 KiB
+    a = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 2, 2)).view(complex)[..., 0])[0]
+    kraus = np.stack([np.kron(a_i, np.eye(64)) for a_i in a.reshape(2, 2, 2)])
+    assert_lone_gate_follows_the_law(KrausChannel("local", (2, 64), 128, kraus))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (4, 4), (2, 2, 2, 2)]),
+       st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_random_lone_channels_peak_at_their_scan_or_their_formation(dims, nu, seed):
+    # formation bounds the peak where the M products outnumber 3/2 times their length L
+    assert_lone_gate_follows_the_law(random_unitary_channel(dims, nu, np.random.default_rng(seed)))
+
+
+def test_a_lone_channel_frees_the_stack_and_the_basis_before_the_solve_and_the_eigensolves(monkeypatch):
+    # 2^4/20 packs 400 products of length 256 (1,600 KiB) and keeps |S| = 256: the basis and the
+    # factor are 1 MiB each.  At the identity solve only the factor, at each party eigensolve
+    # only the Gram and the party's Gram may be alive beside arrays of a few KiB.  A packed stack
+    # or a basis kept alive past its last reader can stay under every peak bound, but fails here
+    channel = random_unitary_channel((2, 2, 2, 2), 20, np.random.default_rng(1))
+    gate_channel(channel)  # warm-up: first-call allocations are not the gate's
+    alive = {"solve": [], "eigvalsh": []}
+    for name, calls in alive.items():
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, solver=solver, calls=calls: (
+            calls.append(tracemalloc.get_traced_memory()[0]) or solver(*args)))
+    _, verdict = traced_peak(gate_channel, channel)
+    assert verdict.reports[0].pair_count == 256
+    stack, basis = 400 * 256 * 16, 256 * 256 * 16
+    square = 256 * 256 * 16  # the factor, and each Gram
+    assert len(alive["solve"]) == 1 and len(alive["eigvalsh"]) == 4 + 1  # one per party, one Kraus-rank guard
+    assert max(alive["solve"]) < square + min(stack, basis) // 2
+    assert max(alive["eigvalsh"]) < 2 * square + min(stack, basis) // 2
+
+
+def test_a_list_over_several_stacks_peaks_at_its_first_stack():
+    # 113 2x3 channels of 8 unitaries pack 9 stacks of 14 channels, in chunks of 7.  Beyond
+    # its first stack alone, the list adds its longer Kraus copy and more verdicts (~0.6 KiB
+    # each), and packing holds the next chunk's gather (at most STACK_BYTES / 2) while a stack
+    # is gated; nothing of a stack may outlive it.  Measured 291 KiB over the first stack's
+    # peak and Kraus copy, against 859 KiB while each stack's Grams outlived it
+    rng = np.random.default_rng(5)
+    channels = [random_unitary_channel((2, 3), 8, rng) for _ in range(113)]
+    kraus = np.stack([c.kraus for c in channels])
+    starts = [lo for lo, _ in gate.packed_stacks(kraus)]
+    assert len(starts) == 9 and starts[1] == 14
+    peaks = {}
+    for n in (starts[1], len(channels)):
+        gate_channels(channels[:n])  # warm-up: first-call allocations are not the gate's
+        peaks[n], _ = traced_peak(gate_channels, channels[:n])
+    extra = len(channels) - starts[1]
+    allowance = extra * kraus[0].nbytes + extra * (1 << 10) + gate.STACK_BYTES // 2
+    assert peaks[len(channels)] <= peaks[starts[1]] + allowance
 
 
 def test_gate_channels_batches_its_eigensolves_and_solves(monkeypatch):
@@ -959,7 +1040,9 @@ def test_gate_gram_matches_direct_inner_products(bell, dephasing, domino, usd_in
         (random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23)), None),
     ]
     for channel, pinned in cases:
-        [(_, [selected], [gram])] = _selected_grams(stacked_pair_products(channel.kraus[None]), [channel.name])
+        products = pair_products(channel)
+        [(_, _, [gram])] = _selected_grams([(0, products[None])], [channel.name], channel.input_dims)
+        selected = products[select_independent_subset(products.reshape(len(products), -1)).indices]
         flat = selected.reshape(len(selected), -1)
         c = identity_coefficients(selected, range(len(selected)))
         if pinned is not None:
@@ -974,9 +1057,10 @@ def test_party_gram_nullity_matches_checked_eigensolve(zoo_channels, dephasing):
     # checked and symmetrized hermitian_eigenvalues on the same matrices
     extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
     for channel in (*zoo_channels, dephasing, extra):
-        [(_, [selected], [gram])] = _selected_grams(stacked_pair_products(channel.kraus[None]), [channel.name])
+        products = [(0, stacked_pair_products(channel.kraus[None]))]
+        [(_, traces, [gram])] = _selected_grams(products, [channel.name], channel.input_dims)
         for party in range(channel.n_parties):
-            pgram = party_gram(selected, gram, channel.input_dims, party)
+            pgram = party_gram(traces[party][0], gram, channel.dim // channel.input_dims[party])
             evals = hermitian_eigenvalues(pgram)
             dim, eig_min, eig_max = nullspace_dimension(pgram, 1e-13)
             assert dim == np.count_nonzero(evals < 1e-13 * evals[-1])

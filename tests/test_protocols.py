@@ -1,6 +1,5 @@
 import copy
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +25,7 @@ from loccgate import (
     verify_protocol,
 )
 from loccgate.channels import DimensionError, SchemaError
+from oracle import traced_peak
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -93,14 +93,13 @@ def test_validate_fails_a_node_with_too_few_rows_without_a_d_by_d_matrix():
     widen = np.zeros((2048, 2), dtype=complex)
     widen[:2] = np.eye(2)
     tree = ProtocolTree(2, (2, 2), ProtocolNode(0, [(widen, child)]))
-    tracemalloc.start()
-    try:
+    def validate_and_compile():
         residuals = validate_protocol(tree)
         with pytest.raises(ValueError, match="max residual inf"):
             protocol_to_channel(tree)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return residuals
+
+    peak, residuals = traced_peak(validate_and_compile)
     assert residuals == [0.0, math.inf]
     assert peak < 2048 ** 2 * 16 // 8  # an eighth of one complex 2048 x 2048 matrix
 
