@@ -4,8 +4,9 @@
 The outputs are the desk-scale figure CSVs of run_figure_sweeps.py at master
 seeds 1, 7 and 511, and the verdict JSON (``gate_channel(...).to_dict()``)
 of the bell and domino channels, of five large random-unitary channels at
-seeds 1 and 2 and of two seeded measurements whose Kraus operators share
-output rows in some pairs only, and the exit code and stdout of cold
+seeds 1 and 2, of two seeded measurements whose Kraus operators share
+output rows in some pairs only and of a local channel A (x) I_64, and the
+exit code and stdout of cold
 ``python -m loccgate.cli`` processes running the benchmark's cli commands.
 --full-scale adds the three full-scale figure CSVs at the default master
 seed.  Run it before and after a change and diff the output:
@@ -92,6 +93,15 @@ def chained_flags(rng) -> KrausChannel:
     return KrausChannel("chained-flags", (2, 3), 12, kraus)
 
 
+def local_channel(rng, d_b: int) -> KrausChannel:
+    """K_i = A_i (x) I_{d_b} on 2 x d_b for a random two-operator qubit channel A (the QR factor of
+    a 4 x 2 complex Gaussian): LOCC without communication, and a lone scan over long products
+    whose entries are exactly zero off a sparse pattern."""
+    a = np.linalg.qr(rng.normal(size=(4, 2, 2)).view(complex)[..., 0])[0]
+    kraus = np.stack([np.kron(a_i, np.eye(d_b)) for a_i in a.reshape(2, 2, 2)])
+    return KrausChannel("local", (2, d_b), 2 * d_b, kraus)
+
+
 def flagged(ops_and_weights) -> np.ndarray:
     """Kraus operators of a two-qubit channel that applies op_k with weight w_k and writes k to a flag."""
     kraus = np.zeros((len(ops_and_weights), 4 * len(ops_and_weights), 4), dtype=complex)
@@ -162,7 +172,8 @@ def main() -> int:
     lines.append((verdict_digest(bell_channel()), "bell.json"))
     lines.append((verdict_digest(domino_channel()), "domino.json"))
     for name, channel in (("flagged_measurement_4x4", flagged_measurement(np.random.default_rng(19))),
-                          ("chained_flags_2x3", chained_flags(np.random.default_rng(23)))):
+                          ("chained_flags_2x3", chained_flags(np.random.default_rng(23))),
+                          ("local_2x64_seed5", local_channel(np.random.default_rng(5), 64))):
         lines.append((verdict_digest(channel), f"{name}.json"))
     mixed = [*mixed_survivors(np.random.default_rng(43)), *mixed_survivors(np.random.default_rng(47))]
     verdicts = [verdict.to_dict() for verdict in gate_channels(mixed)]

@@ -32,13 +32,12 @@ per party, one eigensolve.  Sweeps hand their rows to the gate as Kraus stacks;
 a single channel (``gate_channel``) is a stack of one, with a one-vector scan.
 
 Memory follows one law: a stack peaks at the larger of its formation (a chunk's
-products, their averaging temporary and their survivors' gather) and its scan
-(M packed products of length L = D^2, min(M, L) L entries each for the basis
-and the one-vector scan's conjugate basis, min(M, L)^2 for the factor and 3 L
-for a step's vectors), as each later stage frees what no later one reads: the
-basis after the identity's coordinates, the packed stack after the selected
-products' partial traces, the factor after the Grams, and a stack's Grams
-before the next stack is packed.
+products, their averaging temporary and their survivors' gather) and its scan,
+(M + min(M, L) + 3) L + min(M, L)^2 complex entries: M packed products of length
+L = D^2, the basis, a step's three vectors and the factor.  Each later stage
+frees what no later one reads: the basis after the identity's coordinates, the
+packed stack after the selected products' partial traces, the factor after the
+Grams, and a stack's Grams before the next stack is packed.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),
@@ -138,11 +137,7 @@ class GateVerdict:
     local: bool | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "reports": [r.to_dict() for r in self.reports],
-            "lambda_hat": self.lambda_hat,
-            "verdict": self.verdict,
-        }
+        out = {"reports": [r.to_dict() for r in self.reports], "lambda_hat": self.lambda_hat, "verdict": self.verdict}
         if self.candidates is not None:
             out["candidates"] = list(self.candidates)
         if self.local is not None:
@@ -312,7 +307,8 @@ def _selected_grams(stacks, names, dims, stacked: bool = False):
             factor = r[pick, :k, :k]
             c = np.linalg.solve(factor, h[pick, :k, None])[..., 0]
             c /= np.linalg.norm(c, axis=-1, keepdims=True)
-            grams.append(factor.conj().swapaxes(-1, -2) @ factor + c[..., :, None] * c.conj()[..., None, :])
+            grams.append(factor.conj().swapaxes(-1, -2) @ factor)
+            grams[-1] += c[..., :, None] * c.conj()[..., None, :]
         del r, h, factor
         for (members, _), reduced, gram in zip(groups, traces, grams):
             yield (start + members).tolist(), reduced, gram
@@ -329,7 +325,9 @@ def partial_traces(selected: np.ndarray, dims) -> list[np.ndarray]:
 def party_gram(reduced: np.ndarray, gram: np.ndarray, d_rest: int) -> np.ndarray:
     """Q_aug^dag Q_aug for one party: ``gram`` minus the rest-identity part of the products whose
     ``partial_traces`` are ``reduced``; both may carry leading stack axes."""
-    return gram - reduced.conj() @ reduced.swapaxes(-1, -2) / d_rest
+    out = reduced.conj() @ reduced.swapaxes(-1, -2)
+    out /= d_rest  # in place, as is the subtraction: one new Gram-size array, not three
+    return np.subtract(gram, out, out=out)
 
 
 def gate_channel(channel: KrausChannel, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> GateVerdict:
@@ -402,7 +400,7 @@ def _gate_stack(
     After ``_check_stack``, per stack of ``packed_stacks`` one subset scan
     (stacked unless ``stacked`` is false, so reports do not depend on the
     stack cuts, bit for bit), per |S| one gather, identity solve and, per party,
-    partial trace and eigensolve; one Kraus-rank eigensolve for the whole stack.
+    partial trace and eigensolve; one Kraus-rank eigensolve per STACK_BYTES / 2 of Kraus operators.
     """
     _check_stack(kraus, input_dims, names, rel_tol)
     reports: list[list[PartyGateReport]] = [[] for _ in kraus]
@@ -418,12 +416,13 @@ def _gate_stack(
                     q_rows=q_rows,
                     eig_min=eig_min,
                     eig_max=eig_max,
-                    ratio=max(eig_min / eig_max, 0.0) if eig_max > 0.0 else 0.0,
+                    ratio=max(0.0, eig_min / eig_max) if eig_max > 0.0 else 0.0,  # max keeps +0.0 over -0.0
                     nullspace_dim=nullity,
                     can_measure_first=nullity >= 1,
                 ))
         del traces, gram, reduced  # nothing of this stack outlives it
-    ranks = kraus_ranks(kraus)
+    step = max(1, STACK_BYTES // 2 // kraus[0].nbytes)  # the guard conjugates one slice at a time
+    ranks = [rank for lo in range(0, len(kraus), step) for rank in kraus_ranks(kraus[lo : lo + step])]
     return [_verdict(k, input_dims, tuple(rep), rank) for k, rep, rank in zip(kraus, reports, ranks)]
 
 

@@ -51,12 +51,13 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     """Greedy maximal linearly independent subset, scanned in input order.
 
     Classical Gram-Schmidt with one reorthogonalization pass (CGS2): with the
-    orthonormal directions found so far as the columns of Q, each candidate's
-    residual is ``r -= Q h`` with ``h = Q^dag r``, applied twice.  A vector
-    joins S iff that residual exceeds ``tol`` times its own norm; its column
-    of the factor is then the summed ``h`` above the residual norm.  Vectors
-    that ``nonzero_vectors`` counts as zero never enter S.  The scan stops
-    once S spans the whole space: each later vector lies in it.
+    orthonormal directions found so far as the rows of ``onb``, the only copy
+    of the basis, each candidate's residual is ``r -= h onb`` with
+    ``h = conj(onb conj(r))``, applied twice.  A vector joins S iff that
+    residual exceeds ``tol`` times its own norm; its column of the factor is
+    then the summed ``h`` above the residual norm.  Vectors that
+    ``nonzero_vectors`` counts as zero never enter S.  The scan stops once S
+    spans the whole space: each later vector lies in it.
     """
     try:
         vecs = np.asarray(vectors, dtype=complex)
@@ -70,19 +71,17 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     keep = np.flatnonzero(nonzero)
     selected: list[int] = []
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
-    onb_c = np.empty_like(onb)  # conj(onb), so Q^dag v is a plain product
     factor = np.zeros((len(onb), len(onb)), dtype=complex)
     for idx, floor in zip(keep.tolist(), (tol * norms[keep]).tolist()):
         k = len(selected)
         v = vecs[idx]
-        h1 = onb_c[:k] @ v
+        h1 = (onb[:k] @ v.conj()).conj()  # Q^dag v
         r = v - h1 @ onb[:k]
-        h2 = onb_c[:k] @ r
+        h2 = (onb[:k] @ r.conj()).conj()
         r -= h2 @ onb[:k]
         rnorm = math.sqrt(np.vdot(r, r).real)
         if rnorm > floor:
             onb[k] = r / rnorm
-            onb_c[k] = onb[k].conj()
             factor[:k, k] = h1 + h2
             factor[k, k] = rnorm
             selected.append(idx)

@@ -8,8 +8,9 @@ recombination of the basis.  It also keeps the textbook forms of what the
 library computes more directly: moving a party's factor to the front, a
 checked Hermitian eigensolve, the permute-then-realign operator Schmidt rank,
 the lone Kraus operator from the dominant Choi eigenvector, pair products
-formed one GEMM per pair, the completeness Gram summed by ``einsum`` and the
-stacked subset scan with a gather and a stop test at every step.  The memory
+formed one GEMM per pair, the completeness Gram summed by ``einsum``, the
+one-vector subset scan over a stored conjugate basis and the stacked subset
+scan with a gather and a stop test at every step.  The memory
 tests measure with ``traced_peak``.
 """
 
@@ -22,11 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from loccgate import choi_matrix, haar_unitary, select_independent_subset
-from loccgate.linalg import nonzero_vectors
+from loccgate.linalg import IndependentSubset, nonzero_vectors
 
 # Largest |h - h^dag| entry, relative to the largest |h| entry, that
 # ``hermitian_eigenvalues`` accepts as rounding in a Hermitian matrix.
 HERMITIAN_RESIDUAL_TOL = 1e-6
+
+# The benchmark's heavy random-unitary shapes (input dims, Kraus count), and their test ids.
+HEAVY_SHAPES = [((2, 2, 2), 8), ((3, 3), 11), ((2, 2, 2), 12), ((4, 4), 18), ((2, 2, 2, 2), 20)]
+HEAVY_IDS = [f"{'x'.join(map(str, d))}/{nu}" for d, nu in HEAVY_SHAPES]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bits: unlike ``np.array_equal``, this tells -0.0 from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def traced_peak(fn, *args):
@@ -201,6 +211,39 @@ def mgs_subset_indices(vectors, tol: float) -> list[int]:
             selected.append(idx)
             onb.append(r / rnorm)
     return selected
+
+
+def reference_select_independent_subset(vectors, tol: float) -> IndependentSubset:
+    """The one-vector CGS2 scan of ``select_independent_subset`` in its earlier form, as its
+    reference: it kept a second, conjugated copy of the basis, so that each projection
+    ``Q^dag r`` was a plain product.  Its bits are the scan's but for the sign of exact zeros."""
+    vecs = np.asarray(vectors, dtype=complex)
+    vecs = vecs.reshape(len(vecs), -1)
+    length = vecs.shape[1]
+    norms, nonzero = nonzero_vectors(vecs, tol)
+    keep = np.flatnonzero(nonzero)
+    selected: list[int] = []
+    onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
+    onb_c = np.empty_like(onb)  # conj(onb), so Q^dag v is a plain product
+    factor = np.zeros((len(onb), len(onb)), dtype=complex)
+    for idx, floor in zip(keep.tolist(), (tol * norms[keep]).tolist()):
+        k = len(selected)
+        v = vecs[idx]
+        h1 = onb_c[:k] @ v
+        r = v - h1 @ onb[:k]
+        h2 = onb_c[:k] @ r
+        r -= h2 @ onb[:k]
+        rnorm = math.sqrt(np.vdot(r, r).real)
+        if rnorm > floor:
+            onb[k] = r / rnorm
+            onb_c[k] = onb[k].conj()
+            factor[:k, k] = h1 + h2
+            factor[k, k] = rnorm
+            selected.append(idx)
+            if k + 1 == length:
+                break
+    k = len(selected)
+    return IndependentSubset(indices=selected, basis=onb[:k], r=factor[:k, :k])
 
 
 def reference_select_independent_subsets(stack, tol: float):

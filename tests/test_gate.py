@@ -39,6 +39,8 @@ from loccgate.gate import (
 from loccgate.linalg import nonzero_vectors, nullspace_dimension
 from loccgate.zoo import random_unitary_kraus, rotated_domino_kraus
 from oracle import (
+    HEAVY_IDS,
+    HEAVY_SHAPES,
     augmented_q,
     hermitian_eigenvalues,
     augmented_spectrum,
@@ -49,6 +51,7 @@ from oracle import (
     per_pair_products,
     q_matrix,
     recombined_basis,
+    same_bits,
     traced_peak,
 )
 
@@ -113,10 +116,6 @@ def test_pair_products_adjoint_symmetry(zoo_channels, dephasing):
             for i in range(n):
                 for j in range(n):
                     assert np.array_equal(products[i * n + j].conj().T, products[j * n + i])
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_stacked_pair_products_equal_the_per_pair_reference_bit_for_bit(zoo_channels, dephasing):
@@ -239,6 +238,21 @@ def test_ratio_within_unit_interval(zoo_channels):
 
 # ---------------------------------------------------------------------------
 # channel-level verdicts
+
+
+def test_a_negative_zero_eigenvalue_reads_as_a_positive_zero_ratio(monkeypatch, domino):
+    # eigvalsh can return -0.0 for an exact null direction; max(-0.0, 0.0) is -0.0, which
+    # would print as "-0.0" and make lambda_hat's sign depend on the parties' order
+    solve = gate.nullspace_dimension
+
+    def negative_zero(gram, rel_tol):
+        dims, _, eig_max = solve(gram, rel_tol)
+        return dims, [-0.0] * len(eig_max), eig_max
+
+    monkeypatch.setattr(gate, "nullspace_dimension", negative_zero)
+    for verdict in (gate_channel(domino), *gate_channels([domino, domino])):
+        assert [math.copysign(1.0, r.ratio) for r in verdict.reports] == [1.0, 1.0]
+        assert math.copysign(1.0, verdict.lambda_hat) == 1.0
 
 
 def test_gate_channel_bell(bell):
@@ -701,16 +715,15 @@ def test_a_lone_64_outcome_measurement_forms_64_products_not_4096():
 # The memory law (``gate``'s module docstring) holds up to a fixed allowance: numpy's ufunc
 # buffers, up to 8192 elements per operand, and arrays of a few KiB.
 LAW_ALLOWANCE = 256 << 10
-HEAVY_SHAPES = [((2, 2, 2), 8), ((3, 3), 11), ((2, 2, 2), 12), ((4, 4), 18), ((2, 2, 2, 2), 20)]
 
 
 def lone_gate_law(channel) -> int:
     """Bytes a lone ``gate_channel`` may peak at: the larger of formation and the scan, plus LAW_ALLOWANCE.
 
     Formation holds the products it forms, their averaging temporary and their survivors'
-    gather; the scan holds the M packed products of length L = D^2 plus ``onb``, ``onb_c``
-    and ``factor``, of min(M, L) L, min(M, L) L and min(M, L)^2 complex entries, and a
-    step's three vectors of length L (the previous residual, a projection and the residual).
+    gather; the scan holds the M packed products of length L = D^2 plus ``onb`` and
+    ``factor``, of min(M, L) L and min(M, L)^2 complex entries, and a step's three vectors
+    of length L (the previous residual, a projection and the residual).
     """
     kraus = channel.kraus[None]
     pairs = gate.row_sharing_pairs(kraus)
@@ -718,7 +731,7 @@ def lone_gate_law(channel) -> int:
     [(_, packed)] = gate.packed_stacks(kraus)
     m, length = packed.shape[1], channel.dim**2
     k = min(m, length)
-    return 16 * max(3 * formed * length, (m + 2 * k + 3) * length + k * k) + LAW_ALLOWANCE
+    return 16 * max(3 * formed * length, (m + k + 3) * length + k * k) + LAW_ALLOWANCE
 
 
 def assert_lone_gate_follows_the_law(channel):
@@ -727,18 +740,21 @@ def assert_lone_gate_follows_the_law(channel):
     assert peak <= lone_gate_law(channel), (channel.input_dims, channel.n_kraus)
 
 
-@pytest.mark.parametrize("dims, nu", HEAVY_SHAPES, ids=[f"{'x'.join(map(str, d))}/{nu}" for d, nu in HEAVY_SHAPES])
+@pytest.mark.parametrize("dims, nu", HEAVY_SHAPES, ids=HEAVY_IDS)
 def test_a_lone_channel_peaks_at_its_scan(dims, nu):
-    # these peaked 30-87 KiB over the scan's buffers and products; while the gate kept the
-    # packed stack, the basis and copies of the factor and the selected products alive past
-    # the scan, 3x3/11 peaked 329 KiB and 4x4/18 and 2^4/20 ~1.3 MiB over them
+    # 2x2x2/8 and 3x3/11 peak 91 and 86 KiB over the scan's buffers and products, the others
+    # under the law's larger term.  With a conjugate copy of the basis in the scan, 4x4/18
+    # peaked 268 KiB over this law; while the gate kept the packed stack, the basis
+    # and copies of the factor and the selected products alive past the scan, 3x3/11 peaked
+    # 329 KiB and 4x4/18 and 2^4/20 ~1.3 MiB over the scan with that copy
     assert_lone_gate_follows_the_law(random_unitary_channel(dims, nu, np.random.default_rng(1)))
 
 
 def test_a_local_channel_of_long_products_peaks_at_its_scan():
     # A_i x I_64 for a random two-operator qubit channel A: 4 products of length 128^2, 1 MiB in
-    # all, where the scan's step vectors (256 KiB each) count.  Measured 3,844 KiB; with each
-    # stage's inputs kept alive to the end of the gate, 4,355 KiB
+    # all, where the scan's step vectors (256 KiB each) count.  Measured 2,820 KiB; with a
+    # conjugate copy of the basis in the scan, 3,844 KiB, and with each stage's inputs also
+    # kept alive to the end of the gate, 4,355 KiB
     a = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 2, 2)).view(complex)[..., 0])[0]
     kraus = np.stack([np.kron(a_i, np.eye(64)) for a_i in a.reshape(2, 2, 2)])
     assert_lone_gate_follows_the_law(KrausChannel("local", (2, 64), 128, kraus))
@@ -791,6 +807,40 @@ def test_a_list_over_several_stacks_peaks_at_its_first_stack():
     extra = len(channels) - starts[1]
     allowance = extra * kraus[0].nbytes + extra * (1 << 10) + gate.STACK_BYTES // 2
     assert peaks[len(channels)] <= peaks[starts[1]] + allowance
+
+
+def test_the_kraus_rank_guard_conjugates_a_long_list_a_slice_at_a_time(monkeypatch):
+    # 1,000 usd channels (1.5 MiB of Kraus operators) pack 3 stacks.  The guard conjugates at
+    # most STACK_BYTES / 2 of Kraus operators at once and adds their Kraus Grams (64 KiB):
+    # measured 319 KiB a slice.  Conjugating the whole list at once took 1,954 KiB and set
+    # the call's peak, 4,057 KiB, against 3,804 KiB measured
+    rng = np.random.default_rng(42)
+    channels = [usd_channel(sample_usd_params(rng)) for _ in range(1000)]
+    kraus = np.stack([c.kraus for c in channels])
+    starts = [lo for lo, _ in gate.packed_stacks(kraus)]
+    assert starts == [0, 409, 818]
+    peaks = {}
+    for n in (starts[1], len(channels)):
+        gate_channels(channels[:n])  # warm-up: first-call allocations are not the gate's
+        peaks[n], _ = traced_peak(gate_channels, channels[:n])
+    extra = len(channels) - starts[1]
+    allowance = extra * kraus[0].nbytes + extra * (1 << 10) + gate.STACK_BYTES // 2
+    assert peaks[len(channels)] <= peaks[starts[1]] + allowance
+    guard, added = gate.kraus_ranks, []
+
+    def traced_guard(stack):  # bytes the guard allocates beyond what is alive when it starts
+        alive = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ranks = guard(stack)
+        added.append(tracemalloc.get_traced_memory()[1] - alive)
+        return ranks
+
+    monkeypatch.setattr(gate, "kraus_ranks", traced_guard)
+    traced_peak(gate_channels, channels)
+    step = gate.STACK_BYTES // 2 // kraus[0].nbytes
+    assert step == 163 and len(added) == 7 and max(added) <= gate.STACK_BYTES // 2 + (128 << 10)
+    # each slice takes one batched matmul and eigensolve: the ranks of the whole list at once
+    assert guard(kraus) == [rank for lo in range(0, len(kraus), step) for rank in guard(kraus[lo : lo + step])]
 
 
 def test_gate_channels_batches_its_eigensolves_and_solves(monkeypatch):

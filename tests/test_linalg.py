@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccgate import SweepConfig, gate, pair_products, random_unitary_channel, run_sweep
+from loccgate import KrausChannel, SweepConfig, gate, haar_unitary, pair_products, random_unitary_channel, run_sweep
 from loccgate.linalg import (
     nonzero_vectors,
     nullspace_dimension,
@@ -11,11 +11,15 @@ from loccgate.linalg import (
     select_independent_subsets,
 )
 from oracle import (
+    HEAVY_IDS,
+    HEAVY_SHAPES,
     hermitian_eigenvalues,
     mgs_subset_indices,
     operator_basis,
     permute_party_to_front,
+    reference_select_independent_subset,
     reference_select_independent_subsets,
+    same_bits,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -258,6 +262,49 @@ def test_subset_matches_mgs_reference(zoo_channels):
     for channel in [*zoo_channels, *extra]:
         vecs = pair_products(channel).reshape(channel.n_kraus**2, -1)
         assert select_independent_subset(vecs, 1e-9).indices == mgs_subset_indices(vecs, 1e-9)
+
+
+def scan_input(channel) -> np.ndarray:
+    """The packed pair products the gate scans for a lone channel, one per row."""
+    [(_, packed)] = gate.packed_stacks(channel.kraus[None])
+    return packed[0].reshape(len(packed[0]), -1)
+
+
+def scans_like_the_conjugate_basis_reference(vecs, same) -> bool:
+    """Whether the scan of ``vecs`` takes the reference's indices, with basis and factor equal by ``same``."""
+    got, want = select_independent_subset(vecs, 1e-9), reference_select_independent_subset(vecs, 1e-9)
+    return got.indices == want.indices and same(got.basis, want.basis) and same(got.r, want.r)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("dims, nu", HEAVY_SHAPES, ids=HEAVY_IDS)
+def test_subset_keeps_the_conjugate_basis_bits_on_dense_products(dims, nu, seed):
+    # projecting through conj(onb) instead of a stored conjugate copy rounds alike, bit for bit
+    vecs = scan_input(random_unitary_channel(dims, nu, np.random.default_rng(seed)))
+    assert scans_like_the_conjugate_basis_reference(vecs, same_bits)
+
+
+def flagged_measurement(rng) -> KrausChannel:
+    """16-outcome rank-one measurement on 4x4 in a Haar basis that writes outcome k to a flag."""
+    phi = haar_unitary(16, rng)
+    kraus = np.zeros((16, 16 * 16, 16), dtype=complex)
+    for k in range(16):
+        kraus[k, 16 * k : 16 * k + 16] = np.outer(phi[:, k], phi[:, k].conj())
+    return KrausChannel("flagged-measurement", (4, 4), 16 * 16, kraus)
+
+
+def test_subset_matches_the_conjugate_basis_reference_on_sparse_and_dependent_vectors(
+    bell, domino, usd_instance, rotated_domino
+):
+    # where a projection sums exact zeros, conj(onb conj(r)) and conj(onb) r may give zeros
+    # of opposite signs: the same values, and the same indices, but not always the same bits
+    rng = np.random.default_rng(29)
+    cases = [scan_input(c) for c in (bell, domino, usd_instance, rotated_domino, flagged_measurement(rng))]
+    for _ in range(10):
+        vecs = random_complex(rng, 6, 5)
+        vecs[3] = vecs[0] - 2j * vecs[2]  # a dependent row mid-scan
+        cases.append(vecs)
+    assert all(scans_like_the_conjugate_basis_reference(vecs, np.array_equal) for vecs in cases)
 
 
 def test_subset_array_and_list_inputs_agree():
