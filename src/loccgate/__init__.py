@@ -4,8 +4,9 @@ A channel given in Kraus form is gated party by party: a party can open an
 LOCC protocol only if an augmented linear constraint matrix built from its
 Kraus pair products has a nontrivial nullspace.  Empty nullspaces for every
 party certify that no LOCC protocol, of any number of rounds, implements the
-channel.  The package also ships the example channel families, a simulator
-for finite-round protocol trees, seeded parameter sweeps, and a CLI.
+channel.  The package also ships the example channel families, a compiler
+that checks finite-round protocol trees against a target channel, seeded
+parameter sweeps, and a CLI.
 
 The namespace is lazy (PEP 562): ``import loccgate`` loads no submodule, and
 each exported name imports its home module on first use.
@@ -16,19 +17,17 @@ import importlib
 # Every exported name and the submodule that defines it, in ``__all__`` order.
 _HOME = {
     **dict.fromkeys((
-        "KrausChannel", "apply_channel", "channels_equal", "check_completeness", "choi_matrix",
-        "kraus_rank", "lone_kraus_operator", "operator_schmidt_rank", "remix_kraus",
-        "validate_density_matrix",
+        "KrausChannel", "channels_equal", "choi_matrix", "lone_kraus_operator", "operator_schmidt_rank",
     ), "channels"),
     **dict.fromkeys((
         "GateVerdict", "PartyGateReport", "VERDICT_DEGENERATE_IDENTITY_SPAN",
         "VERDICT_DEGENERATE_KRAUS_RANK_ONE", "VERDICT_FIRST_MOVE_CANDIDATES", "VERDICT_NOT_LOCC",
-        "gate_channel", "gate_channels", "pair_products",
+        "gate_channel", "gate_channels",
     ), "gate"),
     **dict.fromkeys(("IndependentSubset", "nullspace_dimension", "select_independent_subset"), "linalg"),
     **dict.fromkeys((
-        "ProtocolNode", "ProtocolTree", "communication_rounds", "domino_three_round_protocol",
-        "protocol_to_channel", "usd_oneway_protocol", "validate_protocol", "verify_protocol",
+        "ProtocolNode", "ProtocolTree", "domino_three_round_protocol", "protocol_to_channel",
+        "usd_oneway_protocol", "validate_protocol", "verify_protocol",
     ), "protocols"),
     **dict.fromkeys(("SweepConfig", "run_sweep", "sample_rng", "write_csv_atomic"), "sweeps"),
     **dict.fromkeys((

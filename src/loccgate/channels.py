@@ -1,4 +1,4 @@
-"""Quantum channels in Kraus form: completeness, action, Choi fingerprints.
+"""Quantum channels in Kraus form: completeness, Choi fingerprints, Kraus rank.
 
 Kraus rank and the lone operator of a Kraus-rank-1 channel come from the
 N x N Kraus Gram tr(K_i^dag K_j), not from the (D d_out)^2 Choi matrix.
@@ -6,7 +6,7 @@ N x N Kraus Gram tr(K_i^dag K_j), not from the (D d_out)^2 Choi matrix.
 A channel keeps its Kraus operators as one read-only complex (N, d_out, D)
 array copied at construction, so it is immutable, and all operations are pure:
 concurrent use is safe.  Kraus operators may be rectangular (d_out != D);
-density matrices and operators are plain numpy arrays.
+other operators are plain numpy arrays.
 
 The three failure classes every layer raises are defined here, the lowest
 layer that raises them: ``SchemaError`` for malformed input, its subclass
@@ -30,8 +30,8 @@ KRAUS_RANK_RTOL = 1e-9
 # Largest Choi-matrix entry distance at which two channels count as equal.
 CHOI_DISTANCE_TOL = 1e-9
 
-# Rounding allowance when checking that an input is a state, an isometry or a
-# complete measurement.
+# Rounding allowance when checking that an input is an isometry or a complete
+# measurement.
 VALIDATION_TOL = 1e-10
 
 
@@ -97,15 +97,10 @@ class KrausChannel:
         return len(self.kraus)
 
 
-def check_completeness(channel: KrausChannel) -> float:
-    """Largest absolute entry of sum_i K_i^dag K_i - I; inf, with no D x D matrix
-    formed, when N d_out < D caps the sum's rank below D."""
-    return float(completeness_residuals(channel.kraus[None])[0])
-
-
 def completeness_residuals(kraus: np.ndarray) -> np.ndarray:
-    """``check_completeness`` of each channel in a (B, N, d_out, D) Kraus stack,
-    from one (D x N d_out)(N d_out x D) GEMM per channel; an overflow reads nan."""
+    """Per channel of a (B, N, d_out, D) Kraus stack, the largest absolute entry of sum_i K_i^dag K_i - I,
+    from one (D x N d_out)(N d_out x D) GEMM per channel; inf, with no D x D matrix formed, when
+    N d_out < D caps the sum's rank below D, and nan on an overflow."""
     n_stack, n, d_out, d = kraus.shape
     if n * d_out < d:
         return np.full(n_stack, math.inf)
@@ -115,29 +110,6 @@ def completeness_residuals(kraus: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(residuals), residuals, math.nan)
 
 
-def validate_density_matrix(rho: np.ndarray) -> None:
-    """Reject non-states: requires Hermitian, unit trace, eigenvalues >= -VALIDATION_TOL."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"state must be square, got shape {rho.shape}")
-    if float(np.max(np.abs(rho - rho.conj().T))) > VALIDATION_TOL:
-        raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > VALIDATION_TOL:
-        raise ValueError(f"state trace is {np.trace(rho)}, expected 1")
-    if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0]) < -VALIDATION_TOL:
-        raise ValueError("state has a negative eigenvalue")
-
-
-def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Channel action sum_i K_i rho K_i^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim, channel.dim):
-        raise ValueError(
-            f"state has shape {rho.shape}, expected {(channel.dim, channel.dim)}"
-        )
-    return np.einsum("iab,bc,idc->ad", channel.kraus, rho, channel.kraus.conj())
-
-
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """Unnormalized Choi matrix sum_i vec(K_i) vec(K_i)^dag (trace D when complete).
 
@@ -145,29 +117,6 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """
     vecs = channel.kraus.transpose(0, 2, 1).reshape(channel.n_kraus, -1)
     return vecs.T @ vecs.conj()
-
-
-def remix_kraus(channel: KrausChannel, v: np.ndarray) -> KrausChannel:
-    """Rewrite the Kraus list as K'_j = sum_i v[j,i] K_i.
-
-    ``v`` must have isometric columns (v^dag v = I) and at least as many
-    columns as the channel has Kraus operators; columns beyond those act on
-    nothing.  The Choi matrix is unchanged.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 2:
-        raise ValueError("mixing matrix must be 2-d")
-    n_hat = v.shape[1]
-    if n_hat < channel.n_kraus:
-        raise ValueError(
-            f"mixing matrix has {n_hat} columns but the channel has "
-            f"{channel.n_kraus} Kraus operators"
-        )
-    gram_residual = float(np.max(np.abs(v.conj().T @ v - np.eye(n_hat))))
-    if gram_residual > VALIDATION_TOL:
-        raise ValueError(f"mixing matrix columns are not isometric (residual {gram_residual:.3e})")
-    remixed = np.tensordot(v[:, : channel.n_kraus], channel.kraus, axes=1)
-    return KrausChannel(channel.name, channel.input_dims, channel.output_dim, remixed)
 
 
 def valid_choi_tol(tol) -> bool:
@@ -200,13 +149,9 @@ def _kraus_gram(kraus: np.ndarray) -> np.ndarray:
     return vecs.conj() @ vecs.swapaxes(-1, -2)
 
 
-def kraus_rank(channel: KrausChannel) -> int:
-    """Rank of the Choi matrix: the minimal number of Kraus operators."""
-    return kraus_ranks(channel.kraus[None])[0]
-
-
 def kraus_ranks(kraus: np.ndarray) -> list[int]:
-    """``kraus_rank`` of each channel in a (B, N, d_out, D) Kraus stack, from one batched eigensolve."""
+    """Rank of each channel's Choi matrix (its minimal number of Kraus operators) in a
+    (B, N, d_out, D) Kraus stack, from one batched eigensolve of the Kraus Grams."""
     return [kraus.shape[1] - n for n in nullspace_dimension(_kraus_gram(kraus), KRAUS_RANK_RTOL)[0]]
 
 

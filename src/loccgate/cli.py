@@ -28,13 +28,7 @@ import sys
 import numpy as np
 
 from .gate import COMPLETENESS_WARN_TOL, DEFAULT_NULLSPACE_RTOL, gate_channel, valid_rel_tol
-from .channels import (
-    CHOI_DISTANCE_TOL,
-    CompletenessError,
-    DimensionError,
-    check_completeness,
-    valid_choi_tol,
-)
+from .channels import CHOI_DISTANCE_TOL, CompletenessError, DimensionError, valid_choi_tol
 from .serialize import (
     SchemaError,
     _load_json,
@@ -95,7 +89,7 @@ def _amplitude_arg(text: str) -> complex:
 def cmd_check(args) -> int:
     channel = load_channel(args.channel)
     verdict = gate_channel(channel, rel_tol=args.tol)
-    residual = check_completeness(channel)  # the gate has held it within COMPLETENESS_TOL
+    residual = verdict.completeness_residual  # the gate has held it within COMPLETENESS_TOL
     if residual > COMPLETENESS_WARN_TOL:
         print(
             f"warning: completeness residual {residual:.3e} above {COMPLETENESS_WARN_TOL:g}",

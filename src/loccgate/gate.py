@@ -52,7 +52,7 @@ tolerance, the identity residual and the Kraus-rank threshold are constants.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -128,6 +128,7 @@ class GateVerdict:
     ``FIRST_MOVE_CANDIDATES`` is *not* a proof of LOCC-possibility; the gate
     is a necessary condition only.  Kraus-rank-1 channels, which need no
     measurement at all, and those the gate cannot judge are classified apart.
+    ``completeness_residual`` is the one the gate checked; ``to_dict`` leaves it out.
     """
 
     reports: tuple[PartyGateReport, ...]
@@ -135,6 +136,7 @@ class GateVerdict:
     verdict: str
     candidates: tuple[int, ...] | None = None
     local: bool | None = None
+    completeness_residual: float = field(kw_only=True)
 
     def to_dict(self) -> dict:
         out = {"reports": [r.to_dict() for r in self.reports], "lambda_hat": self.lambda_hat, "verdict": self.verdict}
@@ -143,21 +145,6 @@ class GateVerdict:
         if self.local is not None:
             out["local"] = self.local
         return out
-
-
-def pair_products(channel: KrausChannel) -> np.ndarray:
-    """All N^2 products K_i^dag K_j on the input space, shape (N^2, D, D).
-
-    Ordered row-major in (i, j).  The adjoint of product (i, j) is product
-    (j, i) exactly.
-    """
-    return stacked_pair_products(channel.kraus[None])[0]
-
-
-def stacked_pair_products(kraus: np.ndarray) -> np.ndarray:
-    """``pair_products`` of a (B, N, d_out, D) Kraus stack: ``pair_product_columns`` in input order."""
-    n_stack, n, _, d = kraus.shape
-    return pair_product_columns(kraus).swapaxes(1, 2).reshape(n_stack, n * n, d, d)
 
 
 def pair_product_columns(kraus: np.ndarray) -> np.ndarray:
@@ -371,10 +358,10 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
     )
 
 
-def _check_stack(kraus: np.ndarray, input_dims, names, rel_tol: float) -> None:
-    """Raise for the first fault of a Kraus stack: fewer than 2 parties, a bad
-    ``rel_tol``, then the first channel with a non-finite entry and the first
-    whose completeness residual is not within COMPLETENESS_TOL."""
+def _check_stack(kraus: np.ndarray, input_dims, names, rel_tol: float) -> list[float]:
+    """Each channel's completeness residual in a Kraus stack; raise for its first fault: fewer
+    than 2 parties, a bad ``rel_tol``, then the first channel with a non-finite entry and the
+    first whose completeness residual is not within COMPLETENESS_TOL."""
     if len(input_dims) < 2:
         raise DimensionError(f"the gate needs at least 2 parties, got {len(input_dims)}")
     if not valid_rel_tol(rel_tol):
@@ -390,6 +377,7 @@ def _check_stack(kraus: np.ndarray, input_dims, names, rel_tol: float) -> None:
             f"channel '{names[bad[0]]}' has completeness residual {residuals[bad[0]]:.3e}, "
             f"not within {COMPLETENESS_TOL:g}"
         )
+    return residuals.tolist()
 
 
 def _gate_stack(
@@ -402,7 +390,7 @@ def _gate_stack(
     stack cuts, bit for bit), per |S| one gather, identity solve and, per party,
     partial trace and eigensolve; one Kraus-rank eigensolve per STACK_BYTES / 2 of Kraus operators.
     """
-    _check_stack(kraus, input_dims, names, rel_tol)
+    residuals = _check_stack(kraus, input_dims, names, rel_tol)
     reports: list[list[PartyGateReport]] = [[] for _ in kraus]
     for members, traces, gram in _selected_grams(packed_stacks(kraus), names, input_dims, stacked):
         for party, (d_party, reduced) in enumerate(zip(input_dims, traces)):
@@ -423,19 +411,22 @@ def _gate_stack(
         del traces, gram, reduced  # nothing of this stack outlives it
     step = max(1, STACK_BYTES // 2 // kraus[0].nbytes)  # the guard conjugates one slice at a time
     ranks = [rank for lo in range(0, len(kraus), step) for rank in kraus_ranks(kraus[lo : lo + step])]
-    return [_verdict(k, input_dims, tuple(rep), rank) for k, rep, rank in zip(kraus, reports, ranks)]
+    rows = zip(kraus, reports, ranks, residuals)
+    return [_verdict(k, input_dims, tuple(rep), rank, residual) for k, rep, rank, residual in rows]
 
 
-def _verdict(kraus: np.ndarray, input_dims, reports, rank: int) -> GateVerdict:
+def _verdict(kraus: np.ndarray, input_dims, reports, rank: int, residual: float) -> GateVerdict:
     lambda_hat = min(r.ratio for r in reports)
     if rank == 1:
         local = False
         if kraus.shape[1] == kraus.shape[2]:  # square
             lone = lone_kraus_operator(KrausChannel("", input_dims, kraus.shape[1], kraus))
             local = all(operator_schmidt_rank(lone, input_dims, p) == 1 for p in range(len(input_dims)))
-        return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_KRAUS_RANK_ONE, local=local)
+        return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_KRAUS_RANK_ONE, local=local,
+                           completeness_residual=residual)
     if reports[0].pair_count == 1:
-        return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_IDENTITY_SPAN)
+        return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_IDENTITY_SPAN, completeness_residual=residual)
     if candidates := tuple(r.party for r in reports if r.can_measure_first):
-        return GateVerdict(reports, lambda_hat, VERDICT_FIRST_MOVE_CANDIDATES, candidates=candidates)
-    return GateVerdict(reports, lambda_hat, VERDICT_NOT_LOCC)
+        return GateVerdict(reports, lambda_hat, VERDICT_FIRST_MOVE_CANDIDATES, candidates=candidates,
+                           completeness_residual=residual)
+    return GateVerdict(reports, lambda_hat, VERDICT_NOT_LOCC, completeness_residual=residual)

@@ -102,8 +102,8 @@ def _walk_nodes(tree: ProtocolTree) -> tuple[list[float], set[tuple[int, ...]]]:
     return residuals, leaf_dims
 
 
-def _output_dims(tree: ProtocolTree) -> tuple[int, ...]:
-    """Validate the tree and return the per-party dims every leaf ends on; nothing is compiled.
+def _output_dim(tree: ProtocolTree) -> int:
+    """Validate the tree and return the output dimension its leaves end on; nothing is compiled.
 
     Raises ``CompletenessError`` for a node that is not a complete
     measurement and ``DimensionError`` for leaves that end on different dims.
@@ -115,7 +115,7 @@ def _output_dims(tree: ProtocolTree) -> tuple[int, ...]:
         )
     if len(leaf_dims) != 1:
         raise DimensionError(f"inconsistent leaf output dimensions: {sorted(leaf_dims)}")
-    return leaf_dims.pop()
+    return math.prod(leaf_dims.pop())
 
 
 def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
@@ -127,7 +127,11 @@ def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
     unreachable (zero-probability branches kept only for node completeness)
     and are dropped from the Kraus list.
     """
-    out_dims = _output_dims(tree)
+    return _compile(tree, _output_dim(tree))
+
+
+def _compile(tree: ProtocolTree, out_dim: int) -> KrausChannel:
+    """``protocol_to_channel`` of a tree that ``_output_dim`` has validated, its leaves ending on ``out_dim``."""
     leaves: list[np.ndarray] = []
 
     def walk(node: ProtocolNode, dims: list[int], acc: np.ndarray) -> None:
@@ -146,22 +150,7 @@ def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
 
     walk(tree.root, list(tree.initial_dims), np.eye(math.prod(tree.initial_dims), dtype=complex))
     kraus = [acc for acc in leaves if float(np.linalg.norm(acc)) > ZERO_LEAF_TOL]
-    if not kraus:
-        raise ValueError("every leaf compiled to a zero operator")
-    return KrausChannel("protocol", tree.initial_dims, math.prod(out_dims), kraus)
-
-
-def communication_rounds(tree: ProtocolTree) -> int:
-    """Measurement layers along the deepest branch, minus the final one."""
-
-    def depth(node: ProtocolNode) -> int:
-        best = 1
-        for _, child in node.branches:
-            if child is not None:
-                best = max(best, 1 + depth(child))
-        return best
-
-    return depth(tree.root) - 1
+    return KrausChannel("protocol", tree.initial_dims, out_dim, kraus)
 
 
 def verify_protocol(
@@ -181,11 +170,11 @@ def verify_protocol(
         raise DimensionError(f"protocol input dims {tree.initial_dims}, target input {target.dim}")
     iso = None if tree.output_isometry is None else np.asarray(tree.output_isometry, dtype=complex)
     width = target.output_dim if iso is None else iso.shape[1] if iso.ndim == 2 else None
-    total_out = math.prod(_output_dims(tree))
+    total_out = _output_dim(tree)
     if total_out != width:
         side = "target outputs" if iso is None else f"isometry of shape {iso.shape} acts on"
         raise DimensionError(f"protocol outputs {total_out}, {side} {width}")
-    compiled = protocol_to_channel(tree)
+    compiled = _compile(tree, total_out)
     if iso is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as a nan residual
             residual = float(np.max(np.abs((iso.conj().T @ iso - np.eye(width)) @ compiled.kraus)))

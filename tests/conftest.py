@@ -78,7 +78,7 @@ def isometry_chain():
 def no_compiling(monkeypatch):
     """Fail any protocol compilation, so that a test never builds the chain's operators."""
 
-    def compile_(tree):
+    def compile_(tree, out_dim):
         raise AssertionError("the protocol was compiled before its dims were checked")
 
-    monkeypatch.setattr(protocols, "protocol_to_channel", compile_)
+    monkeypatch.setattr(protocols, "_compile", compile_)

@@ -12,6 +12,10 @@ formed one GEMM per pair, the completeness Gram summed by ``einsum``, the
 one-vector subset scan over a stored conjugate basis and the stacked subset
 scan with a gather and a stop test at every step.  The memory
 tests measure with ``traced_peak``.
+
+Last, it holds the one-channel helpers that only tests call: the channel's
+action on a state, a state check, Kraus remixing, one channel's completeness
+residual, Kraus rank and pair products, and a protocol's round count.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from loccgate import choi_matrix, haar_unitary, select_independent_subset
+from loccgate import KrausChannel, choi_matrix, haar_unitary, select_independent_subset
+from loccgate.channels import VALIDATION_TOL, completeness_residuals, kraus_ranks
+from loccgate.gate import pair_product_columns
 from loccgate.linalg import IndependentSubset, nonzero_vectors
 
 # Largest |h - h^dag| entry, relative to the largest |h| entry, that
@@ -346,3 +352,80 @@ def augmented_spectrum(channel, party: int, bases=None) -> np.ndarray:
     q_aug, _ = augmented_q(channel, party, bases)
     gram = q_aug.conj().T @ q_aug
     return np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+
+
+def check_completeness(channel: KrausChannel) -> float:
+    """Largest absolute entry of sum_i K_i^dag K_i - I for one channel, by the gate's rule."""
+    return float(completeness_residuals(channel.kraus[None])[0])
+
+
+def kraus_rank(channel: KrausChannel) -> int:
+    """Rank of the Choi matrix: the minimal number of Kraus operators."""
+    return kraus_ranks(channel.kraus[None])[0]
+
+
+def pair_products(channel: KrausChannel) -> np.ndarray:
+    """All N^2 products K_i^dag K_j on the input space, shape (N^2, D, D).
+
+    Ordered row-major in (i, j).  The adjoint of product (i, j) is product
+    (j, i) exactly.
+    """
+    return stacked_pair_products(channel.kraus[None])[0]
+
+
+def stacked_pair_products(kraus: np.ndarray) -> np.ndarray:
+    """``pair_products`` of a (B, N, d_out, D) Kraus stack: the gate's block columns in input order."""
+    n_stack, n, _, d = kraus.shape
+    return pair_product_columns(kraus).swapaxes(1, 2).reshape(n_stack, n * n, d, d)
+
+
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Reject non-states: requires Hermitian, unit trace, eigenvalues >= -VALIDATION_TOL."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"state must be square, got shape {rho.shape}")
+    if float(np.max(np.abs(rho - rho.conj().T))) > VALIDATION_TOL:
+        raise ValueError("state is not Hermitian")
+    if abs(np.trace(rho) - 1.0) > VALIDATION_TOL:
+        raise ValueError(f"state trace is {np.trace(rho)}, expected 1")
+    if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0]) < -VALIDATION_TOL:
+        raise ValueError("state has a negative eigenvalue")
+
+
+def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """Channel action sum_i K_i rho K_i^dag."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (channel.dim, channel.dim):
+        raise ValueError(f"state has shape {rho.shape}, expected {(channel.dim, channel.dim)}")
+    return np.einsum("iab,bc,idc->ad", channel.kraus, rho, channel.kraus.conj())
+
+
+def remix_kraus(channel: KrausChannel, v: np.ndarray) -> KrausChannel:
+    """Rewrite the Kraus list as K'_j = sum_i v[j,i] K_i.
+
+    ``v`` must have isometric columns (v^dag v = I) and at least as many
+    columns as the channel has Kraus operators; columns beyond those act on
+    nothing.  The Choi matrix is unchanged.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 2:
+        raise ValueError("mixing matrix must be 2-d")
+    n_hat = v.shape[1]
+    if n_hat < channel.n_kraus:
+        raise ValueError(
+            f"mixing matrix has {n_hat} columns but the channel has {channel.n_kraus} Kraus operators"
+        )
+    gram_residual = float(np.max(np.abs(v.conj().T @ v - np.eye(n_hat))))
+    if gram_residual > VALIDATION_TOL:
+        raise ValueError(f"mixing matrix columns are not isometric (residual {gram_residual:.3e})")
+    remixed = np.tensordot(v[:, : channel.n_kraus], channel.kraus, axes=1)
+    return KrausChannel(channel.name, channel.input_dims, channel.output_dim, remixed)
+
+
+def communication_rounds(tree) -> int:
+    """Measurement layers along the deepest branch of a protocol tree, minus the final one."""
+
+    def depth(node) -> int:
+        return 1 + max((depth(child) for _, child in node.branches if child is not None), default=0)
+
+    return depth(tree.root) - 1

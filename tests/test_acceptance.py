@@ -19,13 +19,11 @@ from loccgate import (
     VERDICT_DEGENERATE_KRAUS_RANK_ONE,
     VERDICT_NOT_LOCC,
     bell_channel,
-    check_completeness,
     domino_channel,
     domino_three_round_protocol,
     gate_channel,
     haar_unitary,
     random_unitary_channel,
-    remix_kraus,
     rotated_domino_channel,
     run_sweep,
     sample_usd_params,
@@ -34,10 +32,17 @@ from loccgate import (
     usd_states,
     verify_protocol,
 )
-from loccgate.gate import _selected_grams, party_gram, stacked_pair_products
+from loccgate.gate import _selected_grams, party_gram
 from loccgate.sweeps import SweepConfig, sample_rng
 from oracle import hermitian_eigenvalues
-from oracle import augmented_spectrum, operator_basis, recombined_basis
+from oracle import (
+    augmented_spectrum,
+    check_completeness,
+    operator_basis,
+    recombined_basis,
+    remix_kraus,
+    stacked_pair_products,
+)
 
 QUARTER_PI = math.pi / 4
 

@@ -6,23 +6,27 @@ import pytest
 from loccgate import (
     KrausChannel,
     UsdParams,
-    apply_channel,
     channels_equal,
-    check_completeness,
     choi_matrix,
     gate_channel,
     haar_unitary,
-    kraus_rank,
     lone_kraus_operator,
     operator_schmidt_rank,
-    remix_kraus,
     sample_rng,
     sample_usd_params,
-    validate_density_matrix,
 )
 from loccgate.channels import CompletenessError, completeness_residuals, kraus_ranks
 from loccgate.zoo import random_unitary_kraus, rotated_domino_kraus, usd_kraus
-from oracle import einsum_completeness, hermitian_eigenvalues, traced_peak
+from oracle import (
+    apply_channel,
+    check_completeness,
+    einsum_completeness,
+    hermitian_eigenvalues,
+    kraus_rank,
+    remix_kraus,
+    traced_peak,
+    validate_density_matrix,
+)
 from oracle import lone_kraus_operator as choi_lone_kraus_operator
 from oracle import operator_schmidt_rank as permuted_schmidt_rank
 

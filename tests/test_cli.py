@@ -116,7 +116,8 @@ def overflowing_channel():
 
 
 def test_check_nan_completeness_residual_fails_without_warning(capsys, tmp_path, recwarn):
-    from loccgate import check_completeness, gate_channel
+    from loccgate import gate_channel
+    from oracle import check_completeness
 
     channel = overflowing_channel()
     assert np.isnan(check_completeness(channel))
@@ -304,8 +305,38 @@ def test_sweep_rejects_rel_tol_outside_unit_interval(capsys, tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_check_warns_with_the_residual_its_one_completeness_pass_computed(capsys, monkeypatch, tmp_path):
+    # the gate's own check computes the residual that the warning prints: one pass, not two
+    from loccgate import KrausChannel, channels, gate
+    from oracle import check_completeness
+
+    channel = KrausChannel("scaled", (2, 2), 4, np.sqrt(1 + 2e-7) * bell_channel().kraus)
+    path = tmp_path / "scaled.json"
+    save_channel(channel, path)
+    calls, residuals = [], channels.completeness_residuals
+    for module in (channels, gate):
+        monkeypatch.setattr(module, "completeness_residuals", lambda kraus: calls.append(1) or residuals(kraus))
+    code, out, err = run(capsys, ["check", "--channel", str(path)])
+    assert (code, len(calls)) == (0, 1)
+    assert json.loads(out)["verdict"] == "NOT_LOCC"
+    assert err == f"warning: completeness residual {check_completeness(channel):.3e} above 1e-09\n"
+
+
 # ---------------------------------------------------------------------------
 # protocol + verify-protocol
+
+
+def test_verify_protocol_walks_the_tree_once(capsys, monkeypatch, tmp_path):
+    from loccgate import protocols
+
+    proto, target = tmp_path / "domino-protocol.json", tmp_path / "domino-target.json"
+    save_protocol(domino_three_round_protocol(0.3, 0.5, 0.7), proto)
+    save_channel(rotated_domino_channel(RotatedDominoParams((0.0, 0.3, 0.5, 0.7))), target)
+    calls, walk = [], protocols._walk_nodes
+    monkeypatch.setattr(protocols, "_walk_nodes", lambda tree: calls.append(1) or walk(tree))
+    code, out, _ = run(capsys, ["verify-protocol", "--protocol", str(proto), "--channel", str(target)])
+    assert (code, len(calls)) == (0, 1)
+    assert json.loads(out)["ok"] is True
 
 
 def test_protocol_export_and_verify(capsys, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccgate import KrausChannel, SweepConfig, gate, haar_unitary, pair_products, random_unitary_channel, run_sweep
+from loccgate import KrausChannel, SweepConfig, gate, haar_unitary, random_unitary_channel, run_sweep
 from loccgate.linalg import (
     nonzero_vectors,
     nullspace_dimension,
@@ -16,6 +16,7 @@ from oracle import (
     hermitian_eigenvalues,
     mgs_subset_indices,
     operator_basis,
+    pair_products,
     permute_party_to_front,
     reference_select_independent_subset,
     reference_select_independent_subsets,

@@ -13,9 +13,7 @@ from loccgate import (
     UsdParams,
     bell_channel,
     channels_equal,
-    check_completeness,
     choi_matrix,
-    communication_rounds,
     domino_three_round_protocol,
     protocol_to_channel,
     rotated_domino_channel,
@@ -25,7 +23,7 @@ from loccgate import (
     verify_protocol,
 )
 from loccgate.channels import DimensionError, SchemaError
-from oracle import traced_peak
+from oracle import check_completeness, communication_rounds, traced_peak
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)

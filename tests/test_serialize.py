@@ -145,7 +145,8 @@ def _chain_protocol_doc(depth: int) -> dict:
 
 
 def test_protocol_depth_is_capped(tmp_path):
-    from loccgate import communication_rounds, protocol_to_channel, validate_protocol
+    from loccgate import protocol_to_channel, validate_protocol
+    from oracle import communication_rounds
 
     path = tmp_path / "at-cap.json"
     path.write_text(json.dumps(_chain_protocol_doc(MAX_PROTOCOL_DEPTH)))

@@ -9,7 +9,6 @@ from loccgate import (
     RotatedDominoParams,
     UsdParams,
     bell_channel,
-    check_completeness,
     domino_channel,
     gate_channel,
     haar_unitary,
@@ -22,6 +21,7 @@ from loccgate import (
     validate_usd_params,
 )
 from loccgate import zoo
+from oracle import check_completeness
 
 QUARTER_PI = np.pi / 4
 
