@@ -12,6 +12,11 @@ exit code and stdout of cold
 seed.  Run it before and after a change and diff the output:
 
     PYTHONPATH=src python scripts/output_digest.py [--full-scale]
+
+Some verdict digests depend on the BLAS thread count: OpenBLAS's eigensolver
+rounds differently on one thread and on two for the larger Grams, so compare
+digests only on one machine with one thread setting.  The numpy version, BLAS
+library, OPENBLAS_NUM_THREADS and CPU count are printed as one line to stderr.
 """
 
 import argparse
@@ -158,10 +163,19 @@ def cli_digests(outdir: Path):
         yield sha256(f"{proc.returncode}\n".encode() + proc.stdout), f"cli/{name}"
 
 
+def environment() -> str:
+    """The settings the digests depend on beyond the source: numpy, its BLAS and the BLAS thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
+            f"OPENBLAS_NUM_THREADS={threads}, {os.cpu_count()} CPUs")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--full-scale", action="store_true", help="add the full-scale figure CSVs")
     args = parser.parse_args()
+    print(environment(), file=sys.stderr)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in DESK_SEEDS:

@@ -28,8 +28,11 @@ may span chunks, packs each channel's surviving products, zero-padded to its
 widest channel.  One scan gives the stack one padded record of subsets and
 factors, one identity stage checks it for every residual, and channels with
 equal |S| share one gather, one partial trace per party, one solve for c and,
-per party, one eigensolve.  Sweeps hand their rows to the gate as Kraus stacks;
-a single channel (``gate_channel``) is a stack of one, with a one-vector scan.
+per party, one eigensolve.  The tail is columnar (``StackColumns``): the eigensolves
+fill (P, B) arrays, and one vectorized pass gives every row's ratios, lambda_hat and
+verdict.  Sweeps write their CSV rows from those columns and build no verdict object;
+``gate_channels`` builds its verdicts from them, and ``gate_channel`` is a stack of
+one, with a one-vector scan.
 
 Memory follows one law: a stack peaks at the larger of its formation (a chunk's
 products, their averaging temporary and their survivors' gather) and its scan,
@@ -52,6 +55,7 @@ tolerance, the identity residual and the Kraus-rank threshold are constants.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -101,6 +105,9 @@ VERDICT_NOT_LOCC = "NOT_LOCC"
 VERDICT_FIRST_MOVE_CANDIDATES = "FIRST_MOVE_CANDIDATES"
 VERDICT_DEGENERATE_KRAUS_RANK_ONE = "DEGENERATE_KRAUS_RANK_ONE"
 VERDICT_DEGENERATE_IDENTITY_SPAN = "DEGENERATE_IDENTITY_SPAN"
+# By ``_gate_stack``'s codes, each overriding the last.  An object array: its rows share these four strings.
+_VERDICTS = np.array([VERDICT_NOT_LOCC, VERDICT_FIRST_MOVE_CANDIDATES, VERDICT_DEGENERATE_IDENTITY_SPAN,
+                      VERDICT_DEGENERATE_KRAUS_RANK_ONE], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -145,6 +152,12 @@ class GateVerdict:
         if self.local is not None:
             out["local"] = self.local
         return out
+
+
+# The gate's outcome on a stack of B channels over P parties, one array per field (``.tolist()`` gives
+# the reports' Python numbers).  Per channel, shape (B,): |S|, lambda_hat, the Kraus rank, the completeness
+# residual and the verdict label; per party and channel, shape (P, B): nullity, eig_min, eig_max and ratio.
+StackColumns = namedtuple("StackColumns", "pair_count nullity eig_min eig_max ratio lambda_hat rank residual verdict")
 
 
 def pair_product_columns(kraus: np.ndarray) -> np.ndarray:
@@ -298,7 +311,7 @@ def _selected_grams(stacks, names, dims, stacked: bool = False):
             grams[-1] += c[..., :, None] * c.conj()[..., None, :]
         del r, h, factor
         for (members, _), reduced, gram in zip(groups, traces, grams):
-            yield (start + members).tolist(), reduced, gram
+            yield start + members, reduced, gram
         del traces, grams, reduced, gram  # nothing of this stack outlives it
 
 
@@ -349,7 +362,7 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
     kraus = channels[0].kraus[None] if end == 1 else np.stack([c.kraus for c in channels[:end]])
     names = [c.name for c in channels]
     if end == len(channels):  # no fault; a lone channel takes the one-vector scan
-        return _gate_stack(kraus, shape[0], names, rel_tol, stacked=end > 1)
+        return _verdicts(_gate_stack(kraus, shape[0], names, rel_tol, stacked=end > 1), kraus, shape[0])
     _check_stack(kraus, shape[0], names, rel_tol)
     parties = channels[end].n_parties
     raise DimensionError(
@@ -358,7 +371,7 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
     )
 
 
-def _check_stack(kraus: np.ndarray, input_dims, names, rel_tol: float) -> list[float]:
+def _check_stack(kraus: np.ndarray, input_dims, names, rel_tol: float) -> np.ndarray:
     """Each channel's completeness residual in a Kraus stack; raise for its first fault: fewer
     than 2 parties, a bad ``rel_tol``, then the first channel with a non-finite entry and the
     first whose completeness residual is not within COMPLETENESS_TOL."""
@@ -377,56 +390,60 @@ def _check_stack(kraus: np.ndarray, input_dims, names, rel_tol: float) -> list[f
             f"channel '{names[bad[0]]}' has completeness residual {residuals[bad[0]]:.3e}, "
             f"not within {COMPLETENESS_TOL:g}"
         )
-    return residuals.tolist()
+    return residuals
 
 
 def _gate_stack(
     kraus: np.ndarray, input_dims, names, rel_tol: float, *, stacked: bool = True
-) -> list[GateVerdict]:
+) -> StackColumns:
     """The gate on a (B, N, d_out, D) Kraus stack of channels on ``input_dims``, named ``names``.
 
     After ``_check_stack``, per stack of ``packed_stacks`` one subset scan
     (stacked unless ``stacked`` is false, so reports do not depend on the
     stack cuts, bit for bit), per |S| one gather, identity solve and, per party,
     partial trace and eigensolve; one Kraus-rank eigensolve per STACK_BYTES / 2 of Kraus operators.
+    Every row is then classified at once, in columns.
     """
-    residuals = _check_stack(kraus, input_dims, names, rel_tol)
-    reports: list[list[PartyGateReport]] = [[] for _ in kraus]
+    residual = _check_stack(kraus, input_dims, names, rel_tol)
+    total = math.prod(input_dims)
+    pair_count = np.empty(len(kraus), dtype=int)
+    nullity = np.empty((len(input_dims), len(kraus)), dtype=int)
+    eig_min, eig_max = np.empty(nullity.shape), np.empty(nullity.shape)
     for members, traces, gram in _selected_grams(packed_stacks(kraus), names, input_dims, stacked):
+        pair_count[members] = gram.shape[-1]
         for party, (d_party, reduced) in enumerate(zip(input_dims, traces)):
-            d_rest = math.prod(input_dims) // d_party
-            q_rows = d_party * d_party * (d_rest * d_rest - 1) + 1
-            stats = nullspace_dimension(party_gram(reduced, gram, d_rest), rel_tol)
-            for b, nullity, eig_min, eig_max in zip(members, *stats):
-                reports[b].append(PartyGateReport(
-                    party=party,
-                    pair_count=gram.shape[-1],
-                    q_rows=q_rows,
-                    eig_min=eig_min,
-                    eig_max=eig_max,
-                    ratio=max(0.0, eig_min / eig_max) if eig_max > 0.0 else 0.0,  # max keeps +0.0 over -0.0
-                    nullspace_dim=nullity,
-                    can_measure_first=nullity >= 1,
-                ))
+            stats = nullspace_dimension(party_gram(reduced, gram, total // d_party), rel_tol)
+            nullity[party, members], eig_min[party, members], eig_max[party, members] = stats
         del traces, gram, reduced  # nothing of this stack outlives it
     step = max(1, STACK_BYTES // 2 // kraus[0].nbytes)  # the guard conjugates one slice at a time
-    ranks = [rank for lo in range(0, len(kraus), step) for rank in kraus_ranks(kraus[lo : lo + step])]
-    rows = zip(kraus, reports, ranks, residuals)
-    return [_verdict(k, input_dims, tuple(rep), rank, residual) for k, rep, rank, residual in rows]
+    rank = np.concatenate([kraus_ranks(kraus[lo : lo + step]) for lo in range(0, len(kraus), step)])
+    ratio = np.divide(eig_min, eig_max, out=np.zeros(nullity.shape), where=eig_max > 0.0)
+    ratio[~(ratio > 0.0)] = 0.0  # +0.0, as Python's max(0.0, r); np.maximum may keep -0.0
+    code = (nullity >= 1).any(axis=0).astype(int)  # an index into _VERDICTS
+    code[pair_count == 1] = 2
+    code[rank == 1] = 3
+    return StackColumns(pair_count, nullity, eig_min, eig_max, ratio, ratio.min(axis=0), rank, residual, _VERDICTS[code])
 
 
-def _verdict(kraus: np.ndarray, input_dims, reports, rank: int, residual: float) -> GateVerdict:
-    lambda_hat = min(r.ratio for r in reports)
-    if rank == 1:
-        local = False
-        if kraus.shape[1] == kraus.shape[2]:  # square
-            lone = lone_kraus_operator(KrausChannel("", input_dims, kraus.shape[1], kraus))
-            local = all(operator_schmidt_rank(lone, input_dims, p) == 1 for p in range(len(input_dims)))
-        return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_KRAUS_RANK_ONE, local=local,
-                           completeness_residual=residual)
-    if reports[0].pair_count == 1:
-        return GateVerdict(reports, lambda_hat, VERDICT_DEGENERATE_IDENTITY_SPAN, completeness_residual=residual)
-    if candidates := tuple(r.party for r in reports if r.can_measure_first):
-        return GateVerdict(reports, lambda_hat, VERDICT_FIRST_MOVE_CANDIDATES, candidates=candidates,
-                           completeness_residual=residual)
-    return GateVerdict(reports, lambda_hat, VERDICT_NOT_LOCC, completeness_residual=residual)
+def _verdicts(columns: StackColumns, kraus: np.ndarray, input_dims) -> list[GateVerdict]:
+    """One ``GateVerdict`` per channel of a stack's ``columns``; ``local`` only for Kraus-rank-one rows."""
+    total = math.prod(input_dims)
+    q_rows = [d * d * ((total // d) ** 2 - 1) + 1 for d in input_dims]
+    parties = zip(*(a.T.tolist() for a in (columns.nullity, columns.eig_min, columns.eig_max, columns.ratio)))
+    per_row = (a.tolist() for a in (columns.pair_count, columns.lambda_hat, columns.verdict, columns.residual))
+    verdicts = []
+    for k, party_columns, count, lambda_hat, verdict, residual in zip(kraus, parties, *per_row):
+        reports = tuple(
+            PartyGateReport(party, count, q, eig_min, eig_max, ratio, nullity, can_measure_first=nullity >= 1)
+            for party, (q, nullity, eig_min, eig_max, ratio) in enumerate(zip(q_rows, *party_columns))
+        )
+        candidates = local = None
+        if verdict == VERDICT_FIRST_MOVE_CANDIDATES:
+            candidates = tuple(r.party for r in reports if r.can_measure_first)
+        elif verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE:
+            local = k.shape[1] == k.shape[2]  # square
+            if local:
+                lone = lone_kraus_operator(KrausChannel("", input_dims, k.shape[1], k))
+                local = all(operator_schmidt_rank(lone, input_dims, p) == 1 for p in range(len(input_dims)))
+        verdicts.append(GateVerdict(reports, lambda_hat, verdict, candidates, local, completeness_residual=residual))
+    return verdicts

@@ -156,17 +156,20 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list]]:
     per party, ``lambda_hat`` and the verdict.  Each run of the family's
     sampler is gated as one Kraus stack, with the stacked scan even for a
     run of one row, so a row does not depend on ``samples``; rows equal those
-    of gating each sample alone, ratios to rounding.
+    of ``gate_channels`` on the same samples bit for bit, and of gating each
+    sample alone to rounding.  Rows are read from the gate's columns
+    (``gate.StackColumns``), so no verdict object is built.
     """
     columns, samples = _FAMILY_TABLE[cfg.family]
     rows = []
     for values, dims, kraus in samples(cfg):
-        names = [f"{cfg.family} sample {i}" for i in range(len(rows), len(rows) + len(kraus))]
-        for value, verdict in zip(values, _gate_stack(kraus, dims, names, cfg.rel_tol)):
-            ratios = [r.ratio for r in verdict.reports]
-            rows.append([len(rows), *value, *ratios, verdict.lambda_hat, verdict.verdict])
-    # SweepConfig guarantees at least one sample, so ``ratios`` is bound
-    ratio_columns = [f"ratio_party{p}" for p in range(len(ratios))]
+        first = len(rows)
+        names = [f"{cfg.family} sample {i}" for i in range(first, first + len(kraus))]
+        gated = _gate_stack(kraus, dims, names, cfg.rel_tol)
+        cells = zip(values, gated.ratio.T.tolist(), gated.lambda_hat.tolist(), gated.verdict.tolist())
+        rows.extend([i, *value, *ratios, lam, verdict] for i, (value, ratios, lam, verdict) in enumerate(cells, first))
+    # SweepConfig guarantees at least one sample, so ``dims`` is bound
+    ratio_columns = [f"ratio_party{p}" for p in range(len(dims))]
     return ["sample", *columns, *ratio_columns, "lambda_hat", "verdict"], rows
 
 

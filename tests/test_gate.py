@@ -29,6 +29,7 @@ from loccgate import gate
 from loccgate.gate import (
     _gate_stack,
     _selected_grams,
+    _verdicts,
     gate_channels,
     party_gram,
     valid_rel_tol,
@@ -253,6 +254,39 @@ def test_a_negative_zero_eigenvalue_reads_as_a_positive_zero_ratio(monkeypatch, 
     for verdict in (gate_channel(domino), *gate_channels([domino, domino])):
         assert [math.copysign(1.0, r.ratio) for r in verdict.reports] == [1.0, 1.0]
         assert math.copysign(1.0, verdict.lambda_hat) == 1.0
+
+
+def test_columns_and_verdicts_agree_on_degenerate_rows_and_negative_zeros(monkeypatch):
+    # one (3, 2, 8, 4) stack: a Kraus-rank-one row, an identity-span row (orthogonal output ranges,
+    # so each K_i^dag K_j is 0 or I/2) and a generic isometry, with every eig_min read as -0.0.
+    # np.maximum(0.0, -0.0) is -0.0, so the clamp must give +0.0 in the columns a sweep writes
+    # and in the reports alike, as Python floats
+    flags = np.eye(8, 4), np.eye(8, 4, -4)
+    rng = np.random.default_rng(3)
+    generic = np.linalg.qr(rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4)))[0].reshape(2, 8, 4)
+    kraus = np.stack([np.stack([flags[0], flags[0]]) / 2**0.5, np.stack(flags) / 2**0.5, generic]).astype(complex)
+    solve = gate.nullspace_dimension
+
+    def negative_zero(gram, rel_tol):
+        dims, _, eig_max = solve(gram, rel_tol)
+        return dims, [-0.0] * len(eig_max), eig_max
+
+    monkeypatch.setattr(gate, "nullspace_dimension", negative_zero)
+    columns = _gate_stack(kraus, (2, 2), ["rank one", "identity span", "generic"], 1e-13)
+    verdicts = _verdicts(columns, kraus, (2, 2))
+    assert np.signbit(columns.eig_min).all() and not np.signbit(columns.ratio).any()
+    assert not np.signbit(columns.lambda_hat).any()
+    assert [v.verdict for v in verdicts][:2] == columns.verdict.tolist()[:2] == [
+        VERDICT_DEGENERATE_KRAUS_RANK_ONE, VERDICT_DEGENERATE_IDENTITY_SPAN]
+    assert [v.local for v in verdicts] == [False, None, None]  # the rank-one row is not square
+    assert columns.rank.tolist() == [1, 2, 2] and columns.pair_count.tolist()[:2] == [1, 1]
+    for b, verdict in enumerate(verdicts):
+        ratios = [r.ratio for r in verdict.reports]
+        assert list(map(repr, ratios)) == list(map(repr, columns.ratio[:, b].tolist())) == ["0.0", "0.0"]
+        assert repr(verdict.lambda_hat) == repr(columns.lambda_hat[b].item()) == "0.0"
+        floats = [verdict.lambda_hat, verdict.completeness_residual, *ratios, *(r.eig_max for r in verdict.reports)]
+        assert {type(x) for x in floats} == {float}
+        assert {type(r.nullspace_dim) for r in verdict.reports} == {int}
 
 
 def test_gate_channel_bell(bell):
@@ -551,9 +585,9 @@ def test_gate_stack_of_one_row_takes_the_stacked_scan(monkeypatch, bell):
         scan = getattr(gate, name)
         monkeypatch.setattr(gate, name, lambda vecs, *rest, name=name, scan=scan: calls.append(name) or scan(vecs, *rest))
     rank_one = np.eye(4, dtype=complex)[None, None]
-    [verdict] = _gate_stack(rank_one, (2, 2), ["identity"], 1e-13)
+    [verdict] = _verdicts(_gate_stack(rank_one, (2, 2), ["identity"], 1e-13), rank_one, (2, 2))
     assert (verdict.verdict, verdict.local) == (VERDICT_DEGENERATE_KRAUS_RANK_ONE, True)
-    [stacked] = _gate_stack(bell.kraus[None], (2, 2), ["bell"], 1e-13)
+    [stacked] = _verdicts(_gate_stack(bell.kraus[None], (2, 2), ["bell"], 1e-13), bell.kraus[None], (2, 2))
     assert calls == ["select_independent_subsets", "select_independent_subsets"]
     assert_same_verdict(stacked, gate_channel(bell))
     assert calls[-1] == "select_independent_subset"

@@ -1,6 +1,7 @@
 import csv
 import math
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 
@@ -8,6 +9,7 @@ from loccgate import (
     RotatedDominoParams,
     SweepConfig,
     gate_channel,
+    gate_channels,
     random_unitary_channel,
     rotated_domino_channel,
     run_sweep,
@@ -158,6 +160,21 @@ def assert_rows_equal_gating_each_row_alone(header, rows, channels):
             assert abs(got - report.ratio) <= 2e-15
 
 
+def assert_rows_equal_gating_them_as_lists(header, rows, channels):
+    """Sweep rows equal ``gate_channels`` on each same-shape run of their channels bit for bit, since
+    both take the stacked scan (a lone channel would take the one-vector scan, so a run of one is
+    gated twice).  ``repr`` round-trips each float and tells -0.0 from 0.0."""
+    verdicts = []
+    for _, run in groupby(channels, key=lambda c: c.kraus.shape):
+        run = list(run)
+        verdicts += gate_channels(run + run[:1] if len(run) == 1 else run)[: len(run)]
+    for row, verdict in zip(rows, verdicts, strict=True):
+        got = row[header.index("ratio_party0") :]
+        want = [*(r.ratio for r in verdict.reports), verdict.lambda_hat, verdict.verdict]
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert {type(x) for x in got[:-1]} == {float}
+
+
 def one_row_channels(cfg):
     """The channels of a sweep's rows, from the public one-row constructors."""
     if cfg.family == "rotated_domino":
@@ -181,7 +198,27 @@ def test_stacked_sweep_rows_equal_gating_each_row_alone():
     header, rows = run_sweep(cfg)
     nus = [nu for nu in cfg.nu_values for _ in range(cfg.samples)]
     assert [row[1] for row in rows] == nus
-    assert_rows_equal_gating_each_row_alone(header, rows, one_row_channels(cfg))
+    channels = one_row_channels(cfg)
+    assert_rows_equal_gating_each_row_alone(header, rows, channels)
+    assert_rows_equal_gating_them_as_lists(header, rows, channels)
+
+
+def test_sweeps_build_no_verdict_objects(monkeypatch):
+    # a sweep reads its rows from the gate's columns; gate_channels builds the objects from the same
+    made = []
+    for cls in (gate.GateVerdict, gate.PartyGateReport):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=cls.__init__, **k: made.append(type(self)) or init(self, *a, **k))
+    configs = [
+        SweepConfig(family="rotated_domino", samples=3, seed=1),
+        SweepConfig(family="usd", samples=3, seed=2),
+        SweepConfig(family="random_unitary", samples=2, seed=3, dims=(2, 2), nu_values=(1, 3)),  # nu = 1: Kraus rank one
+    ]
+    swept = [run_sweep(cfg) for cfg in configs]
+    assert made == []
+    assert {id(row[-1]) for _, rows in swept for row in rows} <= set(map(id, gate._VERDICTS))  # one str per label
+    for cfg, (header, rows) in zip(configs, swept):
+        assert_rows_equal_gating_them_as_lists(header, rows, one_row_channels(cfg))
+    assert len(made) == 3 * (3 + 3 + 2 + 2) and made.count(gate.GateVerdict) == 3 + 3 + 2 + 2
 
 
 @pytest.mark.parametrize("family, samples", [("rotated_domino", 50), ("usd", 210)])
@@ -197,7 +234,9 @@ def test_packed_sweep_stacks_stay_within_stack_bytes(monkeypatch, family, sample
     stacks = [len(vecs) if vecs.ndim == 3 else 1 for vecs in scanned]
     assert sum(stacks) == samples and max(stacks) > 2
     assert max(vecs.nbytes for vecs in scanned) <= STACK_BYTES
-    assert_rows_equal_gating_each_row_alone(header, rows, one_row_channels(cfg))
+    channels = one_row_channels(cfg)
+    assert_rows_equal_gating_each_row_alone(header, rows, channels)
+    assert_rows_equal_gating_them_as_lists(header, rows, channels)
 
 
 @pytest.mark.parametrize("short, long", [
