@@ -27,13 +27,13 @@ _HOME = {
     **dict.fromkeys(("IndependentSubset", "nullspace_dimension", "select_independent_subset"), "linalg"),
     **dict.fromkeys((
         "ProtocolNode", "ProtocolTree", "domino_three_round_protocol", "protocol_to_channel",
-        "usd_oneway_protocol", "validate_protocol", "verify_protocol",
+        "usd_oneway_protocol", "verify_protocol",
     ), "protocols"),
     **dict.fromkeys(("SweepConfig", "run_sweep", "sample_rng", "write_csv_atomic"), "sweeps"),
     **dict.fromkeys((
         "RotatedDominoParams", "UsdParams", "bell_channel", "domino_channel", "haar_unitary",
-        "random_unitary_channel", "rotated_domino_channel", "rotated_domino_states",
-        "sample_usd_params", "usd_channel", "usd_states", "validate_usd_params",
+        "random_unitary_channel", "rotated_domino_channel", "sample_usd_params", "usd_channel",
+        "validate_usd_params",
     ), "zoo"),
 }
 _SUBMODULES = ("channels", "cli", "gate", "linalg", "protocols", "serialize", "sweeps", "zoo")

@@ -48,8 +48,11 @@ doubles as a closeness-to-singular diagnostic.
 
 The nullspace threshold ``rel_tol`` is the gate's only knob, and it must be a
 finite number in (0, 1): with a NaN or nonpositive one no eigenvalue counts
-as zero (a fake NOT_LOCC), with one of 1 or more nearly all do.  The subset
-tolerance, the identity residual and the Kraus-rank threshold are constants.
+as zero (a fake NOT_LOCC), with one of 1 or more nearly all do.  An eigenvalue
+below the rounding floor (``NULLSPACE_FLOOR_FACTOR``) counts as zero too, so the
+rounding that a party Gram's cancellation leaves does not certify NOT_LOCC.  The
+floor, the subset tolerance, the identity residual and the Kraus-rank threshold
+are constants.
 """
 
 from __future__ import annotations
@@ -81,6 +84,17 @@ from .linalg import (
 # as zero.  Sits between solver noise (~1e-16) and the smallest genuinely
 # nonzero ratios seen in the example families (~1e-9), with margin.
 DEFAULT_NULLSPACE_RTOL = 1e-13
+
+# A party eigenvalue also counts as zero below the rounding floor
+# NULLSPACE_FLOOR_FACTOR * D * u * max_a gram_aa, u = 2^-53, where gram is the channel's
+# party-independent Gram r^dag r + c c^dag on input dimension D.  A party Gram cancels
+# <P_a, P_b> against its partial-trace term, both of size ||P_a||^2 (~d_rest for a product
+# local to the party), while eig_max stays ~1 from c, so a null eigenvalue keeps the inner
+# products' rounding: for length L = D^2 about sqrt(L) u ||P_a||^2 (Higham & Mary's
+# probabilistic bound, SIAM J. Sci. Comput. 41, 2019).  Measured null eigenvalues of A x I
+# reached 135 u max_a gram_aa at D = 1024, 30 times under the floor.  The floor only
+# raises the threshold, so it can turn a NOT_LOCC into a candidate, never the reverse.
+NULLSPACE_FLOOR_FACTOR = 4
 
 # Hard ceiling on the completeness residual before gating is meaningless, and
 # the residual above which the CLI warns but still gates; a nan residual fails both.
@@ -411,8 +425,10 @@ def _gate_stack(
     eig_min, eig_max = np.empty(nullity.shape), np.empty(nullity.shape)
     for members, traces, gram in _selected_grams(packed_stacks(kraus), names, input_dims, stacked):
         pair_count[members] = gram.shape[-1]
+        scale = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)  # max_a gram_aa, per channel
+        floor = NULLSPACE_FLOOR_FACTOR * total * 2.0**-53 * scale
         for party, (d_party, reduced) in enumerate(zip(input_dims, traces)):
-            stats = nullspace_dimension(party_gram(reduced, gram, total // d_party), rel_tol)
+            stats = nullspace_dimension(party_gram(reduced, gram, total // d_party), rel_tol, floor)
             nullity[party, members], eig_min[party, members], eig_max[party, members] = stats
         del traces, gram, reduced  # nothing of this stack outlives it
     step = max(1, STACK_BYTES // 2 // kraus[0].nbytes)  # the guard conjugates one slice at a time

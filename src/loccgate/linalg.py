@@ -154,14 +154,15 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     return taken, onb, factor
 
 
-def nullspace_dimension(gram: np.ndarray, rel_tol: float):
+def nullspace_dimension(gram: np.ndarray, rel_tol: float, floor=0.0):
     """Numerical nullspace dimension of a matrix ``m`` from its Gram m^dag m.
 
-    Returns the count of Gram eigenvalues below ``rel_tol`` times the largest
-    plus the extreme eigenvalues; a zero Gram has nullity equal to its size.
-    A (..., n, n) stack takes one batched eigensolve and gives per-slice
-    lists; a single Gram gives Python scalars.  The input must be such a
-    Gram, Hermitian by construction: it is neither checked nor symmetrized,
+    Returns the count of Gram eigenvalues below the larger of ``rel_tol`` times
+    the largest and ``floor`` (a scalar, or one per slice of a stack: an absolute
+    rounding bound), plus the extreme eigenvalues; a zero Gram has nullity equal
+    to its size.  A (..., n, n) stack takes one batched eigensolve and gives
+    per-slice lists; a single Gram gives Python scalars.  The input must be such
+    a Gram, Hermitian by construction: it is neither checked nor symmetrized,
     and the eigensolver reads its lower triangle.
     """
     gram = np.asarray(gram, dtype=complex)
@@ -169,6 +170,6 @@ def nullspace_dimension(gram: np.ndarray, rel_tol: float):
         raise ValueError("Gram matrix must be nonempty")
     evals = np.linalg.eigvalsh(gram)
     eig_min, eig_max = evals[..., 0], evals[..., -1]
-    dim = np.count_nonzero(evals < rel_tol * eig_max[..., None], axis=-1)
+    dim = np.count_nonzero(evals < np.maximum(rel_tol * eig_max, floor)[..., None], axis=-1)
     dim = np.where(eig_max <= 0.0, gram.shape[-1], dim)
     return dim.tolist(), eig_min.tolist(), eig_max.tolist()

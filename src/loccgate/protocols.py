@@ -66,8 +66,8 @@ def _node_ops(node: ProtocolNode, local_dim: int) -> list[np.ndarray]:
     return ops
 
 
-def validate_protocol(tree: ProtocolTree) -> list[float]:
-    """Per-node completeness residuals, preorder.
+def _walk_nodes(tree: ProtocolTree) -> tuple[list[float], set[tuple[int, ...]]]:
+    """Per-node completeness residuals, preorder, and the set of per-party dims the leaves end on.
 
     Each node's operators must resolve the identity on the acting party's
     current local dimension d; with fewer than d rows in total they cannot,
@@ -75,11 +75,6 @@ def validate_protocol(tree: ProtocolTree) -> list[float]:
     ``completeness_residuals``, applied to the node's stacked rows).  Structural
     inconsistencies raise ``DimensionError`` instead of being reported.
     """
-    return _walk_nodes(tree)[0]
-
-
-def _walk_nodes(tree: ProtocolTree) -> tuple[list[float], set[tuple[int, ...]]]:
-    """``validate_protocol``'s residuals and the set of per-party dims the leaves end on."""
     residuals: list[float] = []
     leaf_dims: set[tuple[int, ...]] = set()
 

@@ -22,6 +22,11 @@ QUARTER_PI = math.pi / 4.0
 # Largest deviation of |a|^2 + |b|^2 from 1 accepted for an amplitude pair.
 AMPLITUDE_NORM_TOL = 1e-12
 
+# ``sample_usd_params``: the inset of sampled magnitudes from the family's one-way-LOCC
+# limits, and the draws it makes before giving up.
+USD_SAMPLE_MARGIN = 0.05
+USD_SAMPLE_TRIES = 10000
+
 
 def _ket(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
@@ -82,13 +87,10 @@ class RotatedDominoParams:
             if not 0.0 <= t <= QUARTER_PI:
                 raise ValueError(f"angle out of range: theta{i + 1} = {t} not in [0, pi/4]")
 
-    @property
-    def is_locc_limit(self) -> bool:
-        return any(t == 0.0 for t in self.theta)
-
 
 def _rotated_domino_states(theta) -> np.ndarray:
-    """``rotated_domino_states`` of each row of a (B, 4) angle array, shape (B, 9, 9)."""
+    """The nine orthonormal two-qutrit product states of the rotated domino family for each row
+    of a (B, 4) angle array, shape (B, 9, 9)."""
     t1, t2, t3, t4 = np.asarray(theta, dtype=float).T
     e0, e1, e2 = (_ket(i, 3) for i in range(3))
     return np.stack([
@@ -98,11 +100,6 @@ def _rotated_domino_states(theta) -> np.ndarray:
         *(_kron(v, e0) for v in _rotated_pair(e1, e2, t3)),
         *(_kron(v, e2) for v in _rotated_pair(e0, e1, t4)),
     ], axis=1)
-
-
-def rotated_domino_states(params: RotatedDominoParams) -> list[np.ndarray]:
-    """The nine orthonormal two-qutrit product states of the rotated domino family."""
-    return list(_rotated_domino_states([params.theta])[0])
 
 
 def rotated_domino_kraus(theta) -> np.ndarray:
@@ -176,10 +173,6 @@ class UsdParams:
             kind = float if name.startswith("eta") else complex
             object.__setattr__(self, name, kind(getattr(self, name)))
 
-    @property
-    def is_locc_limit(self) -> bool:
-        return self.alpha3 == 0
-
 
 def validate_usd_params(p: UsdParams, *, allow_alpha3_zero: bool = False) -> None:
     """Reject parameter sets outside the valid region, one named error each."""
@@ -207,27 +200,6 @@ def validate_usd_params(p: UsdParams, *, allow_alpha3_zero: bool = False) -> Non
             "uniqueness inequality violated: the optimal discrimination "
             "measurement is not unique for these parameters"
         )
-
-
-def usd_states(p: UsdParams, *, allow_alpha3_zero: bool = False) -> list[np.ndarray]:
-    """The four linearly independent states being discriminated, each normalized."""
-    validate_usd_params(p, allow_alpha3_zero=allow_alpha3_zero)
-    e0, e1 = _ket(0, 2), _ket(1, 2)
-    a1, b1, a3, b3 = p.alpha1, p.beta1, p.alpha3, p.beta3
-    norm = np.sqrt(abs(b3) ** 2 + abs(a3 * b1) ** 2)
-    phi1 = (
-        np.conj(b3) * np.conj(b1) * _kron(e0, e0)
-        + np.conj(b3) * np.conj(a1) * _kron(e0, e1)
-        - np.conj(a3) * np.conj(b1) * _kron(e1, e0)
-    ) / norm
-    phi2 = (
-        np.conj(b3) * np.conj(b1) * _kron(e0, e0)
-        - np.conj(b3) * np.conj(a1) * _kron(e0, e1)
-        - np.conj(a3) * np.conj(b1) * _kron(e1, e0)
-    ) / norm
-    phi3 = _kron(e1, e0)
-    phi4 = _kron(e1, e1)
-    return [phi1, phi2, phi3, phi4]
 
 
 def usd_kraus(params, *, allow_alpha3_zero: bool = False) -> np.ndarray:
@@ -282,24 +254,17 @@ def usd_channel(p: UsdParams, *, allow_alpha3_zero: bool = False) -> KrausChanne
     return KrausChannel("usd", (2, 2), 5, usd_kraus([p], allow_alpha3_zero=allow_alpha3_zero)[0])
 
 
-def sample_usd_params(
-    rng: np.random.Generator,
-    eta1: float = 0.25,
-    eta3: float = 0.25,
-    *,
-    margin: float = 0.05,
-    max_tries: int = 10000,
-) -> UsdParams:
+def sample_usd_params(rng: np.random.Generator, eta1: float = 0.25, eta3: float = 0.25) -> UsdParams:
     """Draw a valid parameter set, rejection-sampling the uniqueness inequality.
 
-    Magnitudes are uniform with a small inset (``margin``) away from the
-    known one-way-LOCC limits |alpha1| -> 0, |alpha1| -> |beta1| and
+    Magnitudes are uniform with a small inset (USD_SAMPLE_MARGIN) away from
+    the known one-way-LOCC limits |alpha1| -> 0, |alpha1| -> |beta1| and
     alpha3 -> 0, so sampled instances stay numerically certifiable.  alpha1,
     beta1 and beta3 are real positive; alpha3 carries a uniform phase.
     """
-    for _ in range(max_tries):
-        a1 = rng.uniform(margin, 1.0 / np.sqrt(2) - margin)
-        a3_abs = rng.uniform(margin, 1.0 - margin)
+    for _ in range(USD_SAMPLE_TRIES):
+        a1 = rng.uniform(USD_SAMPLE_MARGIN, 1.0 / np.sqrt(2) - USD_SAMPLE_MARGIN)
+        a3_abs = rng.uniform(USD_SAMPLE_MARGIN, 1.0 - USD_SAMPLE_MARGIN)
         a3_phase = rng.uniform(0.0, 2.0 * np.pi)
         params = UsdParams(
             alpha1=a1,
@@ -314,4 +279,4 @@ def sample_usd_params(
         except ValueError:
             continue
         return params
-    raise ValueError(f"could not sample valid parameters in {max_tries} tries")
+    raise ValueError(f"could not sample valid parameters in {USD_SAMPLE_TRIES} tries")

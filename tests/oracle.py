@@ -13,9 +13,11 @@ one-vector subset scan over a stored conjugate basis and the stacked subset
 scan with a gather and a stop test at every step.  The memory
 tests measure with ``traced_peak``.
 
-Last, it holds the one-channel helpers that only tests call: the channel's
-action on a state, a state check, Kraus remixing, one channel's completeness
-residual, Kraus rank and pair products, and a protocol's round count.
+Last, it holds the helpers that only tests call: the channel's action on a
+state, a state check, Kraus remixing, one channel's completeness residual,
+Kraus rank and pair products, the explicit states of the rotated domino and
+discrimination families, a protocol's per-node completeness residuals and
+round count, and the desk figure sweeps.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from loccgate import KrausChannel, choi_matrix, haar_unitary, select_independent_subset
+from loccgate import KrausChannel, SweepConfig, choi_matrix, haar_unitary, select_independent_subset
 from loccgate.channels import VALIDATION_TOL, completeness_residuals, kraus_ranks
 from loccgate.gate import pair_product_columns
 from loccgate.linalg import IndependentSubset, nonzero_vectors
@@ -420,6 +422,60 @@ def remix_kraus(channel: KrausChannel, v: np.ndarray) -> KrausChannel:
         raise ValueError(f"mixing matrix columns are not isometric (residual {gram_residual:.3e})")
     remixed = np.tensordot(v[:, : channel.n_kraus], channel.kraus, axes=1)
     return KrausChannel(channel.name, channel.input_dims, channel.output_dim, remixed)
+
+
+def rotated_domino_states(theta) -> list[np.ndarray]:
+    """The nine two-qutrit product states of the rotated domino family at four angles, written out."""
+    e0, e1, e2 = np.eye(3, dtype=complex)
+    (c1, c2, c3, c4), (s1, s2, s3, s4) = np.cos(theta), np.sin(theta)
+    return [
+        np.kron(e1, e1),
+        np.kron(e0, c1 * e0 + s1 * e1), np.kron(e0, s1 * e0 - c1 * e1),
+        np.kron(e2, c2 * e1 + s2 * e2), np.kron(e2, s2 * e1 - c2 * e2),
+        np.kron(c3 * e1 + s3 * e2, e0), np.kron(s3 * e1 - c3 * e2, e0),
+        np.kron(c4 * e0 + s4 * e1, e2), np.kron(s4 * e0 - c4 * e1, e2),
+    ]
+
+
+def usd_states(p) -> list[np.ndarray]:
+    """The four normalized two-qubit states that the discrimination family's measurement tells apart."""
+    e00, e01, e10, e11 = np.eye(4, dtype=complex)
+    a1, b1, a3, b3 = (np.conj(x) for x in (p.alpha1, p.beta1, p.alpha3, p.beta3))
+    norm = np.sqrt(abs(b3) ** 2 + abs(a3 * b1) ** 2)
+    return [
+        (b3 * b1 * e00 + b3 * a1 * e01 - a3 * b1 * e10) / norm,
+        (b3 * b1 * e00 - b3 * a1 * e01 - a3 * b1 * e10) / norm,
+        e10,
+        e11,
+    ]
+
+
+def node_residuals(tree) -> list[float]:
+    """Per node of a protocol tree, preorder: the largest entry of |sum_k op_k^dag op_k - I| on the
+    acting party's current dimension, each sum formed as a d x d matrix."""
+    residuals = []
+
+    def walk(node, dims):
+        ops = [np.asarray(op, dtype=complex) for op, _ in node.branches]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as a nan residual
+            total = sum(op.conj().T @ op for op in ops)
+            residuals.append(float(np.max(np.abs(total - np.eye(dims[node.party])))))
+        for op, (_, child) in zip(ops, node.branches):
+            if child is not None:
+                walk(child, [op.shape[0] if p == node.party else d for p, d in enumerate(dims)])
+
+    walk(tree.root, list(tree.initial_dims))
+    return residuals
+
+
+def desk_figure_configs(seed: int = 1) -> list[SweepConfig]:
+    """The sweeps of scripts/run_figure_sweeps.py at desk scale and master seed ``seed``."""
+    return [
+        SweepConfig(family="rotated_domino", samples=200, seed=seed),
+        SweepConfig(family="usd", samples=200, seed=seed + 1),
+        *(SweepConfig(family="random_unitary", samples=20, seed=seed + 2, dims=dims,
+                      nu_values=tuple(range(2, dims[0] * dims[1] + 3))) for dims in ((2, 2), (2, 3))),
+    ]
 
 
 def communication_rounds(tree) -> int:

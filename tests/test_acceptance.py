@@ -29,7 +29,6 @@ from loccgate import (
     sample_usd_params,
     usd_channel,
     usd_oneway_protocol,
-    usd_states,
     verify_protocol,
 )
 from loccgate.gate import _selected_grams, party_gram
@@ -42,6 +41,7 @@ from oracle import (
     recombined_basis,
     remix_kraus,
     stacked_pair_products,
+    usd_states,
 )
 
 QUARTER_PI = math.pi / 4

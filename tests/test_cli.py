@@ -19,13 +19,16 @@ from hypothesis import strategies as st
 import loccgate
 from loccgate import (
     RotatedDominoParams,
+    SweepConfig,
     bell_channel,
     domino_three_round_protocol,
     random_unitary_channel,
     rotated_domino_channel,
+    run_sweep,
     usd_oneway_protocol,
 )
 from loccgate.cli import main
+from loccgate.sweeps import FAMILIES
 from loccgate.serialize import channel_to_dict, protocol_to_dict, save_channel, save_protocol
 
 
@@ -202,6 +205,34 @@ def test_sweep_end_to_end(capsys, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("sample,theta1")
     assert len(lines) == 3
+
+
+def help_columns() -> dict[str, str]:
+    """Each family's CSV columns as ``cli.SWEEP_COLUMNS_HELP`` spells them, continuation lines joined."""
+    columns: dict[str, str] = {}
+    for line in loccgate.cli.SWEEP_COLUMNS_HELP.splitlines()[1:]:
+        head, colon, rest = line.partition(":")
+        if colon:
+            family, columns[head.strip()] = head.strip(), rest.strip()
+        else:
+            columns[family] += line.strip()
+    return columns
+
+
+@pytest.mark.parametrize("family, config", [
+    ("rotated_domino", {}),
+    ("usd", {}),
+    ("random_unitary", {"dims": (2, 3, 2), "nu_values": (2,)}),
+])
+def test_the_sweep_help_spells_the_columns_each_sweep_writes(family, config):
+    header = ",".join(run_sweep(SweepConfig(family=family, samples=1, seed=0, **config))[0])
+    spelled = help_columns()
+    assert sorted(spelled) == sorted(FAMILIES)
+    if family == "random_unitary":  # spelled for any party count P: a fixed prefix and suffix
+        prefix, suffix = spelled[family].split(",...,ratio_party{P-1},")
+        assert header == f"{prefix},ratio_party1,ratio_party2,{suffix}"
+    else:
+        assert header == spelled[family]
 
 
 def test_sweep_rejects_bad_config(capsys, tmp_path):

@@ -16,13 +16,17 @@ from loccgate import (
     VERDICT_DEGENERATE_KRAUS_RANK_ONE,
     VERDICT_FIRST_MOVE_CANDIDATES,
     VERDICT_NOT_LOCC,
+    domino_three_round_protocol,
     gate_channel,
     haar_unitary,
+    protocol_to_channel,
     random_unitary_channel,
     rotated_domino_channel,
+    run_sweep,
     sample_usd_params,
     select_independent_subset,
     usd_channel,
+    usd_oneway_protocol,
 )
 from loccgate.channels import CompletenessError, DimensionError
 from loccgate import gate
@@ -43,6 +47,7 @@ from oracle import (
     hermitian_eigenvalues,
     augmented_spectrum,
     build_q,
+    desk_figure_configs,
     identity_coefficients,
     operator_basis,
     pair_products,
@@ -246,8 +251,8 @@ def test_a_negative_zero_eigenvalue_reads_as_a_positive_zero_ratio(monkeypatch, 
     # would print as "-0.0" and make lambda_hat's sign depend on the parties' order
     solve = gate.nullspace_dimension
 
-    def negative_zero(gram, rel_tol):
-        dims, _, eig_max = solve(gram, rel_tol)
+    def negative_zero(gram, rel_tol, floor):
+        dims, _, eig_max = solve(gram, rel_tol, floor)
         return dims, [-0.0] * len(eig_max), eig_max
 
     monkeypatch.setattr(gate, "nullspace_dimension", negative_zero)
@@ -267,8 +272,8 @@ def test_columns_and_verdicts_agree_on_degenerate_rows_and_negative_zeros(monkey
     kraus = np.stack([np.stack([flags[0], flags[0]]) / 2**0.5, np.stack(flags) / 2**0.5, generic]).astype(complex)
     solve = gate.nullspace_dimension
 
-    def negative_zero(gram, rel_tol):
-        dims, _, eig_max = solve(gram, rel_tol)
+    def negative_zero(gram, rel_tol, floor):
+        dims, _, eig_max = solve(gram, rel_tol, floor)
         return dims, [-0.0] * len(eig_max), eig_max
 
     monkeypatch.setattr(gate, "nullspace_dimension", negative_zero)
@@ -345,19 +350,79 @@ def test_gate_channel_dephasing_candidates(dephasing):
     assert verdict.candidates == (0,)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the party Gram's cancellation leaves rounding near rel_tol at d_rest = 128: "
-    "party 0's eig_min reads ~1e-13 where its nullity is 3",
-)
+# The known-LOCC corpus: channels that an LOCC protocol implements, which the gate must never
+# certify NOT_LOCC.  A party Gram cancels terms of size ||P_a||^2 ~ d_rest, so without the
+# rounding floor (NULLSPACE_FLOOR_FACTOR) a true null eigenvalue can land above rel_tol * eig_max.
+
+
 @pytest.mark.parametrize("seed", [5, 36, 185])
 def test_a_known_locc_channel_never_reads_not_locc(seed):
     # K_i = A_i x I_128 for a random two-operator qubit channel A: Alice applies A and Bob
-    # does nothing, so the channel is LOCC with no communication at all
+    # does nothing, so the channel is LOCC with no communication at all.  Without the floor
+    # these seeds read NOT_LOCC, party 0's three null eigenvalues lying above rel_tol * eig_max
     rng = np.random.default_rng(seed)
     a = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0].reshape(2, 2, 2)
     channel = KrausChannel("local", (2, 128), 256, np.stack([np.kron(a_i, np.eye(128)) for a_i in a]))
+    verdict = gate_channel(channel)
+    assert verdict.verdict == VERDICT_FIRST_MOVE_CANDIDATES
+    assert verdict.reports[0].nullspace_dim == 3
+
+
+@st.composite
+def local_product_channels(draw):
+    """A x B on (d_a, d_b), D <= 256, for a random channel A of 2 or 3 Kraus operators and B one of
+    at most 2 (one: a unitary, so A x I up to local unitaries), each side then rotated by Haar
+    unitaries before and after: a channel with no communication at all."""
+    d_a = draw(st.sampled_from([2, 3, 4]))
+    d_b = draw(st.sampled_from([d for d in (2, 3, 16, 64, 128) if d_a * d <= 256]))
+    n_a, n_b = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def local_channel(n, d):
+        iso = np.linalg.qr(rng.standard_normal((n * d, d)) + 1j * rng.standard_normal((n * d, d)))[0]
+        return haar_unitary(d, rng) @ iso.reshape(n, d, d) @ haar_unitary(d, rng)
+
+    a, b = local_channel(n_a, d_a), local_channel(n_b, d_b)
+    kraus = np.stack([np.kron(a_i, b_j) for a_i in a for b_j in b])
+    return KrausChannel("local-product", (d_a, d_b), d_a * d_b, kraus)
+
+
+@settings(max_examples=20, deadline=None)
+@given(local_product_channels())
+def test_local_product_channels_never_read_not_locc(channel):
     assert gate_channel(channel).verdict != VERDICT_NOT_LOCC
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(*[st.floats(0.0, math.pi / 4) for _ in range(3)]),
+       st.floats(1e-3, math.pi / 4 - 1e-3), st.floats(0.0, 2 * math.pi))
+def test_the_built_in_protocols_never_read_not_locc(angles, usd_angle, phase):
+    # each compiled tree is an LOCC protocol, so its channel is LOCC by construction
+    domino = protocol_to_channel(domino_three_round_protocol(*angles))
+    usd = protocol_to_channel(usd_oneway_protocol(math.sin(usd_angle) * np.exp(1j * phase), math.cos(usd_angle)))
+    assert [gate_channel(c).verdict for c in (domino, usd)] == [VERDICT_FIRST_MOVE_CANDIDATES] * 2
+
+
+def test_the_rounding_floor_keeps_its_margins_on_the_desk_sweeps(monkeypatch):
+    # on the desk figure sweeps at seed 1 the floor moves no count: it stays under every party's
+    # rel_tol * eig_max, and every party of nullity 0 stays at least 1e3 times above it
+    calls = []
+    solve = gate.nullspace_dimension
+
+    def spy(gram, rel_tol, floor):
+        stats = solve(gram, rel_tol, floor)
+        calls.append((rel_tol, floor, *map(np.array, stats)))
+        return stats
+
+    monkeypatch.setattr(gate, "nullspace_dimension", spy)
+    for cfg in desk_figure_configs(1):
+        run_sweep(cfg)
+    floor, rel_line, eig_min = (np.concatenate(a) for a in zip(*(
+        (np.broadcast_to(floor, eig_max.shape), rel_tol * eig_max, np.where(nullity == 0, eig_min, np.inf))
+        for rel_tol, floor, nullity, eig_min, eig_max in calls)))
+    assert len(floor) == 2 * 640  # two parties per row
+    assert (floor < rel_line).all()
+    assert (eig_min >= 1e3 * floor).all()
 
 
 def test_gate_channel_needs_two_parties():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccgate import KrausChannel, SweepConfig, gate, haar_unitary, random_unitary_channel, run_sweep
+from loccgate import KrausChannel, gate, haar_unitary, random_unitary_channel, run_sweep
 from loccgate.linalg import (
     nonzero_vectors,
     nullspace_dimension,
@@ -13,6 +13,7 @@ from loccgate.linalg import (
 from oracle import (
     HEAVY_IDS,
     HEAVY_SHAPES,
+    desk_figure_configs,
     hermitian_eigenvalues,
     mgs_subset_indices,
     operator_basis,
@@ -469,17 +470,10 @@ def test_stacked_scan_keeps_the_reference_bits(kinds, n_vecs, length, dead, seed
 
 
 def test_stacked_scan_keeps_the_reference_bits_on_the_desk_sweep(monkeypatch):
-    # the figure sweeps of scripts/run_figure_sweeps.py at desk scale and master seed 1
-    configs = [
-        SweepConfig(family="rotated_domino", samples=200, seed=1),
-        SweepConfig(family="usd", samples=200, seed=2),
-        *(SweepConfig(family="random_unitary", samples=20, seed=3, dims=dims,
-                      nu_values=tuple(range(2, dims[0] * dims[1] + 3))) for dims in ((2, 2), (2, 3))),
-    ]
     stacks = []
     scan = gate.select_independent_subsets
     monkeypatch.setattr(gate, "select_independent_subsets", lambda stack, *rest: stacks.append(stack) or scan(stack, *rest))
-    for cfg in configs:
+    for cfg in desk_figure_configs():
         run_sweep(cfg)
     assert len(stacks) >= 20
     for stack in stacks:
@@ -565,6 +559,16 @@ def test_nullspace_of_a_stack_equals_the_per_slice_calls():
     assert np.array(maxs).reshape(-1).tolist() == pytest.approx([p[2] for p in per_slice], rel=1e-12)
     assert maxs[0][2] == 0.0
     assert [type(v) for v in per_slice[0]] == [int, float, float]  # one Gram: Python scalars
+
+
+def test_nullspace_counts_eigenvalues_below_the_larger_of_its_two_thresholds():
+    gram = np.diag([1e-10, 1e-6, 1e-3, 1.0]).astype(complex)
+    assert nullspace_dimension(gram, 1e-8)[0] == 1  # floor 0: rel_tol alone
+    assert nullspace_dimension(gram, 1e-8, 1e-12)[0] == 1  # a floor under rel_tol * eig_max moves nothing
+    assert nullspace_dimension(gram, 1e-8, 1e-4)[0] == 2
+    stack = np.stack([gram, 10 * gram])  # one floor per slice
+    assert nullspace_dimension(stack, 1e-8, np.array([1e-2, 1e-9]))[0] == [3, 1]
+    assert nullspace_dimension(np.zeros((3, 3)), 1e-8, 1.0)[0] == 3
 
 
 def test_nullspace_rejects_empty():

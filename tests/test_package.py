@@ -12,12 +12,13 @@ import pytest
 
 import loccgate
 from loccgate import linalg
-from loccgate import channels, cli, gate, protocols
+from loccgate import channels, cli, gate, protocols, zoo
 from loccgate.channels import kraus_ranks, operator_schmidt_rank
 from loccgate.gate import gate_channel
+from loccgate.linalg import nullspace_dimension
 from loccgate.protocols import protocol_to_channel, verify_protocol
 from loccgate.serialize import save_channel
-from loccgate.zoo import bell_channel, random_unitary_channel
+from loccgate.zoo import RotatedDominoParams, UsdParams, bell_channel, random_unitary_channel, sample_usd_params
 
 REMOVED = (
     "permute_party_to_front",
@@ -37,6 +38,9 @@ REMOVED = (
     "pair_products",
     "stacked_pair_products",
     "communication_rounds",
+    "usd_states",
+    "rotated_domino_states",
+    "validate_protocol",
 )
 
 
@@ -49,11 +53,11 @@ EXPORTS = {
              "VERDICT_NOT_LOCC", "gate_channel", "gate_channels"],
     "linalg": ["IndependentSubset", "nullspace_dimension", "select_independent_subset"],
     "protocols": ["ProtocolNode", "ProtocolTree", "domino_three_round_protocol",
-                  "protocol_to_channel", "usd_oneway_protocol", "validate_protocol", "verify_protocol"],
+                  "protocol_to_channel", "usd_oneway_protocol", "verify_protocol"],
     "sweeps": ["SweepConfig", "run_sweep", "sample_rng", "write_csv_atomic"],
     "zoo": ["RotatedDominoParams", "UsdParams", "bell_channel", "domino_channel", "haar_unitary",
-            "random_unitary_channel", "rotated_domino_channel", "rotated_domino_states",
-            "sample_usd_params", "usd_channel", "usd_states", "validate_usd_params"],
+            "random_unitary_channel", "rotated_domino_channel", "sample_usd_params", "usd_channel",
+            "validate_usd_params"],
 }
 
 
@@ -101,14 +105,20 @@ def test_every_exported_name_resolves():
 def test_removed_helpers_stay_removed(name):
     assert name not in loccgate.__all__
     assert not hasattr(loccgate, name)
-    assert [m.__name__ for m in (channels, cli, gate, linalg, protocols) if hasattr(m, name)] == []
+    assert [m.__name__ for m in (channels, cli, gate, linalg, protocols, zoo) if hasattr(m, name)] == []
+
+
+def test_parameter_classes_carry_no_locc_limit_flag():
+    assert [c.__name__ for c in (RotatedDominoParams, UsdParams) if hasattr(c, "is_locc_limit")] == []
 
 
 SIGNATURES = [
     (gate_channel, ["channel", "rel_tol"]),
     (kraus_ranks, ["kraus"]),
+    (nullspace_dimension, ["gram", "rel_tol", "floor"]),
     (operator_schmidt_rank, ["m", "dims", "party"]),
     (protocol_to_channel, ["tree"]),
+    (sample_usd_params, ["rng", "eta1", "eta3"]),
     (verify_protocol, ["tree", "target", "tol"]),
 ]
 

@@ -1,5 +1,4 @@
 import copy
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,11 +18,10 @@ from loccgate import (
     rotated_domino_channel,
     usd_channel,
     usd_oneway_protocol,
-    validate_protocol,
     verify_protocol,
 )
 from loccgate.channels import DimensionError, SchemaError
-from oracle import check_completeness, communication_rounds, traced_peak
+from oracle import check_completeness, communication_rounds, node_residuals, traced_peak
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -40,15 +38,17 @@ def donothing_tree() -> ProtocolTree:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: protocol_to_channel compiles a tree only if every node is a complete measurement
 
 
 def test_validate_projective_node():
-    assert max(validate_protocol(dephasing_tree())) < 1e-12
+    assert max(node_residuals(dephasing_tree())) < 1e-12
+    assert protocol_to_channel(dephasing_tree()).n_kraus == 2
 
 
 def test_validate_do_nothing_node():
-    assert max(validate_protocol(donothing_tree())) < 1e-12
+    assert max(node_residuals(donothing_tree())) < 1e-12
+    assert protocol_to_channel(donothing_tree()).n_kraus == 1
 
 
 def test_validate_rectangular_flag_node():
@@ -58,19 +58,20 @@ def test_validate_rectangular_flag_node():
     op_b = np.zeros((5, 2), dtype=complex)
     op_b[4, 1] = 1.0
     tree = ProtocolTree(2, (2, 2), ProtocolNode(1, [(op_a, None), (op_b, None)]))
-    assert max(validate_protocol(tree)) < 1e-12
+    assert max(node_residuals(tree)) < 1e-12
+    assert protocol_to_channel(tree).output_dim == 10
 
 
 def test_validate_rejects_shape_inconsistency():
     bad = ProtocolTree(2, (2, 2), ProtocolNode(0, [(np.eye(3), None)]))
-    with pytest.raises(ValueError):
-        validate_protocol(bad)
+    with pytest.raises(DimensionError, match="inconsistent with party 0 local dimension 2"):
+        protocol_to_channel(bad)
 
 
 def test_validate_reports_incomplete_node():
     lossy = ProtocolTree(2, (2, 2), ProtocolNode(0, [(P0, None)]))
-    assert max(validate_protocol(lossy)) > 0.9
-    with pytest.raises(ValueError):
+    assert max(node_residuals(lossy)) > 0.9
+    with pytest.raises(ValueError, match="max residual 1.000e"):
         protocol_to_channel(lossy)
 
 
@@ -79,7 +80,7 @@ def test_validate_rejects_overflowing_node_behind_a_complete_one():
     a = 1e200
     child = ProtocolNode(1, [(np.array([[a, a]]), None), (np.array([[a, -a]]), None)])
     tree = ProtocolTree(2, (2, 2), ProtocolNode(0, [(np.eye(2), child)]))
-    residuals = validate_protocol(tree)
+    residuals = node_residuals(tree)
     assert residuals[0] == 0.0 and np.isnan(residuals[1])
     with pytest.raises(ValueError, match="not complete measurements"):
         protocol_to_channel(tree)
@@ -91,14 +92,11 @@ def test_validate_fails_a_node_with_too_few_rows_without_a_d_by_d_matrix():
     widen = np.zeros((2048, 2), dtype=complex)
     widen[:2] = np.eye(2)
     tree = ProtocolTree(2, (2, 2), ProtocolNode(0, [(widen, child)]))
-    def validate_and_compile():
-        residuals = validate_protocol(tree)
+    def compile_it():
         with pytest.raises(ValueError, match="max residual inf"):
             protocol_to_channel(tree)
-        return residuals
 
-    peak, residuals = traced_peak(validate_and_compile)
-    assert residuals == [0.0, math.inf]
+    peak, _ = traced_peak(compile_it)
     assert peak < 2048 ** 2 * 16 // 8  # an eighth of one complex 2048 x 2048 matrix
 
 
@@ -157,7 +155,7 @@ def test_branch_reorder_choi_invariant():
 
 def test_domino_protocol_validates_and_compiles():
     tree = domino_three_round_protocol(0.3, 0.5, 0.7)
-    assert max(validate_protocol(tree)) < 1e-12
+    assert max(node_residuals(tree)) < 1e-12
     channel = protocol_to_channel(tree)
     assert channel.n_kraus == 9  # zero-probability leaves are dropped
     assert check_completeness(channel) < 1e-10
@@ -191,7 +189,8 @@ def test_domino_protocol_rejects_bad_angle():
 
 def test_usd_oneway_validates():
     tree = usd_oneway_protocol(0.4, np.sqrt(1 - 0.16))
-    assert max(validate_protocol(tree)) < 1e-10
+    assert max(node_residuals(tree)) < 1e-10
+    assert protocol_to_channel(tree).output_dim == 10
     assert tree.output_isometry is not None
 
 

@@ -145,14 +145,14 @@ def _chain_protocol_doc(depth: int) -> dict:
 
 
 def test_protocol_depth_is_capped(tmp_path):
-    from loccgate import protocol_to_channel, validate_protocol
-    from oracle import communication_rounds
+    from loccgate import protocol_to_channel
+    from oracle import communication_rounds, node_residuals
 
     path = tmp_path / "at-cap.json"
     path.write_text(json.dumps(_chain_protocol_doc(MAX_PROTOCOL_DEPTH)))
     tree = load_protocol(path)
     assert communication_rounds(tree) == MAX_PROTOCOL_DEPTH - 1
-    assert validate_protocol(tree) == [0.0] * MAX_PROTOCOL_DEPTH
+    assert node_residuals(tree) == [0.0] * MAX_PROTOCOL_DEPTH
     assert np.array_equal(protocol_to_channel(tree).kraus, np.eye(4)[None])
     with pytest.raises(SchemaError, match=f"deeper than {MAX_PROTOCOL_DEPTH} levels"):
         protocol_from_dict(_chain_protocol_doc(MAX_PROTOCOL_DEPTH + 1))

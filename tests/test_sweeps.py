@@ -141,6 +141,21 @@ def test_write_csv_atomic(tmp_path):
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    out = tmp_path / "rows.csv"
+    write_csv_atomic(out, ["a", "b"], [[1, 2]])
+    before = out.read_bytes()
+
+    def rows():
+        yield [3, 4]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv_atomic(out, ["a", "b"], rows())
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]  # no *.csv.tmp left behind
+
+
 def test_identical_seed_identical_file(tmp_path):
     cfg = SweepConfig(family="rotated_domino", samples=3, seed=21)
     for name in ("one.csv", "two.csv"):

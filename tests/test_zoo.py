@@ -14,14 +14,12 @@ from loccgate import (
     haar_unitary,
     random_unitary_channel,
     rotated_domino_channel,
-    rotated_domino_states,
     sample_usd_params,
     usd_channel,
-    usd_states,
     validate_usd_params,
 )
 from loccgate import zoo
-from oracle import check_completeness
+from oracle import check_completeness, rotated_domino_states, usd_states
 
 QUARTER_PI = np.pi / 4
 
@@ -51,13 +49,16 @@ angles4 = st.tuples(*[st.floats(0.0, QUARTER_PI, allow_nan=False) for _ in range
 @settings(max_examples=30, deadline=None)
 @given(angles4)
 def test_rotated_domino_states_orthonormal(theta):
-    states = rotated_domino_states(RotatedDominoParams(theta))
+    # the channel projects onto the nine written-out states, which are orthonormal
+    states = rotated_domino_states(theta)
     gram = np.array([[np.vdot(a, b) for b in states] for a in states])
     assert np.max(np.abs(gram - np.eye(9))) < 1e-12
+    kraus = rotated_domino_channel(RotatedDominoParams(theta)).kraus
+    assert np.max(np.abs(kraus - [np.outer(v, v.conj()) for v in states])) < 1e-15
 
 
 def test_rotated_domino_theta1_zero_special_case():
-    states = rotated_domino_states(RotatedDominoParams((0.0, 0.2, 0.3, 0.4)))
+    states = zoo._rotated_domino_states([(0.0, 0.2, 0.3, 0.4)])[0]
     e0, e1 = np.zeros(3), np.zeros(3)
     e0[0], e1[1] = 1.0, 1.0
     assert np.allclose(states[1], np.kron(e0, e0), atol=1e-14)
@@ -71,11 +72,6 @@ def test_rotated_domino_rejects_out_of_range():
         RotatedDominoParams((0.1, 0.2, 0.3, 1.0))
     with pytest.raises(ValueError):
         RotatedDominoParams((-0.1, 0.2, 0.3, 0.4))
-
-
-def test_rotated_domino_locc_limit_flag():
-    assert RotatedDominoParams((0.0, 0.1, 0.1, 0.1)).is_locc_limit
-    assert not RotatedDominoParams((0.1, 0.1, 0.1, 0.1)).is_locc_limit
 
 
 def test_rotated_domino_lambda_continuity():
@@ -143,15 +139,15 @@ def test_zoo_kets_match_np_kron(monkeypatch):
     def build():
         arrays = [*bell_channel().kraus, *domino_channel().kraus]
         for p in rotations:
-            arrays += [*rotated_domino_states(p), *rotated_domino_channel(p).kraus]
+            arrays += [*zoo._rotated_domino_states([p.theta])[0], *rotated_domino_channel(p).kraus]
         for p in usd:
-            arrays += [*usd_states(p), *usd_channel(p).kraus]
+            arrays += [*usd_channel(p).kraus]
         return arrays
 
     built = build()
     monkeypatch.setattr(zoo, "_kron", np.kron)
     reference = build()
-    assert len(built) == len(reference) == 67
+    assert len(built) == len(reference) == 59
     assert all(np.array_equal(a, b) for a, b in zip(built, reference))
 
 
@@ -295,7 +291,3 @@ def test_stacked_builds_equal_one_row_constructor_calls_bit_for_bit():
         stacked = zoo.random_unitary_kraus(dims, nu, [np.random.default_rng(s) for s in range(10)])
         assert np.array_equal(bits(stacked), bits(np.stack(one_row)))
 
-
-def test_usd_locc_limit_flag():
-    assert valid_params(alpha3=0.0, beta3=1.0).is_locc_limit
-    assert not valid_params().is_locc_limit
