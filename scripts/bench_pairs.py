@@ -7,15 +7,17 @@ tree's ``bench/run.py`` then runs in both checkouts, pair i on seed
 ``--seed + i``, the parent first in even pairs and second in odd ones.  Per
 workload it prints one table: for each end-to-end metric of
 ``BENCHMARK.json``, and each per-case median of the run's ``report`` line
-(``case_ms``), each side's median and quartiles and how many pairs the
-change won:
+(``case_ms``), each side's median and quartiles, how many pairs the
+change won and, when it is resolved, a flag:
 
     python3 scripts/bench_pairs.py --workload sweep [heavy cli] --pairs 10 --seed 3001 \
         [--parent HEAD] [--seconds 30] [--record BENCH.json]
 
 ``--record`` also writes the tables as JSON, rewritten after each workload:
 per workload its seeds, seconds, both sides' ``env`` lines (of their first
-run) and, per metric, each side's median and quartiles and the wins.
+run) and, per metric, each side's median and quartiles, the wins and the
+flag.  A gain is resolved when the change wins at least nine tenths of the
+pairs and its median beats the parent's by more than the parent's q3 - q1.
 
 Stdlib only; run it from the root of a checkout.
 """
@@ -50,7 +52,10 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
 
     ``parent`` and ``change`` hold one {metric: value} per run, pair i being
     (parent[i], change[i]).  A pair counts as a win when the change is
-    strictly better; ``wins`` counts them out of ``pairs``.
+    strictly better; ``wins`` counts them out of ``pairs``, so ties count for
+    neither side.  ``resolved`` marks a gain that stands out of the parent's
+    spread: at least nine tenths of the pairs won, and the change's median
+    better than the parent's by more than the parent's q3 - q1.
     """
     rows = []
     for name, direction in better.items():
@@ -58,12 +63,15 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             continue
         sign = 1.0 if direction == "higher" else -1.0
         pairs = list(zip((run[name] for run in parent), (run[name] for run in change)))
+        (q1, median, q3), change_q = quartiles(p for p, _ in pairs), quartiles(c for _, c in pairs)
+        wins = sum(sign * (c - p) > 0 for p, c in pairs)
         rows.append({
             "metric": name,
-            "parent": quartiles(p for p, _ in pairs),
-            "change": quartiles(c for _, c in pairs),
-            "wins": sum(sign * (c - p) > 0 for p, c in pairs),
+            "parent": (q1, median, q3),
+            "change": change_q,
+            "wins": wins,
             "pairs": len(pairs),
+            "resolved": 10 * wins >= 9 * len(pairs) and sign * (change_q[1] - median) > q3 - q1,
         })
     return rows
 
@@ -94,7 +102,7 @@ def parse_run(stdout: str, checkout) -> tuple[dict, dict]:
 
 def record(seeds: list[int], seconds: float, envs: tuple[dict, dict], rows: list[dict]) -> dict:
     """One workload's entry of the ``--record`` JSON: its seeds, seconds, the (parent, change) ``env``
-    lines and, per ``summarize`` row, each side's median and quartiles and the change's wins."""
+    lines and, per ``summarize`` row, each side's median and quartiles, the change's wins and ``resolved``."""
     return {
         "seeds": seeds,
         "seconds": seconds,
@@ -104,6 +112,7 @@ def record(seeds: list[int], seconds: float, envs: tuple[dict, dict], rows: list
                 **{side: dict(zip(("q1", "median", "q3"), row[side])) for side in ("parent", "change")},
                 "wins": row["wins"],
                 "pairs": row["pairs"],
+                "resolved": row["resolved"],
             }
             for row in rows
         },
@@ -131,12 +140,13 @@ def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
 
 
 def table(rows: list[dict]) -> list[str]:
-    """One line per ``summarize`` row: each side's median [q1, q3] and the change's wins."""
+    """One line per ``summarize`` row: each side's median [q1, q3], the change's wins and, if set, ``resolved``."""
     lines = []
     for row in rows:
         p, c = row["parent"], row["change"]
         lines.append(f"{row['metric']}: parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]  "
-                     f"change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]  wins {row['wins']}/{row['pairs']}")
+                     f"change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]  wins {row['wins']}/{row['pairs']}"
+                     + ("  resolved" if row["resolved"] else ""))
     return lines
 
 

@@ -296,18 +296,16 @@ def _selected_grams(stacks, names, dims, stacked: bool = False):
     into the Kraus stack, the ``partial_traces`` of its selected products P_a, and its Grams
     <P_a, P_b> = r^dag r plus c c^dag, shape (G, |S|, |S|), where the unit-norm c solves
     r c = h.  The scan is ``select_independent_subsets`` if ``stacked``, else the faster
-    one-vector scan of a lone channel.  ``names`` name the channels.  Stacks are freed as
-    the memory law says, so nothing else may hold one.
+    one-vector scan of a lone channel, its record read as a stack of one.  ``names`` name
+    the channels.  Stacks are freed as the memory law says, so nothing else may hold one.
     """
     for start, products in stacks:
         flat = products.reshape(*products.shape[:2], -1)
         if stacked:
             taken, basis, r = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
         else:  # a one-channel call
-            subset = select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL)
-            taken = np.isin(np.arange(flat.shape[1]), subset.indices)[None]
-            basis, r = subset.basis[None], subset.r[None]
-            del subset  # its views would keep the scan's whole buffers alive
+            taken, basis, r = (
+                a[None] for a in select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL))
         h = _identity_coefficients(basis, names[start : start + len(flat)])
         del flat, basis
         sizes = taken.sum(axis=1)

@@ -9,7 +9,7 @@ eigenproblems here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -19,18 +19,18 @@ import numpy as np
 DEFAULT_INDEPENDENCE_TOL = 1e-9
 
 
-@dataclass
-class IndependentSubset:
-    """Selected indices S and the Gram-Schmidt factor of the selected vectors.
+class IndependentSubset(namedtuple("IndependentSubset", "taken basis r")):
+    """One slice of the stacked scan's record: the selected vectors S and their Gram-Schmidt factor.
 
-    ``basis`` has orthonormal rows and ``r`` is upper triangular with a
-    positive diagonal; the selected vectors as rows, in ``indices`` order,
+    ``taken`` marks S among the input vectors.  ``basis`` has orthonormal rows and ``r`` is
+    upper triangular with a positive diagonal; the vectors of S as rows, in input order,
     equal ``r.T @ basis``, so their Gram matrix is ``r^dag r``.
     """
 
-    indices: list[int]
-    basis: np.ndarray
-    r: np.ndarray
+    @property
+    def indices(self) -> list[int]:
+        """The positions of S, ascending."""
+        return np.flatnonzero(self.taken).tolist()
 
 
 def nonzero_vectors(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -69,11 +69,11 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     length = vecs.shape[1]
     norms, nonzero = nonzero_vectors(vecs, tol)
     keep = np.flatnonzero(nonzero)
-    selected: list[int] = []
+    taken = np.zeros(len(vecs), dtype=bool)
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
     factor = np.zeros((len(onb), len(onb)), dtype=complex)
+    k = 0
     for idx, floor in zip(keep.tolist(), (tol * norms[keep]).tolist()):
-        k = len(selected)
         v = vecs[idx]
         h1 = (onb[:k] @ v.conj()).conj()  # Q^dag v
         r = v - h1 @ onb[:k]
@@ -84,11 +84,11 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
             onb[k] = r / rnorm
             factor[:k, k] = h1 + h2
             factor[k, k] = rnorm
-            selected.append(idx)
-            if k + 1 == length:
+            taken[idx] = True
+            k += 1
+            if k == length:
                 break
-    k = len(selected)
-    return IndependentSubset(indices=selected, basis=onb[:k], r=factor[:k, :k])
+    return IndependentSubset(taken, onb[:k], factor[:k, :k])
 
 
 def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
@@ -106,8 +106,8 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     accept, all slices share one k and the updates index the whole stack;
     from then on they gather the accepting slices.  The rows a slice has not
     found yet are zero, so they add nothing to its projections.  A slice's
-    record does not depend on the other slices, bit for bit; its indices
-    equal the one-vector scan's, its factor agrees to rounding.
+    record does not depend on the other slices, bit for bit; its taken mask
+    equals the one-vector scan's, its factor agrees to rounding.
     """
     vecs = np.asarray(stack, dtype=complex)
     if vecs.ndim != 3 or 0 in vecs.shape:

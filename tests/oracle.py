@@ -231,6 +231,7 @@ def reference_select_independent_subset(vectors, tol: float) -> IndependentSubse
     norms, nonzero = nonzero_vectors(vecs, tol)
     keep = np.flatnonzero(nonzero)
     selected: list[int] = []
+    taken = np.zeros(len(vecs), dtype=bool)
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
     onb_c = np.empty_like(onb)  # conj(onb), so Q^dag v is a plain product
     factor = np.zeros((len(onb), len(onb)), dtype=complex)
@@ -248,10 +249,11 @@ def reference_select_independent_subset(vectors, tol: float) -> IndependentSubse
             factor[:k, k] = h1 + h2
             factor[k, k] = rnorm
             selected.append(idx)
+            taken[idx] = True
             if k + 1 == length:
                 break
     k = len(selected)
-    return IndependentSubset(indices=selected, basis=onb[:k], r=factor[:k, :k])
+    return IndependentSubset(taken, onb[:k], factor[:k, :k])
 
 
 def reference_select_independent_subsets(stack, tol: float):

@@ -70,6 +70,23 @@ def test_table_prints_medians_quartiles_and_wins_per_metric():
         "throughput_per_s: parent 105 [102.5, 107.5]  change 112.5 [108.75, 116.25]  wins 1/2"]
 
 
+def test_a_gain_is_resolved_by_nine_tenths_of_the_pairs_and_a_median_beyond_the_parent_spread():
+    parent = [10.0 + 0.1 * i for i in range(10)]  # q1 10.225, q3 10.675
+    better = {"latency_p50_ms": "lower"}
+
+    def row(change):
+        [summary] = bench_pairs.summarize([{"latency_p50_ms": v} for v in parent],
+                                          [{"latency_p50_ms": v} for v in change], better)
+        return summary
+
+    resolved = row([p - 1.0 for p in parent[:9]] + parent[9:])  # nine wins and a tie
+    assert (resolved["wins"], resolved["resolved"]) == (9, True)
+    assert bench_pairs.table([resolved])[0].endswith("wins 9/10  resolved")
+    assert not row([p - 1.0 for p in parent[:8]] + parent[8:])["resolved"]  # eight wins
+    assert not row([p - 0.4 for p in parent])["resolved"]  # ten wins inside the parent's spread
+    assert not row([p + 1.0 for p in parent])["resolved"]  # a loss beyond the spread
+
+
 def canned_run(seed: int, commit: str, throughput: float, rss: float, case_ms: float) -> str:
     """The standard output of one ``bench/run.py`` run: env and report lines, then the final JSON."""
     env = {"workload": "heavy", "seed": seed, "trace": 0, "seconds": 30.0, "numpy": "2.4.6", "commit": commit}
@@ -98,6 +115,7 @@ def test_record_keeps_each_sides_quartiles_wins_env_seeds_and_seconds():
         "change": {"q1": 47.125, "median": 47.25, "q3": 47.375},
         "wins": 3,
         "pairs": 3,
+        "resolved": True,
     }
     assert [entry["metrics"][m]["wins"] for m in ("throughput_per_s", "case_ms.ru4x4_18")] == [2, 2]
 

@@ -181,7 +181,9 @@ def test_subset_rejects_duplicate_direction():
     v = np.array([1.0, 1.0, 0.0])
     w = np.array([0.0, 0.0, 5.0])
     subset = select_independent_subset([v, 2 * v, w], 1e-9)
-    assert subset.indices == [0, 2]
+    taken, basis, r = subset  # the stacked scan's record for one slice
+    assert taken.tolist() == [True, False, True] and subset.indices == [0, 2]
+    assert basis is subset.basis and r is subset.r
     assert np.allclose(subset.r, [[np.sqrt(2), 0.0], [0.0, 5.0]], atol=1e-12)
     assert_factor([v, 2 * v, w], subset)
 
@@ -335,11 +337,11 @@ def random_slice(rng, n_vecs, length):
 
 def assert_record_slice(taken, basis, r, vecs):
     """One slice of the stacked scan's padded record against the one-vector
-    scan of its vectors: same indices, a factor that reproduces the selected
+    scan of its vectors: same taken mask, a factor that reproduces the selected
     vectors, and exact zeros past its k rows, which the gate's identity stage
     relies on."""
+    assert np.array_equal(taken, select_independent_subset(vecs, 1e-9).taken)
     indices = np.flatnonzero(taken)
-    assert indices.tolist() == select_independent_subset(vecs, 1e-9).indices
     k = len(indices)
     assert not basis[k:].any() and not r[k:].any() and not r[:, k:].any()
     selected = vecs[indices]

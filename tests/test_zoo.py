@@ -14,6 +14,7 @@ from loccgate import (
     haar_unitary,
     random_unitary_channel,
     rotated_domino_channel,
+    sample_rng,
     sample_usd_params,
     usd_channel,
     validate_usd_params,
@@ -247,6 +248,29 @@ def test_usd_sampler_reproducible_and_valid():
     p2 = sample_usd_params(np.random.default_rng(35))
     assert p1 == p2
     validate_usd_params(p1)
+
+
+def test_usd_sampler_draws_again_after_a_rejected_triple(monkeypatch):
+    # at priors 0.1 and 0.7 the uniqueness inequality rejects many draws (1.63 draws a
+    # sample over sample_rng(3, 0..199)), the first of sample_rng(3, 4) among them
+    checked = []
+
+    def spy(params, **kwargs):
+        checked.append(params)
+        validate_usd_params(params, **kwargs)
+
+    monkeypatch.setattr(zoo, "validate_usd_params", spy)
+    draws = []
+    for index in range(200):
+        params = sample_usd_params(sample_rng(3, index), eta1=0.1, eta3=0.7)
+        assert checked[-1] is params  # returned only once it validates
+        draws.append(len(checked))
+        checked.clear()
+    monkeypatch.undo()
+    assert draws[4] == 2 and sum(draws) == 326
+    rng = sample_rng(3, 4)
+    rng.uniform(size=3)  # the rejected triple: |alpha1|, |alpha3| and the phase of alpha3
+    assert sample_usd_params(rng, eta1=0.1, eta3=0.7) == sample_usd_params(sample_rng(3, 4), eta1=0.1, eta3=0.7)
 
 
 def test_usd_ratio_shrinks_toward_alpha3_zero():
