@@ -8,7 +8,8 @@ tree's ``bench/run.py`` then runs in both checkouts, pair i on seed
 workload it prints one table: for each end-to-end metric of
 ``BENCHMARK.json``, and each per-case median of the run's ``report`` line
 (``case_ms``), each side's median and quartiles, how many pairs the
-change won and, when it is resolved, a flag:
+change won and two flags: ``resolved`` for a resolved gain, and
+``over_bound`` for a metric worse than its bound:
 
     python3 scripts/bench_pairs.py --workload sweep [heavy cli] --pairs 10 --seed 3001 \
         [--parent HEAD] [--seconds 30] [--record BENCH.json]
@@ -16,8 +17,11 @@ change won and, when it is resolved, a flag:
 ``--record`` also writes the tables as JSON, rewritten after each workload:
 per workload its seeds, seconds, both sides' ``env`` lines (of their first
 run) and, per metric, each side's median and quartiles, the wins and the
-flag.  A gain is resolved when the change wins at least nine tenths of the
-pairs and its median beats the parent's by more than the parent's q3 - q1.
+flags.  A gain is resolved when the change wins at least nine tenths of the
+pairs and its median beats the parent's by more than the parent's q3 - q1.  A
+metric is over its bound when the change's median is worse than the parent's
+by more than the metric's ``bound`` in BENCHMARK.json, a fraction of the
+parent's median; that is a regression.  Per-case medians have no bound.
 
 Stdlib only; run it from the root of a checkout.
 """
@@ -47,7 +51,8 @@ def quartiles(values) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric of ``better`` ("lower" or "higher") that every run reports.
 
     ``parent`` and ``change`` hold one {metric: value} per run, pair i being
@@ -55,8 +60,12 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     strictly better; ``wins`` counts them out of ``pairs``, so ties count for
     neither side.  ``resolved`` marks a gain that stands out of the parent's
     spread: at least nine tenths of the pairs won, and the change's median
-    better than the parent's by more than the parent's q3 - q1.
+    better than the parent's by more than the parent's q3 - q1.  ``over_bound``
+    marks a metric whose change median is worse than the parent's by more than
+    its entry of ``bounds``, taken as a fraction of the parent's median; a
+    metric with no entry is never over its bound.
     """
+    bounds = bounds or {}
     rows = []
     for name, direction in better.items():
         if not all(name in run for run in (*parent, *change)):
@@ -72,6 +81,7 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             "wins": wins,
             "pairs": len(pairs),
             "resolved": 10 * wins >= 9 * len(pairs) and sign * (change_q[1] - median) > q3 - q1,
+            "over_bound": name in bounds and sign * (median - change_q[1]) > bounds[name] * abs(median),
         })
     return rows
 
@@ -102,7 +112,8 @@ def parse_run(stdout: str, checkout) -> tuple[dict, dict]:
 
 def record(seeds: list[int], seconds: float, envs: tuple[dict, dict], rows: list[dict]) -> dict:
     """One workload's entry of the ``--record`` JSON: its seeds, seconds, the (parent, change) ``env``
-    lines and, per ``summarize`` row, each side's median and quartiles, the change's wins and ``resolved``."""
+    lines and, per ``summarize`` row, each side's median and quartiles, the change's wins, ``resolved`` and
+    ``over_bound``."""
     return {
         "seeds": seeds,
         "seconds": seconds,
@@ -113,6 +124,7 @@ def record(seeds: list[int], seconds: float, envs: tuple[dict, dict], rows: list
                 "wins": row["wins"],
                 "pairs": row["pairs"],
                 "resolved": row["resolved"],
+                "over_bound": row["over_bound"],
             }
             for row in rows
         },
@@ -140,13 +152,14 @@ def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
 
 
 def table(rows: list[dict]) -> list[str]:
-    """One line per ``summarize`` row: each side's median [q1, q3], the change's wins and, if set, ``resolved``."""
+    """One line per ``summarize`` row: each side's median [q1, q3], the change's wins and, if set,
+    ``resolved`` and ``over_bound``."""
     lines = []
     for row in rows:
         p, c = row["parent"], row["change"]
         lines.append(f"{row['metric']}: parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]  "
                      f"change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]  wins {row['wins']}/{row['pairs']}"
-                     + ("  resolved" if row["resolved"] else ""))
+                     + "".join(f"  {flag}" for flag in ("resolved", "over_bound") if row[flag]))
     return lines
 
 
@@ -154,6 +167,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(argv, [w["name"] for w in spec["workloads"]])
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     revision = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True, check=True)
     recorded = {"parent": revision.stdout.strip(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -171,7 +185,7 @@ def main(argv=None) -> int:
             seeds = list(range(args.seed, args.seed + args.pairs))
             print(f"== {workload}: {args.pairs} pairs against {args.parent}, seeds {seeds[0]}-{seeds[-1]}")
             metrics = {**better, **dict.fromkeys(cases, "lower")}
-            rows = summarize([v for v, _ in parent], [v for v, _ in change], metrics)
+            rows = summarize([v for v, _ in parent], [v for v, _ in change], metrics, bounds)
             print("\n".join(table(rows)), flush=True)
             if args.record:
                 seconds = spec["run_seconds"] if args.seconds is None else args.seconds

@@ -15,6 +15,7 @@ column needed for any projection.
 """
 
 import argparse
+from collections.abc import Iterator
 from pathlib import Path
 
 from loccgate import SweepConfig, run_sweep, write_csv_atomic
@@ -42,24 +43,18 @@ def figure_configs(samples: int, seeds: int, seed: int) -> dict[str, list[SweepC
     }
 
 
-def figure_table(configs: list[SweepConfig]) -> tuple[list[str], list[list]]:
+def figure_table(configs: list[SweepConfig]) -> tuple[list[str], Iterator[list]]:
     """(header, rows) of one figure CSV: one config's sweep as it is, or the
-    transition study, which concatenates its dimension pairs behind a dims
-    column."""
+    transition study, which chains its dimension pairs behind a dims column.
+    The headers are compared before any run is gated."""
     if len(configs) == 1:
         return run_sweep(configs[0])
-    table_header, table_rows = None, []
-    for cfg in configs:
-        header, rows = run_sweep(cfg)
-        header = ["dims", *header]
-        if table_header is None:
-            table_header = header
-        elif header != table_header:
-            # [2,3] and [2,2] have the same party count, columns must agree
-            raise RuntimeError("transition sweep column mismatch")
-        label = "x".join(map(str, cfg.dims))
-        table_rows.extend([label, *row] for row in rows)
-    return table_header, table_rows
+    headers, tables = zip(*map(run_sweep, configs))
+    if any(header != headers[0] for header in headers):
+        # [2,3] and [2,2] have the same party count, columns must agree
+        raise RuntimeError("transition sweep column mismatch")
+    labels = ["x".join(map(str, cfg.dims)) for cfg in configs]
+    return ["dims", *headers[0]], ([label, *row] for label, rows in zip(labels, tables) for row in rows)
 
 
 def main() -> int:
@@ -81,9 +76,8 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     for filename, configs in figure_configs(samples, seeds, args.seed).items():
-        header, rows = figure_table(configs)
-        write_csv_atomic(outdir / filename, header, rows)
-        print(f"wrote {outdir / filename} ({len(rows)} rows)")
+        write_csv_atomic(outdir / filename, *figure_table(configs))
+        print(f"wrote {outdir / filename}")
     return 0
 
 

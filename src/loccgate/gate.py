@@ -40,7 +40,8 @@ products, their averaging temporary and their survivors' gather) and its scan,
 L = D^2, the basis, a step's three vectors and the factor.  Each later stage
 frees what no later one reads: the basis after the identity's coordinates, the
 packed stack after the selected products' partial traces, the factor after the
-Grams, and a stack's Grams before the next stack is packed.
+Grams, and a stack's Grams before the next stack is packed.  A sweep gates one
+run at a time, so it peaks at its largest run's gate peak plus that run's rows.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),

@@ -3,7 +3,8 @@
 Every sample draws its own generator from (seed, sample index), so rows are
 reproducible independently of evaluation order.  A family's sampler yields
 runs of rows with their (B, N, d_out, D) Kraus stack, built in one array
-pass, and each run is gated as one stack.
+pass, and each run is gated as one stack when its rows are read: a sweep
+holds one run at a time, so its memory does not grow with ``samples``.
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ import csv
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
 
 from .gate import DEFAULT_NULLSPACE_RTOL, STACK_BYTES, _gate_stack, valid_rel_tol
-from .serialize import SchemaError
+from .channels import SchemaError
 from .zoo import random_unitary_kraus, rotated_domino_kraus, sample_usd_params, usd_kraus
 
 
@@ -111,7 +113,7 @@ def _rotated_domino_samples(cfg: SweepConfig):
         # theta_high - U[0, theta_high) lands in (0, theta_high]
         draws = [sample_rng(cfg.seed, s).uniform(0.0, cfg.theta_high, 4) for s in range(lo, hi)]
         theta = cfg.theta_high - np.array(draws)
-        yield np.column_stack([theta, theta.min(axis=1)]).tolist(), (3, 3), rotated_domino_kraus(theta)
+        yield np.column_stack([theta, theta.min(axis=1)]).tolist(), rotated_domino_kraus(theta)
 
 
 def _random_unitary_samples(cfg: SweepConfig):
@@ -120,7 +122,7 @@ def _random_unitary_samples(cfg: SweepConfig):
         count = cfg.samples * len(list(repeats))
         for lo, hi in _runs(count, nu, math.prod(cfg.dims)):
             rngs = [sample_rng(cfg.seed, flat + s) for s in range(lo, hi)]
-            yield [(nu,)] * (hi - lo), cfg.dims, random_unitary_kraus(cfg.dims, nu, rngs)
+            yield [(nu,)] * (hi - lo), random_unitary_kraus(cfg.dims, nu, rngs)
         flat += count
 
 
@@ -129,19 +131,21 @@ def _usd_samples(cfg: SweepConfig):
         rngs = (sample_rng(cfg.seed, s) for s in range(lo, hi))
         params = [sample_usd_params(rng, cfg.eta1, cfg.eta3) for rng in rngs]
         values = [(*map(abs, (p.alpha1, p.beta1, p.alpha3, p.beta3)), p.eta1, p.eta3) for p in params]
-        yield values, (2, 2), usd_kraus(params)
+        yield values, usd_kraus(params)
 
 
-# Family -> (parameter columns, sampler yielding runs (parameter values per row,
-# input dims, Kraus stack)).
+# Family -> (parameter columns, input dims (None: the config's), sampler yielding
+# runs (parameter values per row, Kraus stack)).
 _FAMILY_TABLE = {
     "rotated_domino": (
         ("theta1", "theta2", "theta3", "theta4", "theta_min"),
+        (3, 3),
         _rotated_domino_samples,
     ),
-    "random_unitary": (("nu",), _random_unitary_samples),
+    "random_unitary": (("nu",), None, _random_unitary_samples),
     "usd": (
         ("alpha1_abs", "beta1_abs", "alpha3_abs", "beta3_abs", "eta1", "eta3"),
+        (2, 2),
         _usd_samples,
     ),
 }
@@ -149,31 +153,36 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list]]:
+def run_sweep(cfg: SweepConfig) -> tuple[list[str], Iterator[list]]:
     """Evaluate a sweep; returns (header, rows) in deterministic order.
 
-    Each row is the sample index, the family's parameter values, one ratio
-    per party, ``lambda_hat`` and the verdict.  Each run of the family's
-    sampler is gated as one Kraus stack, with the stacked scan even for a
-    run of one row, so a row does not depend on ``samples``; rows equal those
-    of ``gate_channels`` on the same samples bit for bit, and of gating each
-    sample alone to rounding.  Rows are read from the gate's columns
-    (``gate.StackColumns``), so no verdict object is built.
+    The header follows from the config.  ``rows`` is an iterator that gates each run of the
+    family's sampler as one Kraus stack when its first row is read, with the stacked scan even
+    for a run of one row, so a row does not depend on ``samples``.  Each row is the sample index,
+    the family's parameter values, one ratio per party, ``lambda_hat`` and the verdict; rows equal
+    those of ``gate_channels`` on the same samples bit for bit, and of gating each sample alone to
+    rounding.  Rows are read from the gate's columns (``gate.StackColumns``), so no verdict object
+    is built.
     """
-    columns, samples = _FAMILY_TABLE[cfg.family]
-    rows = []
-    for values, dims, kraus in samples(cfg):
-        first = len(rows)
+    columns, dims, _ = _FAMILY_TABLE[cfg.family]
+    ratio_columns = [f"ratio_party{p}" for p in range(len(dims or cfg.dims))]
+    return ["sample", *columns, *ratio_columns, "lambda_hat", "verdict"], chain.from_iterable(_gated_runs(cfg))
+
+
+def _gated_runs(cfg: SweepConfig):
+    """The rows of each run of ``cfg``'s sampler as one list, gated when the run is reached."""
+    _, dims, samples = _FAMILY_TABLE[cfg.family]
+    first = 0
+    for values, kraus in samples(cfg):
         names = [f"{cfg.family} sample {i}" for i in range(first, first + len(kraus))]
-        gated = _gate_stack(kraus, dims, names, cfg.rel_tol)
+        gated = _gate_stack(kraus, dims or cfg.dims, names, cfg.rel_tol)
         cells = zip(values, gated.ratio.T.tolist(), gated.lambda_hat.tolist(), gated.verdict.tolist())
-        rows.extend([i, *value, *ratios, lam, verdict] for i, (value, ratios, lam, verdict) in enumerate(cells, first))
-    # SweepConfig guarantees at least one sample, so ``dims`` is bound
-    ratio_columns = [f"ratio_party{p}" for p in range(len(dims))]
-    return ["sample", *columns, *ratio_columns, "lambda_hat", "verdict"], rows
+        yield [[i, *value, *ratios, lam, verdict] for i, (value, ratios, lam, verdict) in enumerate(cells, first)]
+        del gated, cells  # the zip holds the run's column lists: free them before the next run is gated
+        first += len(kraus)
 
 
-def write_csv_atomic(path, header: list[str], rows: list[list]) -> None:
+def write_csv_atomic(path, header: list[str], rows: Iterable[list]) -> None:
     """Write a CSV to a temp file in the same directory, then rename into place."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".csv.tmp")

@@ -13,6 +13,10 @@ one-vector subset scan over a stored conjugate basis and the stacked subset
 scan with a gather and a stop test at every step.  The memory
 tests measure with ``traced_peak``.
 
+An exact oracle counts each party's nullity with ``fractions.Fraction``
+arithmetic, on channels whose operators have rational entries, so a
+``NOT_LOCC`` there holds without floating point.
+
 Last, it holds the helpers that only tests call: the channel's action on a
 state, a state check, Kraus remixing, one channel's completeness residual,
 Kraus rank and pair products, the explicit states of the rotated domino and
@@ -22,9 +26,11 @@ round count, and the desk figure sweeps.
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -487,3 +493,62 @@ def communication_rounds(tree) -> int:
         return 1 + max((depth(child) for _, child in node.branches if child is not None), default=0)
 
     return depth(tree.root) - 1
+
+
+def exact_rank(vectors) -> int:
+    """Rank of equal-length vectors of rationals, by Gaussian elimination over ``Fraction``."""
+    pivots: dict[int, list[Fraction]] = {}  # pivot column -> row with 1 there and 0 at earlier pivots
+    for v in vectors:
+        v = [Fraction(x) for x in v]
+        for col, row in pivots.items():
+            if v[col]:
+                v = [x - v[col] * y for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            pivots[lead] = [x / v[lead] for x in v]
+    return len(pivots)
+
+
+def exact_nullities(kraus, dims) -> list[int]:
+    """Each party's nullity of Q_aug in exact arithmetic, for real Kraus operators with rational entries.
+
+    With P the pair products K_i^T K_j, span P meets L(H_p) (x) I_rest in
+    rank(P) + d_p^2 - rank(P and every E_ab (x) I_rest) dimensions; the identity is one of them,
+    and Q_aug's extra row removes it.
+    """
+    products = [(np.asarray(a).T @ np.asarray(b)).ravel() for a in kraus for b in kraus]
+    rank = exact_rank(products)
+    nullities = []
+    for p, d in enumerate(dims):
+        units = [functools.reduce(np.kron, [unit.reshape(d, d) if q == p else np.eye(dq, dtype=int)
+                                            for q, dq in enumerate(dims)]).ravel()
+                 for unit in np.eye(d * d, dtype=int)]
+        nullities.append(rank + d * d - exact_rank(products + units) - 1)
+    return nullities
+
+
+def exact_projectors(vectors) -> list[np.ndarray]:
+    """|u><u| / <u|u> for each real vector u of integers, with ``Fraction`` entries."""
+    return [np.outer(u, u) * Fraction(1, int(u @ u)) for u in map(np.array, vectors)]
+
+
+def exact_rotated_domino_kraus(quarter) -> list[np.ndarray]:
+    """``rotated_domino_channel``'s projectors, in its order, at four angles each 0 or pi/4
+    (``quarter``: four flags), from unnormalised integer states."""
+    e0, e1, e2 = np.eye(3, dtype=int)
+
+    def pair(a, b, q):  # (cos t a + sin t b, sin t a - cos t b) up to a positive factor
+        return (a + b, a - b) if q else (a, -b)
+
+    t1, t2, t3, t4 = (pair(a, b, q) for (a, b), q in zip([(e0, e1), (e1, e2), (e1, e2), (e0, e1)], quarter))
+    return exact_projectors([
+        np.kron(e1, e1),
+        *(np.kron(e0, v) for v in t1), *(np.kron(e2, v) for v in t2),
+        *(np.kron(v, e0) for v in t3), *(np.kron(v, e2) for v in t4),
+    ])
+
+
+def exact_bell_kraus() -> list[np.ndarray]:
+    """``bell_channel``'s projectors, in its order, from unnormalised integer states."""
+    e00, e01, e10, e11 = np.eye(4, dtype=int)
+    return exact_projectors([e00 + e11, e00 - e11, e01 + e10, e01 - e10])

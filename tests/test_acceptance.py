@@ -107,6 +107,7 @@ def test_criterion_03_rotated_domino_sweep():
     )
     cfg = SweepConfig(family="rotated_domino", samples=200, seed=2024)
     header, rows = run_sweep(cfg)
+    rows = list(rows)
     i_theta_min = header.index("theta_min")
     i_lambda = header.index("lambda_hat")
     i_verdict = header.index("verdict")

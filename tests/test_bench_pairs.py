@@ -87,6 +87,25 @@ def test_a_gain_is_resolved_by_nine_tenths_of_the_pairs_and_a_median_beyond_the_
     assert not row([p + 1.0 for p in parent])["resolved"]  # a loss beyond the spread
 
 
+def test_a_metric_is_over_bound_when_its_change_median_is_worse_by_more_than_its_bound():
+    # the pipeline's refusal rule: worse than the parent's median by more than bound * |median|
+    better = {"latency_p50_ms": "lower", "throughput_per_s": "higher", "case_ms.bell": "lower"}
+    bounds = {"latency_p50_ms": 0.25, "throughput_per_s": 0.25}
+
+    def flags(parent, change):
+        rows = bench_pairs.summarize([dict(zip(better, v)) for v in parent], [dict(zip(better, v)) for v in change],
+                                     better, bounds)
+        return {r["metric"]: r["over_bound"] for r in rows}
+
+    parent = [(10.0, 100.0, 1.0)] * 3
+    assert flags(parent, [(12.5, 75.0, 9.0)] * 3) == dict.fromkeys(better, False)  # at the bound; no bound per case
+    assert flags(parent, [(12.6, 74.9, 9.0)] * 3) == {"latency_p50_ms": True, "throughput_per_s": True, "case_ms.bell": False}
+    assert flags(parent, [(7.0, 140.0, 0.5)] * 3) == dict.fromkeys(better, False)  # gains are never over bound
+    [row] = bench_pairs.summarize([{"latency_p50_ms": 10.0}], [{"latency_p50_ms": 13.0}], better, bounds)
+    assert bench_pairs.table([row])[0].endswith("wins 0/1  over_bound")
+    assert bench_pairs.record([1], 30.0, ({}, {}), [row])["metrics"]["latency_p50_ms"]["over_bound"] is True
+
+
 def canned_run(seed: int, commit: str, throughput: float, rss: float, case_ms: float) -> str:
     """The standard output of one ``bench/run.py`` run: env and report lines, then the final JSON."""
     env = {"workload": "heavy", "seed": seed, "trace": 0, "seconds": 30.0, "numpy": "2.4.6", "commit": commit}
@@ -116,6 +135,7 @@ def test_record_keeps_each_sides_quartiles_wins_env_seeds_and_seconds():
         "wins": 3,
         "pairs": 3,
         "resolved": True,
+        "over_bound": False,
     }
     assert [entry["metrics"][m]["wins"] for m in ("throughput_per_s", "case_ms.ru4x4_18")] == [2, 2]
 

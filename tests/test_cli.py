@@ -30,6 +30,7 @@ from loccgate import (
 from loccgate.cli import main
 from loccgate.sweeps import FAMILIES
 from loccgate.serialize import channel_to_dict, protocol_to_dict, save_channel, save_protocol
+from loccgate.zoo import usd_kraus
 
 
 def run(capsys, argv):
@@ -241,6 +242,27 @@ def test_sweep_rejects_bad_config(capsys, tmp_path):
     code, _, err = run(capsys, ["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "parse failure" in err
+
+
+def test_a_failure_in_a_later_sweep_run_exits_2_and_leaves_the_old_csv(capsys, tmp_path, monkeypatch):
+    # the rows are gated run by run while the temp file is written, so the second run's
+    # failure raises mid-write: the temp file goes, and --out keeps its old bytes
+    out = tmp_path / "o.csv"
+    out.write_bytes(b"old,bytes\n")
+    runs = []
+
+    def second_run_fails(params):
+        runs.append(len(params))
+        if len(runs) == 2:
+            raise ValueError("second run failed")
+        return usd_kraus(params)
+
+    monkeypatch.setattr(loccgate.sweeps, "usd_kraus", second_run_fails)
+    code, stdout, err = run(capsys, _sweep(tmp_path, samples=410))  # runs of 409 rows and 1
+    assert (code, stdout, err) == (2, "", "error: parse failure: second run failed\n")
+    assert runs == [409, 1]
+    assert out.read_bytes() == b"old,bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "o.csv"]  # no *.csv.tmp
 
 
 def test_input_too_large_for_memory_exits_2_without_traceback(capsys, tmp_path, bell_file, monkeypatch):

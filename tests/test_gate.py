@@ -16,6 +16,8 @@ from loccgate import (
     VERDICT_DEGENERATE_KRAUS_RANK_ONE,
     VERDICT_FIRST_MOVE_CANDIDATES,
     VERDICT_NOT_LOCC,
+    bell_channel,
+    domino_channel,
     domino_three_round_protocol,
     gate_channel,
     haar_unitary,
@@ -39,7 +41,7 @@ from loccgate.gate import (
     valid_rel_tol,
 )
 from loccgate.linalg import nonzero_vectors, nullspace_dimension
-from loccgate.zoo import random_unitary_kraus, rotated_domino_kraus
+from loccgate.zoo import QUARTER_PI, random_unitary_kraus, rotated_domino_kraus
 from oracle import (
     HEAVY_IDS,
     HEAVY_SHAPES,
@@ -48,6 +50,9 @@ from oracle import (
     augmented_spectrum,
     build_q,
     desk_figure_configs,
+    exact_bell_kraus,
+    exact_nullities,
+    exact_rotated_domino_kraus,
     identity_coefficients,
     operator_basis,
     pair_products,
@@ -306,6 +311,26 @@ def test_gate_channel_domino(domino):
     assert abs(verdict.lambda_hat - 1.0 / 6.0) < 1e-6
 
 
+EXACT_CASES = [  # (exact real Kraus operators, the same channel in floating point, exact nullities)
+    (exact_bell_kraus(), bell_channel(), [0, 0]),
+    (exact_rotated_domino_kraus((1, 1, 1, 1)), domino_channel(), [0, 0]),
+    (exact_rotated_domino_kraus((0, 1, 1, 1)),
+     rotated_domino_channel(RotatedDominoParams((0.0, QUARTER_PI, QUARTER_PI, QUARTER_PI))), [0, 1]),
+    ([np.kron(np.diag(e), np.eye(2, dtype=int)) for e in np.eye(2, dtype=int)],
+     KrausChannel("local", (2, 2), 4, [np.kron(np.diag(e), np.eye(2)) for e in np.eye(2)]), [1, 0]),
+]
+
+
+@pytest.mark.parametrize("exact, channel, nullities", EXACT_CASES, ids=["bell", "domino", "rotated-domino-t1-0", "local-2x2"])
+def test_the_exact_oracle_gives_the_gates_nullities_and_verdict(exact, channel, nullities):
+    # Gaussian elimination over Fraction: Bell and domino's NOT_LOCC holds without floating point
+    assert np.abs(np.array(exact, dtype=float) - channel.kraus).max() <= 1e-15  # the same operators
+    assert exact_nullities(exact, channel.input_dims) == nullities
+    verdict = gate_channel(channel)
+    assert [r.nullspace_dim for r in verdict.reports] == nullities
+    assert verdict.verdict == (VERDICT_FIRST_MOVE_CANDIDATES if any(nullities) else VERDICT_NOT_LOCC)
+
+
 def test_gate_channel_identity_degenerate():
     verdict = gate_channel(identity_channel())
     assert verdict.verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE
@@ -416,7 +441,7 @@ def test_the_rounding_floor_keeps_its_margins_on_the_desk_sweeps(monkeypatch):
 
     monkeypatch.setattr(gate, "nullspace_dimension", spy)
     for cfg in desk_figure_configs(1):
-        run_sweep(cfg)
+        list(run_sweep(cfg)[1])
     floor, rel_line, eig_min = (np.concatenate(a) for a in zip(*(
         (np.broadcast_to(floor, eig_max.shape), rel_tol * eig_max, np.where(nullity == 0, eig_min, np.inf))
         for rel_tol, floor, nullity, eig_min, eig_max in calls)))

@@ -95,6 +95,12 @@ def test_importing_the_package_loads_no_submodule():
     assert fresh_python(script).split() == ["True", "True", "True"]
 
 
+def test_importing_sweeps_loads_neither_serialize_nor_protocols():
+    # sweeps takes SchemaError from channels, where it is defined, not through the parsers
+    script = "import sys, loccgate.sweeps; print('loccgate.serialize' in sys.modules, 'loccgate.protocols' in sys.modules)"
+    assert fresh_python(script).split() == ["False", "False"]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in loccgate.__all__ if not hasattr(loccgate, name)]
     assert missing == []

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import groupby
 
@@ -21,6 +22,8 @@ from loccgate import gate, sweeps
 from loccgate.gate import STACK_BYTES
 from loccgate.sweeps import sample_rng
 from loccgate.serialize import SchemaError
+
+from oracle import traced_peak
 
 
 def read_csv(path):
@@ -62,6 +65,7 @@ def test_config_from_dict_and_validation():
 def test_rotated_domino_sweep_rows_and_determinism():
     cfg = SweepConfig(family="rotated_domino", samples=4, seed=7)
     header, rows = run_sweep(cfg)
+    rows = list(rows)
     assert header == [
         "sample",
         "theta1",
@@ -81,7 +85,7 @@ def test_rotated_domino_sweep_rows_and_determinism():
         assert row[5] == min(thetas)
         assert row[9] == "NOT_LOCC"
     _, rows_again = run_sweep(cfg)
-    assert rows == rows_again
+    assert rows == list(rows_again)
 
 
 def test_random_unitary_sweep_columns():
@@ -89,6 +93,7 @@ def test_random_unitary_sweep_columns():
         family="random_unitary", samples=2, seed=3, dims=(2, 2), nu_values=(2, 5)
     )
     header, rows = run_sweep(cfg)
+    rows = list(rows)
     assert header == ["sample", "nu", "ratio_party0", "ratio_party1", "lambda_hat", "verdict"]
     assert [row[1] for row in rows] == [2, 2, 5, 5]
     assert [row[0] for row in rows] == [0, 1, 2, 3]
@@ -103,6 +108,7 @@ def test_random_unitary_sweep_transition_thresholds():
         family="random_unitary", samples=20, seed=17, dims=(2, 2), nu_values=(2, 5, 6)
     )
     header, rows = run_sweep(cfg)
+    rows = list(rows)
     i_nu = header.index("nu")
     i_lambda = header.index("lambda_hat")
     ratios = [header.index("ratio_party0"), header.index("ratio_party1")]
@@ -128,6 +134,33 @@ def test_usd_sweep_rows():
     for row in rows:
         assert row[-1] == "NOT_LOCC"
         assert 0.0 < row[1] < row[2]
+
+
+def test_rows_gate_one_run_at_a_time_from_the_first_row_read(monkeypatch):
+    gated = []
+    monkeypatch.setattr(sweeps, "_gate_stack", lambda kraus, *rest: gated.append(len(kraus)) or gate._gate_stack(kraus, *rest))
+    header, rows = run_sweep(SweepConfig(family="usd", samples=410, seed=4))  # runs of 409 rows and 1
+    assert header[0] == "sample" and gated == []
+    assert next(rows)[0] == 0 and gated == [409]
+    assert [row[0] for row in rows] == list(range(1, 410)) and gated == [409, 1]
+
+
+@pytest.mark.parametrize("family", ["rotated_domino", "usd"])
+def test_a_sweep_peaks_at_one_run_whatever_its_samples(tmp_path, family):
+    # a sweep's peak is its largest run's gate peak plus that run's rows: four times the samples
+    # may add at most one run's rows (44 rotated-domino rows, 409 usd rows; ``sweeps._runs``)
+    cfg = SweepConfig(family=family, samples={"rotated_domino": 44, "usd": 409}[family], seed=3)
+    write_csv_atomic(tmp_path / "warm.csv", *run_sweep(cfg))
+    tracemalloc.start()
+    try:
+        kept = list(run_sweep(cfg)[1])
+        run_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # run_sweep is called inside the traced call, so its gating is traced whenever it happens
+    peaks = [traced_peak(lambda n=n: write_csv_atomic(tmp_path / "o.csv", *run_sweep(replace(cfg, samples=n))))[0]
+             for n in (600, 2400)]
+    assert peaks[1] - peaks[0] <= run_bytes, (peaks, run_bytes)
 
 
 def test_write_csv_atomic(tmp_path):
@@ -211,6 +244,7 @@ def test_stacked_sweep_rows_equal_gating_each_row_alone():
         family="random_unitary", samples=per_stack + 3, seed=5, dims=(2, 2), nu_values=(5, 2)
     )
     header, rows = run_sweep(cfg)
+    rows = list(rows)
     nus = [nu for nu in cfg.nu_values for _ in range(cfg.samples)]
     assert [row[1] for row in rows] == nus
     channels = one_row_channels(cfg)
@@ -228,7 +262,7 @@ def test_sweeps_build_no_verdict_objects(monkeypatch):
         SweepConfig(family="usd", samples=3, seed=2),
         SweepConfig(family="random_unitary", samples=2, seed=3, dims=(2, 2), nu_values=(1, 3)),  # nu = 1: Kraus rank one
     ]
-    swept = [run_sweep(cfg) for cfg in configs]
+    swept = [(header, list(rows)) for header, rows in map(run_sweep, configs)]
     assert made == []
     assert {id(row[-1]) for _, rows in swept for row in rows} <= set(map(id, gate._VERDICTS))  # one str per label
     for cfg, (header, rows) in zip(configs, swept):
@@ -245,6 +279,7 @@ def test_packed_sweep_stacks_stay_within_stack_bytes(monkeypatch, family, sample
         monkeypatch.setattr(gate, name, lambda vecs, *rest, scan=scan: scanned.append(vecs) or scan(vecs, *rest))
     cfg = SweepConfig(family=family, samples=samples, seed=9)
     header, rows = run_sweep(cfg)
+    rows = list(rows)
     monkeypatch.undo()
     stacks = [len(vecs) if vecs.ndim == 3 else 1 for vecs in scanned]
     assert sum(stacks) == samples and max(stacks) > 2
