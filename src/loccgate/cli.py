@@ -77,13 +77,15 @@ def _tol_type(valid, rule: str):
     return tolerance
 
 
-def _amplitude_arg(text: str) -> complex:
-    parts = _floats(text)
+def _amplitude_pair(text: str | None, default: float | None = None) -> tuple[complex, float]:
+    """``text`` as 're' or 're,im' (``default`` when None) and the real amplitude completing its pair."""
+    parts = [default] if text is None else _floats(text)
     if len(parts) not in (1, 2):
         raise SchemaError(f"expected 're' or 're,im', got {text!r}")
     if not all(abs(p) <= 1.0 for p in parts) or math.hypot(*parts) > 1.0:  # inf and nan too
         raise SchemaError(f"amplitude {text!r} has modulus above 1")
-    return complex(*parts)
+    a = complex(*parts)
+    return a, math.sqrt(max(1.0 - abs(a) ** 2, 0.0))
 
 
 def cmd_check(args) -> int:
@@ -109,30 +111,18 @@ def _build_zoo_channel(args):
     if args.name == "rotated-domino":
         if args.theta is None:
             raise SchemaError("rotated-domino needs --theta t1,t2,t3,t4")
-        angles = _floats(args.theta)
-        if len(angles) != 4:
-            raise SchemaError("--theta needs exactly four angles")
-        return zoo.rotated_domino_channel(zoo.RotatedDominoParams(tuple(angles)))
+        return zoo.rotated_domino_channel(zoo.RotatedDominoParams(tuple(_floats(args.theta))))
     if args.name == "random-unitary":
         if args.dims is None or args.nu is None:
             raise SchemaError("random-unitary needs --dims and --nu")
         rng = np.random.default_rng(args.seed)
         return zoo.random_unitary_channel(tuple(_ints(args.dims)), args.nu, rng)
     # usd, the last name argparse admits
-    if args.alpha1 is not None:
-        a1 = _amplitude_arg(args.alpha1)
-        a3 = _amplitude_arg(args.alpha3) if args.alpha3 is not None else complex(0.5)
-        params = zoo.UsdParams(
-            alpha1=a1,
-            beta1=math.sqrt(max(1.0 - abs(a1) ** 2, 0.0)),
-            alpha3=a3,
-            beta3=math.sqrt(max(1.0 - abs(a3) ** 2, 0.0)),
-            eta1=args.eta1,
-            eta3=args.eta3,
-        )
+    if args.alpha1 is None:
+        params = zoo.sample_usd_params(np.random.default_rng(args.seed), args.eta1, args.eta3)
     else:
-        rng = np.random.default_rng(args.seed)
-        params = zoo.sample_usd_params(rng, args.eta1, args.eta3)
+        (a1, b1), (a3, b3) = _amplitude_pair(args.alpha1), _amplitude_pair(args.alpha3, 0.5)
+        params = zoo.UsdParams(a1, b1, a3, b3, args.eta1, args.eta3)
     return zoo.usd_channel(params)
 
 
@@ -151,8 +141,7 @@ def cmd_protocol(args) -> int:
             raise SchemaError("--theta needs exactly three angles (theta2,theta3,theta4)")
         tree = domino_three_round_protocol(*angles)
     else:  # usd-oneway, the only other name argparse admits
-        a1 = _amplitude_arg(args.alpha1) if args.alpha1 is not None else complex(0.4)
-        tree = usd_oneway_protocol(a1, math.sqrt(max(1.0 - abs(a1) ** 2, 0.0)))
+        tree = usd_oneway_protocol(*_amplitude_pair(args.alpha1, 0.4))
     save_protocol(tree, args.out)
     return EXIT_OK
 

@@ -40,40 +40,33 @@ class ProtocolNode:
 
 @dataclass
 class ProtocolTree:
-    """Rooted measurement tree over ``parties`` subsystems of ``initial_dims``.
+    """Rooted measurement tree over the subsystems of ``initial_dims``, one party each.
 
     ``output_isometry``, when present, maps the compiled channel's output
     space onto a target channel's output space; built-in protocols supply it
     whenever their raw output space is a relabeling of the target's.
     """
 
-    parties: int
     initial_dims: tuple[int, ...]
     root: ProtocolNode
     output_isometry: np.ndarray | None = field(default=None)
 
-
-def _node_ops(node: ProtocolNode, local_dim: int) -> list[np.ndarray]:
-    if not node.branches:
-        raise ValueError("protocol node has no branches")
-    ops = [np.asarray(op, dtype=complex) for op, _ in node.branches]
-    for op in ops:
-        if op.ndim != 2 or op.shape[1] != local_dim:
-            raise DimensionError(
-                f"operator of shape {op.shape} inconsistent with party "
-                f"{node.party} local dimension {local_dim}"
-            )
-    return ops
+    @property
+    def parties(self) -> int:
+        return len(self.initial_dims)
 
 
-def _walk_nodes(tree: ProtocolTree) -> tuple[list[float], set[tuple[int, ...]]]:
-    """Per-node completeness residuals, preorder, and the set of per-party dims the leaves end on.
+def _walk_nodes(tree: ProtocolTree) -> int:
+    """Validate the tree and return the output dimension its leaves end on; nothing is compiled.
 
     Each node's operators must resolve the identity on the acting party's
     current local dimension d; with fewer than d rows in total they cannot,
     and the residual is inf with no d x d matrix formed (the channel rule,
-    ``completeness_residuals``, applied to the node's stacked rows).  Structural
-    inconsistencies raise ``DimensionError`` instead of being reported.
+    ``completeness_residuals``, applied to the node's stacked rows).  In
+    preorder, a party out of range or an operator not d columns wide raises
+    ``DimensionError`` and a node with no branches ``ValueError``; after the
+    walk, an incomplete node raises ``CompletenessError`` and leaves that end
+    on different dims ``DimensionError``.
     """
     residuals: list[float] = []
     leaf_dims: set[tuple[int, ...]] = set()
@@ -81,8 +74,16 @@ def _walk_nodes(tree: ProtocolTree) -> tuple[list[float], set[tuple[int, ...]]]:
     def walk(node: ProtocolNode, dims: list[int]) -> None:
         if not 0 <= node.party < tree.parties:
             raise DimensionError(f"party index {node.party} out of range")
+        if not node.branches:
+            raise ValueError("protocol node has no branches")
         local_dim = dims[node.party]
-        ops = _node_ops(node, local_dim)
+        ops = [np.asarray(op, dtype=complex) for op, _ in node.branches]
+        for op in ops:
+            if op.ndim != 2 or op.shape[1] != local_dim:
+                raise DimensionError(
+                    f"operator of shape {op.shape} inconsistent with party "
+                    f"{node.party} local dimension {local_dim}"
+                )
         # the stacked rows as one Kraus operator: its K^dag K is sum op^dag op
         residuals.append(float(completeness_residuals(np.concatenate(ops)[None, None])[0]))
         for op, (_, child) in zip(ops, node.branches):
@@ -94,16 +95,6 @@ def _walk_nodes(tree: ProtocolTree) -> tuple[list[float], set[tuple[int, ...]]]:
                 walk(child, new_dims)
 
     walk(tree.root, list(tree.initial_dims))
-    return residuals, leaf_dims
-
-
-def _output_dim(tree: ProtocolTree) -> int:
-    """Validate the tree and return the output dimension its leaves end on; nothing is compiled.
-
-    Raises ``CompletenessError`` for a node that is not a complete
-    measurement and ``DimensionError`` for leaves that end on different dims.
-    """
-    residuals, leaf_dims = _walk_nodes(tree)
     if not (np.array(residuals) <= VALIDATION_TOL).all():  # a nan residual fails too
         raise CompletenessError(
             f"protocol nodes are not complete measurements (max residual {max(residuals):.3e})"
@@ -122,11 +113,11 @@ def protocol_to_channel(tree: ProtocolTree) -> KrausChannel:
     unreachable (zero-probability branches kept only for node completeness)
     and are dropped from the Kraus list.
     """
-    return _compile(tree, _output_dim(tree))
+    return _compile(tree, _walk_nodes(tree))
 
 
 def _compile(tree: ProtocolTree, out_dim: int) -> KrausChannel:
-    """``protocol_to_channel`` of a tree that ``_output_dim`` has validated, its leaves ending on ``out_dim``."""
+    """``protocol_to_channel`` of a tree that ``_walk_nodes`` has validated, its leaves ending on ``out_dim``."""
     leaves: list[np.ndarray] = []
 
     def walk(node: ProtocolNode, dims: list[int], acc: np.ndarray) -> None:
@@ -165,7 +156,7 @@ def verify_protocol(
         raise DimensionError(f"protocol input dims {tree.initial_dims}, target input {target.dim}")
     iso = None if tree.output_isometry is None else np.asarray(tree.output_isometry, dtype=complex)
     width = target.output_dim if iso is None else iso.shape[1] if iso.ndim == 2 else None
-    total_out = _output_dim(tree)
+    total_out = _walk_nodes(tree)
     if total_out != width:
         side = "target outputs" if iso is None else f"isometry of shape {iso.shape} acts on"
         raise DimensionError(f"protocol outputs {total_out}, {side} {width}")
@@ -188,11 +179,9 @@ def domino_three_round_protocol(theta2: float, theta3: float, theta4: float) -> 
     branches are kept so every node is a complete measurement; their leaves
     compile to exactly zero and are dropped.
     """
-    from .zoo import QUARTER_PI, _ket, _proj, _rotated_pair  # here, so compiling a tree never loads zoo
+    from .zoo import RotatedDominoParams, _ket, _proj, _rotated_pair  # here, so compiling a tree never loads zoo
 
-    for label, t in (("theta2", theta2), ("theta3", theta3), ("theta4", theta4)):
-        if not 0.0 <= t <= QUARTER_PI:
-            raise ValueError(f"angle out of range: {label} = {t} not in [0, pi/4]")
+    RotatedDominoParams((0.0, theta2, theta3, theta4))  # the family's angle rule
     alice, bob = 0, 1
     e0, e1, e2 = (_ket(i, 3) for i in range(3))
     p0, p1, p2 = _proj(e0), _proj(e1), _proj(e2)
@@ -208,7 +197,7 @@ def domino_three_round_protocol(theta2: float, theta3: float, theta4: float) -> 
     alice_splits = ProtocolNode(alice, [(p0 + p1, bob_refines), (p2, bob_resolves_pair2)])
     alice_after_bob0 = ProtocolNode(alice, leaves(p0, *map(_proj, _rotated_pair(e1, e2, theta3))))
     root = ProtocolNode(bob, [(p0, alice_after_bob0), (p1 + p2, alice_splits)])
-    return ProtocolTree(parties=2, initial_dims=(3, 3), root=root)
+    return ProtocolTree(initial_dims=(3, 3), root=root)
 
 
 def usd_oneway_protocol(alpha1: complex, beta1: complex) -> ProtocolTree:
@@ -220,16 +209,12 @@ def usd_oneway_protocol(alpha1: complex, beta1: complex) -> ProtocolTree:
     (alpha1, beta1).  The attached output isometry merges Alice's leftover
     qubit with Bob's flag into the target's single flag register.
     """
-    from .zoo import AMPLITUDE_NORM_TOL, _ket, _proj
+    from .zoo import UsdParams, _ket, _proj, validate_usd_params
 
     a1, b1 = complex(alpha1), complex(beta1)
-    if abs(abs(a1) ** 2 + abs(b1) ** 2 - 1.0) > AMPLITUDE_NORM_TOL:
-        raise ValueError("amplitudes must be normalized")
-    if not 0.0 < abs(a1) < abs(b1):
-        raise ValueError("requires 0 < |alpha1| < |beta1|")
+    validate_usd_params(UsdParams(a1, b1, 0.0, 1.0), allow_alpha3_zero=True)  # the family's rule at its limit
     c1 = 1.0 / (np.sqrt(2) * abs(b1))
-    c3_sq = 1.0 - abs(a1 / b1) ** 2
-    if c3_sq <= 0.0:
+    if (c3_sq := 1.0 - abs(a1 / b1) ** 2) <= 0.0:  # |alpha1 / beta1| can round to 1 though |alpha1| < |beta1|
         raise ValueError("no valid proportionality constants for Bob's measurement")
     c3 = np.sqrt(c3_sq)
     e0, e1 = _ket(0, 2), _ket(1, 2)
@@ -252,4 +237,4 @@ def usd_oneway_protocol(alpha1: complex, beta1: complex) -> ProtocolTree:
         iso[f, 0 * 5 + f] = 1.0
     for f in (2, 3):
         iso[f, 1 * 5 + f] = 1.0
-    return ProtocolTree(parties=2, initial_dims=(2, 2), root=root, output_isometry=iso)
+    return ProtocolTree(initial_dims=(2, 2), root=root, output_isometry=iso)

@@ -176,7 +176,7 @@ def protocol_from_dict(doc: dict) -> ProtocolTree:
     iso = None
     if doc.get("output_isometry") is not None:
         iso = matrix_from_json(doc["output_isometry"], where="output_isometry")
-    return ProtocolTree(parties=parties, initial_dims=dims, root=root, output_isometry=iso)
+    return ProtocolTree(initial_dims=dims, root=root, output_isometry=iso)
 
 
 def load_protocol(path) -> ProtocolTree:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gate import DEFAULT_NULLSPACE_RTOL, STACK_BYTES, _gate_stack, valid_rel_tol
 from .channels import SchemaError
-from .zoo import random_unitary_kraus, rotated_domino_kraus, sample_usd_params, usd_kraus
+from .zoo import random_unitary_kraus, rotated_domino_kraus, sample_usd_params, usd_kraus, valid_usd_priors
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ class SweepConfig:
                 raise SchemaError("nu_values must be positive")
             if len(self.dims) < 2 or any(d < 1 for d in self.dims):
                 raise SchemaError("dims must list at least two positive party dimensions")
-        if self.family == "usd" and not (
-            self.eta1 > 0 and self.eta3 > 0 and 2 * self.eta1 + self.eta3 < 1
-        ):
+        if self.family == "usd" and not valid_usd_priors(self.eta1, self.eta3):
             raise SchemaError("usd priors must satisfy eta1 > 0, eta3 > 0 and 2*eta1 + eta3 < 1")
 
     @staticmethod

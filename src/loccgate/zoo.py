@@ -174,10 +174,17 @@ class UsdParams:
             object.__setattr__(self, name, kind(getattr(self, name)))
 
 
+def valid_usd_priors(eta1, eta3) -> bool:
+    """The usd priors must satisfy eta1 > 0, eta3 > 0 and 2*eta1 + eta3 < 1."""
+    return eta1 > 0 and eta3 > 0 and 2 * eta1 + eta3 < 1  # false for nan
+
+
 def validate_usd_params(p: UsdParams, *, allow_alpha3_zero: bool = False) -> None:
     """Reject parameter sets outside the valid region, one named error each."""
     for label, a, b in (("1", p.alpha1, p.beta1), ("3", p.alpha3, p.beta3)):
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > AMPLITUDE_NORM_TOL:
+        # a modulus past 1 + tol is caught before its square can overflow; a nan fails too
+        if not (max(abs(a), abs(b)) <= 1.0 + AMPLITUDE_NORM_TOL
+                and abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= AMPLITUDE_NORM_TOL):
             raise ValueError(f"amplitude pair {label} is not normalized")
         if b == 0:
             raise ValueError(f"beta{label} must be nonzero")
@@ -187,7 +194,7 @@ def validate_usd_params(p: UsdParams, *, allow_alpha3_zero: bool = False) -> Non
         raise ValueError("alpha3 must be nonzero (alpha3 = 0 is the known one-way limit)")
     if not abs(p.alpha1) < abs(p.beta1):
         raise ValueError("requires |alpha1| < |beta1| strictly")
-    if not (p.eta1 > 0 and p.eta3 > 0 and 2 * p.eta1 + p.eta3 < 1):
+    if not valid_usd_priors(p.eta1, p.eta3):
         raise ValueError("priors must satisfy eta1 > 0, eta3 > 0 and 2*eta1 + eta3 < 1")
     lhs = (1.0 - abs(p.alpha1 * p.beta3 / p.beta1) ** 2) ** 2
     rhs = (
@@ -202,15 +209,14 @@ def validate_usd_params(p: UsdParams, *, allow_alpha3_zero: bool = False) -> Non
         )
 
 
-def usd_kraus(params, *, allow_alpha3_zero: bool = False) -> np.ndarray:
+def usd_kraus(params) -> np.ndarray:
     """``usd_channel``'s Kraus operators for each parameter set of ``params``, shape (B, 5, 5, 4).
 
-    Each row's scalars are computed in Python, as numpy's complex division
-    rounds differently; only the arrays are assembled for all rows at once.
+    Each set must already be valid (``validate_usd_params``).  Each row's scalars are computed
+    in Python, as numpy's complex division rounds differently; the arrays are assembled at once.
     """
     rows = []
     for p in params:
-        validate_usd_params(p, allow_alpha3_zero=allow_alpha3_zero)
         a1, b1, a3, b3 = p.alpha1, p.beta1, p.alpha3, p.beta3
         try:  # a tiny alpha1 overflows q, or its square in p1
             with np.errstate(all="raise", under="ignore"):
@@ -251,7 +257,8 @@ def usd_channel(p: UsdParams, *, allow_alpha3_zero: bool = False) -> KrausChanne
     vectors Psi_n are entered exactly as defined by the measurement; Psi_3 is
     deliberately unnormalized and its weight p_3 compensates.
     """
-    return KrausChannel("usd", (2, 2), 5, usd_kraus([p], allow_alpha3_zero=allow_alpha3_zero)[0])
+    validate_usd_params(p, allow_alpha3_zero=allow_alpha3_zero)
+    return KrausChannel("usd", (2, 2), 5, usd_kraus([p])[0])
 
 
 def sample_usd_params(rng: np.random.Generator, eta1: float = 0.25, eta3: float = 0.25) -> UsdParams:

@@ -71,7 +71,7 @@ def isometry_chain():
     node = None
     for party in (2, 1, 0):
         node = ProtocolNode(party, [(iso, node)])
-    return ProtocolTree(3, (2, 2, 2), node)
+    return ProtocolTree((2, 2, 2), node)
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -16,9 +17,9 @@ from loccgate import channels, cli, gate, protocols, zoo
 from loccgate.channels import kraus_ranks, operator_schmidt_rank
 from loccgate.gate import gate_channel
 from loccgate.linalg import nullspace_dimension
-from loccgate.protocols import protocol_to_channel, verify_protocol
+from loccgate.protocols import ProtocolTree, protocol_to_channel, verify_protocol
 from loccgate.serialize import save_channel
-from loccgate.zoo import RotatedDominoParams, UsdParams, bell_channel, random_unitary_channel, sample_usd_params
+from loccgate.zoo import RotatedDominoParams, UsdParams, bell_channel, random_unitary_channel, sample_usd_params, usd_kraus
 
 REMOVED = (
     "permute_party_to_front",
@@ -125,6 +126,7 @@ SIGNATURES = [
     (operator_schmidt_rank, ["m", "dims", "party"]),
     (protocol_to_channel, ["tree"]),
     (sample_usd_params, ["rng", "eta1", "eta3"]),
+    (usd_kraus, ["params"]),
     (verify_protocol, ["tree", "target", "tol"]),
 ]
 
@@ -132,6 +134,11 @@ SIGNATURES = [
 @pytest.mark.parametrize("func, params", SIGNATURES, ids=[f.__name__ for f, _ in SIGNATURES])
 def test_public_signatures_have_no_extra_knobs(func, params):
     assert list(inspect.signature(func).parameters) == params
+
+
+def test_a_protocol_tree_takes_its_party_count_from_its_dims():
+    assert [f.name for f in dataclasses.fields(ProtocolTree)] == ["initial_dims", "root", "output_isometry"]
+    assert ProtocolTree((2, 3, 4), root=None).parties == 3
 
 
 def load_bench_tracer(monkeypatch):

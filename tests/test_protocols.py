@@ -29,12 +29,12 @@ P1 = np.diag([0.0, 1.0]).astype(complex)
 
 def dephasing_tree() -> ProtocolTree:
     root = ProtocolNode(0, [(P0, None), (P1, None)])
-    return ProtocolTree(parties=2, initial_dims=(2, 2), root=root)
+    return ProtocolTree(initial_dims=(2, 2), root=root)
 
 
 def donothing_tree() -> ProtocolTree:
     root = ProtocolNode(0, [(np.eye(2, dtype=complex), None)])
-    return ProtocolTree(parties=2, initial_dims=(2, 2), root=root)
+    return ProtocolTree(initial_dims=(2, 2), root=root)
 
 
 # ---------------------------------------------------------------------------
@@ -57,19 +57,27 @@ def test_validate_rectangular_flag_node():
     op_a[3, 0] = 1.0
     op_b = np.zeros((5, 2), dtype=complex)
     op_b[4, 1] = 1.0
-    tree = ProtocolTree(2, (2, 2), ProtocolNode(1, [(op_a, None), (op_b, None)]))
+    tree = ProtocolTree((2, 2), ProtocolNode(1, [(op_a, None), (op_b, None)]))
     assert max(node_residuals(tree)) < 1e-12
     assert protocol_to_channel(tree).output_dim == 10
 
 
 def test_validate_rejects_shape_inconsistency():
-    bad = ProtocolTree(2, (2, 2), ProtocolNode(0, [(np.eye(3), None)]))
+    bad = ProtocolTree((2, 2), ProtocolNode(0, [(np.eye(3), None)]))
     with pytest.raises(DimensionError, match="inconsistent with party 0 local dimension 2"):
         protocol_to_channel(bad)
 
 
+def test_validate_rejects_a_party_beyond_the_initial_dims():
+    tree = ProtocolTree((2, 2), ProtocolNode(2, [(np.eye(2), None)]))
+    with pytest.raises(DimensionError, match="party index 2 out of range"):
+        protocol_to_channel(tree)
+    with pytest.raises(DimensionError, match="party index 2 out of range"):
+        verify_protocol(tree, bell_channel())
+
+
 def test_validate_reports_incomplete_node():
-    lossy = ProtocolTree(2, (2, 2), ProtocolNode(0, [(P0, None)]))
+    lossy = ProtocolTree((2, 2), ProtocolNode(0, [(P0, None)]))
     assert max(node_residuals(lossy)) > 0.9
     with pytest.raises(ValueError, match="max residual 1.000e"):
         protocol_to_channel(lossy)
@@ -79,7 +87,7 @@ def test_validate_rejects_overflowing_node_behind_a_complete_one():
     # the cross terms of a^2 and -a^2 overflow to inf - inf: a nan residual
     a = 1e200
     child = ProtocolNode(1, [(np.array([[a, a]]), None), (np.array([[a, -a]]), None)])
-    tree = ProtocolTree(2, (2, 2), ProtocolNode(0, [(np.eye(2), child)]))
+    tree = ProtocolTree((2, 2), ProtocolNode(0, [(np.eye(2), child)]))
     residuals = node_residuals(tree)
     assert residuals[0] == 0.0 and np.isnan(residuals[1])
     with pytest.raises(ValueError, match="not complete measurements"):
@@ -91,7 +99,7 @@ def test_validate_fails_a_node_with_too_few_rows_without_a_d_by_d_matrix():
     child = ProtocolNode(0, [(np.full((1, 2048), 2048 ** -0.5), None)])
     widen = np.zeros((2048, 2), dtype=complex)
     widen[:2] = np.eye(2)
-    tree = ProtocolTree(2, (2, 2), ProtocolNode(0, [(widen, child)]))
+    tree = ProtocolTree((2, 2), ProtocolNode(0, [(widen, child)]))
     def compile_it():
         with pytest.raises(ValueError, match="max residual inf"):
             protocol_to_channel(tree)
@@ -121,7 +129,7 @@ def test_compile_rejects_inconsistent_leaf_dims():
     wide[0, 0] = wide[1, 1] = 1.0
     root = ProtocolNode(0, [(P0 @ P0, None), (wide @ P1, None)])
     # both branches complete (P0 + P1 = I) but land in different output spaces
-    tree = ProtocolTree(2, (2, 2), root)
+    tree = ProtocolTree((2, 2), root)
     with pytest.raises(ValueError, match="inconsistent leaf output dimensions"):
         protocol_to_channel(tree)
 
@@ -179,8 +187,11 @@ def test_domino_protocol_matches_target_channels():
 
 
 def test_domino_protocol_rejects_bad_angle():
-    with pytest.raises(ValueError):
-        domino_three_round_protocol(1.0, 0.2, 0.3)
+    for good in (0.0, -0.0, np.pi / 4):
+        assert protocol_to_channel(domino_three_round_protocol(good, 0.2, 0.3)).n_kraus == 9
+    for bad in (1.0, np.nextafter(np.pi / 4, 1), -1e-300, np.nan):
+        with pytest.raises(ValueError):
+            domino_three_round_protocol(bad, 0.2, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +241,18 @@ def test_usd_oneway_complex_alpha1():
 
 
 def test_usd_oneway_rejects_bad_amplitudes():
-    with pytest.raises(ValueError):
-        usd_oneway_protocol(0.9, np.sqrt(1 - 0.81))  # |alpha1| > |beta1|
-    with pytest.raises(ValueError):
-        usd_oneway_protocol(0.5, 0.5)  # not normalized
+    for a1, b1 in ((0.4, np.sqrt(0.84)), (0.3 * np.exp(0.4j), np.sqrt(0.91))):
+        assert usd_oneway_protocol(a1, b1).output_isometry is not None
+    for a1, b1 in (
+        (0.9, np.sqrt(1 - 0.81)),  # |alpha1| > |beta1|
+        (0.0, 1.0),  # alpha1 = 0
+        (np.sqrt(0.5), np.sqrt(0.5)),  # |alpha1| = |beta1|
+        (0.5, 0.5),  # not normalized
+        (np.nan, np.sqrt(0.84)),
+        (-0.4784551437882551 + 0.5206540841888788j, 0.7071067811865476),  # |alpha1 / beta1| rounds to 1
+    ):
+        with pytest.raises(ValueError):
+            usd_oneway_protocol(a1, b1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +284,7 @@ def test_verify_checks_dims_before_compiling(no_compiling, isometry_chain):
     with pytest.raises(DimensionError, match="isometry"):
         verify_protocol(replace(isometry_chain, output_isometry=np.eye(8)), identity)
     # an incomplete node behind mismatched input dims: the input check comes first
-    lossy = ProtocolTree(2, (3, 1), ProtocolNode(0, [(np.ones((1, 3)), None)]))
+    lossy = ProtocolTree((3, 1), ProtocolNode(0, [(np.ones((1, 3)), None)]))
     with pytest.raises(DimensionError, match="protocol input dims"):
         verify_protocol(lossy, bell_channel())
 

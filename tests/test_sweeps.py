@@ -18,7 +18,7 @@ from loccgate import (
     usd_channel,
     write_csv_atomic,
 )
-from loccgate import gate, sweeps
+from loccgate import gate, sweeps, zoo
 from loccgate.gate import STACK_BYTES
 from loccgate.sweeps import sample_rng
 from loccgate.serialize import SchemaError
@@ -134,6 +134,16 @@ def test_usd_sweep_rows():
     for row in rows:
         assert row[-1] == "NOT_LOCC"
         assert 0.0 < row[1] < row[2]
+
+
+def test_a_usd_sweep_validates_each_row_once(monkeypatch):
+    # sample_usd_params validates what it returns; usd_kraus does not check it again
+    calls = []
+    validate = zoo.validate_usd_params
+    monkeypatch.setattr(zoo, "validate_usd_params", lambda p, **k: calls.append(p) or validate(p, **k))
+    _, rows = run_sweep(SweepConfig(family="usd", samples=200, seed=2))
+    assert len(list(rows)) == 200
+    assert len(calls) == 200
 
 
 def test_rows_gate_one_run_at_a_time_from_the_first_row_read(monkeypatch):

@@ -17,6 +17,7 @@ from loccgate import (
     sample_rng,
     sample_usd_params,
     usd_channel,
+    usd_oneway_protocol,
     validate_usd_params,
 )
 from loccgate import zoo
@@ -282,6 +283,18 @@ def test_usd_ratio_shrinks_toward_alpha3_zero():
         assert r_small.ratio < r_big.ratio
 
 
+def test_a_huge_or_nan_amplitude_is_not_normalized_rather_than_an_overflow():
+    # squaring 1e200 overflows a Python float, and a nan compares false with every bound
+    with pytest.raises(ValueError, match="amplitude pair 1 is not normalized"):
+        validate_usd_params(UsdParams(1e200, 0.5, 0.3, 0.9))
+    with pytest.raises(ValueError, match="amplitude pair 3 is not normalized"):
+        validate_usd_params(UsdParams(0.4, np.sqrt(0.84), 0.0, np.nan), allow_alpha3_zero=True)
+    with pytest.raises(ValueError, match="amplitude pair 1 is not normalized"):
+        usd_channel(UsdParams(0.3, 1e200, 0.3, 0.9))
+    with pytest.raises(ValueError, match="amplitude pair 1 is not normalized"):
+        usd_oneway_protocol(1e200, 0.5)
+
+
 @pytest.mark.parametrize("alpha1", [1e-300, 5e-324])
 def test_usd_channel_rejects_alpha1_too_small_without_warning(recwarn, alpha1):
     # squaring 1/alpha1 overflows; a subnormal alpha1 already overflows the division
@@ -308,7 +321,7 @@ def test_stacked_builds_equal_one_row_constructor_calls_bit_for_bit():
         valid_params(alpha3=0.0, beta3=1.0),
     ]
     one_row = [usd_channel(p, allow_alpha3_zero=True).kraus for p in params]
-    assert np.array_equal(bits(zoo.usd_kraus(params, allow_alpha3_zero=True)), bits(np.stack(one_row)))
+    assert np.array_equal(bits(zoo.usd_kraus(params)), bits(np.stack(one_row)))
 
     for dims, nu in (((2, 2), 1), ((2, 3), 8), ((2, 2, 2), 9)):
         one_row = [random_unitary_channel(dims, nu, np.random.default_rng(s)).kraus for s in range(10)]
