@@ -15,7 +15,8 @@ seed.  Run it before and after a change and diff the output:
 
 Some verdict digests depend on the BLAS thread count: OpenBLAS's eigensolver
 rounds differently on one thread and on two for the larger Grams, so compare
-digests only on one machine with one thread setting.  The numpy version, BLAS
+digests only on one machine with one thread setting.  The cold CLI processes run
+on one thread unless a BLAS thread count is set.  The numpy version, BLAS
 library, OPENBLAS_NUM_THREADS and CPU count are printed as one line to stderr.
 """
 

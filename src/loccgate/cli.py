@@ -10,7 +10,11 @@ failure), 2 for any other ``ValueError`` (parse failure, an out-of-range --tol
 included), an input too large for memory and an --out that cannot be written.
 
 Each command imports only the modules it needs: ``check`` and
-``verify-protocol`` never load ``zoo`` or ``sweeps``.
+``verify-protocol`` never load ``zoo`` or ``sweeps``.  Run as a one-shot
+process (``python -m loccgate.cli``), it sets ``OPENBLAS_NUM_THREADS=1`` before
+numpy loads, whose import would start a BLAS worker that spins for work these
+small matrices never give it; a set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+or ``OMP_NUM_THREADS`` wins.  Imported, it leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ import gc
 
 if __name__ == "__main__":  # a one-shot process: no cyclic collection while importing
     gc.disable()
+    import os
+
+    if os.environ.keys().isdisjoint({"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import json

@@ -214,9 +214,7 @@ def usd_oneway_protocol(alpha1: complex, beta1: complex) -> ProtocolTree:
     a1, b1 = complex(alpha1), complex(beta1)
     validate_usd_params(UsdParams(a1, b1, 0.0, 1.0), allow_alpha3_zero=True)  # the family's rule at its limit
     c1 = 1.0 / (np.sqrt(2) * abs(b1))
-    if (c3_sq := 1.0 - abs(a1 / b1) ** 2) <= 0.0:  # |alpha1 / beta1| can round to 1 though |alpha1| < |beta1|
-        raise ValueError("no valid proportionality constants for Bob's measurement")
-    c3 = np.sqrt(c3_sq)
+    c3 = np.sqrt(1.0 - abs(a1 / b1) ** 2)  # positive: the rule's 1 - |alpha1 beta3 / beta1|^2 at beta3 = 1
     e0, e1 = _ket(0, 2), _ket(1, 2)
     flag = np.eye(5, dtype=complex)
     bob_conclusive = ProtocolNode(1, [

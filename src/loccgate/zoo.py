@@ -174,6 +174,9 @@ class UsdParams:
             object.__setattr__(self, name, kind(getattr(self, name)))
 
 
+USD_PRIORS_RULE = "priors must satisfy eta1 > 0, eta3 > 0 and 2*eta1 + eta3 < 1"
+
+
 def valid_usd_priors(eta1, eta3) -> bool:
     """The usd priors must satisfy eta1 > 0, eta3 > 0 and 2*eta1 + eta3 < 1."""
     return eta1 > 0 and eta3 > 0 and 2 * eta1 + eta3 < 1  # false for nan
@@ -194,9 +197,12 @@ def validate_usd_params(p: UsdParams, *, allow_alpha3_zero: bool = False) -> Non
         raise ValueError("alpha3 must be nonzero (alpha3 = 0 is the known one-way limit)")
     if not abs(p.alpha1) < abs(p.beta1):
         raise ValueError("requires |alpha1| < |beta1| strictly")
+    # |alpha1 / beta1| can round to 1 though |alpha1| < |beta1|
+    if not (p3_denominator := 1.0 - abs(p.alpha1 * p.beta3 / p.beta1) ** 2) > 0.0:
+        raise ValueError("p3's denominator 1 - |alpha1 beta3 / beta1|^2 must be positive")
     if not valid_usd_priors(p.eta1, p.eta3):
-        raise ValueError("priors must satisfy eta1 > 0, eta3 > 0 and 2*eta1 + eta3 < 1")
-    lhs = (1.0 - abs(p.alpha1 * p.beta3 / p.beta1) ** 2) ** 2
+        raise ValueError(USD_PRIORS_RULE)
+    lhs = p3_denominator ** 2
     rhs = (
         (p.eta3 / (4.0 * p.eta1))
         * abs(p.alpha3 / p.beta1) ** 2
@@ -267,8 +273,11 @@ def sample_usd_params(rng: np.random.Generator, eta1: float = 0.25, eta3: float 
     Magnitudes are uniform with a small inset (USD_SAMPLE_MARGIN) away from
     the known one-way-LOCC limits |alpha1| -> 0, |alpha1| -> |beta1| and
     alpha3 -> 0, so sampled instances stay numerically certifiable.  alpha1,
-    beta1 and beta3 are real positive; alpha3 carries a uniform phase.
+    beta1 and beta3 are real positive; alpha3 carries a uniform phase.  Priors
+    that no draw can fix are rejected before the first draw.
     """
+    if not valid_usd_priors(eta1, eta3):
+        raise ValueError(USD_PRIORS_RULE)
     for _ in range(USD_SAMPLE_TRIES):
         a1 = rng.uniform(USD_SAMPLE_MARGIN, 1.0 / np.sqrt(2) - USD_SAMPLE_MARGIN)
         a3_abs = rng.uniform(USD_SAMPLE_MARGIN, 1.0 - USD_SAMPLE_MARGIN)

@@ -21,6 +21,7 @@ from loccgate import (
     RotatedDominoParams,
     SweepConfig,
     bell_channel,
+    domino_channel,
     domino_three_round_protocol,
     random_unitary_channel,
     rotated_domino_channel,
@@ -193,6 +194,14 @@ def test_zoo_usd_seeded_and_explicit(capsys, tmp_path):
     assert code == 0
 
 
+def test_zoo_usd_rejects_bad_priors_before_sampling(capsys, tmp_path):
+    out = tmp_path / "usd.json"
+    code, _, err = run(capsys, ["zoo", "usd", "--eta1", "nan", "--out", str(out)])
+    assert code == 2
+    assert "priors must satisfy" in err and "could not sample" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -303,13 +312,14 @@ def implementable_domino_file(tmp_path):
 
 
 def _cli_process(argv, python=("-m", "loccgate.cli"), **env):
-    """A cold ``python -m loccgate.cli`` process (``python`` replaces the module flags)."""
+    """A cold ``python -m loccgate.cli`` process (``python`` replaces the module flags).
+
+    ``env`` adds variables to this process's environment; a value of None removes one.
+    """
     src = Path(loccgate.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *python, *argv],
-        env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True, timeout=120,
-    )
+    env = {name: value for name, value in {**os.environ, "PYTHONPATH": path, **env}.items() if value is not None}
+    return subprocess.run([sys.executable, *python, *argv], env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_check_default_tol_finds_candidates(capsys, implementable_domino_file):
@@ -784,7 +794,7 @@ def test_cli_exits_with_a_documented_code_and_no_warning(run_spec):
 
 
 # ---------------------------------------------------------------------------
-# cold processes: per-command imports and the cyclic collector
+# cold processes: per-command imports, the cyclic collector and the BLAS thread count
 
 
 def _loaded_loccgate_modules(importtime_stderr: str) -> set[str]:
@@ -860,3 +870,76 @@ def test_main_in_process_leaves_the_collector_as_it_found_it(capsys, bell_file):
     before = gc.isenabled(), gc.get_freeze_count()
     assert run(capsys, ["check", "--channel", str(bell_file)])[0] == 0
     assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_UNSET_BLAS_THREADS = dict.fromkeys(_BLAS_THREAD_VARIABLES)  # _cli_process removes each
+
+# runs the CLI as __main__ in a process where nothing has loaded numpy, then reports on stderr
+# what it saw and the thread count OpenBLAS reports, found as bench/run.py::blas_info finds it
+_BLAS_CHILD = """
+import ctypes, json, os, runpy, sys
+
+numpy_before = "numpy" in sys.modules
+try:
+    runpy.run_module("loccgate.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+threads = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line})
+    symbols = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+    getters = [g for path in paths for s in symbols if (g := getattr(ctypes.CDLL(path), s, None))]
+    if getters:
+        getters[0].restype = ctypes.c_int
+        threads = getters[0]()
+names = %r
+print(json.dumps({"code": code, "numpy_before": numpy_before, "threads": threads,
+                  "env": {name: os.environ.get(name) for name in names}}), file=sys.stderr)
+""" % (_BLAS_THREAD_VARIABLES,)
+
+
+def _blas_report(bell_file, **env) -> dict:
+    argv = ["check", "--channel", str(bell_file)]
+    proc = _cli_process(argv, python=("-c", _BLAS_CHILD), **{**_UNSET_BLAS_THREADS, **env})
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["code"] == 0 and not report["numpy_before"], proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "NOT_LOCC"
+    return report
+
+
+def test_cold_process_runs_blas_on_one_thread_by_default(bell_file):
+    report = _blas_report(bell_file)
+    assert report["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    assert report["threads"] in (None, 1)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS caps its threads at the CPU count")
+def test_cold_process_keeps_a_thread_count_the_user_set(bell_file):
+    report = _blas_report(bell_file, OMP_NUM_THREADS="2")
+    assert report["env"] == {"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}
+    assert report["threads"] in (None, 2)
+
+
+def test_main_and_import_leave_the_environment_as_they_found_it(capsys, monkeypatch, bell_file):
+    for name in _BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    assert run(capsys, ["check", "--channel", str(bell_file)])[0] == 0
+    assert dict(os.environ) == before
+    script = "import os; before = dict(os.environ); import loccgate.cli; print(dict(os.environ) == before)"
+    proc = _cli_process([], python=("-c", script), **_UNSET_BLAS_THREADS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
+def test_cold_check_prints_what_main_prints(capsys, tmp_path):
+    for name, channel in (("bell", bell_channel()), ("domino", domino_channel())):
+        path = tmp_path / f"{name}.json"
+        save_channel(channel, path)
+        argv = ["check", "--channel", str(path)]
+        code, out, _ = run(capsys, argv)
+        proc = _cli_process(argv, **_UNSET_BLAS_THREADS)
+        assert code == proc.returncode == 0, proc.stderr
+        assert proc.stdout == out, name

@@ -251,6 +251,26 @@ def test_usd_sampler_reproducible_and_valid():
     validate_usd_params(p1)
 
 
+@pytest.mark.parametrize("eta1, eta3", [(math.nan, 0.25), (0.6, 0.25), (0.25, 0.0), (0.25, math.inf)])
+def test_usd_sampler_rejects_bad_priors_before_its_first_draw(eta1, eta3):
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        sample_usd_params(rng, eta1=eta1, eta3=eta3)
+    assert str(info.value) == zoo.USD_PRIORS_RULE
+    assert rng.bit_generator.state == state
+
+
+def test_usd_p3_denominator_that_rounds_to_zero_is_a_named_error():
+    # |alpha1| < |beta1|, but |alpha1 / beta1| rounds to 1, so 1 - |alpha1 beta3 / beta1|^2 is 0 at beta3 = 1
+    params = UsdParams(-0.3564556405963368 + 0.6106876257851105j, 0.7071067811865476, 0.0, 1.0)
+    assert abs(params.alpha1) < abs(params.beta1) and abs(params.alpha1 / params.beta1) == 1.0
+    with pytest.raises(ValueError, match="p3's denominator"):
+        validate_usd_params(params, allow_alpha3_zero=True)
+    with pytest.raises(ValueError, match="p3's denominator"):
+        usd_channel(params, allow_alpha3_zero=True)
+
+
 def test_usd_sampler_draws_again_after_a_rejected_triple(monkeypatch):
     # at priors 0.1 and 0.7 the uniqueness inequality rejects many draws (1.63 draws a
     # sample over sample_rng(3, 0..199)), the first of sample_rng(3, 4) among them
