@@ -5,8 +5,8 @@ The outputs are the desk-scale figure CSVs of run_figure_sweeps.py at master
 seeds 1, 7 and 511, and the verdict JSON (``gate_channel(...).to_dict()``)
 of the bell and domino channels, of five large random-unitary channels at
 seeds 1 and 2, of two seeded measurements whose Kraus operators share
-output rows in some pairs only and of a local channel A (x) I_64, and the
-exit code and stdout of cold
+output rows in some pairs only, of a local channel A (x) I_64 and of a
+Kraus-rank-one local unitary U (x) I_16, and the exit code and stdout of cold
 ``python -m loccgate.cli`` processes running the benchmark's cli commands.
 --full-scale adds the three full-scale figure CSVs at the default master
 seed.  Run it before and after a change and diff the output:
@@ -108,6 +108,12 @@ def local_channel(rng, d_b: int) -> KrausChannel:
     return KrausChannel("local", (2, d_b), 2 * d_b, kraus)
 
 
+def local_unitary(rng, d_b: int) -> KrausChannel:
+    """The single Kraus operator U (x) I_{d_b} on 2 x d_b for a Haar qubit unitary U: Kraus rank
+    one, and a product across the cut."""
+    return KrausChannel("local-unitary", (2, d_b), 2 * d_b, (np.kron(haar_unitary(2, rng), np.eye(d_b)),))
+
+
 def flagged(ops_and_weights) -> np.ndarray:
     """Kraus operators of a two-qubit channel that applies op_k with weight w_k and writes k to a flag."""
     kraus = np.zeros((len(ops_and_weights), 4 * len(ops_and_weights), 4), dtype=complex)
@@ -188,7 +194,8 @@ def main() -> int:
     lines.append((verdict_digest(domino_channel()), "domino.json"))
     for name, channel in (("flagged_measurement_4x4", flagged_measurement(np.random.default_rng(19))),
                           ("chained_flags_2x3", chained_flags(np.random.default_rng(23))),
-                          ("local_2x64_seed5", local_channel(np.random.default_rng(5), 64))):
+                          ("local_2x64_seed5", local_channel(np.random.default_rng(5), 64)),
+                          ("local_unitary_2x16_seed5", local_unitary(np.random.default_rng(5), 16))):
         lines.append((verdict_digest(channel), f"{name}.json"))
     mixed = [*mixed_survivors(np.random.default_rng(43)), *mixed_survivors(np.random.default_rng(47))]
     verdicts = [verdict.to_dict() for verdict in gate_channels(mixed)]

@@ -16,9 +16,7 @@ import importlib
 
 # Every exported name and the submodule that defines it, in ``__all__`` order.
 _HOME = {
-    **dict.fromkeys((
-        "KrausChannel", "channels_equal", "choi_matrix", "lone_kraus_operator", "operator_schmidt_rank",
-    ), "channels"),
+    **dict.fromkeys(("KrausChannel", "channels_equal", "choi_matrix"), "channels"),
     **dict.fromkeys((
         "GateVerdict", "PartyGateReport", "VERDICT_DEGENERATE_IDENTITY_SPAN",
         "VERDICT_DEGENERATE_KRAUS_RANK_ONE", "VERDICT_FIRST_MOVE_CANDIDATES", "VERDICT_NOT_LOCC",

@@ -1,7 +1,9 @@
 """Quantum channels in Kraus form: completeness, Choi fingerprints, Kraus rank.
 
 Kraus rank and the lone operator of a Kraus-rank-1 channel come from the
-N x N Kraus Gram tr(K_i^dag K_j), not from the (D d_out)^2 Choi matrix.
+N x N Kraus Gram tr(K_i^dag K_j), not from the (D d_out)^2 Choi matrix.  Whether
+that lone operator is a product across every party cut comes from one Gram of
+at most D x D per cut.
 
 A channel keeps its Kraus operators as one read-only complex (N, d_out, D)
 array copied at construction, so it is immutable, and all operations are pure:
@@ -155,34 +157,26 @@ def kraus_ranks(kraus: np.ndarray) -> list[int]:
     return [kraus.shape[1] - n for n in nullspace_dimension(_kraus_gram(kraus), KRAUS_RANK_RTOL)[0]]
 
 
-def lone_kraus_operator(channel: KrausChannel) -> np.ndarray:
-    """The single effective Kraus operator of a Kraus-rank-1 channel.
+def _lone_operator_is_local(kraus: np.ndarray, dims) -> bool:
+    """Whether a Kraus-rank-1 channel's (N, d_out, D) Kraus array acts as one operator that is a
+    product across every (party | rest) cut; false when the operators are not square.
 
-    ``sum_i u_i K_i`` for the top unit eigenvector u of the Kraus Gram; it is
-    the dominant Choi eigenvector scaled by the square root of its eigenvalue,
-    defined up to a global phase.
+    The lone operator is ``sum_i u_i K_i`` for the top unit eigenvector u of the Kraus Gram: the
+    dominant Choi eigenvector scaled by the square root of its eigenvalue, up to a global phase.
+    A cut's operator Schmidt rank is the rank of the operator's realignment R, from the smaller of
+    R R^dag and R^dag R: they share their nonzero eigenvalues, and the smaller has at most D rows.
     """
-    u = np.linalg.eigh(_kraus_gram(channel.kraus))[1][:, -1]
-    return np.tensordot(u, channel.kraus, axes=1)
-
-
-def operator_schmidt_rank(m: np.ndarray, dims, party: int) -> int:
-    """Rank of the realignment of a square operator across the (party | rest) cut.
-
-    Rank 1 means the operator factors as A tensor B across that cut.
-    """
-    dims = [int(d) for d in dims]
-    total = math.prod(dims)
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (total, total):
-        raise ValueError(f"operator has shape {m.shape}, expected {(total, total)}")
-    if not 0 <= party < len(dims):
-        raise ValueError(f"party index {party} out of range for {len(dims)} parties")
-    before = math.prod(dims[:party])
-    after = math.prod(dims[party + 1 :])
-    d_party = dims[party]
-    tens = m.reshape(before, d_party, after, before, d_party, after)
-    # rows (a, b) on the party, columns (x, y, x', y') on the rest in original order
-    realigned = tens.transpose(1, 4, 0, 2, 3, 5).reshape(d_party * d_party, -1)
-    gram = realigned.conj().T @ realigned  # zero for a zero operator: full nullity, rank 0
-    return realigned.shape[1] - nullspace_dimension(gram, KRAUS_RANK_RTOL)[0]
+    total = kraus.shape[-1]
+    if kraus.shape[-2] != total:
+        return False
+    lone = np.tensordot(np.linalg.eigh(_kraus_gram(kraus))[1][:, -1], kraus, axes=1)
+    for party, d_party in enumerate(dims):
+        before = math.prod(dims[:party])
+        tens = lone.reshape(before, d_party, total // (before * d_party), before, d_party, -1)
+        # rows (a, b) on the party, columns (x, y, x', y') on the rest in original order
+        realigned = tens.transpose(1, 4, 0, 2, 3, 5).reshape(d_party * d_party, -1)
+        tall = realigned.shape[1] < d_party * d_party
+        gram = realigned.conj().T @ realigned if tall else realigned @ realigned.conj().T
+        if len(gram) - nullspace_dimension(gram, KRAUS_RANK_RTOL)[0] != 1:
+            return False
+    return True

@@ -68,10 +68,9 @@ from .channels import (
     CompletenessError,
     DimensionError,
     KrausChannel,
+    _lone_operator_is_local,
     completeness_residuals,
     kraus_ranks,
-    lone_kraus_operator,
-    operator_schmidt_rank,
 )
 from .linalg import (
     DEFAULT_INDEPENDENCE_TOL,
@@ -456,9 +455,6 @@ def _verdicts(columns: StackColumns, kraus: np.ndarray, input_dims) -> list[Gate
         if verdict == VERDICT_FIRST_MOVE_CANDIDATES:
             candidates = tuple(r.party for r in reports if r.can_measure_first)
         elif verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE:
-            local = k.shape[1] == k.shape[2]  # square
-            if local:
-                lone = lone_kraus_operator(KrausChannel("", input_dims, k.shape[1], k))
-                local = all(operator_schmidt_rank(lone, input_dims, p) == 1 for p in range(len(input_dims)))
+            local = _lone_operator_is_local(k, input_dims)
         verdicts.append(GateVerdict(reports, lambda_hat, verdict, candidates, local, completeness_residual=residual))
     return verdicts

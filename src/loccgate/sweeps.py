@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -44,6 +45,18 @@ class SweepConfig:
     eta3: float = 0.25
 
     def __post_init__(self):
+        for key in ("samples", "seed"):
+            if not _is_int(getattr(self, key)):
+                raise SchemaError(f"sweep config field '{key}' must be an integer")
+        for key in ("dims", "nu_values"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+                raise SchemaError(f"sweep config field '{key}' must be a list of integers")
+            object.__setattr__(self, key, tuple(value))
+        for key in ("rel_tol", "theta_high", "eta1", "eta3"):
+            value = getattr(self, key)
+            if not (_is_int(value) or isinstance(value, float)):
+                raise SchemaError(f"sweep config field '{key}' must be a real number")
         if self.family not in FAMILIES:
             raise SchemaError(f"unknown sweep family {self.family!r}; expected one of {FAMILIES}")
         if self.samples < 1:
@@ -74,19 +87,7 @@ class SweepConfig:
         unknown = set(doc) - {f.name for f in fields(SweepConfig)}
         if unknown:
             raise SchemaError(f"unknown sweep config fields: {sorted(unknown)}")
-        kwargs = dict(doc)
-        for key in ("samples", "seed"):
-            if not _is_int(kwargs[key]):
-                raise SchemaError(f"sweep config field '{key}' must be an integer")
-        for key in ("dims", "nu_values"):
-            if key in kwargs:
-                if not isinstance(kwargs[key], (list, tuple)) or not all(map(_is_int, kwargs[key])):
-                    raise SchemaError(f"sweep config field '{key}' must be a list of integers")
-                kwargs[key] = tuple(kwargs[key])
-        for key in ("rel_tol", "theta_high", "eta1", "eta3"):
-            if key in kwargs and not (_is_int(kwargs[key]) or isinstance(kwargs[key], float)):
-                raise SchemaError(f"sweep config field '{key}' must be a real number")
-        return SweepConfig(**kwargs)
+        return SweepConfig(**doc)
 
 
 def _is_int(value) -> bool:
@@ -95,7 +96,7 @@ def _is_int(value) -> bool:
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible stream for one sample of one sweep."""
-    return np.random.default_rng((int(seed), int(index)))
+    return np.random.default_rng((operator.index(seed), operator.index(index)))
 
 
 def _runs(count: int, n_kraus: int, dim: int):

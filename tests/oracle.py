@@ -496,10 +496,13 @@ def communication_rounds(tree) -> int:
 
 
 def exact_rank(vectors) -> int:
-    """Rank of equal-length vectors of rationals, by Gaussian elimination over ``Fraction``."""
+    """Rank of equal-length vectors of rationals, by Gaussian elimination over ``Fraction``.
+
+    Entries are first made fractions of Python ints: a numpy integer, or a ``Fraction`` built from
+    one, keeps its fixed width through ``Fraction`` arithmetic and overflows."""
     pivots: dict[int, list[Fraction]] = {}  # pivot column -> row with 1 there and 0 at earlier pivots
     for v in vectors:
-        v = [Fraction(x) for x in v]
+        v = [Fraction(int(x.numerator), int(x.denominator)) for x in map(Fraction, v)]
         for col, row in pivots.items():
             if v[col]:
                 v = [x - v[col] * y for x, y in zip(v, row)]

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -10,12 +12,10 @@ from loccgate import (
     choi_matrix,
     gate_channel,
     haar_unitary,
-    lone_kraus_operator,
-    operator_schmidt_rank,
     sample_rng,
     sample_usd_params,
 )
-from loccgate.channels import CompletenessError, completeness_residuals, kraus_ranks
+from loccgate.channels import CompletenessError, _lone_operator_is_local, completeness_residuals, kraus_ranks
 from loccgate.zoo import random_unitary_kraus, rotated_domino_kraus, usd_kraus
 from oracle import (
     apply_channel,
@@ -311,15 +311,30 @@ def test_kraus_rank_matches_choi_rank_on_padded_remixes(bell, zoo_channels):
     assert kraus_rank(doubled) == 4
 
 
+def _gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _product_unitary(rng, dims):
+    return functools.reduce(np.kron, [haar_unitary(d, rng) for d in dims])
+
+
+def _choi_is_local(channel) -> bool:
+    """The oracle's answer: the dominant Choi eigenvector as an operator, permuted then realigned
+    at every cut."""
+    if channel.output_dim != channel.dim:
+        return False
+    lone = choi_lone_kraus_operator(channel)
+    return all(permuted_schmidt_rank(lone, channel.input_dims, p) == 1 for p in range(channel.n_parties))
+
+
 def test_lone_kraus_operator_recovers_unitary():
+    # three Kraus operators v_i U, zero-padded: only the top Kraus-Gram eigenvector sums them to a
+    # nonzero operator, so the check reads a product unitary as local and a Haar unitary as not
     rng = np.random.default_rng(5)
-    u = haar_unitary(4, rng)
-    channel = KrausChannel("u", (2, 2), 4, (u,))
-    lone = lone_kraus_operator(channel)
-    # defined up to a global phase
-    phase = np.vdot(lone.reshape(-1), u.reshape(-1))
-    phase /= abs(phase)
-    assert np.allclose(phase * lone, u, atol=1e-10)
+    for u, local in ((_product_unitary(rng, (2, 2)), True), (haar_unitary(4, rng), False)):
+        channel = remix_kraus(KrausChannel("u", (2, 2), 4, (u,)), haar_unitary(3, rng))
+        assert _lone_operator_is_local(channel.kraus, (2, 2)) is local
 
 
 def test_lone_kraus_operator_matches_choi_eigenvector():
@@ -327,51 +342,46 @@ def test_lone_kraus_operator_matches_choi_eigenvector():
     channels = []
     for dims in ((2, 2), (2, 3, 2), (4, 4)):
         d = int(np.prod(dims))
-        unitary = KrausChannel("u", dims, d, (haar_unitary(d, rng),))
-        channels.append(remix_kraus(unitary, haar_unitary(3, rng)))  # zero-padded to 3
+        for u in (haar_unitary(d, rng), _product_unitary(rng, dims)):
+            channels.append(remix_kraus(KrausChannel("u", dims, d, (u,)), haar_unitary(3, rng)))  # zero-padded to 3
     isometry = haar_unitary(6, rng)[:, :4]
     channels.append(KrausChannel("iso", (2, 2), 6, (isometry,)))
+    answers = []
     for channel in channels:
         assert kraus_rank(channel) == 1
-        lone = lone_kraus_operator(channel)
-        reference = choi_lone_kraus_operator(channel)
-        assert lone.shape == reference.shape == (channel.output_dim, channel.dim)
-        phase = np.vdot(lone.reshape(-1), reference.reshape(-1))
-        phase /= abs(phase)
-        assert np.max(np.abs(phase * lone - reference)) < 1e-12
+        answers.append(_lone_operator_is_local(channel.kraus, channel.input_dims))
+        assert answers[-1] is _choi_is_local(channel)
+    assert answers == [False, True] * 3 + [False]
 
 
-def _operator_of_schmidt_rank(rng, dims, party, rank):
-    """Random sum of ``rank`` products A_k (on the party) times B_k (on the rest)."""
-    before = int(np.prod(dims[:party]))
-    after = int(np.prod(dims[party + 1 :]))
-    d = dims[party]
-    a = rng.standard_normal((rank, d, d)) + 1j * rng.standard_normal((rank, d, d))
-    shape = (rank, before, after, before, after)
-    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    total = before * d * after
-    return np.einsum("kab,kxyuv->xayubv", a, b).reshape(total, total)
+def _operator_entangling(rng, dims, pair, rank):
+    """Random factors on every party, the two parties of ``pair`` sharing a sum of ``rank``
+    products, so its operator Schmidt rank is ``rank`` across the cuts that split the pair and 1
+    across the others."""
+    factors = [_gaussian(rng, (rank if p in pair else 1, d, d)) for p, d in enumerate(dims)]
+    return sum(functools.reduce(np.kron, [f[k if p in pair else 0] for p, f in enumerate(factors)])
+               for k in range(rank))
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2), (4, 2), (2, 5, 2)])
 def test_operator_schmidt_rank_matches_permute_then_realign(dims):
+    # (4, 2) and (2, 5, 2) have a party whose d_p^2 exceeds (D / d_p)^2: its Gram is R^dag R
     rng = np.random.default_rng(16)
-    total = int(np.prod(dims))
-    for party, d in enumerate(dims):
-        full = min(d * d, (total // d) ** 2)
+    for pair in itertools.combinations(range(len(dims)), 2):
+        full = min(dims[pair[0]], dims[pair[1]]) ** 2
         for rank in (1, 2, full):
-            m = _operator_of_schmidt_rank(rng, dims, party, rank)
-            assert permuted_schmidt_rank(m, dims, party) == rank
-            for cut in range(len(dims)):  # every cut, not only the one built in
-                assert operator_schmidt_rank(m, dims, cut) == permuted_schmidt_rank(m, dims, cut)
+            m = _operator_entangling(rng, dims, pair, rank)
+            ranks = [permuted_schmidt_rank(m, dims, cut) for cut in range(len(dims))]
+            assert ranks == [rank if cut in pair else 1 for cut in range(len(dims))]
+            assert _lone_operator_is_local(m[None], dims) is (rank == 1)
 
 
 def test_operator_schmidt_rank_product():
     rng = np.random.default_rng(6)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert operator_schmidt_rank(np.kron(a, b), [2, 3], 0) == 1
-    assert operator_schmidt_rank(np.kron(a, b), [2, 3], 1) == 1
+    a, b, c = (_gaussian(rng, (d, d)) for d in (2, 3, 2))
+    assert _lone_operator_is_local(np.kron(a, b)[None], (2, 3))
+    assert _lone_operator_is_local(np.kron(np.kron(a, b), c)[None], (2, 3, 2))
+    assert _lone_operator_is_local(np.kron(np.kron(a, b), c)[None], (6, 2))
 
 
 def test_operator_schmidt_rank_swap_and_cnot():
@@ -379,11 +389,12 @@ def test_operator_schmidt_rank_swap_and_cnot():
     for a in range(2):
         for b in range(2):
             swap[b * 2 + a, a * 2 + b] = 1.0
-    assert operator_schmidt_rank(swap, [2, 2], 0) == 4
     cnot = np.eye(4, dtype=complex)[:, [0, 1, 3, 2]]
-    assert operator_schmidt_rank(cnot, [2, 2], 0) == 2
+    for op, rank in ((swap, 4), (cnot, 2)):
+        assert permuted_schmidt_rank(op, [2, 2], 0) == rank
+        assert not _lone_operator_is_local(op[None], (2, 2))
 
 
 def test_operator_schmidt_rank_rejects_non_square():
-    with pytest.raises(ValueError):
-        operator_schmidt_rank(np.ones((2, 4)), [2, 2], 0)
+    assert not _lone_operator_is_local(np.ones((1, 2, 4)) / 2, (2, 2))
+    assert not _lone_operator_is_local(np.kron(np.eye(2), np.ones((2, 1)))[None], (2, 1))

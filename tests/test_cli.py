@@ -71,6 +71,19 @@ def test_check_identity_degenerate(capsys, tmp_path):
     assert doc["local"] is True
 
 
+def test_check_large_local_unitary(capsys, tmp_path):
+    # U x I_128, D = 256: each cut's product test forms a Gram of at most D x D entries
+    from loccgate import KrausChannel, haar_unitary
+
+    path = tmp_path / "local-unitary.json"
+    u = np.kron(haar_unitary(2, np.random.default_rng(5)), np.eye(128))
+    save_channel(KrausChannel("local-unitary", (2, 128), 256, (u,)), path)
+    code, out, _ = run(capsys, ["check", "--channel", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["local"]) == ("DEGENERATE_KRAUS_RANK_ONE", True)
+
+
 def test_check_parse_failure(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from oracle import (
     desk_figure_configs,
     exact_bell_kraus,
     exact_nullities,
+    exact_rank,
     exact_rotated_domino_kraus,
     identity_coefficients,
     operator_basis,
@@ -331,6 +333,15 @@ def test_the_exact_oracle_gives_the_gates_nullities_and_verdict(exact, channel, 
     assert verdict.verdict == (VERDICT_FIRST_MOVE_CANDIDATES if any(nullities) else VERDICT_NOT_LOCC)
 
 
+def test_the_exact_rank_eliminates_numpy_integers_in_python_ints():
+    # in int64 the second row's 3**30 - 3**-30 would need 3**60 in a numerator: an overflow
+    rows = [[3**30, 1], [1, 3**30]]
+    assert exact_rank(np.array(rows, dtype=np.int64)) == 2
+    assert exact_rank(np.array([[3**30, 1], [3**30 + 1, 1]], dtype=np.int64)) == 2
+    assert exact_rank([[Fraction(np.int64(x)) for x in row] for row in rows]) == 2
+    assert exact_rank([[np.int64(3**30), 1], [2 * np.int64(3**30), 2]]) == 1
+
+
 def test_gate_channel_identity_degenerate():
     verdict = gate_channel(identity_channel())
     assert verdict.verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE
@@ -393,14 +404,17 @@ def test_a_known_locc_channel_never_reads_not_locc(seed):
     assert verdict.reports[0].nullspace_dim == 3
 
 
+# The party dims (d_a, d_b) of the local-product corpus, D <= 256.
+LOCAL_PRODUCT_DIMS = [(d_a, d_b) for d_a in (2, 3, 4) for d_b in (2, 3, 16, 64, 128) if d_a * d_b <= 256]
+
+
 @st.composite
 def local_product_channels(draw):
-    """A x B on (d_a, d_b), D <= 256, for a random channel A of 2 or 3 Kraus operators and B one of
+    """A x B on (d_a, d_b), D <= 256, for a random channel A of 1 to 3 Kraus operators and B one of
     at most 2 (one: a unitary, so A x I up to local unitaries), each side then rotated by Haar
     unitaries before and after: a channel with no communication at all."""
-    d_a = draw(st.sampled_from([2, 3, 4]))
-    d_b = draw(st.sampled_from([d for d in (2, 3, 16, 64, 128) if d_a * d <= 256]))
-    n_a, n_b = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    d_a, d_b = draw(st.sampled_from(LOCAL_PRODUCT_DIMS))
+    n_a, n_b = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def local_channel(n, d):
@@ -416,6 +430,26 @@ def local_product_channels(draw):
 @given(local_product_channels())
 def test_local_product_channels_never_read_not_locc(channel):
     assert gate_channel(channel).verdict != VERDICT_NOT_LOCC
+
+
+@pytest.mark.parametrize("dims", LOCAL_PRODUCT_DIMS, ids=[f"{d_a}x{d_b}" for d_a, d_b in LOCAL_PRODUCT_DIMS])
+def test_a_local_unitary_reads_kraus_rank_one_and_local_in_bounded_memory(dims):
+    # each cut's Gram is at most D x D, the smaller side of the realignment: 16 MiB covers D = 256
+    rng = np.random.default_rng(sum(dims))
+    u = np.kron(haar_unitary(dims[0], rng), haar_unitary(dims[1], rng))
+    channel = KrausChannel("local-unitary", dims, len(u), (u,))
+    gate_channel(channel)  # warm up
+    peak, verdict = traced_peak(gate_channel, channel)
+    assert (verdict.verdict, verdict.local) == (VERDICT_DEGENERATE_KRAUS_RANK_ONE, True)
+    assert peak < 16 * 2**20
+
+
+def test_entangling_unitaries_read_kraus_rank_one_and_not_local():
+    cnot = np.eye(4, dtype=complex)[:, [0, 1, 3, 2]]
+    swap = np.eye(4, dtype=complex)[:, [0, 2, 1, 3]]
+    for u in (cnot, swap, haar_unitary(4, np.random.default_rng(31))):
+        verdict = gate_channel(KrausChannel("entangling", (2, 2), 4, (u,)))
+        assert (verdict.verdict, verdict.local) == (VERDICT_DEGENERATE_KRAUS_RANK_ONE, False)
 
 
 @settings(max_examples=20, deadline=None)

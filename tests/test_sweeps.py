@@ -47,11 +47,15 @@ def test_config_from_dict_and_validation():
     with pytest.raises(SchemaError):
         SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, "eta1": 0.6})
     for field, value in (
-        ("samples", 1.0), ("seed", True), ("seed", -1), ("dims", ["a"]), ("dims", 2),
-        ("nu_values", [False]), ("rel_tol", "x"), ("theta_high", None), ("eta1", True), ("eta3", [0.1]),
+        ("samples", 1.0), ("samples", 2.5), ("seed", True), ("seed", 1.5), ("seed", -1), ("dims", ["a"]),
+        ("dims", 2), ("nu_values", [False]), ("nu_values", (2.5,)), ("rel_tol", "x"), ("theta_high", None),
+        ("eta1", True), ("eta3", [0.1]),
     ):
-        with pytest.raises(SchemaError, match=field):
-            SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, field: value})
+        # the rules live in the constructor: the Python API checks what from_dict checks
+        config = {"family": "usd", "samples": 1, "seed": 0, field: value}
+        for make in (SweepConfig.from_dict, lambda doc: SweepConfig(**doc)):
+            with pytest.raises(SchemaError, match=field):
+                make(config)
     for rel_tol in (float("nan"), float("inf"), -float("inf"), 0, -1, 1.0, 2):
         with pytest.raises(SchemaError, match="rel_tol"):
             SweepConfig.from_dict({"family": "usd", "samples": 1, "seed": 0, "rel_tol": rel_tol})
@@ -60,6 +64,10 @@ def test_config_from_dict_and_validation():
          "rel_tol": 1e-12, "theta_high": 0.5, "eta1": 0.1, "eta3": 0}
     )
     assert cfg.dims == (2, 3) and cfg.nu_values == (4,) and cfg.rel_tol == 1e-12
+    assert SweepConfig(family="random_unitary", samples=1, seed=0, dims=[2, 3], nu_values=[4]).dims == (2, 3)
+    for seed, index in ((1.5, 0), (1, 0.0)):  # no float seed or index is truncated to another's stream
+        with pytest.raises(TypeError):
+            sample_rng(seed, index)
 
 
 def test_rotated_domino_sweep_rows_and_determinism():
