@@ -289,44 +289,6 @@ def _identity_coefficients(basis: np.ndarray, names) -> np.ndarray:
     return h
 
 
-def _selected_grams(stacks, names, dims, stacked: bool = False):
-    """The party-independent half of the gate on the (start, packed) stacks of ``packed_stacks``.
-
-    Yields one (members, traces, gram) per stack and subset size |S|: the group's indices
-    into the Kraus stack, the ``partial_traces`` of its selected products P_a, and its Grams
-    <P_a, P_b> = r^dag r plus c c^dag, shape (G, |S|, |S|), where the unit-norm c solves
-    r c = h.  The scan is ``select_independent_subsets`` if ``stacked``, else the faster
-    one-vector scan of a lone channel, its record read as a stack of one.  ``names`` name
-    the channels.  Stacks are freed as the memory law says, so nothing else may hold one.
-    """
-    for start, products in stacks:
-        flat = products.reshape(*products.shape[:2], -1)
-        if stacked:
-            taken, basis, r = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
-        else:  # a one-channel call
-            taken, basis, r = (
-                a[None] for a in select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL))
-        h = _identity_coefficients(basis, names[start : start + len(flat)])
-        del flat, basis
-        sizes = taken.sum(axis=1)
-        groups = [(np.flatnonzero(sizes == k), k) for k in dict.fromkeys(sizes.tolist())]
-        traces = [partial_traces(products[taken & (sizes == k)[:, None]].reshape(len(m), k, *products.shape[2:]), dims)
-                  for m, k in groups]
-        del products  # the last reference to the packed stack
-        grams = []
-        for members, k in groups:
-            pick = slice(None) if len(groups) == 1 else members  # one group: views of the scan's factor
-            factor = r[pick, :k, :k]
-            c = np.linalg.solve(factor, h[pick, :k, None])[..., 0]
-            c /= np.linalg.norm(c, axis=-1, keepdims=True)
-            grams.append(factor.conj().swapaxes(-1, -2) @ factor)
-            grams[-1] += c[..., :, None] * c.conj()[..., None, :]
-        del r, h, factor
-        for (members, _), reduced, gram in zip(groups, traces, grams):
-            yield start + members, reduced, gram
-        del traces, grams, reduced, gram  # nothing of this stack outlives it
-
-
 def partial_traces(selected: np.ndarray, dims) -> list[np.ndarray]:
     """Per party p, Tr_rest of each product of ``selected`` (..., D, D), flattened to (..., d_p^2)."""
     lead, total = selected.shape[:-2], math.prod(dims)
@@ -361,9 +323,9 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
     """``gate_channel`` for each of a list of channels of one shape, gated as one Kraus stack.
 
     Every channel is checked before any gating (``_check_stack``: at least 2
-    parties, a valid ``rel_tol``, completeness); the first whose input dims or
-    Kraus array shape differ from the first's raises ``DimensionError`` after
-    the channels before it are checked.
+    parties, a valid ``rel_tol``, completeness, which a non-finite entry fails);
+    the first whose input dims or Kraus array shape differ from the first's
+    raises ``DimensionError`` after the channels before it are checked.
     """
     channels = list(channels)
     if not channels:
@@ -385,16 +347,12 @@ def gate_channels(channels, rel_tol: float = DEFAULT_NULLSPACE_RTOL) -> list[Gat
 
 def _check_stack(kraus: np.ndarray, input_dims, names, rel_tol: float) -> np.ndarray:
     """Each channel's completeness residual in a Kraus stack; raise for its first fault: fewer
-    than 2 parties, a bad ``rel_tol``, then the first channel with a non-finite entry and the
-    first whose completeness residual is not within COMPLETENESS_TOL."""
+    than 2 parties, a bad ``rel_tol``, then the first channel whose completeness residual is not
+    within COMPLETENESS_TOL (a non-finite entry makes it nan, which is not)."""
     if len(input_dims) < 2:
         raise DimensionError(f"the gate needs at least 2 parties, got {len(input_dims)}")
     if not valid_rel_tol(rel_tol):
         raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
-    finite = np.isfinite(kraus).all(axis=(-2, -1))
-    if not finite.all():
-        b, k = np.argwhere(~finite)[0]
-        raise ValueError(f"channel '{names[b]}': Kraus operator {k} has non-finite entries")
     residuals = completeness_residuals(kraus)
     bad = np.flatnonzero(~(residuals <= COMPLETENESS_TOL))
     if bad.size:
@@ -410,25 +368,53 @@ def _gate_stack(
 ) -> StackColumns:
     """The gate on a (B, N, d_out, D) Kraus stack of channels on ``input_dims``, named ``names``.
 
-    After ``_check_stack``, per stack of ``packed_stacks`` one subset scan
-    (stacked unless ``stacked`` is false, so reports do not depend on the
-    stack cuts, bit for bit), per |S| one gather, identity solve and, per party,
-    partial trace and eigensolve; one Kraus-rank eigensolve per STACK_BYTES / 2 of Kraus operators.
-    Every row is then classified at once, in columns.
+    After ``_check_stack``, per stack of ``packed_stacks``: one subset scan,
+    ``select_independent_subsets`` if ``stacked``, else the faster one-vector scan of a lone channel
+    read as a stack of one (so reports do not depend on the stack cuts, bit for bit); per |S| one
+    gather, ``partial_traces`` and solve for the unit-norm c with r c = h, and the Grams
+    <P_a, P_b> = r^dag r plus c c^dag (views of the scan's factor if the stack has one |S|); per
+    party one eigensolve.  Stacks are freed as the memory law says, so nothing else may hold one.
+    One Kraus-rank eigensolve per STACK_BYTES / 2 of Kraus operators; then every row is classified
+    at once, in columns.
     """
     residual = _check_stack(kraus, input_dims, names, rel_tol)
     total = math.prod(input_dims)
     pair_count = np.empty(len(kraus), dtype=int)
     nullity = np.empty((len(input_dims), len(kraus)), dtype=int)
     eig_min, eig_max = np.empty(nullity.shape), np.empty(nullity.shape)
-    for members, traces, gram in _selected_grams(packed_stacks(kraus), names, input_dims, stacked):
-        pair_count[members] = gram.shape[-1]
-        scale = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)  # max_a gram_aa, per channel
-        floor = NULLSPACE_FLOOR_FACTOR * total * 2.0**-53 * scale
-        for party, (d_party, reduced) in enumerate(zip(input_dims, traces)):
-            stats = nullspace_dimension(party_gram(reduced, gram, total // d_party), rel_tol, floor)
-            nullity[party, members], eig_min[party, members], eig_max[party, members] = stats
-        del traces, gram, reduced  # nothing of this stack outlives it
+    for start, products in packed_stacks(kraus):
+        flat = products.reshape(*products.shape[:2], -1)
+        if stacked:
+            taken, basis, r = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
+        else:  # a one-channel call
+            taken, basis, r = (
+                a[None] for a in select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL))
+        h = _identity_coefficients(basis, names[start : start + len(flat)])
+        del flat, basis
+        sizes = taken.sum(axis=1)
+        groups = [(np.flatnonzero(sizes == k), k) for k in dict.fromkeys(sizes.tolist())]
+        traces = [partial_traces(products[taken & (sizes == k)[:, None]].reshape(len(m), k, *products.shape[2:]),
+                                 input_dims)
+                  for m, k in groups]
+        del products  # the last reference to the packed stack
+        grams = []
+        for members, k in groups:
+            pick = slice(None) if len(groups) == 1 else members  # one group: views of the scan's factor
+            factor = r[pick, :k, :k]
+            c = np.linalg.solve(factor, h[pick, :k, None])[..., 0]
+            c /= np.linalg.norm(c, axis=-1, keepdims=True)
+            grams.append(factor.conj().swapaxes(-1, -2) @ factor)
+            grams[-1] += c[..., :, None] * c.conj()[..., None, :]
+        del r, h, factor
+        for (members, k), group_traces, gram in zip(groups, traces, grams):
+            rows = start + members
+            pair_count[rows] = k
+            scale = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)  # max_a gram_aa, per channel
+            floor = NULLSPACE_FLOOR_FACTOR * total * 2.0**-53 * scale
+            for party, (d_party, reduced) in enumerate(zip(input_dims, group_traces)):
+                stats = nullspace_dimension(party_gram(reduced, gram, total // d_party), rel_tol, floor)
+                nullity[party, rows], eig_min[party, rows], eig_max[party, rows] = stats
+        del traces, grams, group_traces, gram, reduced  # nothing of this stack outlives it
     step = max(1, STACK_BYTES // 2 // kraus[0].nbytes)  # the guard conjugates one slice at a time
     rank = np.concatenate([kraus_ranks(kraus[lo : lo + step]) for lo in range(0, len(kraus), step)])
     ratio = np.divide(eig_min, eig_max, out=np.zeros(nullity.shape), where=eig_max > 0.0)

@@ -15,13 +15,14 @@ tests measure with ``traced_peak``.
 
 An exact oracle counts each party's nullity with ``fractions.Fraction``
 arithmetic, on channels whose operators have rational entries, so a
-``NOT_LOCC`` there holds without floating point.
+``NOT_LOCC`` there holds without floating point; Cayley transforms of random
+rational skew-symmetric matrices give it complete rational channels to check.
 
 Last, it holds the helpers that only tests call: the channel's action on a
 state, a state check, Kraus remixing, one channel's completeness residual,
-Kraus rank and pair products, the explicit states of the rotated domino and
-discrimination families, a protocol's per-node completeness residuals and
-round count, and the desk figure sweeps.
+Kraus rank, pair products and the Grams the gate solves, the explicit states
+of the rotated domino and discrimination families, a protocol's per-node
+completeness residuals and round count, and the desk figure sweeps.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from loccgate import KrausChannel, SweepConfig, choi_matrix, haar_unitary, select_independent_subset
+from loccgate import gate
 from loccgate.channels import VALIDATION_TOL, completeness_residuals, kraus_ranks
 from loccgate.gate import pair_product_columns
 from loccgate.linalg import IndependentSubset, nonzero_vectors
@@ -389,6 +391,25 @@ def stacked_pair_products(kraus: np.ndarray) -> np.ndarray:
     return pair_product_columns(kraus).swapaxes(1, 2).reshape(n_stack, n * n, d, d)
 
 
+def gate_grams(channel: KrausChannel):
+    """(gram, party_grams) as ``gate_channel`` solves them for a lone channel: its party-independent
+    Gram <P_a, P_b> + c c^dag and, per party, Q_aug^dag Q_aug, read by wrapping ``gate.party_gram``."""
+    seam, calls = gate.party_gram, []
+
+    def spy(reduced, gram, d_rest):
+        out = seam(reduced, gram, d_rest)
+        calls.append((gram[0], out[0]))  # the lone channel's slice of its stack of one
+        return out
+
+    gate.party_gram = spy
+    try:
+        gate.gate_channel(channel)
+    finally:
+        gate.party_gram = seam
+    assert len(calls) == channel.n_parties
+    return calls[0][0], [party for _, party in calls]
+
+
 def validate_density_matrix(rho: np.ndarray) -> None:
     """Reject non-states: requires Hermitian, unit trace, eigenvalues >= -VALIDATION_TOL."""
     rho = np.asarray(rho, dtype=complex)
@@ -519,7 +540,8 @@ def exact_nullities(kraus, dims) -> list[int]:
     rank(P) + d_p^2 - rank(P and every E_ab (x) I_rest) dimensions; the identity is one of them,
     and Q_aug's extra row removes it.
     """
-    products = [(np.asarray(a).T @ np.asarray(b)).ravel() for a in kraus for b in kraus]
+    kraus = [np.asarray(k, dtype=object) for k in kraus]  # numpy integers become Python ints, which never wrap
+    products = [(a.T @ b).ravel() for a in kraus for b in kraus]
     rank = exact_rank(products)
     nullities = []
     for p, d in enumerate(dims):
@@ -531,8 +553,50 @@ def exact_nullities(kraus, dims) -> list[int]:
 
 
 def exact_projectors(vectors) -> list[np.ndarray]:
-    """|u><u| / <u|u> for each real vector u of integers, with ``Fraction`` entries."""
-    return [np.outer(u, u) * Fraction(1, int(u @ u)) for u in map(np.array, vectors)]
+    """|u><u| / <u|u> for each real vector u of integers, with ``Fraction`` entries.
+
+    Each u is first an object array of Python ints: int64 products wrap with no warning."""
+    vectors = [np.array([int(x) for x in v], dtype=object) for v in vectors]
+    return [np.outer(u, u) * Fraction(1, u @ u) for u in vectors]
+
+
+def exact_cayley_isometry(m: int, n: int, rng) -> np.ndarray:
+    """The first n columns of the Cayley transform (I - S)(I + S)^-1 of a random rational
+    skew-symmetric m x m matrix S: an m x n real isometry with ``Fraction`` entries.
+
+    I + S is invertible for real skew-symmetric S, and I - S commutes with its inverse, so the
+    transform is orthogonal; the columns come from solving (I + S) X = [I_n; 0] by Gauss-Jordan
+    elimination over ``Fraction``."""
+    skew = [[Fraction(0)] * m for _ in range(m)]
+    for i, j in zip(*np.triu_indices(m, 1)):
+        skew[i][j] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        skew[j][i] = -skew[i][j]
+    rows = [[int(i == j) + skew[i][j] for j in range(m)] + [Fraction(int(i == c)) for c in range(n)] for i in range(m)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(m):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    solved = np.array([row[m:] for row in rows], dtype=object)
+    return (np.eye(m, dtype=int) - np.array(skew, dtype=object)) @ solved
+
+
+def exact_random_kraus(dims, n_kraus: int, d_out: int, rng) -> list[np.ndarray]:
+    """A complete rational channel on ``dims``: an ``exact_cayley_isometry`` cut into ``n_kraus``
+    blocks of ``d_out`` rows, so sum_i K_i^T K_i = V^T V = I exactly."""
+    isometry = exact_cayley_isometry(n_kraus * d_out, math.prod(dims), rng)
+    return [isometry[i * d_out : (i + 1) * d_out] for i in range(n_kraus)]
+
+
+def exact_one_way_kraus(dims, outcomes: int, rng) -> list[np.ndarray]:
+    """A one-way LOCC channel on two parties ``dims``, in rational arithmetic: party 0 measures
+    with the ``exact_random_kraus`` operators M_k of ``outcomes`` outcomes, then party 1 applies
+    an outcome-dependent isometry W_k, so K_k = M_k (x) W_k."""
+    d0, d1 = dims
+    return [np.kron(m, exact_cayley_isometry(d1 + 1, d1, rng))
+            for m in exact_random_kraus((d0,), outcomes, d0, rng)]
 
 
 def exact_rotated_domino_kraus(quarter) -> list[np.ndarray]:

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.stats import spearmanr
 
 from loccgate import (
@@ -31,16 +30,15 @@ from loccgate import (
     usd_oneway_protocol,
     verify_protocol,
 )
-from loccgate.gate import _selected_grams, party_gram
 from loccgate.sweeps import SweepConfig, sample_rng
 from oracle import hermitian_eigenvalues
 from oracle import (
     augmented_spectrum,
     check_completeness,
+    gate_grams,
     operator_basis,
     recombined_basis,
     remix_kraus,
-    stacked_pair_products,
     usd_states,
 )
 
@@ -270,14 +268,13 @@ def test_criterion_09_invariance_suite():
                 dims == baseline,
                 f"{channel.name}: remix {i} changed nullspace dims {baseline} -> {dims}",
             )
-        products = [(0, stacked_pair_products(channel.kraus[None]))]
-        [(_, traces, [gram])] = _selected_grams(products, [channel.name], channel.input_dims)
+        _, party_grams = gate_grams(channel)
         for p in range(channel.n_parties):
             d_party = channel.input_dims[p]
             d_rest = channel.dim // d_party
             plain = (operator_basis(d_party), operator_basis(d_rest))
             # the gate's closed-form Gram against Q built from explicit bases
-            reference = hermitian_eigenvalues(party_gram(traces[p][0], gram, d_rest))
+            reference = hermitian_eigenvalues(party_grams[p])
             scale = max(reference[-1], 1e-30)
             for _ in range(5):
                 bases = (recombined_basis(plain[0], rng), recombined_basis(plain[1], rng))

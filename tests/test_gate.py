@@ -35,10 +35,8 @@ from loccgate.channels import CompletenessError, DimensionError
 from loccgate import gate
 from loccgate.gate import (
     _gate_stack,
-    _selected_grams,
     _verdicts,
     gate_channels,
-    party_gram,
     valid_rel_tol,
 )
 from loccgate.linalg import nonzero_vectors, nullspace_dimension
@@ -53,8 +51,12 @@ from oracle import (
     desk_figure_configs,
     exact_bell_kraus,
     exact_nullities,
+    exact_one_way_kraus,
+    exact_projectors,
+    exact_random_kraus,
     exact_rank,
     exact_rotated_domino_kraus,
+    gate_grams,
     identity_coefficients,
     operator_basis,
     pair_products,
@@ -83,9 +85,7 @@ def gate_internals(channel, party, products=None, bases=None, rel_tol=1e-13):
 
 def gate_spectrum(channel, party):
     """Ascending eigenvalues of the Gram the gate solves for one party."""
-    products = [(0, stacked_pair_products(channel.kraus[None]))]
-    [(_, traces, [gram])] = _selected_grams(products, [channel.name], channel.input_dims)
-    return hermitian_eigenvalues(party_gram(traces[party][0], gram, channel.dim // channel.input_dims[party]))
+    return hermitian_eigenvalues(gate_grams(channel)[1][party])
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +340,44 @@ def test_the_exact_rank_eliminates_numpy_integers_in_python_ints():
     assert exact_rank(np.array([[3**30, 1], [3**30 + 1, 1]], dtype=np.int64)) == 2
     assert exact_rank([[Fraction(np.int64(x)) for x in row] for row in rows]) == 2
     assert exact_rank([[np.int64(3**30), 1], [2 * np.int64(3**30), 2]]) == 1
+
+
+def test_the_exact_oracle_multiplies_numpy_integers_in_python_ints():
+    # in int64, 3**20 squared wraps to a wrong value and 2**32 squared to 0, both with no warning
+    n = 3**40 + 1
+    assert exact_projectors([[3**20, 1]])[0].tolist() == [[Fraction(3**40, n), Fraction(3**20, n)],
+                                                          [Fraction(3**20, n), Fraction(1, n)]]
+    local = [np.kron(np.diag(e), np.eye(2, dtype=np.int64)) for e in np.eye(2, dtype=np.int64)]
+    assert exact_nullities([2**32 * k for k in local], (2, 2)) == exact_nullities(local, (2, 2)) == [1, 0]
+
+
+# (kind, input dims, seed) of random rational channels: generic ones with 3 Kraus operators, whose
+# pair products are too few to meet a party's local operators beyond the identity, and one-way LOCC
+# ones, where party 0 measures first.  The seeds were fixed before the first run.
+RANDOM_RATIONAL_DRAWS = [
+    *(("generic", (2, 2), seed) for seed in range(331, 335)),
+    *(("generic", (2, 3), seed) for seed in range(335, 339)),
+    *(("one-way", (2, 2), seed) for seed in (339, 340)),
+    *(("one-way", (2, 3), seed) for seed in (341, 342)),
+]
+
+
+@pytest.mark.parametrize("kind, dims, seed", RANDOM_RATIONAL_DRAWS,
+                         ids=[f"{kind}-{'x'.join(map(str, dims))}-{seed}" for kind, dims, seed in RANDOM_RATIONAL_DRAWS])
+def test_random_rational_channels_match_the_exact_oracle(kind, dims, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        exact = exact_random_kraus(dims, 3, 2 + seed % 2, rng)
+    else:
+        exact = exact_one_way_kraus(dims, 2 + seed % 2, rng)
+    channel = KrausChannel(kind, dims, len(exact[0]), [np.array(k, dtype=float) for k in exact])
+    nullities = exact_nullities(exact, dims)
+    verdict = gate_channel(channel)
+    assert [r.nullspace_dim for r in verdict.reports] == nullities
+    if kind == "generic":
+        assert verdict.verdict == VERDICT_NOT_LOCC
+    else:
+        assert nullities[0] >= 1 and verdict.verdict == VERDICT_FIRST_MOVE_CANDIDATES
 
 
 def test_gate_channel_identity_degenerate():
@@ -668,7 +706,6 @@ def test_gate_channels_raises_for_the_first_bad_channel_before_any_work(monkeypa
         raise AssertionError("gating started before every channel was checked")
 
     monkeypatch.setattr(gate, "formed_pair_products", no_work)
-    monkeypatch.setattr(gate, "_selected_grams", no_work)
     incomplete = KrausChannel("incomplete", (3, 3), 9, 1.1 * rotated_domino.kraus)
     single = KrausChannel("single", (4,), 4, (np.eye(4),))
     with pytest.raises(CompletenessError, match="incomplete"):
@@ -685,13 +722,12 @@ def test_gate_stack_raises_for_the_first_bad_row_before_any_work(monkeypatch, ro
         raise AssertionError("gating started before every row was checked")
 
     monkeypatch.setattr(gate, "formed_pair_products", no_work)
-    monkeypatch.setattr(gate, "_selected_grams", no_work)
     good, names = rotated_domino.kraus, ["a", "b", "c", "d"]
     non_finite = good.copy()
     non_finite[3, 1, 2] = np.nan
-    # finiteness comes before completeness, which a non-finite row fails too
-    with pytest.raises(ValueError, match="^channel 'c': Kraus operator 3 has non-finite entries$"):
-        _gate_stack(np.stack([good, 1.1 * good, non_finite, non_finite]), (3, 3), names, 1e-13)
+    # a non-finite entry makes the completeness residual nan, which is not within the tolerance
+    with pytest.raises(CompletenessError, match="^channel 'c' has completeness residual nan, not within 1e-06$"):
+        _gate_stack(np.stack([good, good, non_finite, non_finite]), (3, 3), names, 1e-13)
     with pytest.raises(CompletenessError, match="^channel 'b' has completeness residual 2.100e-01, not within"):
         _gate_stack(np.stack([good, 1.1 * good, good, 1.2 * good]), (3, 3), names, 1e-13)
     with pytest.raises(DimensionError, match="at least 2 parties, got 1"):
@@ -1265,7 +1301,7 @@ def test_gate_gram_matches_direct_inner_products(bell, dephasing, domino, usd_in
     ]
     for channel, pinned in cases:
         products = pair_products(channel)
-        [(_, _, [gram])] = _selected_grams([(0, products[None])], [channel.name], channel.input_dims)
+        gram, _ = gate_grams(channel)
         selected = products[select_independent_subset(products.reshape(len(products), -1)).indices]
         flat = selected.reshape(len(selected), -1)
         c = identity_coefficients(selected, range(len(selected)))
@@ -1281,10 +1317,7 @@ def test_party_gram_nullity_matches_checked_eigensolve(zoo_channels, dephasing):
     # checked and symmetrized hermitian_eigenvalues on the same matrices
     extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
     for channel in (*zoo_channels, dephasing, extra):
-        products = [(0, stacked_pair_products(channel.kraus[None]))]
-        [(_, traces, [gram])] = _selected_grams(products, [channel.name], channel.input_dims)
-        for party in range(channel.n_parties):
-            pgram = party_gram(traces[party][0], gram, channel.dim // channel.input_dims[party])
+        for pgram in gate_grams(channel)[1]:
             evals = hermitian_eigenvalues(pgram)
             dim, eig_min, eig_max = nullspace_dimension(pgram, 1e-13)
             assert dim == np.count_nonzero(evals < 1e-13 * evals[-1])

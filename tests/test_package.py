@@ -44,6 +44,7 @@ REMOVED = (
     "validate_protocol",
     "lone_kraus_operator",
     "operator_schmidt_rank",
+    "_selected_grams",
 )
 
 
@@ -202,9 +203,12 @@ def test_the_benchmark_tracer_hooks_read_what_the_layers_return(capsys, monkeypa
 
 
 def test_modules_use_every_name_they_import():
-    # no linter ships with the package; ``__init__`` imports names only to export them
+    # no linter ships with the package; ``__init__`` imports names only to export them.  The tests
+    # and scripts are linted too, and a parameter counts as a use: pytest passes fixtures by name.
     unused = []
-    for path in sorted(Path(loccgate.__file__).parent.glob("*.py")):
+    root = Path(__file__).resolve().parents[1]
+    paths = [*Path(loccgate.__file__).parent.glob("*.py"), *root.glob("tests/*.py"), *root.glob("scripts/*.py")]
+    for path in sorted(paths):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -216,5 +220,6 @@ def test_modules_use_every_name_they_import():
             for alias in node.names
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+        used |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+        unused += [f"{path.parent.name}/{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []

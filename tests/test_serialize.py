@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from loccgate import (
     KrausChannel,
     ProtocolTree,
-    bell_channel,
     channels_equal,
     domino_three_round_protocol,
 )
