@@ -11,28 +11,30 @@ only if the augmented Q has a nontrivial nullspace.  If the nullspace is
 empty for every party, no LOCC protocol of any number of rounds implements
 the channel.
 
-Only the Gram of the augmented Q is ever needed, and it has a closed form.
-The constraint rows span every operator except those of the form
+Only the spectrum of the augmented Q's Gram is ever needed, and it has a
+closed form.  The constraint rows span every operator except those of the form
 X tensor I_rest, so
 
-    Q_aug^dag Q_aug = <P_a, P_b> - <Tr_rest P_a, Tr_rest P_b> / d_rest + c c^dag
+    Q^dag Q = <P_a, P_b> - <Tr_rest P_a, Tr_rest P_b> / d_rest
 
-with <X, Y> = tr(X^dag Y).  Moving a party's factor to the front only
-permutes matrix entries, so the subset, c and the first and last terms are
-computed once per channel; each party adds only its partial-trace term.
+with <X, Y> = tr(X^dag Y).  The identity's coefficients x_I over the P_a are
+always a null vector of Q^dag Q, and with c = x_I / |x_I| the spectrum of
+Q_aug^dag Q_aug = Q^dag Q + c c^dag is Q^dag Q's with that zero lifted to 1, so
+the gate lifts the smallest eigenvalue and never solves for c.  Moving a party's
+factor to the front only permutes matrix entries, so the subset and the first
+term are computed once per channel; each party adds its partial-trace term.
 Subset selection factors the selected products as r^T times orthonormal rows,
-so <P_a, P_b> = (r^dag r)_ab and c solves r c = h for the identity's
-coordinates h over those rows.  Channels of one shape are gated as stacks:
-their pair products are formed and zero-filtered in chunks, and a stack, which
-may span chunks, packs each channel's surviving products, zero-padded to its
-widest channel.  One scan gives the stack one padded record of subsets and
-factors, one identity stage checks it for every residual, and channels with
-equal |S| share one gather, one partial trace per party, one solve for c and,
-per party, one eigensolve.  The tail is columnar (``StackColumns``): the eigensolves
-fill (P, B) arrays, and one vectorized pass gives every row's ratios, lambda_hat and
-verdict.  Sweeps write their CSV rows from those columns and build no verdict object;
-``gate_channels`` builds its verdicts from them, and ``gate_channel`` is a stack of
-one, with a one-vector scan.
+so <P_a, P_b> = (r^dag r)_ab.  Channels of one shape are gated as stacks: their
+pair products are formed and zero-filtered in chunks, and a stack, which may
+span chunks, packs each channel's surviving products, zero-padded to its widest
+channel.  One scan gives the stack one padded record of subsets and factors,
+one identity stage checks that every x_I exists, and channels with equal |S|
+share one gather, one partial trace per party and, per party, one eigensolve.
+The tail is columnar (``StackColumns``): the eigensolves fill (P, B) arrays, and
+one vectorized pass gives every row's ratios, lambda_hat and verdict.  Sweeps
+write their CSV rows from those columns and build no verdict object;
+``gate_channels`` builds its verdicts from them, and ``gate_channel`` is a stack
+of one, with a one-vector scan.
 
 Memory follows one law: a stack peaks at the larger of its formation (a chunk's
 products, their averaging temporary and their survivors' gather) and its scan,
@@ -74,8 +76,8 @@ from .channels import (
 )
 from .linalg import (
     DEFAULT_INDEPENDENCE_TOL,
+    _nullity,
     nonzero_vectors,
-    nullspace_dimension,
     select_independent_subset,
     select_independent_subsets,
 )
@@ -87,12 +89,12 @@ DEFAULT_NULLSPACE_RTOL = 1e-13
 
 # A party eigenvalue also counts as zero below the rounding floor
 # NULLSPACE_FLOOR_FACTOR * D * u * max_a gram_aa, u = 2^-53, where gram is the channel's
-# party-independent Gram r^dag r + c c^dag on input dimension D.  A party Gram cancels
-# <P_a, P_b> against its partial-trace term, both of size ||P_a||^2 (~d_rest for a product
-# local to the party), while eig_max stays ~1 from c, so a null eigenvalue keeps the inner
-# products' rounding: for length L = D^2 about sqrt(L) u ||P_a||^2 (Higham & Mary's
+# party-independent Gram <P_a, P_b> = r^dag r on input dimension D.  A party Gram cancels it
+# against its partial-trace term, both of size gram_aa = ||P_a||^2 (~d_rest for a product local
+# to the party), while eig_max >= 1, the identity's lifted eigenvalue, so a null eigenvalue keeps
+# the inner products' rounding: for length L = D^2 about sqrt(L) u ||P_a||^2 (Higham & Mary's
 # probabilistic bound, SIAM J. Sci. Comput. 41, 2019).  Measured null eigenvalues of A x I
-# reached 135 u max_a gram_aa at D = 1024, 30 times under the floor.  The floor only
+# reached 231 u max_a gram_aa at D = 1024, 18 times under the floor.  The floor only
 # raises the threshold, so it can turn a NOT_LOCC into a candidate, never the reverse.
 NULLSPACE_FLOOR_FACTOR = 4
 
@@ -269,13 +271,14 @@ def _padded(run: list[np.ndarray], width: int) -> np.ndarray:
     return packed
 
 
-def _identity_coefficients(basis: np.ndarray, names) -> np.ndarray:
-    """The identity's coordinates h = conj(basis) vec(I) over each slice of a padded scan ``basis``.
+def _identity_coefficients(basis: np.ndarray, names) -> None:
+    """Check that the identity has coefficients x_I over each slice's selected products: the null
+    direction that the gate lifts to 1 exists.
 
-    Padded rows give h = 0.  Completeness puts the identity in the span of the selected
-    products: the first channel in stack order (``names``) whose residual off that span
-    is above IDENTITY_RESIDUAL_TOL (always so for an empty S) raises ``CompletenessError``;
-    it is broken, or the subset tolerance dropped too much.
+    The identity's coordinates over a padded scan ``basis`` (padded rows give 0) leave a residual
+    off the span.  Completeness puts the identity in that span: the first channel in stack order
+    (``names``) whose residual is above IDENTITY_RESIDUAL_TOL (always so for an empty S) raises
+    ``CompletenessError``; it is broken, or the subset tolerance dropped too much.
     """
     target = np.eye(math.isqrt(basis.shape[-1]), dtype=complex).reshape(-1)
     h = np.conj(basis @ target)  # target is real
@@ -286,7 +289,6 @@ def _identity_coefficients(basis: np.ndarray, names) -> np.ndarray:
             f"channel '{names[bad[0]]}': identity not in the span of selected pair products "
             f"(residual {residuals[bad[0]]:.3e}); completeness or the subset tolerance is broken"
         )
-    return h
 
 
 def partial_traces(selected: np.ndarray, dims) -> list[np.ndarray]:
@@ -297,7 +299,7 @@ def partial_traces(selected: np.ndarray, dims) -> list[np.ndarray]:
 
 
 def party_gram(reduced: np.ndarray, gram: np.ndarray, d_rest: int) -> np.ndarray:
-    """Q_aug^dag Q_aug for one party: ``gram`` minus the rest-identity part of the products whose
+    """Q^dag Q for one party: ``gram`` minus the rest-identity part of the products whose
     ``partial_traces`` are ``reduced``; both may carry leading stack axes."""
     out = reduced.conj() @ reduced.swapaxes(-1, -2)
     out /= d_rest  # in place, as is the subtraction: one new Gram-size array, not three
@@ -371,9 +373,9 @@ def _gate_stack(
     After ``_check_stack``, per stack of ``packed_stacks``: one subset scan,
     ``select_independent_subsets`` if ``stacked``, else the faster one-vector scan of a lone channel
     read as a stack of one (so reports do not depend on the stack cuts, bit for bit); per |S| one
-    gather, ``partial_traces`` and solve for the unit-norm c with r c = h, and the Grams
-    <P_a, P_b> = r^dag r plus c c^dag (views of the scan's factor if the stack has one |S|); per
-    party one eigensolve.  Stacks are freed as the memory law says, so nothing else may hold one.
+    gather, ``partial_traces`` and the Grams <P_a, P_b> = r^dag r (of a view of the scan's factor
+    if the stack has one |S|); per party one eigensolve, its smallest eigenvalue (the identity's)
+    lifted to 1.  Stacks are freed as the memory law says, so nothing else may hold one.
     One Kraus-rank eigensolve per STACK_BYTES / 2 of Kraus operators; then every row is classified
     at once, in columns.
     """
@@ -389,7 +391,7 @@ def _gate_stack(
         else:  # a one-channel call
             taken, basis, r = (
                 a[None] for a in select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL))
-        h = _identity_coefficients(basis, names[start : start + len(flat)])
+        _identity_coefficients(basis, names[start : start + len(flat)])
         del flat, basis
         sizes = taken.sum(axis=1)
         groups = [(np.flatnonzero(sizes == k), k) for k in dict.fromkeys(sizes.tolist())]
@@ -397,23 +399,18 @@ def _gate_stack(
                                  input_dims)
                   for m, k in groups]
         del products  # the last reference to the packed stack
-        grams = []
-        for members, k in groups:
-            pick = slice(None) if len(groups) == 1 else members  # one group: views of the scan's factor
-            factor = r[pick, :k, :k]
-            c = np.linalg.solve(factor, h[pick, :k, None])[..., 0]
-            c /= np.linalg.norm(c, axis=-1, keepdims=True)
-            grams.append(factor.conj().swapaxes(-1, -2) @ factor)
-            grams[-1] += c[..., :, None] * c.conj()[..., None, :]
-        del r, h, factor
+        factors = (r[:, :k, :k] if len(groups) == 1 else r[members, :k, :k] for members, k in groups)
+        grams = [f.conj().swapaxes(-1, -2) @ f for f in factors]  # one group: the Gram of a view of r
+        del r
         for (members, k), group_traces, gram in zip(groups, traces, grams):
             rows = start + members
             pair_count[rows] = k
             scale = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)  # max_a gram_aa, per channel
             floor = NULLSPACE_FLOOR_FACTOR * total * 2.0**-53 * scale
             for party, (d_party, reduced) in enumerate(zip(input_dims, group_traces)):
-                stats = nullspace_dimension(party_gram(reduced, gram, total // d_party), rel_tol, floor)
-                nullity[party, rows], eig_min[party, rows], eig_max[party, rows] = stats
+                evals = np.linalg.eigvalsh(party_gram(reduced, gram, total // d_party))
+                evals[..., 0] = 1.0  # the identity's null direction, which Q_aug's row c^dag lifts to 1
+                nullity[party, rows], eig_min[party, rows], eig_max[party, rows] = _nullity(evals, rel_tol, floor)
         del traces, grams, group_traces, gram, reduced  # nothing of this stack outlives it
     step = max(1, STACK_BYTES // 2 // kraus[0].nbytes)  # the guard conjugates one slice at a time
     rank = np.concatenate([kraus_ranks(kraus[lo : lo + step]) for lo in range(0, len(kraus), step)])

@@ -168,8 +168,11 @@ def nullspace_dimension(gram: np.ndarray, rel_tol: float, floor=0.0):
     gram = np.asarray(gram, dtype=complex)
     if gram.size == 0:
         raise ValueError("Gram matrix must be nonempty")
-    evals = np.linalg.eigvalsh(gram)
-    eig_min, eig_max = evals[..., 0], evals[..., -1]
+    return _nullity(np.linalg.eigvalsh(gram), rel_tol, floor)
+
+
+def _nullity(evals: np.ndarray, rel_tol: float, floor):
+    """``nullspace_dimension``'s threshold rule and result, from a (..., n) stack of eigenvalues in any order."""
+    eig_min, eig_max = evals.min(axis=-1), evals.max(axis=-1)
     dim = np.count_nonzero(evals < np.maximum(rel_tol * eig_max, floor)[..., None], axis=-1)
-    dim = np.where(eig_max <= 0.0, gram.shape[-1], dim)
-    return dim.tolist(), eig_min.tolist(), eig_max.tolist()
+    return np.where(eig_max <= 0.0, evals.shape[-1], dim).tolist(), eig_min.tolist(), eig_max.tolist()

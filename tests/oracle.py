@@ -15,14 +15,17 @@ tests measure with ``traced_peak``.
 
 An exact oracle counts each party's nullity with ``fractions.Fraction``
 arithmetic, on channels whose operators have rational entries, so a
-``NOT_LOCC`` there holds without floating point; Cayley transforms of random
-rational skew-symmetric matrices give it complete rational channels to check.
+``NOT_LOCC`` there holds without floating point, and builds each party's
+Q^dag Q and the identity's coefficients over ``Fraction``; Cayley transforms of
+random rational skew-symmetric matrices give it complete rational channels to
+check.
 
 Last, it holds the helpers that only tests call: the channel's action on a
 state, a state check, Kraus remixing, one channel's completeness residual,
-Kraus rank, pair products and the Grams the gate solves, the explicit states
-of the rotated domino and discrimination families, a protocol's per-node
-completeness residuals and round count, and the desk figure sweeps.
+Kraus rank, pair products, the Grams the gate solves and their lifted
+spectra, the explicit states of the rotated domino and discrimination
+families, a protocol's per-node completeness residuals and round count, and
+the desk figure sweeps.
 """
 
 from __future__ import annotations
@@ -393,7 +396,7 @@ def stacked_pair_products(kraus: np.ndarray) -> np.ndarray:
 
 def gate_grams(channel: KrausChannel):
     """(gram, party_grams) as ``gate_channel`` solves them for a lone channel: its party-independent
-    Gram <P_a, P_b> + c c^dag and, per party, Q_aug^dag Q_aug, read by wrapping ``gate.party_gram``."""
+    Gram <P_a, P_b> and, per party, Q^dag Q, read by wrapping ``gate.party_gram``."""
     seam, calls = gate.party_gram, []
 
     def spy(reduced, gram, d_rest):
@@ -408,6 +411,14 @@ def gate_grams(channel: KrausChannel):
         gate.party_gram = seam
     assert len(calls) == channel.n_parties
     return calls[0][0], [party for _, party in calls]
+
+
+def lifted_spectrum(party_gram: np.ndarray) -> np.ndarray:
+    """Ascending ``hermitian_eigenvalues`` of a party's Q^dag Q with the smallest, the identity's,
+    lifted to 1: the spectrum of Q_aug^dag Q_aug, as the gate reads it."""
+    evals = hermitian_eigenvalues(party_gram)
+    evals[0] = 1.0
+    return np.sort(evals)
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
@@ -516,21 +527,47 @@ def communication_rounds(tree) -> int:
     return depth(tree.root) - 1
 
 
-def exact_rank(vectors) -> int:
-    """Rank of equal-length vectors of rationals, by Gaussian elimination over ``Fraction``.
+def _fractions(vector) -> list[Fraction]:
+    """The entries of ``vector`` as fractions of Python ints: a numpy integer, or a ``Fraction``
+    built from one, keeps its fixed width through ``Fraction`` arithmetic and overflows."""
+    return [Fraction(int(x.numerator), int(x.denominator)) for x in map(Fraction, vector)]
 
-    Entries are first made fractions of Python ints: a numpy integer, or a ``Fraction`` built from
-    one, keeps its fixed width through ``Fraction`` arithmetic and overflows."""
+
+def exact_independent(vectors) -> list[int]:
+    """Positions of the first maximal linearly independent subset of equal-length vectors of
+    rationals, in input order, by Gaussian elimination over ``Fraction`` (``_fractions``)."""
     pivots: dict[int, list[Fraction]] = {}  # pivot column -> row with 1 there and 0 at earlier pivots
-    for v in vectors:
-        v = [Fraction(int(x.numerator), int(x.denominator)) for x in map(Fraction, v)]
+    taken = []
+    for idx, v in enumerate(vectors):
+        v = _fractions(v)
         for col, row in pivots.items():
             if v[col]:
                 v = [x - v[col] * y for x, y in zip(v, row)]
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is not None:
             pivots[lead] = [x / v[lead] for x in v]
-    return len(pivots)
+            taken.append(idx)
+    return taken
+
+
+def exact_rank(vectors) -> int:
+    """Rank of equal-length vectors of rationals: the size of their ``exact_independent`` subset."""
+    return len(exact_independent(vectors))
+
+
+def exact_solve(a, b) -> np.ndarray:
+    """X with a X = b for an invertible m x m rational ``a`` and an m x n ``b``, by Gauss-Jordan
+    elimination over ``Fraction`` (``_fractions``): an object array of fractions."""
+    m = len(a)
+    rows = [_fractions([*row_a, *row_b]) for row_a, row_b in zip(a, b)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(m):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return np.array([row[m:] for row in rows], dtype=object)
 
 
 def exact_nullities(kraus, dims) -> list[int]:
@@ -552,6 +589,31 @@ def exact_nullities(kraus, dims) -> list[int]:
     return nullities
 
 
+def exact_party_grams(kraus, dims) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(x_I, grams) in exact arithmetic, for real Kraus operators with rational entries: over the
+    ``exact_independent`` subset S of the pair products P = K_i^T K_j, the identity's coefficients
+    x_I, sum_a x_a P_a = I, and per party Q^dag Q = <P_a, P_b> - <Tr_rest P_a, Tr_rest P_b> / d_rest,
+    with no identity row c; object arrays of ``Fraction``.
+
+    x_I solves the normal equations <P_a, P_b> x = <P_a, I> by ``exact_solve``; a channel whose
+    identity lies off span S raises ``ValueError``."""
+    kraus = [np.asarray(k, dtype=object) for k in kraus]  # numpy integers become Python ints, which never wrap
+    products = [a.T @ b for a in kraus for b in kraus]
+    selected = [products[i] for i in exact_independent([p.ravel() for p in products])]
+    gram = [[(p_a * p_b).sum() for p_b in selected] for p_a in selected]
+    x_i = exact_solve(gram, [[p.trace()] for p in selected])[:, 0]
+    if (sum(x * p for x, p in zip(x_i, selected)) != np.eye(len(selected[0]), dtype=int)).any():
+        raise ValueError("the identity is not in the span of the pair products")
+    total, grams = math.prod(dims), []
+    for p, d in enumerate(dims):
+        lead, rest = math.prod(dims[:p]), total // math.prod(dims[: p + 1])
+        reduced = [sum(s.reshape(lead, d, rest, lead, d, rest)[x, :, y, x, :, y]
+                       for x in range(lead) for y in range(rest)) for s in selected]
+        grams.append(np.array([[g - Fraction((r_a * r_b).sum(), total // d) for g, r_b in zip(row, reduced)]
+                               for row, r_a in zip(gram, reduced)], dtype=object))
+    return x_i, grams
+
+
 def exact_projectors(vectors) -> list[np.ndarray]:
     """|u><u| / <u|u> for each real vector u of integers, with ``Fraction`` entries.
 
@@ -565,21 +627,12 @@ def exact_cayley_isometry(m: int, n: int, rng) -> np.ndarray:
     skew-symmetric m x m matrix S: an m x n real isometry with ``Fraction`` entries.
 
     I + S is invertible for real skew-symmetric S, and I - S commutes with its inverse, so the
-    transform is orthogonal; the columns come from solving (I + S) X = [I_n; 0] by Gauss-Jordan
-    elimination over ``Fraction``."""
+    transform is orthogonal; the columns come from ``exact_solve``: (I + S) X = [I_n; 0]."""
     skew = [[Fraction(0)] * m for _ in range(m)]
     for i, j in zip(*np.triu_indices(m, 1)):
         skew[i][j] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
         skew[j][i] = -skew[i][j]
-    rows = [[int(i == j) + skew[i][j] for j in range(m)] + [Fraction(int(i == c)) for c in range(n)] for i in range(m)]
-    for col in range(m):
-        pivot = next(r for r in range(col, m) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [x / rows[col][col] for x in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col]:
-                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
-    solved = np.array([row[m:] for row in rows], dtype=object)
+    solved = exact_solve([[int(i == j) + skew[i][j] for j in range(m)] for i in range(m)], np.eye(m, n, dtype=int))
     return (np.eye(m, dtype=int) - np.array(skew, dtype=object)) @ solved
 
 

@@ -31,11 +31,11 @@ from loccgate import (
     verify_protocol,
 )
 from loccgate.sweeps import SweepConfig, sample_rng
-from oracle import hermitian_eigenvalues
 from oracle import (
     augmented_spectrum,
     check_completeness,
     gate_grams,
+    lifted_spectrum,
     operator_basis,
     recombined_basis,
     remix_kraus,
@@ -273,8 +273,8 @@ def test_criterion_09_invariance_suite():
             d_party = channel.input_dims[p]
             d_rest = channel.dim // d_party
             plain = (operator_basis(d_party), operator_basis(d_rest))
-            # the gate's closed-form Gram against Q built from explicit bases
-            reference = hermitian_eigenvalues(party_grams[p])
+            # the gate's closed-form Gram, its identity eigenvalue lifted, against Q_aug built from explicit bases
+            reference = lifted_spectrum(party_grams[p])
             scale = max(reference[-1], 1e-30)
             for _ in range(5):
                 bases = (recombined_basis(plain[0], rng), recombined_basis(plain[1], rng))

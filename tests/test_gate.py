@@ -50,14 +50,17 @@ from oracle import (
     build_q,
     desk_figure_configs,
     exact_bell_kraus,
+    exact_cayley_isometry,
     exact_nullities,
     exact_one_way_kraus,
+    exact_party_grams,
     exact_projectors,
     exact_random_kraus,
     exact_rank,
     exact_rotated_domino_kraus,
     gate_grams,
     identity_coefficients,
+    lifted_spectrum,
     operator_basis,
     pair_products,
     party_products,
@@ -84,8 +87,9 @@ def gate_internals(channel, party, products=None, bases=None, rel_tol=1e-13):
 
 
 def gate_spectrum(channel, party):
-    """Ascending eigenvalues of the Gram the gate solves for one party."""
-    return hermitian_eigenvalues(gate_grams(channel)[1][party])
+    """Ascending eigenvalues of Q_aug^dag Q_aug for one party as the gate reads them: the lifted
+    spectrum of the Gram it solves."""
+    return lifted_spectrum(gate_grams(channel)[1][party])
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +260,13 @@ def test_ratio_within_unit_interval(zoo_channels):
 def test_a_negative_zero_eigenvalue_reads_as_a_positive_zero_ratio(monkeypatch, domino):
     # eigvalsh can return -0.0 for an exact null direction; max(-0.0, 0.0) is -0.0, which
     # would print as "-0.0" and make lambda_hat's sign depend on the parties' order
-    solve = gate.nullspace_dimension
+    rule = gate._nullity
 
-    def negative_zero(gram, rel_tol, floor):
-        dims, _, eig_max = solve(gram, rel_tol, floor)
+    def negative_zero(evals, rel_tol, floor):
+        dims, _, eig_max = rule(evals, rel_tol, floor)
         return dims, [-0.0] * len(eig_max), eig_max
 
-    monkeypatch.setattr(gate, "nullspace_dimension", negative_zero)
+    monkeypatch.setattr(gate, "_nullity", negative_zero)
     for verdict in (gate_channel(domino), *gate_channels([domino, domino])):
         assert [math.copysign(1.0, r.ratio) for r in verdict.reports] == [1.0, 1.0]
         assert math.copysign(1.0, verdict.lambda_hat) == 1.0
@@ -277,13 +281,13 @@ def test_columns_and_verdicts_agree_on_degenerate_rows_and_negative_zeros(monkey
     rng = np.random.default_rng(3)
     generic = np.linalg.qr(rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4)))[0].reshape(2, 8, 4)
     kraus = np.stack([np.stack([flags[0], flags[0]]) / 2**0.5, np.stack(flags) / 2**0.5, generic]).astype(complex)
-    solve = gate.nullspace_dimension
+    rule = gate._nullity
 
-    def negative_zero(gram, rel_tol, floor):
-        dims, _, eig_max = solve(gram, rel_tol, floor)
+    def negative_zero(evals, rel_tol, floor):
+        dims, _, eig_max = rule(evals, rel_tol, floor)
         return dims, [-0.0] * len(eig_max), eig_max
 
-    monkeypatch.setattr(gate, "nullspace_dimension", negative_zero)
+    monkeypatch.setattr(gate, "_nullity", negative_zero)
     columns = _gate_stack(kraus, (2, 2), ["rank one", "identity span", "generic"], 1e-13)
     verdicts = _verdicts(columns, kraus, (2, 2))
     assert np.signbit(columns.eig_min).all() and not np.signbit(columns.ratio).any()
@@ -353,23 +357,37 @@ def test_the_exact_oracle_multiplies_numpy_integers_in_python_ints():
 
 # (kind, input dims, seed) of random rational channels: generic ones with 3 Kraus operators, whose
 # pair products are too few to meet a party's local operators beyond the identity, and one-way LOCC
-# ones, where party 0 measures first.  The seeds were fixed before the first run.
+# ones, where party 0 measures first, some of them remixed.  The seeds were fixed before the first run.
 RANDOM_RATIONAL_DRAWS = [
     *(("generic", (2, 2), seed) for seed in range(331, 335)),
     *(("generic", (2, 3), seed) for seed in range(335, 339)),
     *(("one-way", (2, 2), seed) for seed in (339, 340)),
     *(("one-way", (2, 3), seed) for seed in (341, 342)),
+    *(("generic", (3, 3), seed) for seed in (343, 344)),
+    *(("remixed", (2, 2), seed) for seed in (345, 346)),
+    *(("remixed", (2, 3), seed) for seed in (347, 348)),
+    *(("remixed", (3, 3), seed) for seed in (349, 350)),
 ]
+RANDOM_RATIONAL_IDS = [f"{kind}-{'x'.join(map(str, dims))}-{seed}" for kind, dims, seed in RANDOM_RATIONAL_DRAWS]
 
 
-@pytest.mark.parametrize("kind, dims, seed", RANDOM_RATIONAL_DRAWS,
-                         ids=[f"{kind}-{'x'.join(map(str, dims))}-{seed}" for kind, dims, seed in RANDOM_RATIONAL_DRAWS])
-def test_random_rational_channels_match_the_exact_oracle(kind, dims, seed):
+def rational_draw(kind, dims, seed) -> list[np.ndarray]:
+    """The exact Kraus operators of a ``RANDOM_RATIONAL_DRAWS`` entry.  A generic draw on D = d_0 d_1
+    has 3 operators of ceil(D / 3) or one more rows; a remixed one is a one-way draw K_i rewritten
+    as sum_i O_ji K_i by a rational orthogonal N x N matrix O."""
     rng = np.random.default_rng(seed)
     if kind == "generic":
-        exact = exact_random_kraus(dims, 3, 2 + seed % 2, rng)
-    else:
-        exact = exact_one_way_kraus(dims, 2 + seed % 2, rng)
+        return exact_random_kraus(dims, 3, -(-math.prod(dims) // 3) + seed % 2, rng)
+    exact = exact_one_way_kraus(dims, 2 + seed % 2, rng)
+    if kind == "remixed":
+        mix = exact_cayley_isometry(len(exact), len(exact), rng)
+        exact = [sum(m * k for m, k in zip(row, exact)) for row in mix]
+    return exact
+
+
+@pytest.mark.parametrize("kind, dims, seed", RANDOM_RATIONAL_DRAWS, ids=RANDOM_RATIONAL_IDS)
+def test_random_rational_channels_match_the_exact_oracle(kind, dims, seed):
+    exact = rational_draw(kind, dims, seed)
     channel = KrausChannel(kind, dims, len(exact[0]), [np.array(k, dtype=float) for k in exact])
     nullities = exact_nullities(exact, dims)
     verdict = gate_channel(channel)
@@ -378,6 +396,30 @@ def test_random_rational_channels_match_the_exact_oracle(kind, dims, seed):
         assert verdict.verdict == VERDICT_NOT_LOCC
     else:
         assert nullities[0] >= 1 and verdict.verdict == VERDICT_FIRST_MOVE_CANDIDATES
+
+
+@pytest.mark.parametrize("exact, dims", [
+    pytest.param(exact_bell_kraus(), (2, 2), id="bell"),
+    pytest.param(exact_rotated_domino_kraus((1, 1, 1, 1)), (3, 3), id="domino"),
+    *(pytest.param(rational_draw(*draw), draw[1], id=name)
+      for name, draw in zip(RANDOM_RATIONAL_IDS[:12], RANDOM_RATIONAL_DRAWS[:12])),
+])
+def test_the_identity_coefficients_are_null_for_every_exact_party_gram(exact, dims):
+    # the gate lifts one zero eigenvalue of each party's Q^dag Q to 1 on the premise that x_I is a
+    # null vector of Q^dag Q: in exact arithmetic it is, for every party
+    x_i, grams = exact_party_grams(exact, dims)
+    assert all((gram @ x_i == 0).all() for gram in grams)
+
+
+def test_bells_exact_party_grams_are_projectors_so_its_lambda_is_one():
+    # each party's Q^dag Q is I - J/4 (J all ones), a projector of rank 3 whose null line is x_I =
+    # (1, 1, 1, 1): lifting that zero to 1 leaves the spectrum {1, 1, 1, 1}, so lambda = 1 exactly
+    x_i, grams = exact_party_grams(exact_bell_kraus(), (2, 2))
+    projector = np.array([[Fraction(int(a == b)) - Fraction(1, 4) for b in range(4)] for a in range(4)], dtype=object)
+    assert (x_i == 1).all()
+    for gram in grams:
+        assert (gram == projector).all() and (gram @ gram == gram).all() and exact_rank(gram) == 3
+    assert abs(gate_channel(bell_channel()).lambda_hat - 1.0) <= 1e-12
 
 
 def test_gate_channel_identity_degenerate():
@@ -504,14 +546,14 @@ def test_the_rounding_floor_keeps_its_margins_on_the_desk_sweeps(monkeypatch):
     # on the desk figure sweeps at seed 1 the floor moves no count: it stays under every party's
     # rel_tol * eig_max, and every party of nullity 0 stays at least 1e3 times above it
     calls = []
-    solve = gate.nullspace_dimension
+    rule = gate._nullity
 
-    def spy(gram, rel_tol, floor):
-        stats = solve(gram, rel_tol, floor)
+    def spy(evals, rel_tol, floor):
+        stats = rule(evals, rel_tol, floor)
         calls.append((rel_tol, floor, *map(np.array, stats)))
         return stats
 
-    monkeypatch.setattr(gate, "nullspace_dimension", spy)
+    monkeypatch.setattr(gate, "_nullity", spy)
     for cfg in desk_figure_configs(1):
         list(run_sweep(cfg)[1])
     floor, rel_line, eig_min = (np.concatenate(a) for a in zip(*(
@@ -978,25 +1020,22 @@ def test_random_lone_channels_peak_at_their_scan_or_their_formation(dims, nu, se
     assert_lone_gate_follows_the_law(random_unitary_channel(dims, nu, np.random.default_rng(seed)))
 
 
-def test_a_lone_channel_frees_the_stack_and_the_basis_before_the_solve_and_the_eigensolves(monkeypatch):
+def test_a_lone_channel_frees_the_stack_and_the_basis_before_the_eigensolves(monkeypatch):
     # 2^4/20 packs 400 products of length 256 (1,600 KiB) and keeps |S| = 256: the basis and the
-    # factor are 1 MiB each.  At the identity solve only the factor, at each party eigensolve
-    # only the Gram and the party's Gram may be alive beside arrays of a few KiB.  A packed stack
-    # or a basis kept alive past its last reader can stay under every peak bound, but fails here
+    # factor are 1 MiB each.  At each party eigensolve only the Gram and the party's Gram may be
+    # alive beside arrays of a few KiB.  A packed stack, a basis or a factor kept alive past its
+    # last reader can stay under every peak bound, but fails here
     channel = random_unitary_channel((2, 2, 2, 2), 20, np.random.default_rng(1))
     gate_channel(channel)  # warm-up: first-call allocations are not the gate's
-    alive = {"solve": [], "eigvalsh": []}
-    for name, calls in alive.items():
-        solver = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *args, solver=solver, calls=calls: (
-            calls.append(tracemalloc.get_traced_memory()[0]) or solver(*args)))
+    alive, solver = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *args: alive.append(tracemalloc.get_traced_memory()[0]) or solver(*args))
     _, verdict = traced_peak(gate_channel, channel)
     assert verdict.reports[0].pair_count == 256
     stack, basis = 400 * 256 * 16, 256 * 256 * 16
     square = 256 * 256 * 16  # the factor, and each Gram
-    assert len(alive["solve"]) == 1 and len(alive["eigvalsh"]) == 4 + 1  # one per party, one Kraus-rank guard
-    assert max(alive["solve"]) < square + min(stack, basis) // 2
-    assert max(alive["eigvalsh"]) < 2 * square + min(stack, basis) // 2
+    assert len(alive) == 4 + 1  # one per party, one Kraus-rank guard
+    assert max(alive) < 2 * square + min(stack, basis) // 2
 
 
 def test_a_list_over_several_stacks_peaks_at_its_first_stack():
@@ -1071,9 +1110,12 @@ def test_gate_channels_batches_its_eigensolves_and_solves(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
     verdicts = gate_channels(channels)
     n_groups = len({v.reports[0].pair_count for v in verdicts})
-    # one eigensolve per party and subset size, one for the Kraus ranks; one solve per subset size
+    # one eigensolve per party and subset size, one for the Kraus ranks; no solve: the identity's
+    # eigenvalue is lifted, not solved for
     assert calls["eigvalsh"] <= channels[0].n_parties * n_groups + 1
-    assert calls["solve"] == n_groups
+    assert calls["solve"] == 0
+    gate_channel(channels[0])
+    assert calls["solve"] == 0
 
 
 def test_gate_channels_rejects_channels_of_different_shapes(bell, domino, dephasing):
@@ -1290,8 +1332,9 @@ def test_gate_matches_explicit_q_for_every_party(dims, nu):
 
 
 def test_gate_gram_matches_direct_inner_products(bell, dephasing, domino, usd_instance):
-    # the gate's Gram is <P_a, P_b> + c c^dag; c is pinned where S is the diagonal
-    # pairs K_i^dag K_i, which sum to I
+    # the gate's Gram is <P_a, P_b>, and each party's lifted spectrum is that of its Gram plus
+    # c c^dag, the unit identity coefficients c pinned where S is the diagonal pairs K_i^dag K_i,
+    # which sum to I
     cases = [
         (bell, np.full(4, 0.5)),
         (dephasing, np.full(2, 1 / np.sqrt(2))),
@@ -1301,15 +1344,18 @@ def test_gate_gram_matches_direct_inner_products(bell, dephasing, domino, usd_in
     ]
     for channel, pinned in cases:
         products = pair_products(channel)
-        gram, _ = gate_grams(channel)
+        gram, party_grams = gate_grams(channel)
         selected = products[select_independent_subset(products.reshape(len(products), -1)).indices]
         flat = selected.reshape(len(selected), -1)
         c = identity_coefficients(selected, range(len(selected)))
         if pinned is not None:
             assert np.array_equal(selected, pair_products(channel)[:: channel.n_kraus + 1])
             assert np.allclose(np.outer(c, c.conj()), np.outer(pinned, pinned), atol=1e-10)
-        direct = flat.conj() @ flat.T + np.outer(c, c.conj())
+        direct = flat.conj() @ flat.T
         assert np.max(np.abs(gram - direct)) < 1e-12 * np.max(np.abs(direct))
+        for party_gram in party_grams:
+            augmented = hermitian_eigenvalues(party_gram + np.outer(c, c.conj()))
+            assert np.max(np.abs(lifted_spectrum(party_gram) - augmented)) < 1e-12 * augmented[-1]
 
 
 def test_party_gram_nullity_matches_checked_eigensolve(zoo_channels, dephasing):

@@ -162,6 +162,7 @@ STRANDED_WRAP_POINTS = [
     "loccgate.gate.pair_products",
     "loccgate.gate.q_matrix_for_products",
     "loccgate.gate.identity_vector",
+    "loccgate.gate.nullspace_dimension",
     "loccgate.gate.kraus_rank",
     "loccgate.sweeps.rotated_domino_channel",
     "loccgate.sweeps.random_unitary_channel",
@@ -171,8 +172,7 @@ STRANDED_WRAP_POINTS = [
 
 def test_layers_stay_reachable_where_the_benchmark_tracer_wraps_them(monkeypatch):
     for module, names in [
-        (gate, ["kraus_ranks", "select_independent_subset", "nullspace_dimension",
-                "completeness_residuals", "pair_product_columns",
+        (gate, ["kraus_ranks", "select_independent_subset", "completeness_residuals", "pair_product_columns",
                 "select_independent_subsets", "_identity_coefficients", "party_gram",
                 "packed_stacks", "nonzero_vectors"]),
         (protocols, ["protocol_to_channel", "channels_equal"]),
