@@ -22,7 +22,7 @@ _HOME = {
         "VERDICT_DEGENERATE_KRAUS_RANK_ONE", "VERDICT_FIRST_MOVE_CANDIDATES", "VERDICT_NOT_LOCC",
         "gate_channel", "gate_channels",
     ), "gate"),
-    **dict.fromkeys(("IndependentSubset", "nullspace_dimension", "select_independent_subset"), "linalg"),
+    **dict.fromkeys(("IndependentSubset", "select_independent_subset"), "linalg"),
     **dict.fromkeys((
         "ProtocolNode", "ProtocolTree", "domino_three_round_protocol", "protocol_to_channel",
         "usd_oneway_protocol", "verify_protocol",

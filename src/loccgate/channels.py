@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import nullspace_dimension
+from .linalg import _nullity
 
 # Eigenvalues below KRAUS_RANK_RTOL times the largest do not count towards a
 # Kraus or operator Schmidt rank.
@@ -49,6 +49,15 @@ class CompletenessError(ValueError):
     """A channel or a measurement does not resolve the identity."""
 
 
+def _positive_whole(value, field: str) -> int:
+    """``value`` as an int if it is a positive Python or numpy integer or whole float, with bools and
+    strings excluded; otherwise a ValueError that names ``field``."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if (integral or isinstance(value, (float, np.floating)) and float(value).is_integer()) and value >= 1:
+        return int(value)
+    raise ValueError(f"{field} must be a positive whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """A channel ``rho -> sum_i K_i rho K_i^dag`` over a fixed input partition.
@@ -65,13 +74,11 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.input_dims)
-        object.__setattr__(self, "input_dims", dims)
-        object.__setattr__(self, "output_dim", int(self.output_dim))
-        if not dims or any(d < 1 for d in dims):
+        dims = tuple(_positive_whole(d, "input_dims") for d in self.input_dims)
+        if not dims:
             raise ValueError("input_dims must be a nonempty list of positive integers")
-        if self.output_dim < 1:
-            raise ValueError("output_dim must be positive")
+        object.__setattr__(self, "input_dims", dims)
+        object.__setattr__(self, "output_dim", _positive_whole(self.output_dim, "output_dim"))
         if not len(self.kraus):
             raise ValueError("channel needs at least one Kraus operator")
         expected = (self.output_dim, math.prod(dims))
@@ -154,7 +161,7 @@ def _kraus_gram(kraus: np.ndarray) -> np.ndarray:
 def kraus_ranks(kraus: np.ndarray) -> list[int]:
     """Rank of each channel's Choi matrix (its minimal number of Kraus operators) in a
     (B, N, d_out, D) Kraus stack, from one batched eigensolve of the Kraus Grams."""
-    return [kraus.shape[1] - n for n in nullspace_dimension(_kraus_gram(kraus), KRAUS_RANK_RTOL)[0]]
+    return [kraus.shape[1] - n for n in _nullity(np.linalg.eigvalsh(_kraus_gram(kraus)), KRAUS_RANK_RTOL, 0.0)[0]]
 
 
 def _lone_operator_is_local(kraus: np.ndarray, dims) -> bool:
@@ -177,6 +184,6 @@ def _lone_operator_is_local(kraus: np.ndarray, dims) -> bool:
         realigned = tens.transpose(1, 4, 0, 2, 3, 5).reshape(d_party * d_party, -1)
         tall = realigned.shape[1] < d_party * d_party
         gram = realigned.conj().T @ realigned if tall else realigned @ realigned.conj().T
-        if len(gram) - nullspace_dimension(gram, KRAUS_RANK_RTOL)[0] != 1:
+        if len(gram) - _nullity(np.linalg.eigvalsh(gram), KRAUS_RANK_RTOL, 0.0)[0] != 1:
             return False
     return True

@@ -80,6 +80,7 @@ from .linalg import (
     nonzero_vectors,
     select_independent_subset,
     select_independent_subsets,
+    valid_rel_tol,
 )
 
 # Eigenvalues of Q_aug^dag Q_aug below DEFAULT_NULLSPACE_RTOL times the largest count
@@ -98,8 +99,9 @@ DEFAULT_NULLSPACE_RTOL = 1e-13
 # raises the threshold, so it can turn a NOT_LOCC into a candidate, never the reverse.
 NULLSPACE_FLOOR_FACTOR = 4
 
-# Hard ceiling on the completeness residual before gating is meaningless, and
-# the residual above which the CLI warns but still gates; a nan residual fails both.
+# Hard ceiling on the completeness residual before gating is meaningless, and the residual above
+# which the CLI warns.  One in between is gated only while the identity stays within
+# IDENTITY_RESIDUAL_TOL of the selected products' span, else CompletenessError; nan fails both.
 COMPLETENESS_TOL = 1e-6
 COMPLETENESS_WARN_TOL = 1e-9
 
@@ -110,11 +112,6 @@ IDENTITY_RESIDUAL_TOL = 1e-9
 # chunks of half as much.  The stacked scan's buffers take up to twice as much again:
 # larger stacks cut per-channel call overhead but add peak memory.
 STACK_BYTES = 1 << 19
-
-
-def valid_rel_tol(rel_tol) -> bool:
-    """A relative threshold must be finite and strictly between 0 and 1."""
-    return 0.0 < rel_tol < 1.0  # false for nan and +-inf
 
 
 VERDICT_NOT_LOCC = "NOT_LOCC"

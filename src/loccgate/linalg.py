@@ -33,6 +33,11 @@ class IndependentSubset(namedtuple("IndependentSubset", "taken basis r")):
         return np.flatnonzero(self.taken).tolist()
 
 
+def valid_rel_tol(rel_tol) -> bool:
+    """A relative threshold must be finite and strictly between 0 and 1."""
+    return 0.0 < rel_tol < 1.0  # false for nan and +-inf
+
+
 def nonzero_vectors(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Norms of a (..., M, L) complex stack of vectors, and which of them count as nonzero.
 
@@ -40,7 +45,7 @@ def nonzero_vectors(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     of its slice counts as zero, or it would enter an independent subset on
     rounding noise.  ``tol`` must lie in (0, 1).
     """
-    if not 0.0 < tol < 1.0:  # also rejects nan and +-inf
+    if not valid_rel_tol(tol):
         raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
     re, im = vectors.real, vectors.imag
     norms = np.sqrt(np.einsum("...ml,...ml->...m", re, re) + np.einsum("...ml,...ml->...m", im, im))
@@ -154,25 +159,11 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     return taken, onb, factor
 
 
-def nullspace_dimension(gram: np.ndarray, rel_tol: float, floor=0.0):
-    """Numerical nullspace dimension of a matrix ``m`` from its Gram m^dag m.
-
-    Returns the count of Gram eigenvalues below the larger of ``rel_tol`` times
-    the largest and ``floor`` (a scalar, or one per slice of a stack: an absolute
-    rounding bound), plus the extreme eigenvalues; a zero Gram has nullity equal
-    to its size.  A (..., n, n) stack takes one batched eigensolve and gives
-    per-slice lists; a single Gram gives Python scalars.  The input must be such
-    a Gram, Hermitian by construction: it is neither checked nor symmetrized,
-    and the eigensolver reads its lower triangle.
-    """
-    gram = np.asarray(gram, dtype=complex)
-    if gram.size == 0:
-        raise ValueError("Gram matrix must be nonempty")
-    return _nullity(np.linalg.eigvalsh(gram), rel_tol, floor)
-
-
 def _nullity(evals: np.ndarray, rel_tol: float, floor):
-    """``nullspace_dimension``'s threshold rule and result, from a (..., n) stack of eigenvalues in any order."""
+    """Numerical nullity of each Gram m^dag m of a stack from its (..., n) eigenvalues, in any order: the
+    count below the larger of ``rel_tol`` times the largest and ``floor`` (a scalar, or one per slice:
+    an absolute rounding bound), and n for a zero Gram.  Returns per-slice lists of the nullities and
+    the extreme eigenvalues, or Python scalars for one Gram's eigenvalues."""
     eig_min, eig_max = evals.min(axis=-1), evals.max(axis=-1)
     dim = np.count_nonzero(evals < np.maximum(rel_tol * eig_max, floor)[..., None], axis=-1)
     return np.where(eig_max <= 0.0, evals.shape[-1], dim).tolist(), eig_min.tolist(), eig_max.tolist()

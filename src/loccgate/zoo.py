@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _positive_whole
 
 QUARTER_PI = math.pi / 4.0
 
@@ -126,11 +126,8 @@ def random_unitary_kraus(dims, n_u: int, rngs) -> np.ndarray:
     One draw per generator takes each matrix's real part, then its imaginary
     part, matrix by matrix, and one QR call factors the whole stack.
     """
-    d = math.prod(dims)
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    if n_u < 1:
-        raise ValueError("need at least one unitary")
+    d = math.prod(_positive_whole(x, "dims") for x in dims)
+    n_u = _positive_whole(n_u, "n_u")
     g = np.stack([rng.standard_normal((n_u, 2, d, d)) for rng in rngs])
     q, r = np.linalg.qr((g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -148,9 +145,8 @@ def random_unitary_channel(dims, n_u: int, rng: np.random.Generator) -> KrausCha
     The Kraus operators are ``n_u`` successive ``haar_unitary`` draws from
     ``rng``, scaled by 1/sqrt(n_u), made with one draw and one QR call.
     """
-    dims = tuple(int(d) for d in dims)
     kraus = random_unitary_kraus(dims, n_u, [rng])[0]
-    return KrausChannel("random-unitary", dims, math.prod(dims), kraus)
+    return KrausChannel("random-unitary", dims, kraus.shape[-1], kraus)
 
 
 @dataclass(frozen=True)

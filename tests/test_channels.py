@@ -12,6 +12,7 @@ from loccgate import (
     choi_matrix,
     gate_channel,
     haar_unitary,
+    random_unitary_channel,
     sample_rng,
     sample_usd_params,
 )
@@ -63,6 +64,26 @@ def test_channel_construction_validates_shapes():
         KrausChannel("bad", (2, 2), 4, np.zeros((0, 4, 4)))
     with pytest.raises(ValueError, match=r"^Kraus operator 1 has shape \(3, 3\), expected \(4, 4\)$"):
         KrausChannel("bad", (2, 2), 4, [np.eye(4), np.eye(3)])
+
+
+def test_channel_dimensions_must_be_positive_whole_numbers():
+    # each used to be truncated by int(): (2.7, 2) built a 2x2 channel, True read as 1
+    for dims, output_dim, field in [((2.7, 2), 4, "input_dims"), ((2, 2), 4.9, "output_dim"),
+                                    ((True, 4), 4, "input_dims"), (("2", 2.0), 4, "input_dims"),
+                                    ((2, 2), np.True_, "output_dim"), ((2, 2), np.nan, "output_dim"),
+                                    ((0, 4), 4, "input_dims"), ((2, 2), -4.0, "output_dim")]:
+        with pytest.raises(ValueError, match=f"^{field} must be a positive whole number, got "):
+            KrausChannel("bad", dims, output_dim, [np.eye(4)])
+    # integers of either kind and whole floats still read as ints
+    channel = KrausChannel("ok", (np.int64(2), 2.0), np.float32(4.0), [np.eye(4)])
+    assert (channel.input_dims, channel.output_dim) == ((2, 2), 4)
+    assert [type(d) for d in (*channel.input_dims, channel.output_dim)] == [int, int, int]
+    rng = np.random.default_rng(5)
+    for dims, n_u, field in [((2.5, 2), 3, "dims"), ((2, 2), 2.5, "n_u"), ((2, 2), True, "n_u")]:
+        with pytest.raises(ValueError, match=f"^{field} must be a positive whole number, got "):
+            random_unitary_channel(dims, n_u, rng)
+    channel = random_unitary_channel((2.0, np.int64(3)), 2.0, rng)
+    assert (channel.input_dims, channel.output_dim, channel.n_kraus) == ((2, 3), 6, 2)
 
 
 def test_channel_holds_a_read_only_copy_of_its_operators():

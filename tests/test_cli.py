@@ -398,6 +398,28 @@ def test_check_warns_with_the_residual_its_one_completeness_pass_computed(capsys
     assert err == f"warning: completeness residual {check_completeness(channel):.3e} above 1e-09\n"
 
 
+def test_check_exits_4_when_a_residual_in_the_warning_band_leaves_the_identity_off_the_span(capsys, tmp_path):
+    # a residual in (1e-9, 1e-6] is gated only while the identity stays within 1e-9 of the span of
+    # the selected products: a flagged measurement whose first state is tilted by 1e-8 is not
+    from loccgate import KrausChannel
+    from oracle import check_completeness
+
+    states = np.eye(4, dtype=complex)
+    states[0, 1] = 1e-8
+    states[0] /= np.linalg.norm(states[0])
+    kraus = np.zeros((4, 16, 4), dtype=complex)
+    for k, phi in enumerate(states):
+        kraus[k, 4 * k : 4 * k + 4] = np.outer(phi, phi.conj())
+    channel = KrausChannel("tilted", (2, 2), 16, kraus)
+    assert 1e-9 < check_completeness(channel) <= 1e-6
+    path = tmp_path / "tilted.json"
+    save_channel(channel, path)
+    code, out, err = run(capsys, ["check", "--channel", str(path)])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: completeness failure: channel 'tilted': identity not in the span of "
+                          "selected pair products (residual 1.414e-08)")
+
+
 # ---------------------------------------------------------------------------
 # protocol + verify-protocol
 

@@ -31,7 +31,7 @@ from loccgate import (
     usd_channel,
     usd_oneway_protocol,
 )
-from loccgate.channels import CompletenessError, DimensionError
+from loccgate.channels import CompletenessError, DimensionError, kraus_ranks
 from loccgate import gate
 from loccgate.gate import (
     _gate_stack,
@@ -39,7 +39,7 @@ from loccgate.gate import (
     gate_channels,
     valid_rel_tol,
 )
-from loccgate.linalg import nonzero_vectors, nullspace_dimension
+from loccgate.linalg import _nullity, nonzero_vectors
 from loccgate.zoo import QUARTER_PI, random_unitary_kraus, rotated_domino_kraus
 from oracle import (
     HEAVY_IDS,
@@ -82,7 +82,7 @@ def identity_channel(dims=(2, 2)) -> KrausChannel:
 def gate_internals(channel, party, products=None, bases=None, rel_tol=1e-13):
     """Explicit augmented Q and its nullspace data for a product ordering."""
     q_aug, subset = augmented_q(channel, party, bases, products)
-    nullity, eig_min, eig_max = nullspace_dimension(q_aug.conj().T @ q_aug, rel_tol)
+    nullity, eig_min, eig_max = _nullity(np.linalg.eigvalsh(q_aug.conj().T @ q_aug), rel_tol, 0.0)
     return q_aug, subset, nullity, eig_min, eig_max
 
 
@@ -396,6 +396,37 @@ def test_random_rational_channels_match_the_exact_oracle(kind, dims, seed):
         assert verdict.verdict == VERDICT_NOT_LOCC
     else:
         assert nullities[0] >= 1 and verdict.verdict == VERDICT_FIRST_MOVE_CANDIDATES
+
+
+@pytest.mark.parametrize("kind, dims, seed", RANDOM_RATIONAL_DRAWS, ids=RANDOM_RATIONAL_IDS)
+def test_kraus_ranks_match_the_exact_rank_of_padded_rational_channels(kind, dims, seed):
+    # N operators K_i rewritten as N + 2 operators sum_i V_ji K_i by a rational (N + 2) x N
+    # isometry V: the same channel, whose Kraus Gram gains two exact zero eigenvalues
+    exact = rational_draw(kind, dims, seed)
+    isometry = exact_cayley_isometry(len(exact) + 2, len(exact), np.random.default_rng(seed + 1000))
+    padded = [sum(v * k for v, k in zip(row, exact)) for row in isometry]
+    channel, wide = (KrausChannel(kind, dims, len(exact[0]), [np.array(k, dtype=float) for k in ops])
+                     for ops in (exact, padded))
+    assert kraus_ranks(wide.kraus[None]) == [exact_rank([k.ravel() for k in padded])] == [len(exact)]
+    before, after = gate_channel(channel), gate_channel(wide)
+    assert after.verdict == before.verdict
+    assert [r.nullspace_dim for r in after.reports] == [r.nullspace_dim for r in before.reports]
+
+
+def test_rational_rank_one_channels_read_degenerate_with_their_exact_locality():
+    # K_i = m_i U for a rational unit column m: Kraus rank 1 in exact arithmetic, and U's operator
+    # Schmidt rank across the cut, exactly 1 for A (x) B and more for a generic orthogonal U
+    rng = np.random.default_rng(351)
+    m = exact_cayley_isometry(3, 1, rng)[:, 0]
+    product = np.kron(exact_cayley_isometry(2, 2, rng), exact_cayley_isometry(2, 2, rng))
+    for op, local in ((product, True), (exact_cayley_isometry(4, 4, rng), False)):
+        exact = [m_i * op for m_i in m]
+        assert exact_rank([k.ravel() for k in exact]) == 1
+        assert (exact_rank(op.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)) == 1) is local
+        channel = KrausChannel("rank-one", (2, 2), 4, [np.array(k, dtype=float) for k in exact])
+        assert kraus_ranks(channel.kraus[None]) == [1]
+        verdict = gate_channel(channel)
+        assert (verdict.verdict, verdict.local) == (VERDICT_DEGENERATE_KRAUS_RANK_ONE, local)
 
 
 @pytest.mark.parametrize("exact, dims", [
@@ -1359,13 +1390,13 @@ def test_gate_gram_matches_direct_inner_products(bell, dephasing, domino, usd_in
 
 
 def test_party_gram_nullity_matches_checked_eigensolve(zoo_channels, dephasing):
-    # the gate's Grams, fed unchecked to nullspace_dimension, against the
-    # checked and symmetrized hermitian_eigenvalues on the same matrices
+    # the gate's Grams, fed unchecked to eigvalsh and the threshold rule, against
+    # the checked and symmetrized hermitian_eigenvalues on the same matrices
     extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
     for channel in (*zoo_channels, dephasing, extra):
         for pgram in gate_grams(channel)[1]:
             evals = hermitian_eigenvalues(pgram)
-            dim, eig_min, eig_max = nullspace_dimension(pgram, 1e-13)
+            dim, eig_min, eig_max = _nullity(np.linalg.eigvalsh(pgram), 1e-13, 0.0)
             assert dim == np.count_nonzero(evals < 1e-13 * evals[-1])
             assert abs(eig_min - evals[0]) <= 1e-14 * evals[-1]
             assert abs(eig_max - evals[-1]) <= 1e-14 * evals[-1]

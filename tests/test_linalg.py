@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from loccgate import KrausChannel, gate, haar_unitary, random_unitary_channel, run_sweep
 from loccgate.linalg import (
+    _nullity,
     nonzero_vectors,
-    nullspace_dimension,
     select_independent_subset,
     select_independent_subsets,
+    valid_rel_tol,
 )
 from oracle import (
     HEAVY_IDS,
@@ -31,6 +32,11 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def gram_nullity(gram, rel_tol, floor=0.0):
+    """``_nullity`` on the eigenvalues of a Gram or a (..., n, n) stack of them, as its callers run it."""
+    return _nullity(np.linalg.eigvalsh(gram), rel_tol, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +257,7 @@ def test_subset_size_matches_rank(length, n_independent, n_dependent, seed):
     vecs = base + extras
     subset = select_independent_subset(vecs, 1e-9)
     stacked = np.stack(vecs, axis=1)
-    nullity, _, _ = nullspace_dimension(stacked.conj().T @ stacked, 1e-12)
+    nullity, _, _ = gram_nullity(stacked.conj().T @ stacked, 1e-12)
     assert len(subset.indices) == stacked.shape[1] - nullity
 
 
@@ -502,24 +508,26 @@ def test_subset_rejects_bad_args():
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0, 2.0])
 def test_subset_rejects_tolerance_outside_unit_interval(tol):
-    # a nan tolerance used to keep no vector and return an empty subset
-    with pytest.raises(ValueError, match="tolerance"):
+    # a nan tolerance used to keep no vector and return an empty subset; the zero filter and the
+    # gate's rel_tol check share one rule
+    assert gate.valid_rel_tol is valid_rel_tol and not valid_rel_tol(tol)
+    with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1\), got "):
         select_independent_subset(np.eye(3), tol)
 
 
 # ---------------------------------------------------------------------------
-# nullspace_dimension
+# _nullity, the threshold rule, on one batched eigensolve
 
 
 def test_nullspace_zero_matrix():
     m = np.zeros((3, 2))
-    dim, eig_min, eig_max = nullspace_dimension(m.T @ m, 1e-13)
+    dim, eig_min, eig_max = gram_nullity(m.T @ m, 1e-13)
     assert dim == 2
     assert eig_max == 0.0
 
 
 def test_nullspace_identity():
-    dim, eig_min, eig_max = nullspace_dimension(np.eye(3), 1e-13)
+    dim, eig_min, eig_max = gram_nullity(np.eye(3), 1e-13)
     assert dim == 0
     assert abs(eig_min - 1.0) < 1e-12 and abs(eig_max - 1.0) < 1e-12
 
@@ -529,7 +537,7 @@ def test_nullspace_rank_one_outer_product():
     u = random_complex(rng, 4)
     v = random_complex(rng, 3)
     m = np.outer(u, v.conj())
-    dim, _, _ = nullspace_dimension(m.conj().T @ m, 1e-9)
+    dim, _, _ = gram_nullity(m.conj().T @ m, 1e-9)
     assert dim == 2
 
 
@@ -540,7 +548,7 @@ def test_nullspace_matches_hermitian_eigenvalue_count():
         m = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
         gram = m.conj().T @ m
         evals = hermitian_eigenvalues(gram)
-        dim, eig_min, eig_max = nullspace_dimension(gram, 1e-9)
+        dim, eig_min, eig_max = gram_nullity(gram, 1e-9)
         assert dim == np.count_nonzero(evals < 1e-9 * evals[-1]) == cols - rank
         assert abs(eig_min - evals[0]) <= 1e-12 * evals[-1]
         assert abs(eig_max - evals[-1]) <= 1e-12 * evals[-1]
@@ -554,8 +562,8 @@ def test_nullspace_of_a_stack_equals_the_per_slice_calls():
         grams.append(m.conj().T @ m)
     grams.insert(2, np.zeros((5, 5)))  # a zero Gram has full nullity, neighbours unaffected
     stack = np.stack(grams).reshape(2, 3, 5, 5)
-    dims, mins, maxs = nullspace_dimension(stack, 1e-9)
-    per_slice = [nullspace_dimension(g, 1e-9) for g in grams]
+    dims, mins, maxs = gram_nullity(stack, 1e-9)
+    per_slice = [gram_nullity(g, 1e-9) for g in grams]
     assert [d for row in dims for d in row] == [p[0] for p in per_slice] == [4, 2, 5, 0, 0, 3]
     assert np.array(mins).reshape(-1).tolist() == pytest.approx([p[1] for p in per_slice], abs=1e-12)
     assert np.array(maxs).reshape(-1).tolist() == pytest.approx([p[2] for p in per_slice], rel=1e-12)
@@ -565,16 +573,9 @@ def test_nullspace_of_a_stack_equals_the_per_slice_calls():
 
 def test_nullspace_counts_eigenvalues_below_the_larger_of_its_two_thresholds():
     gram = np.diag([1e-10, 1e-6, 1e-3, 1.0]).astype(complex)
-    assert nullspace_dimension(gram, 1e-8)[0] == 1  # floor 0: rel_tol alone
-    assert nullspace_dimension(gram, 1e-8, 1e-12)[0] == 1  # a floor under rel_tol * eig_max moves nothing
-    assert nullspace_dimension(gram, 1e-8, 1e-4)[0] == 2
+    assert gram_nullity(gram, 1e-8)[0] == 1  # floor 0: rel_tol alone
+    assert gram_nullity(gram, 1e-8, 1e-12)[0] == 1  # a floor under rel_tol * eig_max moves nothing
+    assert gram_nullity(gram, 1e-8, 1e-4)[0] == 2
     stack = np.stack([gram, 10 * gram])  # one floor per slice
-    assert nullspace_dimension(stack, 1e-8, np.array([1e-2, 1e-9]))[0] == [3, 1]
-    assert nullspace_dimension(np.zeros((3, 3)), 1e-8, 1.0)[0] == 3
-
-
-def test_nullspace_rejects_empty():
-    with pytest.raises(ValueError):
-        nullspace_dimension(np.zeros((0, 0)), 1e-9)
-    with pytest.raises(ValueError):
-        nullspace_dimension(np.zeros((3, 0, 0)), 1e-9)
+    assert gram_nullity(stack, 1e-8, np.array([1e-2, 1e-9]))[0] == [3, 1]
+    assert gram_nullity(np.zeros((3, 3)), 1e-8, 1.0)[0] == 3

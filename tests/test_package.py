@@ -15,11 +15,9 @@ import loccgate
 from loccgate import linalg
 from loccgate import channels, cli, gate, protocols, zoo
 from loccgate.channels import kraus_ranks
-from loccgate.gate import gate_channel
-from loccgate.linalg import nullspace_dimension
-from loccgate.protocols import ProtocolTree, protocol_to_channel, verify_protocol
+from loccgate.protocols import ProtocolTree
 from loccgate.serialize import save_channel
-from loccgate.zoo import RotatedDominoParams, UsdParams, bell_channel, random_unitary_channel, sample_usd_params, usd_kraus
+from loccgate.zoo import RotatedDominoParams, UsdParams, bell_channel, random_unitary_channel, usd_kraus
 
 REMOVED = (
     "permute_party_to_front",
@@ -45,6 +43,7 @@ REMOVED = (
     "lone_kraus_operator",
     "operator_schmidt_rank",
     "_selected_grams",
+    "nullspace_dimension",
 )
 
 
@@ -54,7 +53,7 @@ EXPORTS = {
     "gate": ["GateVerdict", "PartyGateReport", "VERDICT_DEGENERATE_IDENTITY_SPAN",
              "VERDICT_DEGENERATE_KRAUS_RANK_ONE", "VERDICT_FIRST_MOVE_CANDIDATES",
              "VERDICT_NOT_LOCC", "gate_channel", "gate_channels"],
-    "linalg": ["IndependentSubset", "nullspace_dimension", "select_independent_subset"],
+    "linalg": ["IndependentSubset", "select_independent_subset"],
     "protocols": ["ProtocolNode", "ProtocolTree", "domino_three_round_protocol",
                   "protocol_to_channel", "usd_oneway_protocol", "verify_protocol"],
     "sweeps": ["SweepConfig", "run_sweep", "sample_rng", "write_csv_atomic"],
@@ -121,20 +120,47 @@ def test_parameter_classes_carry_no_locc_limit_flag():
     assert [c.__name__ for c in (RotatedDominoParams, UsdParams) if hasattr(c, "is_locc_limit")] == []
 
 
+# Every exported function's parameters, in ``__all__`` order: a new export or a new parameter
+# fails until this table is edited.
+EXPORTED_SIGNATURES = {
+    "channels_equal": ["a", "b", "tol"],
+    "choi_matrix": ["channel"],
+    "gate_channel": ["channel", "rel_tol"],
+    "gate_channels": ["channels", "rel_tol"],
+    "select_independent_subset": ["vectors", "tol"],
+    "domino_three_round_protocol": ["theta2", "theta3", "theta4"],
+    "protocol_to_channel": ["tree"],
+    "usd_oneway_protocol": ["alpha1", "beta1"],
+    "verify_protocol": ["tree", "target", "tol"],
+    "run_sweep": ["cfg"],
+    "sample_rng": ["seed", "index"],
+    "write_csv_atomic": ["path", "header", "rows"],
+    "bell_channel": [],
+    "domino_channel": [],
+    "haar_unitary": ["d", "rng"],
+    "random_unitary_channel": ["dims", "n_u", "rng"],
+    "rotated_domino_channel": ["params"],
+    "sample_usd_params": ["rng", "eta1", "eta3"],
+    "usd_channel": ["p", "allow_alpha3_zero"],
+    "validate_usd_params": ["p", "allow_alpha3_zero"],
+}
+# ... and two internal layers': the Kraus-rank guard and the USD family's stacked form.
 SIGNATURES = [
-    (gate_channel, ["channel", "rel_tol"]),
+    *((getattr(loccgate, name), params) for name, params in EXPORTED_SIGNATURES.items()),
     (kraus_ranks, ["kraus"]),
-    (nullspace_dimension, ["gram", "rel_tol", "floor"]),
-    (protocol_to_channel, ["tree"]),
-    (sample_usd_params, ["rng", "eta1", "eta3"]),
     (usd_kraus, ["params"]),
-    (verify_protocol, ["tree", "target", "tol"]),
 ]
 
 
 @pytest.mark.parametrize("func, params", SIGNATURES, ids=[f.__name__ for f, _ in SIGNATURES])
 def test_public_signatures_have_no_extra_knobs(func, params):
     assert list(inspect.signature(func).parameters) == params
+
+
+def test_the_signature_table_lists_every_exported_function():
+    exported = [name for name in loccgate.__all__ if inspect.isfunction(getattr(loccgate, name))]
+    assert len(exported) == 20
+    assert list(EXPORTED_SIGNATURES) == exported
 
 
 def test_a_protocol_tree_takes_its_party_count_from_its_dims():
