@@ -23,27 +23,31 @@ Q_aug^dag Q_aug = Q^dag Q + c c^dag is Q^dag Q's with that zero lifted to 1, so
 the gate lifts the smallest eigenvalue and never solves for c.  Moving a party's
 factor to the front only permutes matrix entries, so the subset and the first
 term are computed once per channel; each party adds its partial-trace term.
-Subset selection factors the selected products as r^T times orthonormal rows,
-so <P_a, P_b> = (r^dag r)_ab.  Channels of one shape are gated as stacks: their
-pair products are formed and zero-filtered in chunks, and a stack, which may
-span chunks, packs each channel's surviving products, zero-padded to its widest
-channel.  One scan gives the stack one padded record of subsets and factors,
-one identity stage checks that every x_I exists, and channels with equal |S|
-share one gather, one partial trace per party and, per party, one eigensolve.
+The scan only selects: the first term is formed from the selected products
+themselves, <P_a, P_b> = (conj(P) P^T)_ab, so every number the gate reports
+comes from them, and the scan's orthonormal basis serves only the identity
+check.  Channels of one shape are gated as stacks: their pair products are
+formed and zero-filtered in chunks, and a stack, which may span chunks, packs
+each channel's surviving products, zero-padded to its widest channel.  One
+scan gives the stack one padded record of subsets and bases, one identity
+stage checks that every x_I exists, and channels with equal |S| share one
+gather, one Gram GEMM, one partial trace per party and, per party, one
+eigensolve.
 The tail is columnar (``StackColumns``): the eigensolves fill (P, B) arrays, and
 one vectorized pass gives every row's ratios, lambda_hat and verdict.  Sweeps
 write their CSV rows from those columns and build no verdict object;
 ``gate_channels`` builds its verdicts from them, and ``gate_channel`` is a stack
 of one, with a one-vector scan.
 
-Memory follows one law: a stack peaks at the larger of its formation (a chunk's
-products, their averaging temporary and their survivors' gather) and its scan,
-(M + min(M, L) + 3) L + min(M, L)^2 complex entries: M packed products of length
-L = D^2, the basis, a step's three vectors and the factor.  Each later stage
-frees what no later one reads: the basis after the identity's coordinates, the
-packed stack after the selected products' partial traces, the factor after the
-Grams, and a stack's Grams before the next stack is packed.  A sweep gates one
-run at a time, so it peaks at its largest run's gate peak plus that run's rows.
+Memory follows one law: a stack peaks at the largest of its formation (a chunk's
+products, their averaging temporary and their survivors' gather), its scan,
+(M + min(M, L) + 3) L complex entries: M packed products of length L = D^2, the
+basis and a step's three vectors, and its tail, 2 k L + k^2 per channel of
+|S| = k: the gathered products, their conjugate and their Gram.  Each later
+stage frees what no later one reads: the basis after the identity's
+coordinates, the packed stack after the gather, the gather after the Grams, and
+a stack's Grams before the next stack is packed.  A sweep gates one run at a
+time, so it peaks at its largest run's gate peak plus that run's rows.
 
 The eigenvalue ratio min/max of that Gram per party ("ratio", clamped at 0 so
 rounding never makes it negative), minimized over parties ("lambda_hat"),
@@ -90,13 +94,16 @@ DEFAULT_NULLSPACE_RTOL = 1e-13
 
 # A party eigenvalue also counts as zero below the rounding floor
 # NULLSPACE_FLOOR_FACTOR * D * u * max_a gram_aa, u = 2^-53, where gram is the channel's
-# party-independent Gram <P_a, P_b> = r^dag r on input dimension D.  A party Gram cancels it
-# against its partial-trace term, both of size gram_aa = ||P_a||^2 (~d_rest for a product local
-# to the party), while eig_max >= 1, the identity's lifted eigenvalue, so a null eigenvalue keeps
-# the inner products' rounding: for length L = D^2 about sqrt(L) u ||P_a||^2 (Higham & Mary's
-# probabilistic bound, SIAM J. Sci. Comput. 41, 2019).  Measured null eigenvalues of A x I
-# reached 231 u max_a gram_aa at D = 1024, 18 times under the floor.  The floor only
-# raises the threshold, so it can turn a NOT_LOCC into a candidate, never the reverse.
+# party-independent Gram <P_a, P_b> = (conj(P) P^T)_ab of the selected products on input
+# dimension D.  A party Gram cancels it against its partial-trace term, both of size
+# gram_aa = ||P_a||^2 (~d_rest for a product local to the party), while eig_max >= 1, the
+# identity's lifted eigenvalue, so a null eigenvalue keeps the inner products' rounding.  Each
+# entry is one inner product of length L = D^2, within gamma_{L+2} |P_a| |P_b| of the exact one
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5), and about
+# sqrt(L) u ||P_a||^2 in practice (Higham & Mary's probabilistic bound, SIAM J. Sci. Comput. 41,
+# 2019).  Measured null eigenvalues of A x I reached 231 u max_a gram_aa at D = 1024, 18 times
+# under the floor.  The floor only raises the threshold, so it can turn a NOT_LOCC into a
+# candidate, never the reverse.
 NULLSPACE_FLOOR_FACTOR = 4
 
 # Hard ceiling on the completeness residual before gating is meaningless, and the residual above
@@ -370,9 +377,9 @@ def _gate_stack(
     After ``_check_stack``, per stack of ``packed_stacks``: one subset scan,
     ``select_independent_subsets`` if ``stacked``, else the faster one-vector scan of a lone channel
     read as a stack of one (so reports do not depend on the stack cuts, bit for bit); per |S| one
-    gather, ``partial_traces`` and the Grams <P_a, P_b> = r^dag r (of a view of the scan's factor
-    if the stack has one |S|); per party one eigensolve, its smallest eigenvalue (the identity's)
-    lifted to 1.  Stacks are freed as the memory law says, so nothing else may hold one.
+    gather of the selected products P, its ``partial_traces`` and its Grams
+    <P_a, P_b> = (conj(P) P^T)_ab in one GEMM; per party one eigensolve, its smallest eigenvalue
+    (the identity's) lifted to 1.  Stacks are freed as the memory law says, so nothing else may hold one.
     One Kraus-rank eigensolve per STACK_BYTES / 2 of Kraus operators; then every row is classified
     at once, in columns.
     """
@@ -384,21 +391,19 @@ def _gate_stack(
     for start, products in packed_stacks(kraus):
         flat = products.reshape(*products.shape[:2], -1)
         if stacked:
-            taken, basis, r = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
+            taken, basis = select_independent_subsets(flat, DEFAULT_INDEPENDENCE_TOL)
         else:  # a one-channel call
-            taken, basis, r = (
+            taken, basis = (
                 a[None] for a in select_independent_subset(flat[0], DEFAULT_INDEPENDENCE_TOL))
         _identity_coefficients(basis, names[start : start + len(flat)])
         del flat, basis
         sizes = taken.sum(axis=1)
         groups = [(np.flatnonzero(sizes == k), k) for k in dict.fromkeys(sizes.tolist())]
-        traces = [partial_traces(products[taken & (sizes == k)[:, None]].reshape(len(m), k, *products.shape[2:]),
-                                 input_dims)
-                  for m, k in groups]
+        gathers = [products[taken & (sizes == k)[:, None]].reshape(len(m), k, -1) for m, k in groups]
         del products  # the last reference to the packed stack
-        factors = (r[:, :k, :k] if len(groups) == 1 else r[members, :k, :k] for members, k in groups)
-        grams = [f.conj().swapaxes(-1, -2) @ f for f in factors]  # one group: the Gram of a view of r
-        del r
+        traces = [partial_traces(p.reshape(*p.shape[:2], total, total), input_dims) for p in gathers]
+        grams = [p.conj() @ p.swapaxes(-1, -2) for p in gathers]  # <P_a, P_b> = tr(P_a^dag P_b)
+        del gathers
         for (members, k), group_traces, gram in zip(groups, traces, grams):
             rows = start + members
             pair_count[rows] = k

@@ -19,12 +19,12 @@ import numpy as np
 DEFAULT_INDEPENDENCE_TOL = 1e-9
 
 
-class IndependentSubset(namedtuple("IndependentSubset", "taken basis r")):
-    """One slice of the stacked scan's record: the selected vectors S and their Gram-Schmidt factor.
+class IndependentSubset(namedtuple("IndependentSubset", "taken basis")):
+    """One slice of the stacked scan's record: the selected vectors S and an orthonormal basis of their span.
 
-    ``taken`` marks S among the input vectors.  ``basis`` has orthonormal rows and ``r`` is
-    upper triangular with a positive diagonal; the vectors of S as rows, in input order,
-    equal ``r.T @ basis``, so their Gram matrix is ``r^dag r``.
+    ``taken`` marks S among the input vectors.  ``basis`` has orthonormal rows, one per vector of
+    S, spanning S; every other vector the zero filter keeps lies within the scan's tolerance of
+    that span.
     """
 
     @property
@@ -59,8 +59,8 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     orthonormal directions found so far as the rows of ``onb``, the only copy
     of the basis, each candidate's residual is ``r -= h onb`` with
     ``h = conj(onb conj(r))``, applied twice.  A vector joins S iff that
-    residual exceeds ``tol`` times its own norm; its column of the factor is
-    then the summed ``h`` above the residual norm.  Vectors that
+    residual exceeds ``tol`` times its own norm, and its normalized residual
+    joins the basis.  Vectors that
     ``nonzero_vectors`` counts as zero never enter S.  The scan stops once S
     spans the whole space: each later vector lies in it.
     """
@@ -76,7 +76,6 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     keep = np.flatnonzero(nonzero)
     taken = np.zeros(len(vecs), dtype=bool)
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
-    factor = np.zeros((len(onb), len(onb)), dtype=complex)
     k = 0
     for idx, floor in zip(keep.tolist(), (tol * norms[keep]).tolist()):
         v = vecs[idx]
@@ -87,22 +86,20 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
         rnorm = math.sqrt(np.vdot(r, r).real)
         if rnorm > floor:
             onb[k] = r / rnorm
-            factor[:k, k] = h1 + h2
-            factor[k, k] = rnorm
             taken[idx] = True
             k += 1
             if k == length:
                 break
-    return IndependentSubset(taken, onb[:k], factor[:k, :k])
+    return IndependentSubset(taken, onb[:k])
 
 
 def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     """``select_independent_subset`` on each slice of a (B, M, L) stack, in one scan.
 
-    Returns one padded record (taken, basis, r): ``taken`` (B, M) marks the
-    selected vectors; ``basis`` (B, K, L) and ``r`` (B, K, K), K = min(M, L),
-    are zero past a slice's k = taken[b].sum() rows and columns, and slice b
-    selects ``r[b, :k, :k].T @ basis[b, :k]``.  The slices advance together:
+    Returns one padded record (taken, basis): ``taken`` (B, M) marks the
+    selected vectors; ``basis`` (B, K, L), K = min(M, L), is zero past a
+    slice's k = taken[b].sum() rows, and its first k rows are an orthonormal
+    basis of the span of slice b's selected vectors.  The slices advance together:
     at step t, every slice projects its t-th vector, with CGS2 batched over
     the stack.  A slice keeps its own zero filter, acceptance rule and early
     stop: a vector the filter drops, or any vector once its span is full,
@@ -112,7 +109,7 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     from then on they gather the accepting slices.  The rows a slice has not
     found yet are zero, so they add nothing to its projections.  A slice's
     record does not depend on the other slices, bit for bit; its taken mask
-    equals the one-vector scan's, its factor agrees to rounding.
+    equals the one-vector scan's, its basis agrees to rounding.
     """
     vecs = np.asarray(stack, dtype=complex)
     if vecs.ndim != 3 or 0 in vecs.shape:
@@ -122,7 +119,6 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     floors = np.where(nonzero, tol * norms, np.inf)
     cap = min(n_vecs, length)
     onb = np.zeros((n_slices, cap, length), dtype=complex)
-    factor = np.zeros((n_slices, cap, cap), dtype=complex)
     taken = np.zeros((n_slices, n_vecs), dtype=bool)
     k = np.zeros(n_slices, dtype=np.intp)
     ends = np.arange(1, n_vecs + 1)
@@ -149,14 +145,12 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
         else:
             continue
         onb[grow, at] = r[grow, :, 0] / rnorm[grow, None]
-        factor[grow, :width, at] = (h1 + h2)[grow, :, 0]
-        factor[grow, at, at] = rnorm[grow]
         taken[grow, t] = True
         k[grow] += 1
         if t + 1 >= length:  # a slice whose span is full scans no further
             floors[k == length] = np.inf
             stop = int((np.isfinite(floors).any(axis=0) * ends).max())
-    return taken, onb, factor
+    return taken, onb
 
 
 def _nullity(evals: np.ndarray, rel_tol: float, floor):

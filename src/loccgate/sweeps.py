@@ -177,8 +177,8 @@ def _gated_runs(cfg: SweepConfig):
         gated = _gate_stack(kraus, dims or cfg.dims, names, cfg.rel_tol)
         cells = zip(values, gated.ratio.T.tolist(), gated.lambda_hat.tolist(), gated.verdict.tolist())
         yield [[i, *value, *ratios, lam, verdict] for i, (value, ratios, lam, verdict) in enumerate(cells, first)]
-        del gated, cells  # the zip holds the run's column lists: free them before the next run is gated
         first += len(kraus)
+        del values, kraus, names, gated, cells  # the run and the zip's column lists: free them before the next run
 
 
 def write_csv_atomic(path, header: list[str], rows: Iterable[list]) -> None:

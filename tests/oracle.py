@@ -22,10 +22,12 @@ check.
 
 Last, it holds the helpers that only tests call: the channel's action on a
 state, a state check, Kraus remixing, one channel's completeness residual,
-Kraus rank, pair products, the Grams the gate solves and their lifted
-spectra, the explicit states of the rotated domino and discrimination
-families, a protocol's per-node completeness residuals and round count, and
-the desk figure sweeps.
+Kraus rank, pair products, the selected products the gate gathers, the
+Grams it solves, their exact error against its a-priori bound and their
+lifted spectra, the explicit states of the rotated domino and discrimination
+families, a protocol's per-node completeness residuals and round count,
+seeded random LOCC trees and rounded copies of a channel, and the desk
+figure sweeps.
 """
 
 from __future__ import annotations
@@ -38,7 +40,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from loccgate import KrausChannel, SweepConfig, choi_matrix, haar_unitary, select_independent_subset
+from loccgate import (
+    KrausChannel,
+    ProtocolNode,
+    ProtocolTree,
+    SweepConfig,
+    choi_matrix,
+    haar_unitary,
+    select_independent_subset,
+)
 from loccgate import gate
 from loccgate.channels import VALIDATION_TOL, completeness_residuals, kraus_ranks
 from loccgate.gate import pair_product_columns
@@ -245,7 +255,6 @@ def reference_select_independent_subset(vectors, tol: float) -> IndependentSubse
     taken = np.zeros(len(vecs), dtype=bool)
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
     onb_c = np.empty_like(onb)  # conj(onb), so Q^dag v is a plain product
-    factor = np.zeros((len(onb), len(onb)), dtype=complex)
     for idx, floor in zip(keep.tolist(), (tol * norms[keep]).tolist()):
         k = len(selected)
         v = vecs[idx]
@@ -257,14 +266,12 @@ def reference_select_independent_subset(vectors, tol: float) -> IndependentSubse
         if rnorm > floor:
             onb[k] = r / rnorm
             onb_c[k] = onb[k].conj()
-            factor[:k, k] = h1 + h2
-            factor[k, k] = rnorm
             selected.append(idx)
             taken[idx] = True
             if k + 1 == length:
                 break
     k = len(selected)
-    return IndependentSubset(taken, onb[:k], factor[:k, :k])
+    return IndependentSubset(taken, onb[:k])
 
 
 def reference_select_independent_subsets(stack, tol: float):
@@ -277,7 +284,6 @@ def reference_select_independent_subsets(stack, tol: float):
     floors = np.where(nonzero, tol * norms, np.inf)
     cap = min(n_vecs, length)
     onb = np.zeros((n_slices, cap, length), dtype=complex)
-    factor = np.zeros((n_slices, cap, cap), dtype=complex)
     taken = np.zeros((n_slices, n_vecs), dtype=bool)
     k = np.zeros(n_slices, dtype=np.intp)
     for t in range(n_vecs):
@@ -296,13 +302,11 @@ def reference_select_independent_subsets(stack, tol: float):
         if grow.size:
             at = k[grow]
             onb[grow, at] = r[grow, :, 0] / rnorm[grow, None]
-            factor[grow, :width, at] = (h1 + h2)[grow, :, 0]
-            factor[grow, at, at] = rnorm[grow]
             taken[grow, t] = True
             k[grow] += 1
             if t + 1 >= length:  # a slice whose span is full scans no further
                 floors[grow[k[grow] == length]] = np.inf
-    return taken, onb, factor
+    return taken, onb
 
 
 def party_products(channel, party: int) -> list[np.ndarray]:
@@ -413,6 +417,45 @@ def gate_grams(channel: KrausChannel):
     return calls[0][0], [party for _, party in calls]
 
 
+def gate_products(channel: KrausChannel) -> np.ndarray:
+    """The selected products as ``gate_channel`` gathers them for a lone channel, one per row of a
+    (|S|, D^2) array, read by wrapping ``gate.partial_traces``: the products its Gram is formed from."""
+    seam, calls = gate.partial_traces, []
+
+    def spy(selected, dims):
+        calls.append(selected[0].reshape(len(selected[0]), -1).copy())  # the lone channel's group
+        return seam(selected, dims)
+
+    gate.partial_traces = spy
+    try:
+        gate.gate_channel(channel)
+    finally:
+        gate.partial_traces = seam
+    [products] = calls
+    return products
+
+
+def gram_error_to_bound(products: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Entrywise |G - G_exact| over its a-priori bound gamma_{L+2} (|P|conj |P|^T), gamma_n = n u / (1 - n u),
+    u = 2^-53, for the Gram ``gram`` of the (k, L) float ``products`` P (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.5).  G_exact = conj(P) P^T is exact: each
+    float is a dyadic rational, so with every entry of P scaled by one power of two the sums are
+    Python ints; only the difference is rounded, once.  A zero error over a zero bound reads 0."""
+    ratios = [Fraction(x).as_integer_ratio() for x in np.stack([products.real, products.imag]).reshape(-1).tolist()]
+    shift = max(den.bit_length() - 1 for _, den in ratios)
+    ints = np.array([num << (shift - den.bit_length() + 1) for num, den in ratios], dtype=object)
+    re, im = ints.reshape(2, *products.shape)
+    scale = Fraction(1, 1 << 2 * shift)
+    exact_re, exact_im = re @ re.T + im @ im.T, re @ im.T - im @ re.T  # conj(P_a) . P_b, scaled
+    error = np.array([
+        math.hypot(float(Fraction(g.real) - scale * a), float(Fraction(g.imag) - scale * b))
+        for g, a, b in zip(gram.reshape(-1).tolist(), exact_re.reshape(-1), exact_im.reshape(-1))
+    ]).reshape(gram.shape)
+    n = products.shape[1] + 2
+    bound = n * 2.0**-53 / (1 - n * 2.0**-53) * (np.abs(products) @ np.abs(products).T)
+    return np.divide(error, bound, out=np.where(error > 0, np.inf, 0.0), where=bound > 0)  # 0 / 0 reads 0
+
+
 def lifted_spectrum(party_gram: np.ndarray) -> np.ndarray:
     """Ascending ``hermitian_eigenvalues`` of a party's Q^dag Q with the smallest, the identity's,
     lifted to 1: the spectrum of Q_aug^dag Q_aug, as the gate reads it."""
@@ -506,6 +549,32 @@ def node_residuals(tree) -> list[float]:
 
     walk(tree.root, list(tree.initial_dims))
     return residuals
+
+
+def random_locc_tree(dims, depth: int, outcomes: int, rng) -> ProtocolTree:
+    """A finite-round LOCC protocol on ``dims``, drawn from ``rng``: each node is a party other than
+    its parent's measuring a Haar isometry d_p -> m d_p (m = ``outcomes``) cut into m square blocks,
+    and each branch gets a child with probability 0.8, down to ``depth`` levels.  Every leaf ends on
+    ``dims``, so the compiled channel is square."""
+
+    def node(levels: int, parent: int | None) -> ProtocolNode:
+        party = int(rng.choice([p for p in range(len(dims)) if p != parent]))
+        d = dims[party]
+        isometry = haar_unitary(outcomes * d, rng)[:, :d]
+        branches = []
+        for block in isometry.reshape(outcomes, d, d):
+            child = node(levels - 1, party) if levels > 1 and rng.random() < 0.8 else None
+            branches.append((block, child))
+        return ProtocolNode(party, branches)
+
+    return ProtocolTree(tuple(dims), node(depth, None))
+
+
+def rounded_channel(channel: KrausChannel, digits: int) -> KrausChannel:
+    """``channel`` with the real and imaginary parts of each Kraus entry rounded to ``digits`` significant digits."""
+    parts = np.stack([channel.kraus.real, channel.kraus.imag])
+    rounded = np.array([float(f"{x:.{digits - 1}e}") for x in parts.reshape(-1).tolist()]).reshape(parts.shape)
+    return KrausChannel(channel.name, channel.input_dims, channel.output_dim, rounded[0] + 1j * rounded[1])
 
 
 def desk_figure_configs(seed: int = 1) -> list[SweepConfig]:

@@ -59,6 +59,8 @@ from oracle import (
     exact_rank,
     exact_rotated_domino_kraus,
     gate_grams,
+    gate_products,
+    gram_error_to_bound,
     identity_coefficients,
     lifted_spectrum,
     operator_basis,
@@ -66,8 +68,10 @@ from oracle import (
     party_products,
     per_pair_products,
     q_matrix,
+    random_locc_tree,
     recombined_basis,
     remix_kraus,
+    rounded_channel,
     same_bits,
     stacked_pair_products,
     traced_peak,
@@ -413,6 +417,21 @@ def test_kraus_ranks_match_the_exact_rank_of_padded_rational_channels(kind, dims
     assert [r.nullspace_dim for r in after.reports] == [r.nullspace_dim for r in before.reports]
 
 
+@pytest.mark.parametrize("channel", [
+    pytest.param(bell_channel(), id="bell"),
+    pytest.param(domino_channel(), id="domino"),
+    *(pytest.param(KrausChannel(kind, dims, len(exact[0]), [np.array(k, dtype=float) for k in exact]), id=name)
+      for name, (kind, dims, seed) in zip(RANDOM_RATIONAL_IDS, RANDOM_RATIONAL_DRAWS)
+      for exact in [rational_draw(kind, dims, seed)]),
+])
+def test_the_gate_gram_lies_within_its_a_priori_bound(channel):
+    # the gate's <P_a, P_b> is one inner product of the selected float products per entry, so it
+    # keeps the inner-product bound that the rounding floor and a certificate rest on: measured
+    # at most 0.16 of it (one-way-2x2-339)
+    ratio = gram_error_to_bound(gate_products(channel), gate_grams(channel)[0])
+    assert ratio.max() <= 1.0
+
+
 def test_rational_rank_one_channels_read_degenerate_with_their_exact_locality():
     # K_i = m_i U for a rational unit column m: Kraus rank 1 in exact arithmetic, and U's operator
     # Schmidt rank across the cut, exactly 1 for A (x) B and more for a generic orthogonal U
@@ -571,6 +590,40 @@ def test_the_built_in_protocols_never_read_not_locc(angles, usd_angle, phase):
     domino = protocol_to_channel(domino_three_round_protocol(*angles))
     usd = protocol_to_channel(usd_oneway_protocol(math.sin(usd_angle) * np.exp(1j * phase), math.cos(usd_angle)))
     assert [gate_channel(c).verdict for c in (domino, usd)] == [VERDICT_FIRST_MOVE_CANDIDATES] * 2
+
+
+def locc_tree_leaves_a_party_out(tree) -> bool:
+    """Gate a random LOCC tree's channel and its copies rounded to 15, 12 and 10 significant digits;
+    none may read NOT_LOCC, and the root party must be a candidate unless the label is degenerate.
+    Returns whether some party is not a candidate, so that the check is not trivial."""
+    channel = protocol_to_channel(tree)
+    verdict = gate_channel(channel)
+    assert verdict.verdict != VERDICT_NOT_LOCC
+    assert verdict.verdict.startswith("DEGENERATE_") or tree.root.party in verdict.candidates
+    for digits in (15, 12, 10):
+        try:  # rounding may leave the identity off the span, which is refused, never certified
+            assert gate_channel(rounded_channel(channel, digits)).verdict != VERDICT_NOT_LOCC
+        except CompletenessError:
+            pass
+    return verdict.candidates is not None and len(verdict.candidates) < channel.n_parties
+
+
+LOCC_TREE_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("dims", LOCC_TREE_DIMS, ids=["x".join(map(str, d)) for d in LOCC_TREE_DIMS])
+def test_a_random_locc_tree_never_reads_not_locc(dims):
+    # the root's outcome m sums K^dag K over its leaves to E_m x I, so E_m x I lies in the span of
+    # the pair products and the root party has nullity >= 1
+    trees = [random_locc_tree(dims, depth, outcomes, np.random.default_rng(seed))
+             for depth in (2, 3) for outcomes in (2, 3) for seed in range(3)]
+    assert sum(map(locc_tree_leaves_a_party_out, trees)) >= 1
+
+
+@settings(max_examples=150, deadline=None)  # ~2 s
+@given(st.sampled_from(LOCC_TREE_DIMS), st.integers(2, 3), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_random_locc_trees_never_read_not_locc(dims, depth, outcomes, seed):
+    locc_tree_leaves_a_party_out(random_locc_tree(dims, depth, outcomes, np.random.default_rng(seed)))
 
 
 def test_the_rounding_floor_keeps_its_margins_on_the_desk_sweeps(monkeypatch):
@@ -1001,12 +1054,14 @@ LAW_ALLOWANCE = 256 << 10
 
 
 def lone_gate_law(channel) -> int:
-    """Bytes a lone ``gate_channel`` may peak at: the larger of formation and the scan, plus LAW_ALLOWANCE.
+    """Bytes a lone ``gate_channel`` may peak at: the largest of formation, the scan and the tail, plus
+    LAW_ALLOWANCE.
 
     Formation holds the products it forms, their averaging temporary and their survivors'
-    gather; the scan holds the M packed products of length L = D^2 plus ``onb`` and
-    ``factor``, of min(M, L) L and min(M, L)^2 complex entries, and a step's three vectors
-    of length L (the previous residual, a projection and the residual).
+    gather; the scan holds the M packed products of length L = D^2 plus ``onb``, of
+    min(M, L) L complex entries, and a step's three vectors of length L (the previous
+    residual, a projection and the residual); the tail holds the k <= min(M, L) selected
+    products, their conjugate and their k x k Gram.
     """
     kraus = channel.kraus[None]
     pairs = gate.row_sharing_pairs(kraus)
@@ -1014,7 +1069,7 @@ def lone_gate_law(channel) -> int:
     [(_, packed)] = gate.packed_stacks(kraus)
     m, length = packed.shape[1], channel.dim**2
     k = min(m, length)
-    return 16 * max(3 * formed * length, (m + k + 3) * length + k * k) + LAW_ALLOWANCE
+    return 16 * max(3 * formed * length, (m + k + 3) * length, 2 * k * length + k * k) + LAW_ALLOWANCE
 
 
 def assert_lone_gate_follows_the_law(channel):
@@ -1025,9 +1080,10 @@ def assert_lone_gate_follows_the_law(channel):
 
 @pytest.mark.parametrize("dims, nu", HEAVY_SHAPES, ids=HEAVY_IDS)
 def test_a_lone_channel_peaks_at_its_scan(dims, nu):
-    # 2x2x2/8 and 3x3/11 peak 91 and 86 KiB over the scan's buffers and products, the others
-    # under the law's larger term.  With a conjugate copy of the basis in the scan, 4x4/18
-    # peaked 268 KiB over this law; while the gate kept the packed stack, the basis
+    # formation bounds the law on every shape but 2x2x2/8; 4x4/18 and 2^4/20 peak at 3,208 and
+    # 3,216 KiB, against 4,144 and 5,056 KiB of law.  While the Grams came from the scan's
+    # triangular factor, they peaked at 3,482 and 3,722 KiB.  With a conjugate copy of the basis in
+    # the scan, 4x4/18 peaked 268 KiB over this law; while the gate kept the packed stack, the basis
     # and copies of the factor and the selected products alive past the scan, 3x3/11 peaked
     # 329 KiB and 4x4/18 and 2^4/20 ~1.3 MiB over the scan with that copy
     assert_lone_gate_follows_the_law(random_unitary_channel(dims, nu, np.random.default_rng(1)))
@@ -1053,9 +1109,10 @@ def test_random_lone_channels_peak_at_their_scan_or_their_formation(dims, nu, se
 
 def test_a_lone_channel_frees_the_stack_and_the_basis_before_the_eigensolves(monkeypatch):
     # 2^4/20 packs 400 products of length 256 (1,600 KiB) and keeps |S| = 256: the basis and the
-    # factor are 1 MiB each.  At each party eigensolve only the Gram and the party's Gram may be
-    # alive beside arrays of a few KiB.  A packed stack, a basis or a factor kept alive past its
-    # last reader can stay under every peak bound, but fails here
+    # gathered products are 1 MiB each.  At each party eigensolve only the Gram and the party's
+    # Gram may be alive beside arrays of a few KiB: measured 2,122 KiB against a bound of 2,560.
+    # A packed stack, a basis or a gather kept alive past its last reader can stay under every
+    # peak bound, but fails here
     channel = random_unitary_channel((2, 2, 2, 2), 20, np.random.default_rng(1))
     gate_channel(channel)  # warm-up: first-call allocations are not the gate's
     alive, solver = [], np.linalg.eigvalsh
@@ -1064,7 +1121,7 @@ def test_a_lone_channel_frees_the_stack_and_the_basis_before_the_eigensolves(mon
     _, verdict = traced_peak(gate_channel, channel)
     assert verdict.reports[0].pair_count == 256
     stack, basis = 400 * 256 * 16, 256 * 256 * 16
-    square = 256 * 256 * 16  # the factor, and each Gram
+    square = 256 * 256 * 16  # each Gram
     assert len(alive) == 4 + 1  # one per party, one Kraus-rank guard
     assert max(alive) < 2 * square + min(stack, basis) // 2
 
@@ -1389,17 +1446,29 @@ def test_gate_gram_matches_direct_inner_products(bell, dephasing, domino, usd_in
             assert np.max(np.abs(lifted_spectrum(party_gram) - augmented)) < 1e-12 * augmented[-1]
 
 
+def test_the_gate_gram_is_the_gram_of_its_gather(zoo_channels, dephasing):
+    # <P_a, P_b> comes from the selected products themselves, one GEMM conj(P) P^T, bit for bit
+    extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
+    for channel in (*zoo_channels, dephasing, extra):
+        products = gate_products(channel)
+        assert same_bits(gate_grams(channel)[0], products.conj() @ products.T)
+
+
 def test_party_gram_nullity_matches_checked_eigensolve(zoo_channels, dephasing):
     # the gate's Grams, fed unchecked to eigvalsh and the threshold rule, against
-    # the checked and symmetrized hermitian_eigenvalues on the same matrices
+    # the checked and symmetrized hermitian_eigenvalues on the same matrices.  Party 0 of
+    # alice-dephasing has a Gram of exact zeros, whose nullity is its size by the zero-Gram rule
     extra = random_unitary_channel((2, 2, 2), 5, np.random.default_rng(23))
+    zero_grams = 0
     for channel in (*zoo_channels, dephasing, extra):
         for pgram in gate_grams(channel)[1]:
             evals = hermitian_eigenvalues(pgram)
             dim, eig_min, eig_max = _nullity(np.linalg.eigvalsh(pgram), 1e-13, 0.0)
-            assert dim == np.count_nonzero(evals < 1e-13 * evals[-1])
+            zero_grams += evals[-1] <= 0.0
+            assert dim == (len(evals) if evals[-1] <= 0.0 else np.count_nonzero(evals < 1e-13 * evals[-1]))
             assert abs(eig_min - evals[0]) <= 1e-14 * evals[-1]
             assert abs(eig_max - evals[-1]) <= 1e-14 * evals[-1]
+    assert zero_grams == 1
 
 
 def test_conjugate_swap_maps_nullspace_to_nullspace(bell, domino, dephasing):

@@ -187,32 +187,31 @@ def test_subset_rejects_duplicate_direction():
     v = np.array([1.0, 1.0, 0.0])
     w = np.array([0.0, 0.0, 5.0])
     subset = select_independent_subset([v, 2 * v, w], 1e-9)
-    taken, basis, r = subset  # the stacked scan's record for one slice
+    taken, basis = subset  # the stacked scan's record for one slice
     assert taken.tolist() == [True, False, True] and subset.indices == [0, 2]
-    assert basis is subset.basis and r is subset.r
-    assert np.allclose(subset.r, [[np.sqrt(2), 0.0], [0.0, 5.0]], atol=1e-12)
-    assert_factor([v, 2 * v, w], subset)
+    assert basis is subset.basis
+    assert np.allclose(basis, [v / np.sqrt(2), w / 5], atol=1e-12)
+    assert_spans([v, 2 * v, w], subset)
 
 
 def test_subset_all_zero_input_is_empty():
     subset = select_independent_subset([np.zeros(4), np.zeros(4)], 1e-9)
     assert subset.indices == []
-    assert subset.basis.shape == (0, 4) and subset.r.shape == (0, 0)
+    assert subset.basis.shape == (0, 4) and len(subset) == 2
 
 
-def assert_factor(vecs, subset, tol=1e-9):
-    """S = r^T basis, orthonormal basis, triangular r, rejected vectors in the span.
+def assert_spans(vecs, subset, tol=1e-9):
+    """An orthonormal basis, one row per vector of S, that spans S and the rejected vectors.
 
     A rejected vector below ``tol`` times the largest norm counts as zero and
     is never scanned, so it is held to that zero threshold, not to the span.
     """
     vecs = [np.asarray(v, dtype=complex) for v in vecs]
-    basis, r = subset.basis, subset.r
+    basis = subset.basis
     selected = np.stack([vecs[i] for i in subset.indices])
-    assert np.linalg.norm(r.T @ basis - selected) <= 1e-12 * np.linalg.norm(selected)
+    assert len(basis) == len(selected)
+    assert np.linalg.norm(selected @ basis.conj().T @ basis - selected) <= 1e-12 * np.linalg.norm(selected)
     assert np.allclose(basis.conj() @ basis.T, np.eye(len(basis)), atol=1e-12)
-    assert np.all(np.tril(r, -1) == 0)
-    assert np.all(r.diagonal().real > 0) and np.all(r.diagonal().imag == 0)
     zero_threshold = tol * max(np.linalg.norm(v) for v in vecs)
     assert all(np.linalg.norm(vecs[i]) > zero_threshold for i in subset.indices)
     for j in set(range(len(vecs))) - set(subset.indices):
@@ -222,19 +221,16 @@ def assert_factor(vecs, subset, tol=1e-9):
         assert np.linalg.norm(outside) <= tol * np.linalg.norm(vecs[j])
 
 
-def test_subset_factor_reproduces_selected_and_spans_rejected():
+def test_subset_basis_spans_selected_and_rejected(zoo_channels):
     rng = np.random.default_rng(8)
     base = [random_complex(rng, 6) for _ in range(3)]
     vecs = base + [base[0] + 2j * base[2], 0.5 * base[1]]
     subset = select_independent_subset(vecs, 1e-9)
     assert subset.indices == [0, 1, 2]
-    assert_factor(vecs, subset)
-
-
-def test_subset_factor_on_pair_products(zoo_channels):
+    assert_spans(vecs, subset)
     for channel in zoo_channels:
         vecs = pair_products(channel).reshape(channel.n_kraus**2, -1)
-        assert_factor(vecs, select_independent_subset(vecs, 1e-9))
+        assert_spans(vecs, select_independent_subset(vecs, 1e-9))
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,9 +277,9 @@ def scan_input(channel) -> np.ndarray:
 
 
 def scans_like_the_conjugate_basis_reference(vecs, same) -> bool:
-    """Whether the scan of ``vecs`` takes the reference's indices, with basis and factor equal by ``same``."""
+    """Whether the scan of ``vecs`` takes the reference's indices, with bases equal by ``same``."""
     got, want = select_independent_subset(vecs, 1e-9), reference_select_independent_subset(vecs, 1e-9)
-    return got.indices == want.indices and same(got.basis, want.basis) and same(got.r, want.r)
+    return got.indices == want.indices and same(got.basis, want.basis)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -324,7 +320,6 @@ def test_subset_array_and_list_inputs_agree():
     from_list = select_independent_subset(list(vecs), 1e-9)
     assert from_array.indices == from_list.indices
     assert np.array_equal(from_array.basis, from_list.basis)
-    assert np.array_equal(from_array.r, from_list.r)
 
 
 def random_slice(rng, n_vecs, length):
@@ -341,19 +336,18 @@ def random_slice(rng, n_vecs, length):
     return vecs
 
 
-def assert_record_slice(taken, basis, r, vecs):
+def assert_record_slice(taken, basis, vecs):
     """One slice of the stacked scan's padded record against the one-vector
-    scan of its vectors: same taken mask, a factor that reproduces the selected
-    vectors, and exact zeros past its k rows, which the gate's identity stage
-    relies on."""
+    scan of its vectors: same taken mask, an orthonormal basis whose span holds
+    the selected vectors, and exact zeros past its k rows, which the gate's
+    identity stage relies on."""
     assert np.array_equal(taken, select_independent_subset(vecs, 1e-9).taken)
     indices = np.flatnonzero(taken)
     k = len(indices)
-    assert not basis[k:].any() and not r[k:].any() and not r[:, k:].any()
-    selected = vecs[indices]
-    assert np.linalg.norm(r[:k, :k].T @ basis[:k] - selected) <= 1e-12 * np.linalg.norm(selected)
-    assert np.allclose(basis[:k].conj() @ basis[:k].T, np.eye(k), atol=1e-12)
-    assert np.all(np.tril(r, -1) == 0)
+    assert not basis[k:].any()
+    selected, basis = vecs[indices], basis[:k]
+    assert np.linalg.norm(selected @ basis.conj().T @ basis - selected) <= 1e-12 * np.linalg.norm(selected)
+    assert np.allclose(basis.conj() @ basis.T, np.eye(k), atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,12 +357,12 @@ def test_stacked_scan_matches_the_scan_of_each_slice(n_slices, length, extra, se
     rng = np.random.default_rng(seed)
     n_vecs = length + extra
     stack = np.stack([random_slice(rng, n_vecs, length) for _ in range(n_slices)])
-    taken, basis, r = select_independent_subsets(stack, 1e-9)
+    taken, basis = select_independent_subsets(stack, 1e-9)
     cap = min(n_vecs, length)
     assert taken.shape == (n_slices, n_vecs) and taken.dtype == bool
-    assert basis.shape == (n_slices, cap, length) and r.shape == (n_slices, cap, cap)
+    assert basis.shape == (n_slices, cap, length)
     for b, vecs in enumerate(stack):
-        assert_record_slice(taken[b], basis[b], r[b], vecs)
+        assert_record_slice(taken[b], basis[b], vecs)
         assert np.flatnonzero(taken[b]).tolist() == mgs_subset_indices(vecs, 1e-9)
 
 
@@ -384,9 +378,9 @@ def test_stacked_scan_on_packed_slices_matches_the_scan_of_each_unpadded_slice(
     packed = np.zeros((n_slices, max(1, *map(len, kept)), length), dtype=complex)
     for slice_, vecs in zip(packed, kept):
         slice_[: len(vecs)] = vecs
-    taken, basis, r = select_independent_subsets(packed, 1e-9)
+    taken, basis = select_independent_subsets(packed, 1e-9)
     for b, (vecs, original) in enumerate(zip(kept, raw)):
-        assert_record_slice(taken[b], basis[b], r[b], packed[b])
+        assert_record_slice(taken[b], basis[b], packed[b])
         assert not taken[b, len(vecs) :].any()
         mask = nonzero_vectors(original, 1e-9)[1]
         assert np.flatnonzero(mask)[taken[b, : len(vecs)]].tolist() == select_independent_subset(original).indices
@@ -443,6 +437,7 @@ def scan_cases(stack, taken) -> set:
 
 def assert_scans_like_the_reference(stack):
     got, want = select_independent_subsets(stack, 1e-9), reference_select_independent_subsets(stack, 1e-9)
+    assert len(got) == len(want) == 2
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     return got[0]

@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import groupby
 
@@ -179,6 +180,32 @@ def test_a_sweep_peaks_at_one_run_whatever_its_samples(tmp_path, family):
     peaks = [traced_peak(lambda n=n: write_csv_atomic(tmp_path / "o.csv", *run_sweep(replace(cfg, samples=n))))[0]
              for n in (600, 2400)]
     assert peaks[1] - peaks[0] <= run_bytes, (peaks, run_bytes)
+
+
+@pytest.mark.parametrize("family, config, runs", [
+    ("rotated_domino", {"samples": 100}, [44, 44, 12]),
+    ("usd", {"samples": 1000}, [409, 409, 182]),
+    ("random_unitary", {"samples": 1, "nu_values": (2, 3, 4)}, [1, 1, 1]),  # one run per N
+])
+def test_a_sweep_frees_each_run_before_it_samples_the_next(monkeypatch, family, config, runs):
+    # a sweep holds one run at a time: when the sampler builds a run's Kraus stack, no earlier
+    # run's stack may be alive.  A sweep that kept the last run's stack bound while the next was
+    # sampled read [0, 1, 1] here
+    builder = f"{family}_kraus"
+    build, stacks, sizes, alive = getattr(sweeps, builder), [], [], []
+
+    def spy(*args):
+        alive.append(sum(ref() is not None for ref in stacks))
+        kraus = build(*args)
+        stacks.append(weakref.ref(kraus))
+        sizes.append(len(kraus))
+        return kraus
+
+    monkeypatch.setattr(sweeps, builder, spy)
+    rows = list(run_sweep(SweepConfig(family=family, seed=5, **config))[1])
+    assert sizes == runs and len(rows) == sum(runs)
+    assert alive == [0] * len(runs)
+    assert all(ref() is None for ref in stacks)
 
 
 def test_write_csv_atomic(tmp_path):
