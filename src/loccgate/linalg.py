@@ -18,6 +18,14 @@ import numpy as np
 # below genuine independence scales.
 DEFAULT_INDEPENDENCE_TOL = 1e-9
 
+# First-pass residual ratio above which the one-vector scan accepts a candidate
+# without a second pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).
+# One classical pass leaves the new direction orthogonal to the basis within a
+# small multiple of u times norm / residual, at most 2u here (Giraud, Langou,
+# Rozloznik & van den Eshof, Numer. Math. 101, 2005): a second pass would move
+# only the residual's last bits, never the decision.
+ONE_PASS_RATIO = 0.5
+
 
 class IndependentSubset(namedtuple("IndependentSubset", "taken basis")):
     """One slice of the stacked scan's record: the selected vectors S and an orthonormal basis of their span.
@@ -55,12 +63,15 @@ def nonzero_vectors(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
 def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) -> IndependentSubset:
     """Greedy maximal linearly independent subset, scanned in input order.
 
-    Classical Gram-Schmidt with one reorthogonalization pass (CGS2): with the
-    orthonormal directions found so far as the rows of ``onb``, the only copy
-    of the basis, each candidate's residual is ``r -= h onb`` with
-    ``h = conj(onb conj(r))``, applied twice.  A vector joins S iff that
-    residual exceeds ``tol`` times its own norm, and its normalized residual
-    joins the basis.  Vectors that
+    Classical Gram-Schmidt with a reorthogonalization pass where it can
+    matter: with the orthonormal directions found so far as the rows of
+    ``onb``, the only copy of the basis, each candidate's residual is
+    ``r -= h onb`` with ``h = conj(onb conj(r))``.  A residual above
+    ``max(ONE_PASS_RATIO, tol)`` times the candidate's norm is clearly
+    independent and is kept after that one pass; any other takes the pass a
+    second time (CGS2), so every rejection is decided on two passes.  A
+    vector joins S iff its residual exceeds ``tol`` times its own norm, and
+    its normalized residual joins the basis.  Vectors that
     ``nonzero_vectors`` counts as zero never enter S.  The scan stops once S
     spans the whole space: each later vector lies in it.
     """
@@ -76,15 +87,17 @@ def select_independent_subset(vectors, tol: float = DEFAULT_INDEPENDENCE_TOL) ->
     keep = np.flatnonzero(nonzero)
     taken = np.zeros(len(vecs), dtype=bool)
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
-    k = 0
-    for idx, floor in zip(keep.tolist(), (tol * norms[keep]).tolist()):
+    k, clear = 0, max(ONE_PASS_RATIO, tol)
+    for idx, norm in zip(keep.tolist(), norms[keep].tolist()):
         v = vecs[idx]
-        h1 = (onb[:k] @ v.conj()).conj()  # Q^dag v
-        r = v - h1 @ onb[:k]
-        h2 = (onb[:k] @ r.conj()).conj()
-        r -= h2 @ onb[:k]
+        h = (onb[:k] @ v.conj()).conj()  # Q^dag v
+        r = v - h @ onb[:k]
         rnorm = math.sqrt(np.vdot(r, r).real)
-        if rnorm > floor:
+        if rnorm <= clear * norm:
+            h = (onb[:k] @ r.conj()).conj()
+            r -= h @ onb[:k]
+            rnorm = math.sqrt(np.vdot(r, r).real)
+        if rnorm > tol * norm:
             onb[k] = r / rnorm
             taken[idx] = True
             k += 1
@@ -101,15 +114,16 @@ def select_independent_subsets(stack, tol: float = DEFAULT_INDEPENDENCE_TOL):
     slice's k = taken[b].sum() rows, and its first k rows are an orthonormal
     basis of the span of slice b's selected vectors.  The slices advance together:
     at step t, every slice projects its t-th vector, with CGS2 batched over
-    the stack.  A slice keeps its own zero filter, acceptance rule and early
-    stop: a vector the filter drops, or any vector once its span is full,
-    meets an infinite acceptance floor; the scan stops after the last step
-    with a finite floor in any slice.  Until a step that only some slices
-    accept, all slices share one k and the updates index the whole stack;
-    from then on they gather the accepting slices.  The rows a slice has not
-    found yet are zero, so they add nothing to its projections.  A slice's
-    record does not depend on the other slices, bit for bit; its taken mask
-    equals the one-vector scan's, its basis agrees to rounding.
+    the stack: both passes for every vector, since a second pass that only
+    some slices need would cost a gather.  A slice keeps its own zero filter,
+    acceptance rule and early stop: a vector the filter drops, or any vector
+    once its span is full, meets an infinite acceptance floor; the scan stops
+    after the last step with a finite floor in any slice.  Until a step that
+    only some slices accept, all slices share one k and the updates index the
+    whole stack; from then on they gather the accepting slices.  The rows a
+    slice has not found yet are zero, so they add nothing to its projections.
+    A slice's record does not depend on the other slices, bit for bit; its
+    taken mask equals the one-vector scan's, its basis agrees to rounding.
     """
     vecs = np.asarray(stack, dtype=complex)
     if vecs.ndim != 3 or 0 in vecs.shape:

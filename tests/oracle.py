@@ -9,16 +9,17 @@ library computes more directly: moving a party's factor to the front, a
 checked Hermitian eigensolve, the permute-then-realign operator Schmidt rank,
 the lone Kraus operator from the dominant Choi eigenvector, pair products
 formed one GEMM per pair, the completeness Gram summed by ``einsum``, the
-one-vector subset scan over a stored conjugate basis and the stacked subset
-scan with a gather and a stop test at every step.  The memory
-tests measure with ``traced_peak``.
+subset scan by modified Gram-Schmidt with both passes for every vector (and its
+residual ratios), the one-vector subset scan over a stored conjugate basis and
+the stacked subset scan with a gather and a stop test at every step.  The
+memory tests measure with ``traced_peak``.
 
 An exact oracle counts each party's nullity with ``fractions.Fraction``
 arithmetic, on channels whose operators have rational entries, so a
 ``NOT_LOCC`` there holds without floating point, and builds each party's
-Q^dag Q and the identity's coefficients over ``Fraction``; Cayley transforms of
-random rational skew-symmetric matrices give it complete rational channels to
-check.
+Q^dag Q, its characteristic polynomial and the identity's coefficients over
+``Fraction``; Cayley transforms of random rational skew-symmetric matrices give
+it complete rational channels to check.
 
 Last, it holds the helpers that only tests call: the channel's action on a
 state, a state check, Kraus remixing, one channel's completeness residual,
@@ -26,8 +27,8 @@ Kraus rank, pair products, the selected products the gate gathers, the
 Grams it solves, their exact error against its a-priori bound and their
 lifted spectra, the explicit states of the rotated domino and discrimination
 families, a protocol's per-node completeness residuals and round count,
-seeded random LOCC trees and rounded copies of a channel, and the desk
-figure sweeps.
+seeded random LOCC trees (square, or with flags written at the leaves) with
+their fixed draws, rounded copies of a channel, and the desk figure sweeps.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from loccgate import (
 from loccgate import gate
 from loccgate.channels import VALIDATION_TOL, completeness_residuals, kraus_ranks
 from loccgate.gate import pair_product_columns
-from loccgate.linalg import IndependentSubset, nonzero_vectors
+from loccgate.linalg import ONE_PASS_RATIO, IndependentSubset, nonzero_vectors
 
 # Largest |h - h^dag| entry, relative to the largest |h| entry, that
 # ``hermitian_eigenvalues`` accepts as rounding in a Hermitian matrix.
@@ -219,33 +220,43 @@ def recombined_basis(basis: OperatorBasis, rng) -> OperatorBasis:
     return OperatorBasis(basis.dim, (basis.elements[0], *tail))
 
 
-def mgs_subset_indices(vectors, tol: float) -> list[int]:
-    """Greedy independent subset by per-vector modified Gram-Schmidt, twice over.
-
-    The loop form of ``select_independent_subset``, kept as its reference.
-    """
+def two_pass_ratios(vectors, tol: float) -> list[tuple[int, float, bool]]:
+    """(index, ratio, taken) for each vector the greedy scan meets, by per-vector modified
+    Gram-Schmidt, twice over: ratio is the residual's norm after both passes over the vector's
+    own norm, and the vector is taken iff that residual exceeds ``tol`` times its norm.  A vector
+    at most ``tol`` times the largest norm counts as zero and is not met.  Unlike the scan, this
+    goes on once the taken vectors span the whole space, so it also checks that early stop."""
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     norms = [float(np.linalg.norm(v)) for v in vecs]
     scale = max(norms)
-    selected, onb = [], []
+    scanned, onb = [], []
     for idx, v in enumerate(vecs):
         if norms[idx] <= tol * scale:
             continue
         r = v.copy()
         for _ in range(2):
             for q in onb:
-                r = r - (q.conj() @ r) * q
+                r -= np.vdot(q, r) * q
         rnorm = float(np.linalg.norm(r))
-        if rnorm > tol * norms[idx]:
-            selected.append(idx)
+        scanned.append((idx, rnorm / norms[idx], rnorm > tol * norms[idx]))
+        if scanned[-1][2]:
             onb.append(r / rnorm)
-    return selected
+    return scanned
+
+
+def mgs_subset_indices(vectors, tol: float) -> list[int]:
+    """Greedy independent subset by per-vector modified Gram-Schmidt, twice over for every
+    vector (``two_pass_ratios``): the loop form of ``select_independent_subset``, kept as its
+    reference."""
+    return [idx for idx, _, taken in two_pass_ratios(vectors, tol) if taken]
 
 
 def reference_select_independent_subset(vectors, tol: float) -> IndependentSubset:
-    """The one-vector CGS2 scan of ``select_independent_subset`` in its earlier form, as its
-    reference: it kept a second, conjugated copy of the basis, so that each projection
-    ``Q^dag r`` was a plain product.  Its bits are the scan's but for the sign of exact zeros."""
+    """The one-vector scan of ``select_independent_subset`` in its earlier form, as its reference:
+    it kept a second, conjugated copy of the basis, so that each projection ``Q^dag r`` was a plain
+    product.  It takes the scan's pass rule: a second pass only where the first leaves a residual
+    at or below ``max(ONE_PASS_RATIO, tol)`` of the candidate's norm.  Its bits are the scan's but
+    for the sign of exact zeros."""
     vecs = np.asarray(vectors, dtype=complex)
     vecs = vecs.reshape(len(vecs), -1)
     length = vecs.shape[1]
@@ -255,15 +266,15 @@ def reference_select_independent_subset(vectors, tol: float) -> IndependentSubse
     taken = np.zeros(len(vecs), dtype=bool)
     onb = np.empty((min(len(vecs), length), length), dtype=complex)  # Q's columns as rows
     onb_c = np.empty_like(onb)  # conj(onb), so Q^dag v is a plain product
-    for idx, floor in zip(keep.tolist(), (tol * norms[keep]).tolist()):
+    for idx, norm in zip(keep.tolist(), norms[keep].tolist()):
         k = len(selected)
         v = vecs[idx]
-        h1 = onb_c[:k] @ v
-        r = v - h1 @ onb[:k]
-        h2 = onb_c[:k] @ r
-        r -= h2 @ onb[:k]
+        r = v - (onb_c[:k] @ v) @ onb[:k]
         rnorm = math.sqrt(np.vdot(r, r).real)
-        if rnorm > floor:
+        if rnorm <= max(ONE_PASS_RATIO, tol) * norm:
+            r -= (onb_c[:k] @ r) @ onb[:k]
+            rnorm = math.sqrt(np.vdot(r, r).real)
+        if rnorm > tol * norm:
             onb[k] = r / rnorm
             onb_c[k] = onb[k].conj()
             selected.append(idx)
@@ -551,11 +562,28 @@ def node_residuals(tree) -> list[float]:
     return residuals
 
 
-def random_locc_tree(dims, depth: int, outcomes: int, rng) -> ProtocolTree:
+def random_locc_tree(dims, depth: int, outcomes: int, rng, out_dims=None) -> ProtocolTree:
     """A finite-round LOCC protocol on ``dims``, drawn from ``rng``: each node is a party other than
     its parent's measuring a Haar isometry d_p -> m d_p (m = ``outcomes``) cut into m square blocks,
-    and each branch gets a child with probability 0.8, down to ``depth`` levels.  Every leaf ends on
-    ``dims``, so the compiled channel is square."""
+    and each branch gets a child with probability 0.8, down to ``depth`` levels.
+
+    Every leaf ends on ``out_dims`` (default ``dims``, so the compiled channel is square).  Other
+    ``out_dims`` make each leaf write flags: its block B becomes F B, for a Haar isometry F from the
+    acting party's dimension onto its out dimension (rectangular where that is larger), drawn per
+    leaf, and one-branch nodes then apply such an isometry for each other party whose dimension
+    grows, in party order.  An isometry keeps every node complete.  With the default no F is drawn,
+    so the draws are the square trees'."""
+    dims = tuple(dims)
+    out_dims = dims if out_dims is None else tuple(out_dims)
+
+    def flag(party: int) -> np.ndarray:
+        return haar_unitary(out_dims[party], rng)[:, : dims[party]]
+
+    def other_flags(party: int) -> ProtocolNode | None:
+        child = None
+        for q in reversed([q for q in range(len(dims)) if q != party and out_dims[q] != dims[q]]):
+            child = ProtocolNode(q, [(flag(q), child)])
+        return child
 
     def node(levels: int, parent: int | None) -> ProtocolNode:
         party = int(rng.choice([p for p in range(len(dims)) if p != parent]))
@@ -563,11 +591,21 @@ def random_locc_tree(dims, depth: int, outcomes: int, rng) -> ProtocolTree:
         isometry = haar_unitary(outcomes * d, rng)[:, :d]
         branches = []
         for block in isometry.reshape(outcomes, d, d):
-            child = node(levels - 1, party) if levels > 1 and rng.random() < 0.8 else None
-            branches.append((block, child))
+            if levels > 1 and rng.random() < 0.8:
+                branches.append((block, node(levels - 1, party)))
+            elif out_dims == dims:
+                branches.append((block, None))
+            else:
+                branches.append((flag(party) @ block, other_flags(party)))
         return ProtocolNode(party, branches)
 
-    return ProtocolTree(tuple(dims), node(depth, None))
+    return ProtocolTree(dims, node(depth, None))
+
+
+# The fixed random LOCC tree draws, (dims, depth, outcomes, seed): 48 trees, 12 per shape.
+LOCC_TREE_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
+LOCC_TREE_DRAWS = [(dims, depth, outcomes, seed) for dims in LOCC_TREE_DIMS
+                   for depth in (2, 3) for outcomes in (2, 3) for seed in range(3)]
 
 
 def rounded_channel(channel: KrausChannel, digits: int) -> KrausChannel:
@@ -681,6 +719,20 @@ def exact_party_grams(kraus, dims) -> tuple[np.ndarray, list[np.ndarray]]:
         grams.append(np.array([[g - Fraction((r_a * r_b).sum(), total // d) for g, r_b in zip(row, reduced)]
                                for row, r_a in zip(gram, reduced)], dtype=object))
     return x_i, grams
+
+
+def char_poly(matrix) -> list[Fraction]:
+    """Coefficients of det(l I - A), highest power first, for a square matrix A of rationals, by
+    the Faddeev-LeVerrier recursion over ``Fraction`` (``_fractions``): M_1 = I, c_k =
+    -tr(A M_k) / k and M_(k+1) = A M_k + c_k I, so the polynomial is l^n + c_1 l^(n-1) + ... + c_n."""
+    a = [_fractions(row) for row in matrix]
+    n = len(a)
+    coeffs, m = [Fraction(1)], [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(am[i][i] for i in range(n)) / k)
+        m = [[am[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
 
 
 def exact_projectors(vectors) -> list[np.ndarray]:

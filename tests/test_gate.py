@@ -44,10 +44,13 @@ from loccgate.zoo import QUARTER_PI, random_unitary_kraus, rotated_domino_kraus
 from oracle import (
     HEAVY_IDS,
     HEAVY_SHAPES,
+    LOCC_TREE_DIMS,
+    LOCC_TREE_DRAWS,
     augmented_q,
     hermitian_eigenvalues,
     augmented_spectrum,
     build_q,
+    char_poly,
     desk_figure_configs,
     exact_bell_kraus,
     exact_cayley_isometry,
@@ -472,6 +475,20 @@ def test_bells_exact_party_grams_are_projectors_so_its_lambda_is_one():
     assert abs(gate_channel(bell_channel()).lambda_hat - 1.0) <= 1e-12
 
 
+def test_dominos_exact_party_grams_give_lambda_one_sixth():
+    # each party's Q^dag Q has the characteristic polynomial l (l-1)^4 (2l-1) (3l-2)^2 (6l-1) / 108:
+    # its one zero is the identity's, which the gate lifts to 1, so the spectrum runs from 1/6 to 1
+    factors = [(1, 0), *[(1, 1)] * 4, (2, 1), *[(3, 2)] * 2, (6, 1)]  # (a, b) for the factor a l - b
+    want = [Fraction(1, 108)]
+    for a, b in factors:
+        want = [a * x - b * y for x, y in zip([*want, 0], [0, *want])]
+    _, grams = exact_party_grams(exact_rotated_domino_kraus((1, 1, 1, 1)), (3, 3))
+    assert [char_poly(gram) for gram in grams] == [want, want]
+    lifted = [Fraction(b, a) or Fraction(1) for a, b in factors]  # the roots, with the zero lifted to 1
+    assert min(lifted) / max(lifted) == Fraction(1, 6)
+    assert abs(gate_channel(domino_channel()).lambda_hat - 1 / 6) <= 8 * math.ulp(1 / 6)  # 5 ulps under it here
+
+
 def test_gate_channel_identity_degenerate():
     verdict = gate_channel(identity_channel())
     assert verdict.verdict == VERDICT_DEGENERATE_KRAUS_RANK_ONE
@@ -592,14 +609,19 @@ def test_the_built_in_protocols_never_read_not_locc(angles, usd_angle, phase):
     assert [gate_channel(c).verdict for c in (domino, usd)] == [VERDICT_FIRST_MOVE_CANDIDATES] * 2
 
 
+def assert_locc_verdict(verdict, tree) -> None:
+    """Not NOT_LOCC, and the tree's root party a candidate unless the label is degenerate."""
+    assert verdict.verdict != VERDICT_NOT_LOCC
+    assert verdict.verdict.startswith("DEGENERATE_") or tree.root.party in verdict.candidates
+
+
 def locc_tree_leaves_a_party_out(tree) -> bool:
     """Gate a random LOCC tree's channel and its copies rounded to 15, 12 and 10 significant digits;
     none may read NOT_LOCC, and the root party must be a candidate unless the label is degenerate.
     Returns whether some party is not a candidate, so that the check is not trivial."""
     channel = protocol_to_channel(tree)
     verdict = gate_channel(channel)
-    assert verdict.verdict != VERDICT_NOT_LOCC
-    assert verdict.verdict.startswith("DEGENERATE_") or tree.root.party in verdict.candidates
+    assert_locc_verdict(verdict, tree)
     for digits in (15, 12, 10):
         try:  # rounding may leave the identity off the span, which is refused, never certified
             assert gate_channel(rounded_channel(channel, digits)).verdict != VERDICT_NOT_LOCC
@@ -608,16 +630,33 @@ def locc_tree_leaves_a_party_out(tree) -> bool:
     return verdict.candidates is not None and len(verdict.candidates) < channel.n_parties
 
 
-LOCC_TREE_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
-
-
 @pytest.mark.parametrize("dims", LOCC_TREE_DIMS, ids=["x".join(map(str, d)) for d in LOCC_TREE_DIMS])
 def test_a_random_locc_tree_never_reads_not_locc(dims):
     # the root's outcome m sums K^dag K over its leaves to E_m x I, so E_m x I lies in the span of
     # the pair products and the root party has nullity >= 1
     trees = [random_locc_tree(dims, depth, outcomes, np.random.default_rng(seed))
-             for depth in (2, 3) for outcomes in (2, 3) for seed in range(3)]
+             for draw_dims, depth, outcomes, seed in LOCC_TREE_DRAWS if draw_dims == dims]
     assert sum(map(locc_tree_leaves_a_party_out, trees)) >= 1
+
+
+@pytest.mark.parametrize("grow", ["every-party+1", "party-0x2"])
+@pytest.mark.parametrize("dims", LOCC_TREE_DIMS, ids=["x".join(map(str, d)) for d in LOCC_TREE_DIMS])
+def test_random_locc_trees_with_flags_never_read_not_locc_alone_or_stacked(dims, grow):
+    # leaves write flags, so d_out > D; the fixed draws, each gated alone (the one-vector scan) and
+    # all of a shape stacked, zero-padded to one Kraus count (the stacked scan): ~0.7 s in all
+    out_dims = tuple(d + 1 for d in dims) if grow == "every-party+1" else (2 * dims[0], *dims[1:])
+    trees = [random_locc_tree(dims, depth, outcomes, np.random.default_rng(seed), out_dims)
+             for draw_dims, depth, outcomes, seed in LOCC_TREE_DRAWS if draw_dims == dims]
+    channels = [protocol_to_channel(tree) for tree in trees]
+    assert all(c.output_dim == math.prod(out_dims) > c.dim for c in channels)
+    n_kraus = max(c.n_kraus for c in channels)
+    padded = [KrausChannel(c.name, dims, c.output_dim, np.concatenate(
+        [c.kraus, np.zeros((n_kraus - c.n_kraus, *c.kraus.shape[1:]))])) for c in channels]
+    alone = [gate_channel(c) for c in channels]
+    for tree, lone, stacked in zip(trees, alone, gate_channels(padded), strict=True):
+        assert_locc_verdict(lone, tree)
+        assert_locc_verdict(stacked, tree)
+    assert any(len(v.candidates) < len(dims) for v in alone if v.candidates is not None)
 
 
 @settings(max_examples=150, deadline=None)  # ~2 s

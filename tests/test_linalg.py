@@ -1,10 +1,15 @@
+import functools
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccgate import KrausChannel, gate, haar_unitary, random_unitary_channel, run_sweep
+from loccgate import KrausChannel, gate, haar_unitary, linalg, protocol_to_channel, random_unitary_channel, run_sweep
 from loccgate.linalg import (
+    ONE_PASS_RATIO,
     _nullity,
     nonzero_vectors,
     select_independent_subset,
@@ -14,15 +19,18 @@ from loccgate.linalg import (
 from oracle import (
     HEAVY_IDS,
     HEAVY_SHAPES,
+    LOCC_TREE_DRAWS,
     desk_figure_configs,
     hermitian_eigenvalues,
     mgs_subset_indices,
     operator_basis,
     pair_products,
     permute_party_to_front,
+    random_locc_tree,
     reference_select_independent_subset,
     reference_select_independent_subsets,
     same_bits,
+    two_pass_ratios,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -257,19 +265,6 @@ def test_subset_size_matches_rank(length, n_independent, n_dependent, seed):
     assert len(subset.indices) == stacked.shape[1] - nullity
 
 
-def test_subset_matches_mgs_reference(zoo_channels):
-    rng = np.random.default_rng(13)
-    # 2x2x2/12 fills the 64-dim span partway through its 144 products, so the
-    # early stop at a full span is compared too
-    extra = [
-        random_unitary_channel(dims, nu, rng)
-        for dims, nu in (((2, 2, 2), 8), ((3, 3), 11), ((2, 2, 2), 12))
-    ]
-    for channel in [*zoo_channels, *extra]:
-        vecs = pair_products(channel).reshape(channel.n_kraus**2, -1)
-        assert select_independent_subset(vecs, 1e-9).indices == mgs_subset_indices(vecs, 1e-9)
-
-
 def scan_input(channel) -> np.ndarray:
     """The packed pair products the gate scans for a lone channel, one per row."""
     [(_, packed)] = gate.packed_stacks(channel.kraus[None])
@@ -311,6 +306,129 @@ def test_subset_matches_the_conjugate_basis_reference_on_sparse_and_dependent_ve
         vecs[3] = vecs[0] - 2j * vecs[2]  # a dependent row mid-scan
         cases.append(vecs)
     assert all(scans_like_the_conjugate_basis_reference(vecs, np.array_equal) for vecs in cases)
+
+
+def chained_flags(rng) -> KrausChannel:
+    """Three Kraus operators on 2x3, each half of four Haar unitaries U_k: K_0 = |0> (x) U_0,
+    K_1 = |0> (x) U_1 + |1> (x) U_2 and K_2 = |1> (x) U_3, so K_0 and K_2 share no output row."""
+    u = 0.5 * np.stack([haar_unitary(6, rng) for _ in range(4)])
+    kraus = np.zeros((3, 12, 6), dtype=complex)
+    kraus[0, :6], kraus[1, :6], kraus[1, 6:], kraus[2, 6:] = u
+    return KrausChannel("chained-flags", (2, 3), 12, kraus)
+
+
+def near_half_vectors(rng, length: int, n_vecs: int, spread: float) -> np.ndarray:
+    """Vectors whose first-pass residual ratios sit just above and below ONE_PASS_RATIO.
+
+    Each vector brings a fresh direction of a Haar basis, at ratio ONE_PASS_RATIO (1 +- 10^-e),
+    e in 1..15, over a random mix of the directions before it; about one in five is instead an
+    earlier vector times a power of two, an exactly dependent copy, and so is every vector once
+    the directions run out.  Each fresh vector is scaled by 10^x, x uniform in [-spread, spread].
+    """
+    directions = haar_unitary(length, rng)
+    vecs, fresh = [], 0
+    for _ in range(n_vecs):
+        if fresh == length or (vecs and rng.random() < 0.2):
+            vecs.append(2.0 ** int(rng.integers(-8, 9)) * vecs[int(rng.integers(len(vecs)))])
+            continue
+        ratio = ONE_PASS_RATIO * (1 + rng.choice([-1, 1]) * 10.0 ** -int(rng.integers(1, 16)))
+        v = ratio * np.exp(2j * np.pi * rng.random()) * directions[:, fresh]
+        if fresh:
+            inside = directions[:, :fresh] @ random_complex(rng, fresh)
+            v += np.sqrt(1 - ratio**2) / np.linalg.norm(inside) * inside
+        vecs.append(10.0 ** rng.uniform(-spread, spread) * v)
+        fresh += 1
+    return np.array(vecs)
+
+
+@functools.cache
+def heavy_two_pass(dims, nu: int, seed: int, tol: float):
+    """A heavy channel's packed products and their ``two_pass_ratios``, shared by the tests below."""
+    vecs = scan_input(random_unitary_channel(dims, nu, np.random.default_rng(seed)))
+    return vecs, two_pass_ratios(vecs, tol)
+
+
+def assert_takes_the_two_pass_subset(vecs, tol, ratios=None) -> None:
+    """The scan takes the indices of the reference that always runs both passes, and its basis is
+    orthonormal to 1e-14."""
+    subset = select_independent_subset(vecs, tol)
+    ratios = two_pass_ratios(vecs, tol) if ratios is None else ratios
+    assert subset.indices == [idx for idx, _, taken in ratios if taken]
+    assert np.abs(subset.basis @ subset.basis.conj().T - np.eye(len(subset.basis))).max() <= 1e-14
+
+
+# The one-vector scan's second pass runs only where the first leaves a residual at or below
+# max(ONE_PASS_RATIO, tol) of the candidate's norm.  Its mask must equal the two-pass reference's;
+# at tol 0.6, above ONE_PASS_RATIO, every rejection must still take both passes (the heavy shapes
+# have 9-200 two-pass ratios in (0.5, 0.6] at seed 1).  Measured: bases orthonormal to 9.4e-16 on
+# the heavy shapes, named channels and trees, and to 5.3e-15 on the near-half vectors, where the
+# scan that always takes both passes reaches 4.4e-16.
+SCAN_TOLS = [1e-9, 0.3, 0.6]
+
+
+@pytest.mark.parametrize("tol, ratio, passes, taken", [
+    (1e-9, 0.55, 1, True), (1e-9, 0.45, 2, True), (0.3, 0.45, 2, True), (0.6, 0.55, 2, False), (0.6, 0.65, 1, True),
+])
+def test_a_second_pass_runs_only_at_or_below_the_larger_of_one_half_and_tol(monkeypatch, tol, ratio, passes, taken):
+    # the second of two unit vectors has first-pass ratio ``ratio``; each pass takes one square root
+    roots = []
+    monkeypatch.setattr(linalg, "math", SimpleNamespace(sqrt=lambda x: roots.append(x) or math.sqrt(x)))
+    e = np.eye(3)
+    subset = select_independent_subset([e[0], ratio * e[1] + math.sqrt(1 - ratio**2) * e[0]], tol)
+    assert subset.taken.tolist() == [True, taken] and len(roots) == 1 + passes
+
+
+@pytest.mark.parametrize("tol", SCAN_TOLS)
+@pytest.mark.parametrize("dims, nu", HEAVY_SHAPES, ids=HEAVY_IDS)
+def test_the_scan_takes_the_two_pass_subset_on_the_heavy_shapes(dims, nu, tol):
+    # seeds 1-5 at the gate's tolerance; the reference's loops cost ~0.8 s a seed at the others
+    for seed in range(1, 6) if tol == 1e-9 else [1]:
+        vecs, ratios = heavy_two_pass(dims, nu, seed, tol)
+        assert_takes_the_two_pass_subset(vecs, tol, ratios)
+
+
+def test_subset_matches_mgs_reference(zoo_channels):
+    rng = np.random.default_rng(13)
+    # 2x2x2/12 fills the 64-dim span partway through its 144 products, so the
+    # early stop at a full span is compared too
+    extra = [
+        random_unitary_channel(dims, nu, rng)
+        for dims, nu in (((2, 2, 2), 8), ((3, 3), 11), ((2, 2, 2), 12))
+    ]
+    flagged = [flagged_measurement(np.random.default_rng(19)), chained_flags(np.random.default_rng(23))]
+    for channel in [*zoo_channels, *extra, *flagged]:
+        vecs = pair_products(channel).reshape(channel.n_kraus**2, -1)
+        for tol in SCAN_TOLS:
+            assert_takes_the_two_pass_subset(vecs, tol)
+
+
+@pytest.mark.parametrize("tol", SCAN_TOLS)
+def test_the_scan_takes_the_two_pass_subset_on_the_locc_trees(tol):
+    for dims, depth, outcomes, seed in LOCC_TREE_DRAWS:
+        tree = random_locc_tree(dims, depth, outcomes, np.random.default_rng(seed))
+        assert_takes_the_two_pass_subset(scan_input(protocol_to_channel(tree)), tol)
+
+
+@pytest.mark.parametrize("tol", SCAN_TOLS)
+def test_the_scan_takes_the_two_pass_subset_on_near_half_ratios(tol):
+    rng = np.random.default_rng(37)
+    for spread in (0.0, 4.0) * 30:
+        assert_takes_the_two_pass_subset(near_half_vectors(rng, 16, 24, spread), tol)
+
+
+def test_the_scan_gap_holds_on_the_tracked_inputs(monkeypatch, bell, domino, usd_instance):
+    # at the gate's tolerance every two-pass residual ratio lies far from it on its own side:
+    # accepted ones down to 1.85e-2 (4x4/18, seed 3), rejected ones up to 9.7e-16 (desk sweeps)
+    stacks = []
+    scan = gate.select_independent_subsets
+    monkeypatch.setattr(gate, "select_independent_subsets", lambda stack, *rest: stacks.append(stack) or scan(stack, *rest))
+    for cfg in desk_figure_configs():
+        list(run_sweep(cfg)[1])
+    ratios = [r for dims, nu in HEAVY_SHAPES for seed in (1, 2, 3) for r in heavy_two_pass(dims, nu, seed, 1e-9)[1]]
+    ratios += [r for channel in (bell, domino, usd_instance) for r in two_pass_ratios(scan_input(channel), 1e-9)]
+    ratios += [r for stack in stacks for vecs in stack for r in two_pass_ratios(vecs, 1e-9)]
+    assert min(ratio for _, ratio, taken in ratios if taken) >= 1e-2
+    assert max(ratio for _, ratio, taken in ratios if not taken) <= 1e-14
 
 
 def test_subset_array_and_list_inputs_agree():
